@@ -68,7 +68,6 @@ def _shift_poly(coeffs: Sequence, mu, scale) -> list:
     out = [mp.mpf(0)] * max(len(coeffs), 1)
     for c in reversed(coeffs):
         # out(u) <- out(u) * (mu + scale u) + c
-        carry = mp.mpf(0)
         new = [mp.mpf(0)] * len(out)
         for j in range(len(out) - 1, -1, -1):
             new[j] = out[j] * mu + (out[j - 1] * scale if j >= 1 else 0)
@@ -77,22 +76,14 @@ def _shift_poly(coeffs: Sequence, mu, scale) -> list:
     return out
 
 
-_GAUSS_HALF_MOMENTS_CACHE: dict = {}
-
-
 def _gauss_moments(jmax: int) -> list:
     """G_j = int u^j e^{-u^2} du: sqrt(pi) * (j-1)!! / 2^{j/2} for even j."""
-    key = (jmax, mp.prec)
-    cached = _GAUSS_HALF_MOMENTS_CACHE.get(key)
-    if cached is not None:
-        return cached
     out = [mp.sqrt(mp.pi)]
     for j in range(1, jmax + 1):
         if j % 2 == 1:
             out.append(mpf(0))
         else:
             out.append(out[j - 2] * (j - 1) / 2)
-    _GAUSS_HALF_MOMENTS_CACHE[key] = out
     return out
 
 
@@ -289,8 +280,7 @@ def jump_matrix(ws: WeightSystem, x) -> matrix:
 def correlation_kernel(ws: WeightSystem, idx: MultiIndexPair, x, y=None):
     """K(x, y) of the determinantal process; K(x, x) by confluence.
 
-    Boundary values are taken from above.  Y^{-1} uses the adjugate (the
-    determinant is 1 up to roundoff and is divided out).
+    Boundary values are taken from above.
     """
     ev = y_evaluator(ws, idx)
     p, q = ws.p, ws.q
@@ -301,11 +291,11 @@ def correlation_kernel(ws: WeightSystem, idx: MultiIndexPair, x, y=None):
     v2 = [ws.w2(l, y) for l in range(q)]
     if confluent:
         Y, dY = ev.value(x, derivative=True)
-        core = nu.inverse_unimodular(Y) * dY
+        core = mp.inverse(Y) * dY
     else:
         Yx = ev.value(x)
         Yy = ev.value(y)
-        core = nu.inverse_unimodular(Yy) * Yx
+        core = mp.inverse(Yy) * Yx
     acc = mpc(0)
     for l in range(q):
         for k in range(p):

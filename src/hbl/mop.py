@@ -154,9 +154,6 @@ class MopSolution:
     norm: NormTag
     coeffs: tuple  # tuple over k of tuple of mpf, length n_k
 
-    def poly(self, k: int) -> tuple:
-        return self.coeffs[k]
-
     def eval_A(self, k: int, x):
         acc = mp.mpf(0)
         for c in reversed(self.coeffs[k]):
@@ -248,7 +245,8 @@ def solve_mop(
 
     Gaussian weights make every index pair normal, so a singular or badly
     conditioned system signals precision exhaustion: the solve retries at
-    doubled precision up to ``max_precision`` before giving up.
+    doubled precision up to ``max_precision`` before giving up.  A start
+    above ``max_precision`` is still tried once.
     """
     if idx.size_n != idx.size_m + 1:
         raise InvalidIndex("solve_mop requires |n| = |m| + 1")
@@ -261,8 +259,9 @@ def solve_mop(
         raise InvalidIndex("type I position out of range")
 
     prec = mp.prec
+    ceiling = max(max_precision, prec)
     last_error: Optional[Exception] = None
-    while prec <= max_precision:
+    while prec <= ceiling:
         with mp.workprec(prec):
             try:
                 A, rhs, offsets = _build_system(ws, idx, norm)

@@ -1,10 +1,10 @@
-"""Extended-precision scalars, dense linear algebra, Faddeeva and Airy.
+"""Extended-precision scalars, dense linear algebra and the Faddeeva function.
 
-All arithmetic runs on mpmath's global context ``mp`` (gmpy backend when
-available).  The working precision is a process-wide setting, default 256
-bits, with per-call overrides via :func:`working_precision` /
-:func:`extra_precision`.  Results carry the precision they were computed
-at; mpmath never downgrades them silently.
+All arithmetic runs on mpmath's global context ``mp``.  The working
+precision is a process-wide setting, default 256 bits; a caller that needs
+a different precision for one computation wraps it in ``mp.workprec`` or
+``mp.extraprec``.  Results carry the precision they were computed at;
+mpmath never downgrades them silently.
 """
 
 from __future__ import annotations
@@ -17,11 +17,6 @@ DEFAULT_PRECISION_BITS = 256
 
 mp.prec = DEFAULT_PRECISION_BITS
 
-# Public aliases: the library's extended-precision scalar and matrix types.
-ExtReal = mpf
-ExtComplex = mpc
-DenseMatrix = matrix
-
 
 def set_precision(bits: int) -> None:
     """Set the process-wide working precision (mantissa bits, >= 128)."""
@@ -30,22 +25,8 @@ def set_precision(bits: int) -> None:
     mp.prec = bits
 
 
-def get_precision() -> int:
-    return mp.prec
-
-
-def working_precision(bits: int):
-    """Context manager running the body at exactly ``bits`` of precision."""
-    return mp.workprec(bits)
-
-
-def extra_precision(bits: int):
-    """Context manager temporarily adding ``bits`` guard bits."""
-    return mp.extraprec(bits)
-
-
 def to_ext(x) -> mpf:
-    """Parse a value to ExtReal at full working precision.
+    """Parse a value to mpf at full working precision.
 
     Strings are the lossless path for decimal inputs ("0.7" becomes the
     nearest mpf at working precision, not the nearest double).
@@ -62,10 +43,6 @@ def to_ext(x) -> mpf:
         return mpf(x.numerator) / mpf(x.denominator)
     except AttributeError:
         return mpf(x)
-
-
-def mag(x) -> mpf:
-    return abs(mpc(x))
 
 
 # ---------------------------------------------------------------------------
@@ -90,16 +67,16 @@ def solve_linear(a: matrix, b) -> list:
     if len(rhs) != n:
         raise ValueError("right-hand side length mismatch")
 
-    scale = max((mag(rows[i][j]) for i in range(n) for j in range(n)), default=mpf(0))
+    scale = max((abs(rows[i][j]) for i in range(n) for j in range(n)), default=mpf(0))
     if scale == 0:
         raise SingularMatrix("zero matrix")
     # Leave 32 bits of slack; anything smaller than this is numerically zero.
     threshold = scale * mpf(2) ** (-(mp.prec - 32))
 
     for col in range(n):
-        piv, piv_mag = col, mag(rows[col][col])
+        piv, piv_mag = col, abs(rows[col][col])
         for r in range(col + 1, n):
-            m = mag(rows[r][col])
+            m = abs(rows[r][col])
             if m > piv_mag:
                 piv, piv_mag = r, m
         if piv_mag < threshold:
@@ -134,9 +111,9 @@ def lu_det(a: matrix):
     rows = _as_rows(a)
     det = mpf(1)
     for col in range(n):
-        piv, piv_mag = col, mag(rows[col][col])
+        piv, piv_mag = col, abs(rows[col][col])
         for r in range(col + 1, n):
-            m = mag(rows[r][col])
+            m = abs(rows[r][col])
             if m > piv_mag:
                 piv, piv_mag = r, m
         if piv_mag == 0:
@@ -153,51 +130,14 @@ def lu_det(a: matrix):
     return det
 
 
-def mat_inverse(a: matrix) -> matrix:
-    """Inverse via LU solves against the identity columns."""
-    n = a.rows
-    out = matrix(n, n)
-    for j in range(n):
-        e = [mpf(1) if i == j else mpf(0) for i in range(n)]
-        col = solve_linear(a, e)
-        for i in range(n):
-            out[i, j] = col[i]
-    return out
-
-
-def adjugate(a: matrix) -> matrix:
-    """Classical adjugate; equals the inverse for unimodular matrices."""
-    n = a.rows
-    out = matrix(n, n)
-    for i in range(n):
-        for j in range(n):
-            minor = matrix(n - 1, n - 1)
-            for r in range(n - 1):
-                for c in range(n - 1):
-                    minor[r, c] = a[r + (r >= j), c + (c >= i)]
-            out[i, j] = (-1) ** (i + j) * lu_det(minor)
-    return out
-
-
-def inverse_unimodular(a: matrix) -> matrix:
-    """Inverse of a matrix with det = 1, computed as adjugate / det.
-
-    The division by the (numerically near-one) determinant keeps the
-    routine exact even when det drifts at roundoff level.
-    """
-    adj = adjugate(a)
-    d = lu_det(a)
-    return adj / d
-
-
 def max_abs(a: matrix) -> mpf:
-    return max(mag(a[i, j]) for i in range(a.rows) for j in range(a.cols))
+    return max(abs(a[i, j]) for i in range(a.rows) for j in range(a.cols))
 
 
 def inf_norm(a: matrix) -> mpf:
     """Matrix infinity norm (max absolute row sum)."""
     return max(
-        sum(mag(a[i, j]) for j in range(a.cols)) for i in range(a.rows)
+        sum(abs(a[i, j]) for j in range(a.cols)) for i in range(a.rows)
     )
 
 
@@ -212,198 +152,13 @@ def identity(n: int) -> matrix:
 # Faddeeva function w(z) = exp(-z^2) erfc(-iz)
 # ---------------------------------------------------------------------------
 
-_SERIES_RADIUS = 9.0
-
-
-def _faddeeva_series(z: mpc) -> mpc:
-    """Maclaurin evaluation w(z) = e^{-z^2} + i z * sum_k (-z^2)^k / Gamma(k+3/2).
-
-    Valid everywhere; terms peak near exp(|z|^2) so the working precision
-    is raised by ~1.45 |z|^2 bits to absorb the cancellation.
-    """
-    boost = int(1.46 * abs(z) ** 2) + 40
-    with mp.extraprec(boost):
-        z = mpc(z)
-        mz2 = -z * z
-        term = 2 / mp.sqrt(mp.pi)
-        total = mpc(term)
-        k = 0
-        cutoff = mpf(2) ** (-(mp.prec + 10))
-        peak = mag(term)
-        while True:
-            term = term * mz2 / (k + mpf(3) / 2)
-            total += term
-            k += 1
-            m = mag(term)
-            if m > peak:
-                peak = m
-            if m < cutoff * max(peak, mpf(1)) and k > 4:
-                break
-            if k > 100000:
-                raise ArithmeticError("faddeeva series failed to converge")
-        return mp.exp(mz2) + 1j * z * total
-
-
-def _faddeeva_cf(z: mpc, max_terms: int = 200000) -> mpc:
-    """Laplace continued fraction via modified Lentz; fast for |z| large
-    and Im z bounded away from the real axis."""
-    tiny = mpf(2) ** (-mp.prec * 4)
-    eps = mpf(2) ** (-(mp.prec + 8))
-    f = mpc(tiny)
-    c = mpc(f)
-    d = mpc(0)
-    m = 0
-    while m < max_terms:
-        a = mpc(1) if m == 0 else mpc(-m) / 2
-        bb = z
-        d = bb + a * d
-        if d == 0:
-            d = mpc(tiny)
-        c = bb + a / c
-        if c == 0:
-            c = mpc(tiny)
-        d = 1 / d
-        delta = c * d
-        f = f * delta
-        m += 1
-        if abs(delta - 1) < eps and m > 4:
-            break
-    else:
-        raise ArithmeticError("faddeeva continued fraction stalled")
-    return 1j / mp.sqrt(mp.pi) * f
-
-
 def faddeeva(z) -> mpc:
     """w(z) = e^{-z^2} erfc(-iz), entire, relative error ~ working epsilon.
 
-    Branch selection: Maclaurin series for |z| <= 9, continued fraction in
-    the upper half plane for larger |z|, and the erfc route on the narrow
-    near-real wedge where the continued fraction converges too slowly.
-    Lower half plane values come from w(z) = 2 e^{-z^2} - w(-z).
+    Forming e^{-z^2} loses about 2 log2|z| bits, so the product is taken
+    with that many guard bits and then rounded to working precision.
     """
     z = mpc(z)
-    if z.imag < 0:
-        with mp.extraprec(20):
-            return 2 * mp.exp(-z * z) - faddeeva(-z)
-    r = abs(z)
-    if r <= _SERIES_RADIUS:
-        return +_faddeeva_series(z)
-    if z.imag * 8 >= r:
-        return +_faddeeva_cf(z)
-    # Near-real, large modulus: erfc(-iz) has no cancellation against the
-    # e^{-z^2} prefactor here; mpmath's complex erfc handles the region.
-    with mp.extraprec(40 + int(2.9 * abs(z.real * z.imag))):
-        return +(mp.exp(-z * z) * mp.erfc(-1j * z))
-
-
-def faddeeva_prime(z) -> mpc:
-    """w'(z) = -2 z w(z) + 2i/sqrt(pi)."""
-    z = mpc(z)
-    return -2 * z * faddeeva(z) + 2j / mp.sqrt(mp.pi)
-
-
-# ---------------------------------------------------------------------------
-# Airy function on the real line
-# ---------------------------------------------------------------------------
-
-def _airy_series_pair(s: mpf, derivative: bool) -> mpf:
-    """Maclaurin evaluation of Ai (or Ai') with cancellation guard bits."""
-    zeta = mpf(2) / 3 * abs(s) ** mpf(1.5)
-    boost = int(3.0 * zeta) + 40
-    with mp.extraprec(boost):
-        s = mpf(s)
-        s3 = s**3
-        c1 = mpf(3) ** (mpf(-2) / 3) / mp.gamma(mpf(2) / 3)
-        c2 = mpf(3) ** (mpf(-1) / 3) / mp.gamma(mpf(1) / 3)
-        cutoff = mpf(2) ** (-(mp.prec + 10))
-
-        def series(first, ratio_num):
-            total = mpf(first)
-            term = mpf(first)
-            k = 0
-            peak = mag(term) if term != 0 else mpf(0)
-            while True:
-                term = term * s3 / ratio_num(k)
-                total += term
-                k += 1
-                m = mag(term)
-                peak = max(peak, m)
-                if m < cutoff * max(peak, mpf(1)) and k > 2:
-                    return total
-
-        if not derivative:
-            f = series(1, lambda k: (3 * k + 2) * (3 * k + 3))
-            g = series(s, lambda k: (3 * k + 3) * (3 * k + 4))
-            return +(c1 * f - c2 * g)
-        # termwise derivatives of the f and g series
-        fp = series(s * s / 2, lambda k: (3 * k + 3) * (3 * k + 5))
-        gp = series(1, lambda k: (3 * k + 1) * (3 * k + 3))
-        return +(c1 * fp - c2 * gp)
-
-
-def _airy_asymptotic(s: mpf, derivative: bool):
-    """Poincare expansion for s >> 0 with a first-omitted-term bound.
-
-    Ai(s)  ~  e^{-z}/(2 sqrt(pi) s^{1/4}) * sum (-1)^k u_k z^{-k}
-    Ai'(s) ~ -e^{-z} s^{1/4}/(2 sqrt(pi)) * sum (-1)^k v_k z^{-k}
-
-    with z = (2/3) s^{3/2}, u_0 = 1 and v_k = u_k (6k+1)/(1-6k).  Returns
-    None when optimal truncation cannot reach the working target, in which
-    case the caller falls back to the guarded Maclaurin series.
-    """
-    with mp.extraprec(30):
-        s = mpf(s)
-        zeta = mpf(2) / 3 * s ** mpf(1.5)
-        target = mpf(2) ** (-(mp.prec + 5))
-        u_over_zk = mpf(1)  # u_k / zeta^k
-        total = mpf(1)      # k = 0 contribution (v_0 = u_0 = 1)
-        k = 0
-        while True:
-            ratio = (
-                (3 * k + mpf(1) / 2)
-                * (3 * k + mpf(3) / 2)
-                * (3 * k + mpf(5) / 2)
-                / (54 * (k + 1) * (k + mpf(1) / 2))
-            )
-            nxt = u_over_zk * ratio / zeta
-            if nxt >= u_over_zk:
-                return None  # divergence set in before the target was met
-            k += 1
-            u_over_zk = nxt
-            contrib = u_over_zk
-            if derivative:
-                contrib = u_over_zk * (6 * k + 1) / (1 - 6 * k)
-            total += contrib if k % 2 == 0 else -contrib
-            if abs(contrib) < target * abs(total):
-                break
-            if k > 4 * mp.prec:
-                return None
-        prefactor = mp.exp(-zeta) / (2 * mp.sqrt(mp.pi))
-        if derivative:
-            return +(-(s ** mpf(0.25)) * prefactor * total)
-        return +(prefactor / s ** mpf(0.25) * total)
-
-
-def airy_ai(s) -> mpf:
-    """Airy Ai(s) for real s to working precision.
-
-    Maclaurin series with guard bits up to moderate |s|; for large positive
-    s the asymptotic expansion is used whenever its first omitted term
-    meets the precision target (always true for s >= ~16 at 256 bits).
-    """
-    s = to_ext(s)
-    if s > 8:
-        approx = _airy_asymptotic(s, derivative=False)
-        if approx is not None:
-            return approx
-    return _airy_series_pair(s, derivative=False)
-
-
-def airy_ai_prime(s) -> mpf:
-    """Derivative Ai'(s) for real s to working precision."""
-    s = to_ext(s)
-    if s > 8:
-        approx = _airy_asymptotic(s, derivative=True)
-        if approx is not None:
-            return approx
-    return _airy_series_pair(s, derivative=True)
+    with mp.extraprec(2 * max(mp.mag(z), 0) + 10):
+        w = mp.exp(-z * z) * mp.erfc(-1j * z)
+    return +w

@@ -161,7 +161,7 @@ def solve_hastings_mcleod(
     q = [mpf(float(v)) for v in smooth * ai_seed + (1 - smooth) * sqrt_part]
 
     bc_left = left_asymptote(s_lo)
-    bc_right = nu.airy_ai(s_hi)
+    bc_right = mp.airyai(s_hi)
     stencils = _second_derivative_stencils(npts)
     h2 = h * h
     mp_weights = [

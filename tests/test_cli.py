@@ -130,6 +130,25 @@ def test_artifact_embeds_config_and_version(large_sep_config_file, tmp_path):
     assert json.loads(csv_first[2:])["config"]["a"] == ["1.0", "-1.0"]
 
 
+def test_precision_above_escalation_ceiling(large_sep_config_file, tmp_path):
+    # a start above the solver's escalation ceiling is still tried once
+    out = tmp_path / "art"
+    code = main(
+        [
+            "--precision", "2048",
+            "--out", str(out),
+            "coefficients",
+            "--config", str(large_sep_config_file),
+            "--n", "2,2",
+            "--m", "2,2",
+            "--t", "0.5",
+        ]
+    )
+    assert code == 0
+    payload = json.loads((out / "coefficients.json").read_text())
+    assert payload["precision_bits"] == 2048
+
+
 def test_csv_format_contract(large_sep_config_file, tmp_path):
     out = tmp_path / "art"
     main(

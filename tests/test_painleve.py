@@ -3,7 +3,6 @@
 import pytest
 from mpmath import mp, mpf
 
-from hbl import numerics as nu
 from hbl import painleve as pv
 from hbl.errors import DomainTooNarrow, OutOfDomain
 
@@ -14,7 +13,7 @@ def _shooting_oracle_q0():
     range, well inside double precision with rtol 1e-13)."""
     from scipy.integrate import solve_ivp
 
-    y0 = [float(nu.airy_ai(12)), float(nu.airy_ai_prime(12))]
+    y0 = [float(mp.airyai(12)), float(mp.airyai(12, derivative=1))]
     sol = solve_ivp(
         lambda s, y: [y[1], s * y[0] + 2 * y[0] ** 3],
         [12.0, 0.0],
@@ -28,16 +27,16 @@ def _shooting_oracle_q0():
 
 def test_boundary_matches_airy(hml_solution):
     sol = hml_solution
-    assert abs(sol.evaluate(mpf(8))[0] - nu.airy_ai(8)) < mpf("1e-10")
+    assert abs(sol.evaluate(mpf(8))[0] - mp.airyai(8)) < mpf("1e-10")
     # imposed boundary value, converged to the Newton target
-    assert abs(sol.q[-1] - nu.airy_ai(10)) < mpf("1e-38")
-    assert abs(sol.q_prime[-1] - nu.airy_ai_prime(10)) < mpf("1e-12")
+    assert abs(sol.q[-1] - mp.airyai(10)) < mpf("1e-38")
+    assert abs(sol.q_prime[-1] - mp.airyai(10, derivative=1)) < mpf("1e-12")
 
 
 def test_airy_agreement_on_right_tail(hml_solution):
     for s in ("6", "7", "8.5", "9.5", "10"):
         q = hml_solution.evaluate(mpf(s))[0]
-        assert abs(q - nu.airy_ai(mpf(s))) < mpf("1e-8")
+        assert abs(q - mp.airyai(mpf(s))) < mpf("1e-8")
 
 
 def test_q0_matches_shooting_oracle(hml_solution):
@@ -53,7 +52,7 @@ def test_profile_matches_shooting_oracle_multipoint(hml_solution):
     sol = solve_ivp(
         lambda s, y: [y[1], s * y[0] + 2 * y[0] ** 3],
         [12.0, -8.0],
-        [float(nu.airy_ai(12)), float(nu.airy_ai_prime(12))],
+        [float(mp.airyai(12)), float(mp.airyai(12, derivative=1))],
         method="DOP853",
         rtol=1e-13,
         atol=1e-30,
@@ -141,7 +140,7 @@ def test_hamiltonian_identities(hml_solution):
 def test_hamiltonian_at_right_edge(hml_solution):
     s = mpf(10)
     u = pv.hamiltonian_u(hml_solution, s)
-    approx = nu.airy_ai_prime(s) ** 2 - s * nu.airy_ai(s) ** 2
+    approx = mp.airyai(s, derivative=1) ** 2 - s * mp.airyai(s) ** 2
     assert abs(u - approx) < mpf("1e-12")
 
 
