@@ -127,8 +127,9 @@ def cauchy_transform(pg: PolyGaussian, z, derivative: bool = False, w_value=None
 class YEvaluator:
     """Evaluates Y(z) (and dY/dz) for an index pair with |n| = |m|.
 
-    The p + q multiple-orthogonal solves happen once at construction; each
-    evaluation costs one Faddeeva value per product weight.
+    The p + q multiple-orthogonal rows come from one factorization at
+    construction; each evaluation costs one Faddeeva value per product
+    weight.
     """
 
     def __init__(self, ws: WeightSystem, idx: MultiIndexPair):

@@ -12,7 +12,7 @@ two-term recursion; quadrature only ever appears as a test oracle.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Optional
 
@@ -153,6 +153,9 @@ class MopSolution:
     idx: MultiIndexPair
     norm: NormTag
     coeffs: tuple  # tuple over k of tuple of mpf, length n_k
+    # Moment tables M^{kl}_j by (k, l) that the solve used, at the precision
+    # it settled at; q_moment reads them.
+    moments: Optional[dict] = field(default=None, compare=False, repr=False)
 
     def eval_A(self, k: int, x):
         acc = mp.mpf(0)
@@ -183,56 +186,94 @@ def _flat_offsets(idx: MultiIndexPair) -> list:
     return offsets
 
 
-def _build_system(ws: WeightSystem, idx: MultiIndexPair, norm: NormTag):
-    """Square linear system (orthogonality rows + one normalization row)."""
-    p, q = ws.p, ws.q
-    unknowns = idx.size_n
+def _pair_jmax(idx: MultiIndexPair) -> int:
+    """Moment order covering every entry that a solve at this pair, and the
+    Y1/Y2 entries built from it, read."""
+    return max(idx.n) + max(idx.m, default=0) + 2
+
+
+def _solve_rows(
+    ws: WeightSystem,
+    idx: MultiIndexPair,
+    tags: list,
+    max_precision: int = MAX_ESCALATED_PRECISION,
+) -> list:
+    """MOP rows around a pair with |n| = |m|, all from one LU of G(n, m).
+
+    G has rows (l, j), j < m_l, and columns (k, i), i < n_k, with entries
+    M^{kl}_{i+j}; each row is scaled by its largest entry.  Tag ("II", k)
+    gives the type (II,k) solution at (n + e_k, m): its leading coefficient
+    is 1 and G x = -[M^{kl}_{n_k+j}].  Tag ("I", l) gives the type (I,l)
+    solution at (n, m - e_l): G x = e_(l, m_l - 1), the normalization row.
+
+    Gaussian weights make every index pair normal, so a singular G or a
+    row that misses its orthogonality residual signals precision
+    exhaustion: the whole factorization is redone at doubled precision up
+    to ``max_precision``.  A start above ``max_precision`` is still tried
+    once.
+    """
+    prec = mp.prec
+    ceiling = max(max_precision, prec)
+    last_error: Optional[Exception] = None
+    while prec <= ceiling:
+        with mp.workprec(prec):
+            try:
+                sols = _factor_and_solve(ws, idx, tags)
+                resid = max(check_orthogonality(s, ws, s.idx) for s in sols)
+                if resid <= mpf(2) ** (-(prec // 4)):
+                    return sols
+                last_error = NormalizationImpossible(
+                    f"orthogonality residual {resid} at {prec} bits"
+                )
+            except SingularMatrix as exc:
+                last_error = exc
+        prec *= 2
+    raise NormalizationImpossible(str(last_error))
+
+
+def _factor_and_solve(ws: WeightSystem, idx: MultiIndexPair, tags: list) -> list:
+    """One attempt of _solve_rows at working precision, unchecked."""
     offsets = _flat_offsets(idx)
-    rows, rhs = [], []
-    jmax = max(idx.n) + max(idx.m, default=0) + 2
     tables = {
-        (k, l): _moment_table(ws, k, l, jmax, mp.prec)
-        for k in range(p)
-        for l in range(q)
+        (k, l): _moment_table(ws, k, l, _pair_jmax(idx), mp.prec)
+        for k in range(ws.p)
+        for l in range(ws.q)
     }
-    for l in range(q):
+    rows, scales, row_keys = [], [], []
+    for l in range(ws.q):
         for j in range(idx.m[l]):
-            row = [mpf(0)] * unknowns
-            for k in range(p):
-                tab = tables[(k, l)]
-                for i in range(idx.n[k]):
-                    row[offsets[k] + i] = tab[i + j]
+            row = [tables[k, l][i + j] for k in range(ws.p) for i in range(idx.n[k])]
             scale = max((abs(v) for v in row), default=mpf(0))
             if scale == 0:
                 raise NormalizationImpossible("empty orthogonality row")
             rows.append([v / scale for v in row])
-            rhs.append(mpf(0))
-    kind, pos = norm
-    if kind == "II":
-        if idx.n[pos] == 0:
-            raise NormalizationImpossible(
-                f"type (II,{pos + 1}) needs a free leading coefficient"
+            scales.append(scale)
+            row_keys.append((l, j))
+    rhs = []
+    for kind, pos in tags:
+        if kind == "II":
+            top = idx.n[pos]
+            rhs.append(
+                [-tables[pos, l][top + j] / s for (l, j), s in zip(row_keys, scales)]
             )
-        row = [mpf(0)] * unknowns
-        row[offsets[pos] + idx.n[pos] - 1] = mpf(1)
-        rows.append(row)
-        rhs.append(mpf(1))
-    elif kind == "I":
-        row = [mpf(0)] * unknowns
-        ml = idx.m[pos]
-        for k in range(p):
-            tab = tables[(k, pos)]
-            for i in range(idx.n[k]):
-                row[offsets[k] + i] = tab[i + ml]
-        scale = max((abs(v) for v in row), default=mpf(0))
-        if scale == 0:
-            raise NormalizationImpossible("type (I) moment row vanishes")
-        rows.append([v / scale for v in row])
-        rhs.append(1 / scale)
-    else:
-        raise ValueError(f"unknown normalization kind {kind!r}")
-    A = matrix(rows)
-    return A, rhs, offsets
+        else:
+            r = row_keys.index((pos, idx.m[pos] - 1))
+            col = [mpf(0)] * len(rows)
+            col[r] = 1 / scales[r]
+            rhs.append(col)
+    xs = nu.solve_linear(matrix(rows), rhs) if rows else [[] for _ in tags]
+    sols = []
+    for (kind, pos), x in zip(tags, xs):
+        coeffs = [
+            tuple(x[offsets[k] + i] for i in range(idx.n[k])) for k in range(ws.p)
+        ]
+        if kind == "II":
+            coeffs[pos] += (mpf(1),)
+            sol_idx = idx.shift_n(pos)
+        else:
+            sol_idx = idx.shift_m(pos, -1)
+        sols.append(MopSolution(sol_idx, (kind, pos), tuple(coeffs), moments=tables))
+    return sols
 
 
 def solve_mop(
@@ -243,10 +284,8 @@ def solve_mop(
 ) -> MopSolution:
     """Solve for the MOP vector at |n| = |m| + 1 under the given tag.
 
-    Gaussian weights make every index pair normal, so a singular or badly
-    conditioned system signals precision exhaustion: the solve retries at
-    doubled precision up to ``max_precision`` before giving up.  A start
-    above ``max_precision`` is still tried once.
+    Type (II,k) is solved around the pair (n - e_k, m), type (I,l) around
+    (n, m + e_l); see _solve_rows for the system and precision escalation.
     """
     if idx.size_n != idx.size_m + 1:
         raise InvalidIndex("solve_mop requires |n| = |m| + 1")
@@ -257,53 +296,39 @@ def solve_mop(
         raise InvalidIndex("type II position out of range")
     if kind == "I" and not 0 <= pos < ws.q:
         raise InvalidIndex("type I position out of range")
+    if kind == "II":
+        if idx.n[pos] == 0:
+            raise NormalizationImpossible(
+                f"type (II,{pos + 1}) needs a free leading coefficient"
+            )
+        base = idx.shift_n(pos, -1)
+    else:
+        base = idx.shift_m(pos)
+    return _solve_rows(ws, base, [norm], max_precision)[0]
 
-    prec = mp.prec
-    ceiling = max(max_precision, prec)
-    last_error: Optional[Exception] = None
-    while prec <= ceiling:
-        with mp.workprec(prec):
-            try:
-                A, rhs, offsets = _build_system(ws, idx, norm)
-                x = nu.solve_linear(A, rhs)
-                coeffs = tuple(
-                    tuple(x[offsets[k] + i] for i in range(idx.n[k]))
-                    for k in range(ws.p)
-                )
-                sol = MopSolution(idx=idx, norm=norm, coeffs=coeffs)
-                resid = check_orthogonality(sol, ws, idx)
-                if resid <= mpf(2) ** (-(prec // 4)):
-                    return sol
-                last_error = NormalizationImpossible(
-                    f"orthogonality residual {resid} at {prec} bits"
-                )
-            except SingularMatrix as exc:
-                last_error = exc
-        prec *= 2
-    raise NormalizationImpossible(str(last_error))
+
+def _moments(sol: MopSolution, ws: WeightSystem, k: int, l: int, top: int) -> tuple:
+    """M^{kl}_0..M^{kl}_top: the table the solve built, widened only when
+    ``top`` needs more (or built at the pair's jmax for a bare solution)."""
+    tab = sol.moments.get((k, l)) if sol.moments else None
+    if tab is None or len(tab) <= top:
+        tab = _moment_table(ws, k, l, max(_pair_jmax(sol.idx), top), mp.prec)
+    return tab
+
+
+def _q_moment_terms(sol: MopSolution, ws: WeightSystem, l: int, j: int) -> list:
+    """The terms c * M^{kl}_{i+j} whose sum is int Q(x) x^j w_{2,l}(x) dx."""
+    terms = []
+    for k in range(ws.p):
+        cs = sol.coeffs[k]
+        tab = _moments(sol, ws, k, l, len(cs) - 1 + j)
+        terms.extend(c * tab[i + j] for i, c in enumerate(cs))
+    return terms
 
 
 def q_moment(sol: MopSolution, ws: WeightSystem, l: int, j: int) -> mpf:
     """int Q(x) x^j w_{2,l}(x) dx through the moment recursion."""
-    idx = sol.idx
-    jmax = max(idx.n) + j + 1
-    total = mpf(0)
-    for k in range(ws.p):
-        tab = _moment_table(ws, k, l, jmax, mp.prec)
-        for i, c in enumerate(sol.coeffs[k]):
-            total += c * tab[i + j]
-    return total
-
-
-def _q_moment_scale(sol: MopSolution, ws: WeightSystem, l: int, j: int) -> mpf:
-    idx = sol.idx
-    jmax = max(idx.n) + j + 1
-    peak = mpf(0)
-    for k in range(ws.p):
-        tab = _moment_table(ws, k, l, jmax, mp.prec)
-        for i, c in enumerate(sol.coeffs[k]):
-            peak = max(peak, abs(c * tab[i + j]))
-    return peak
+    return sum(_q_moment_terms(sol, ws, l, j), mpf(0))
 
 
 def evaluate_Q(sol: MopSolution, ws: WeightSystem, x):
@@ -317,10 +342,10 @@ def check_orthogonality(sol: MopSolution, ws: WeightSystem, idx: MultiIndexPair)
     worst = mpf(0)
     for l in range(ws.q):
         for j in range(idx.m[l]):
-            val = abs(q_moment(sol, ws, l, j))
-            scale = _q_moment_scale(sol, ws, l, j)
+            terms = _q_moment_terms(sol, ws, l, j)
+            scale = max((abs(v) for v in terms), default=mpf(0))
             if scale > 0:
-                worst = max(worst, val / scale)
+                worst = max(worst, abs(sum(terms, mpf(0))) / scale)
     return worst
 
 
@@ -359,15 +384,13 @@ def shifted_solutions(ws: WeightSystem, idx: MultiIndexPair) -> list:
     Row k (k < p):  type (II,k) at (n + e_k, m).
     Row p + l:      type (I,l)  at (n, m - e_l), or None when m_l = 0
                     (that row of Y degenerates to the unit row e_{p+l}).
+    All rows come from one factorization of G(n, m); see _solve_rows.
     """
     if idx.size_n != idx.size_m:
         raise InvalidIndex("RH rows need |n| = |m|")
-    rows = []
-    for k in range(ws.p):
-        rows.append(solve_mop(ws, idx.shift_n(k), ("II", k)))
-    for l in range(ws.q):
-        if idx.m[l] == 0:
-            rows.append(None)
-        else:
-            rows.append(solve_mop(ws, idx.shift_m(l, -1), ("I", l)))
-    return rows
+    tags = [("II", k) for k in range(ws.p)]
+    tags += [("I", l) for l in range(ws.q) if idx.m[l] > 0]
+    by_tag = dict(zip(tags, _solve_rows(ws, idx, tags)))
+    return [by_tag.get(("II", k)) for k in range(ws.p)] + [
+        by_tag.get(("I", l)) for l in range(ws.q)
+    ]

@@ -56,6 +56,9 @@ def _as_rows(a: matrix) -> list[list]:
 def solve_linear(a: matrix, b) -> list:
     """Solve A x = b by LU with partial pivoting at working precision.
 
+    ``b`` is one right-hand side, or a list of right-hand sides that share
+    the one elimination; the result is x, or the list of solutions in the
+    same order.  Each solution is bit-identical to a solve of its own.
     Raises SingularMatrix when the best available pivot falls below a
     precision-scaled threshold relative to the largest initial entry.
     """
@@ -63,9 +66,11 @@ def solve_linear(a: matrix, b) -> list:
     if a.cols != n:
         raise ValueError("matrix must be square")
     rows = _as_rows(a)
-    rhs = [b[i] for i in range(n)] if not isinstance(b, (list, tuple)) else list(b)
-    if len(rhs) != n:
+    several = isinstance(b, list) and bool(b) and isinstance(b[0], (list, tuple))
+    cols = [list(v) for v in b] if several else [[b[i] for i in range(len(b))]]
+    if any(len(v) != n for v in cols):
         raise ValueError("right-hand side length mismatch")
+    rhs = [list(v) for v in zip(*cols)]  # rhs[i][s]: row i of right-hand side s
 
     scale = max((abs(rows[i][j]) for i in range(n) for j in range(n)), default=mpf(0))
     if scale == 0:
@@ -86,23 +91,30 @@ def solve_linear(a: matrix, b) -> list:
         if piv != col:
             rows[col], rows[piv] = rows[piv], rows[col]
             rhs[col], rhs[piv] = rhs[piv], rhs[col]
-        inv_p = 1 / rows[col][col]
+        pivot_row, pivot_rhs = rows[col], rhs[col]
+        inv_p = 1 / pivot_row[col]
         for r in range(col + 1, n):
-            f = rows[r][col] * inv_p
+            row = rows[r]
+            f = row[col] * inv_p
             if f == 0:
                 continue
-            rows[r][col] = mpf(0)
+            row[col] = mpf(0)
             for c in range(col + 1, n):
-                rows[r][c] -= f * rows[col][c]
-            rhs[r] -= f * rhs[col]
+                row[c] -= f * pivot_row[c]
+            row_rhs = rhs[r]
+            for s, v in enumerate(pivot_rhs):
+                row_rhs[s] -= f * v
 
-    x = [mpf(0)] * n
-    for r in range(n - 1, -1, -1):
-        s = rhs[r]
-        for c in range(r + 1, n):
-            s -= rows[r][c] * x[c]
-        x[r] = s / rows[r][r]
-    return x
+    xs = []
+    for s in range(len(cols)):
+        x = [mpf(0)] * n
+        for r in range(n - 1, -1, -1):
+            acc = rhs[r][s]
+            for c in range(r + 1, n):
+                acc -= rows[r][c] * x[c]
+            x[r] = acc / rows[r][r]
+        xs.append(x)
+    return xs if several else xs[0]
 
 
 def lu_det(a: matrix):

@@ -111,7 +111,8 @@ def _expansion_cached(ws: WeightSystem, idx: MultiIndexPair, prec: int) -> RhExp
 
 
 def assemble_rh_expansion(ws: WeightSystem, idx: MultiIndexPair) -> RhExpansion:
-    """Y1 and Y2 from the p+q shifted MOP solves (cached per precision)."""
+    """Y1 and Y2 from the p+q shifted MOP rows, one factorization (cached
+    per precision)."""
     return _expansion_cached(ws, idx, mp.prec)
 
 
@@ -679,13 +680,12 @@ def spectral_curve(exp: RhExpansion) -> SpectralCurveReport:
         slope_part = sorted(ordered[:p], key=lambda v: v.real)
         const_part = sorted(ordered[p:], key=lambda v: -v.real)
         samples[r] = slope_part + const_part
+    rows = [[r, mpf(1), 1 / r, 1 / r**2, 1 / r**3] for r in _PROBE_RADII]
+    fits = nu.solve_linear(
+        matrix(rows), [[samples[r][b] for r in _PROBE_RADII] for b in range(p + q)]
+    )
     branches = []
-    for b in range(p + q):
-        rows, rhs = [], []
-        for r in _PROBE_RADII:
-            rows.append([r, mpf(1), 1 / r, 1 / r**2, 1 / r**3])
-            rhs.append(samples[r][b])
-        sol = nu.solve_linear(matrix(rows), rhs)
+    for b, sol in enumerate(fits):
         pred = sum(
             c * v
             for c, v in zip(

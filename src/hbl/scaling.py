@@ -268,13 +268,14 @@ def large_separation_decay(
     cfg: BrownianConfig,
     t,
     n_list: Sequence[int] = (8, 16, 24, 32, 40),
-    precision: int = 512,
+    precision: Optional[int] = None,
 ) -> LargeSeparationStudy:
     """Fit log |c12 c21| and log |c14 c41| against n in the large regime.
 
     The coefficients decay exponentially, so the default precision is
-    raised: the values themselves are fine at 256 bits, but a healthy
-    guard keeps the regression clean down to ~1e-120.
+    raised to at least 512 bits: the values themselves are fine at 256
+    bits, but a healthy guard keeps the regression clean down to ~1e-120.
+    A higher working precision is kept.
     """
     rep = classify_separation(cfg)
     if rep.regime is not Regime.LARGE:
@@ -282,7 +283,7 @@ def large_separation_decay(
     t = nu.to_ext(t)
     T = cfg.temperature()
     rows = []
-    with mp.workprec(precision):
+    with mp.workprec(precision or max(512, mp.prec)):
         for n in sorted(n_list):
             rows.append(_study_row(cfg, t, n, T, {}))
 

@@ -64,6 +64,35 @@ def mpf_to_fraction(x) -> Fraction:
     return Fraction(int(num), int(den))
 
 
+def moment_system(ws, idx, norm):
+    """Unscaled square MOP system at |n| = |m| + 1, built entry by entry
+    from gaussian_moment (test oracle helper).
+
+    Unknowns are the coefficients (k, i), i < n_k, in that order.  Rows are
+    the orthogonality conditions (l, j), j < m_l, then the normalization:
+    leading coefficient of A_k equal to 1 for ("II", k), the moment against
+    x^{m_l} w_{2,l} equal to 1 for ("I", l).
+    """
+    from hbl.mop import gaussian_moment
+
+    def moment_row(l, j):
+        return [
+            gaussian_moment(ws, k, l, i + j)
+            for k in range(ws.p)
+            for i in range(idx.n[k])
+        ]
+
+    rows = [moment_row(l, j) for l in range(ws.q) for j in range(idx.m[l])]
+    kind, pos = norm
+    if kind == "II":
+        lead = sum(idx.n[: pos + 1]) - 1
+        rows.append([mpf(c == lead) for c in range(idx.size_n)])
+    else:
+        rows.append(moment_row(pos, idx.m[pos]))
+    rhs = [mpf(0)] * (len(rows) - 1) + [mpf(1)]
+    return rows, rhs
+
+
 def pytest_terminal_summary(terminalreporter, exitstatus, config):
     """Re-print the acceptance criterion lines after every run."""
     try:

@@ -4,13 +4,13 @@ import random
 from fractions import Fraction
 
 import pytest
-from mpmath import mp, mpf
+from mpmath import matrix, mp, mpf
 
 from hbl import mop
 from hbl.errors import InvalidIndex, NormalizationImpossible
 from hbl.mop import MultiIndexPair, WeightSystem
 
-from conftest import mpf_to_fraction
+from conftest import moment_system, mpf_to_fraction
 
 
 @pytest.fixture(scope="module")
@@ -192,6 +192,69 @@ def test_precision_escalation_recovers_conditioning(ws):
 
 
 # ---------------------------------------------------------------------------
+# shifted solutions: the p + q rows of Y from one factorization
+# ---------------------------------------------------------------------------
+
+def _count_solves(monkeypatch) -> list:
+    from hbl import numerics as nu
+
+    calls = []
+    solve = nu.solve_linear
+
+    def counting(a, b):
+        calls.append((a.rows, mp.prec))
+        return solve(a, b)
+
+    monkeypatch.setattr(nu, "solve_linear", counting)
+    return calls
+
+
+def test_shifted_solutions_factor_once(ws, monkeypatch):
+    calls = _count_solves(monkeypatch)
+    rows = mop.shifted_solutions(ws, MultiIndexPair((8, 8), (8, 8)))
+    assert calls == [(16, mp.prec)]
+    assert all(sol is not None for sol in rows)
+
+
+def test_shifted_solutions_against_exact_rational_oracle(ws):
+    idx = MultiIndexPair((2, 1), (1, 2))
+    rows = mop.shifted_solutions(ws, idx)
+    expected = [(idx.shift_n(k), ("II", k)) for k in range(2)]
+    expected += [(idx.shift_m(l, -1), ("I", l)) for l in range(2)]
+    for sol, (sol_idx, norm) in zip(rows, expected):
+        assert (sol.idx, sol.norm) == (sol_idx, norm)
+        A, rhs = moment_system(ws, sol_idx, norm)
+        oracle = _fraction_solve(
+            [[mpf_to_fraction(v) for v in row] for row in A],
+            [mpf_to_fraction(v) for v in rhs],
+        )
+        flat = [c for block in sol.coeffs for c in block]
+        assert len(flat) == len(oracle)
+        for got, want in zip(flat, oracle):
+            want_mp = mpf(want.numerator) / want.denominator
+            assert abs(got - want_mp) <= mpf("1e-60") * max(1, abs(want_mp))
+
+
+def test_shifted_solutions_escalate_together(ws, monkeypatch):
+    # at 128 bits G(24,24) is too ill-conditioned for the residual
+    # contract; the one factorization is redone at doubled precision and
+    # every row then meets it
+    from hbl import numerics as nu
+
+    calls = _count_solves(monkeypatch)
+    idx = MultiIndexPair((24, 24), (24, 24))
+    nu.set_precision(128)
+    try:
+        rows = mop.shifted_solutions(ws, idx)
+        resids = [mop.check_orthogonality(sol, ws, sol.idx) for sol in rows]
+    finally:
+        nu.set_precision(nu.DEFAULT_PRECISION_BITS)
+    assert len(calls) > 1 and calls[0] == (48, 128)
+    assert all(resid <= mpf(2) ** (-32) for resid in resids)
+    assert rows[0].coeffs[0][-1] == 1 and rows[1].coeffs[1][-1] == 1
+
+
+# ---------------------------------------------------------------------------
 # evaluate_Q and orthogonality reporting
 # ---------------------------------------------------------------------------
 
@@ -291,13 +354,11 @@ def test_type2_normalization_scale_free(ws):
 
     idx = MultiIndexPair((3, 2), (2, 2))
     sol = mop.solve_mop(ws, idx, ("II", 0))
-    A, rhs, offsets = mop._build_system(ws, idx, ("II", 0))
+    rows, rhs = moment_system(ws, idx, ("II", 0))
     scale = mpf(17) / 5
-    for i in range(A.rows - 1):  # last row is the normalization constraint
-        for j in range(A.cols):
-            A[i, j] *= scale
-        rhs[i] *= scale
-    x = nu.solve_linear(A, rhs)
+    for row in rows[:-1]:  # last row is the normalization constraint
+        row[:] = [v * scale for v in row]
+    x = nu.solve_linear(matrix(rows), rhs)
     flat = [c for block in sol.coeffs for c in block]
     assert max(abs(a - b) for a, b in zip(x, flat)) < mpf("1e-65")
 

@@ -69,6 +69,20 @@ def test_solve_singular_raises():
         nu.solve_linear(A, [mpf(1), mpf(2)])
 
 
+def test_several_right_hand_sides_bit_identical():
+    # one elimination for several right-hand sides gives exactly the
+    # single-solve answers, pivoting and complex columns included
+    rng = random.Random(7)
+    A = matrix(7, 7)
+    for i in range(7):
+        for j in range(7):
+            A[i, j] = mpf(rng.uniform(-1, 1))
+    cols = [[mpf(rng.uniform(-2, 2)) for _ in range(7)] for _ in range(3)]
+    cols.append([mpc(rng.uniform(-1, 1), rng.uniform(-1, 1)) for _ in range(7)])
+    together = nu.solve_linear(A, cols)
+    assert together == [nu.solve_linear(A, b) for b in cols]
+
+
 def test_solutions_are_deterministic():
     A = matrix([[mpf(3), mpf(1)], [mpf(1), mpf(2)]])
     b = [mpf(1), mpf(7)]

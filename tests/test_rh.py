@@ -13,7 +13,7 @@ from hbl.errors import BranchCollision, InvalidIndex
 from hbl.model import BrownianConfig
 from hbl.mop import MultiIndexPair, WeightSystem, transition_number
 
-from conftest import mpf_to_fraction
+from conftest import moment_system, mpf_to_fraction
 
 TWO_PI_I = 2j * mp.pi
 
@@ -198,12 +198,10 @@ def test_five_term_on_rational_oracle_solutions(ws, idx22, exp22):
     # independent route: recompute every participating MOP with exact
     # Fraction arithmetic on the (exactly converted) moment matrices, then
     # evaluate the recurrence residual at z = 1 in Fractions
-    from hbl import mop as mop_mod
-
     def fraction_mop(idx, norm):
-        A, rhs, offsets = mop_mod._build_system(ws, idx, norm)
-        n = A.rows
-        rows = [[mpf_to_fraction(A[i, j]) for j in range(n)] for i in range(n)]
+        A, rhs = moment_system(ws, idx, norm)
+        n = len(A)
+        rows = [[mpf_to_fraction(v) for v in row] for row in A]
         vec = [mpf_to_fraction(v) for v in rhs]
         for c in range(n):
             piv = next(r for r in range(c, n) if rows[r][c] != 0)
@@ -216,7 +214,7 @@ def test_five_term_on_rational_oracle_solutions(ws, idx22, exp22):
                     vec[r] -= f * vec[c]
         flat = [vec[i] / rows[i][i] for i in range(n)]
         return [
-            [flat[offsets[k] + i] for i in range(idx.n[k])] for k in range(2)
+            [flat[sum(idx.n[:k]) + i] for i in range(idx.n[k])] for k in range(2)
         ]
 
     def eval_frac(coeffs, x):
