@@ -18,7 +18,7 @@ from mpmath import mp, mpf, mpc
 
 from . import __version__
 from . import numerics as nu
-from .errors import HblError, InvalidConfig, UnsupportedFractions
+from .errors import HblError, InvalidConfig, UnsupportedFractions, UsageError
 from .model import (
     BrownianConfig,
     Regime,
@@ -31,7 +31,7 @@ from .mop import MultiIndexPair, WeightSystem
 from . import kernel, painleve, rh, scaling
 
 CONFIG_SCHEMA = "hbl-config/1"
-USAGE_EXIT = 64
+USAGE_EXIT = UsageError.exit_code
 _DIGITS = 30
 
 
@@ -120,6 +120,17 @@ def _parse_index(ns) -> MultiIndexPair:
     return MultiIndexPair(n, m)
 
 
+def _parse_t(ns) -> mpf:
+    """The --t option as a time strictly inside (0, 1)."""
+    try:
+        t = nu.to_ext(ns.t)
+    except ValueError:
+        raise InvalidConfig(f"time t must be a decimal number, got {ns.t!r}") from None
+    if not 0 < t < 1:
+        raise InvalidConfig(f"time t must lie in (0, 1), got {ns.t}")
+    return t
+
+
 def _weight_system(cfg: BrownianConfig, t, size: int) -> WeightSystem:
     return WeightSystem.from_config(cfg, t, size)
 
@@ -138,7 +149,7 @@ def cmd_classify(cfg: BrownianConfig, ns, out: Path) -> int:
 
 
 def cmd_geometry(cfg: BrownianConfig, ns, out: Path) -> int:
-    t = nu.to_ext(ns.t)
+    t = _parse_t(ns)
     rows = []
     for j in (1, 2):
         alpha, beta = ellipse_endpoints(cfg, t, j)
@@ -160,7 +171,7 @@ def cmd_geometry(cfg: BrownianConfig, ns, out: Path) -> int:
 
 def cmd_coefficients(cfg: BrownianConfig, ns, out: Path) -> int:
     idx = _parse_index(ns)
-    t = nu.to_ext(ns.t)
+    t = _parse_t(ns)
     ws = _weight_system(cfg, t, idx.size_n)
     exp = rh.assemble_rh_expansion(ws, idx)
     H = rh.recurrence_matrix_H(exp)
@@ -191,7 +202,7 @@ def cmd_coefficients(cfg: BrownianConfig, ns, out: Path) -> int:
 
 def cmd_identities(cfg: BrownianConfig, ns, out: Path) -> int:
     idx = _parse_index(ns)
-    t = nu.to_ext(ns.t)
+    t = _parse_t(ns)
     ws = _weight_system(cfg, t, idx.size_n)
     exp = rh.assemble_rh_expansion(ws, idx)
     tol = mpf(10) ** ns.tol_exponent
@@ -253,7 +264,7 @@ def cmd_identities(cfg: BrownianConfig, ns, out: Path) -> int:
 
 def cmd_density(cfg: BrownianConfig, ns, out: Path) -> int:
     idx = _parse_index(ns)
-    t = nu.to_ext(ns.t)
+    t = _parse_t(ns)
     ws = _weight_system(cfg, t, idx.size_n)
     grid = kernel.default_grid(cfg, t, points=ns.points)
     prof = kernel.density_profile(ws, idx, cfg, t, grid=grid)
@@ -306,7 +317,7 @@ def cmd_painleve(cfg: Optional[BrownianConfig], ns, out: Path) -> int:
 
 
 def cmd_scaling(cfg: BrownianConfig, ns, out: Path) -> int:
-    t = nu.to_ext(ns.t)
+    t = _parse_t(ns)
     n_list = tuple(int(v) for v in ns.n_list.split(","))
     rep = classify_separation(cfg)
     meta = _metadata(cfg)
@@ -349,7 +360,7 @@ def cmd_scaling(cfg: BrownianConfig, ns, out: Path) -> int:
 
 def cmd_spectral(cfg: BrownianConfig, ns, out: Path) -> int:
     idx = _parse_index(ns)
-    t = nu.to_ext(ns.t)
+    t = _parse_t(ns)
     ws = _weight_system(cfg, t, idx.size_n)
     exp = rh.assemble_rh_expansion(ws, idx)
     report = rh.spectral_curve(exp)
@@ -463,6 +474,17 @@ _HANDLERS = {
 }
 
 
+def _check_options(ns) -> None:
+    """Reject global and subcommand option values outside their ranges."""
+    if ns.precision < nu.MIN_PRECISION_BITS:
+        raise UsageError(
+            f"--precision must be at least {nu.MIN_PRECISION_BITS} bits, "
+            f"got {ns.precision}"
+        )
+    if getattr(ns, "points", 2) < 2:
+        raise UsageError(f"--points must be at least 2, got {ns.points}")
+
+
 def _report_error(exc: HblError) -> None:
     sys.stderr.write(
         json.dumps({"error": exc.code, "message": str(exc)}, sort_keys=True) + "\n"
@@ -478,12 +500,13 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     if ns.command is None:
         parser.print_usage(sys.stderr)
         return USAGE_EXIT
-    nu.set_precision(ns.precision)
-    out = Path(ns.out) if ns.out else Path(".")
-    out.mkdir(parents=True, exist_ok=True)
     handler = _HANDLERS[ns.command]
     cfg = None
     try:
+        _check_options(ns)
+        nu.set_precision(ns.precision)
+        out = Path(ns.out) if ns.out else Path(".")
+        out.mkdir(parents=True, exist_ok=True)
         if getattr(ns, "config", None):
             cfg = load_config(ns.config)
         return handler(cfg, ns, out)

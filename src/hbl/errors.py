@@ -11,7 +11,8 @@ class HblError(Exception):
     """Base class for all library errors."""
 
     code = "error"
-    #: CLI exit code family: 2 = configuration/regime, 3 = numerical failure.
+    #: CLI exit code family: 2 = configuration/regime, 3 = numerical failure,
+    #: 64 = command-line usage.
     exit_code = 3
 
     def __init__(self, message: str = ""):
@@ -23,6 +24,13 @@ class InvalidConfig(HblError):
 
     code = "invalid-config"
     exit_code = 2
+
+
+class UsageError(HblError):
+    """Command-line option value outside its accepted range."""
+
+    code = "usage"
+    exit_code = 64
 
 
 class InvalidIndex(HblError):

@@ -1,10 +1,13 @@
 """Full RH matrix Y(z), closed-form Cauchy transforms, correlation kernel
 and particle-density profiles.
 
-Every Cauchy column entry is a finite combination of Faddeeva values: for
-a polynomial-times-Gaussian integrand the substitution u = sqrt(gamma)(x-mu)
-turns (1/2 pi i) int P(x) e^{-gamma(x-mu)^2+c}/(x-z) dx into moments
-I_j(zeta) driven by I_0(zeta) = i pi w(zeta).
+Every Cauchy column entry of Y is a finite combination of Faddeeva values:
+for a polynomial-times-Gaussian integrand the substitution
+u = sqrt(gamma)(x-mu) turns (1/2 pi i) int P(x) e^{-gamma(x-mu)^2+c}/(x-z) dx
+into moments I_j(zeta) driven by I_0(zeta) = i pi w(zeta).
+
+The correlation kernel does not go through Y: it is the Eynard-Mehta form
+phi(x)^T G^{-1} psi(y) with the inverse of the bimoment matrix G(n, m).
 """
 
 from __future__ import annotations
@@ -24,9 +27,16 @@ from .model import (
     ellipse_endpoints,
     semicircle_density,
 )
-from .mop import MultiIndexPair, WeightSystem, shifted_solutions
+from .mop import MultiIndexPair, WeightSystem, bimoment_inverse, shifted_solutions
 
 TWO_PI_I = 2j * mp.pi
+
+
+def _horner(coeffs: Sequence, x):
+    acc = mpf(0)
+    for c in reversed(coeffs):
+        acc = acc * x + c
+    return acc
 
 
 @dataclass(frozen=True)
@@ -47,10 +57,7 @@ class PolyGaussian:
             raise ValueError("gamma must be positive")
 
     def __call__(self, x):
-        acc = mp.mpf(0)
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc * mp.exp(-self.gamma * (x - self.mu) ** 2 + self.log_scale)
+        return _horner(self.coeffs, x) * mp.exp(-self.gamma * (x - self.mu) ** 2 + self.log_scale)
 
     def mass(self) -> mpf:
         """int pg(x) dx via central Gaussian moments of the shifted polynomial."""
@@ -87,19 +94,16 @@ def _gauss_moments(jmax: int) -> list:
     return out
 
 
-def cauchy_transform(pg: PolyGaussian, z, derivative: bool = False, w_value=None):
+def cauchy_transform(pg: PolyGaussian, z, w_value=None):
     """(1/(2 pi i)) int pg(x)/(x - z) dx, continuous up to the real axis
     from above; lower half-plane values via C(z) = -conj(C(conj z)).
 
-    With ``derivative=True`` returns (value, d/dz value).  ``w_value`` may
-    pass a precomputed Faddeeva value w(zeta) for reuse across entries.
+    ``w_value`` may pass a precomputed Faddeeva value w(zeta) for reuse
+    across entries.
     """
     z = mpc(z)
     if z.imag < 0:
-        res = cauchy_transform(pg, mp.conj(z), derivative=derivative)
-        if derivative:
-            return -mp.conj(res[0]), -mp.conj(res[1])
-        return -mp.conj(res)
+        return -mp.conj(cauchy_transform(pg, mp.conj(z)))
     sqrt_g = mp.sqrt(pg.gamma)
     zeta = sqrt_g * (z - pg.mu)
     shifted = _shift_poly(pg.coeffs, pg.mu, 1 / sqrt_g)
@@ -110,14 +114,7 @@ def cauchy_transform(pg: PolyGaussian, z, derivative: bool = False, w_value=None
     for j in range(1, deg + 1):
         i_vals.append(zeta * i_vals[j - 1] + gm[j - 1])
     scale = mp.exp(pg.log_scale) / TWO_PI_I
-    value = scale * sum(c * i_vals[j] for j, c in enumerate(shifted))
-    if not derivative:
-        return value
-    ip = [1j * mp.pi * (-2 * zeta * w + 2j / mp.sqrt(mp.pi))]
-    for j in range(1, deg + 1):
-        ip.append(i_vals[j - 1] + zeta * ip[j - 1])
-    dvalue = scale * sqrt_g * sum(c * ip[j] for j, c in enumerate(shifted))
-    return value, dvalue
+    return scale * sum(c * i_vals[j] for j, c in enumerate(shifted))
 
 
 # ---------------------------------------------------------------------------
@@ -125,7 +122,7 @@ def cauchy_transform(pg: PolyGaussian, z, derivative: bool = False, w_value=None
 # ---------------------------------------------------------------------------
 
 class YEvaluator:
-    """Evaluates Y(z) (and dY/dz) for an index pair with |n| = |m|.
+    """Evaluates Y(z) for an index pair with |n| = |m|.
 
     The p + q multiple-orthogonal rows come from one factorization at
     construction; each evaluation costs one Faddeeva value per product
@@ -164,15 +161,11 @@ class YEvaluator:
     def _d_factor(self, i: int):
         return mpf(1) if i < self.ws.p else -TWO_PI_I
 
-    def value(self, z, boundary: str = "above", derivative: bool = False):
+    def value(self, z, boundary: str = "above"):
         """Y(z); for real z the boundary value from 'above' or 'below'."""
         z = mpc(z)
         if z.imag == 0 and boundary == "below":
-            res = self.value(z, boundary="above", derivative=derivative)
-            if derivative:
-                val, dval = res
-                return _reflect_matrix(self, val), _reflect_matrix(self, dval)
-            return _reflect_matrix(self, res)
+            return _reflect_matrix(self, self.value(z))
         p, q = self.ws.p, self.ws.q
         sqrt_g = mp.sqrt(self.ws.gamma)
         wmap = {}
@@ -183,7 +176,6 @@ class YEvaluator:
                 zeta = sqrt_g * (zz - self.ws.mu(k, l))
                 wmap[(k, l)] = nu.faddeeva(zeta)
         Y = matrix(self.size, self.size)
-        dY = matrix(self.size, self.size) if derivative else None
         for i, sol in enumerate(self.rows):
             d = self._d_factor(i)
             if sol is None:
@@ -191,35 +183,12 @@ class YEvaluator:
                 continue
             for j in range(p):
                 Y[i, j] = d * sol.eval_A(j, z)
-                if derivative:
-                    dY[i, j] = d * sol.eval_A_prime(j, z)
             for l in range(q):
                 acc = mpc(0)
-                dacc = mpc(0)
                 for pg, k in zip(self._pgs[(i, l)], _nonempty_ks(sol)):
-                    if use_conj:
-                        res = cauchy_transform(
-                            pg, zz, derivative=derivative, w_value=wmap[(k, l)]
-                        )
-                        if derivative:
-                            acc += -mp.conj(res[0])
-                            dacc += -mp.conj(res[1])
-                        else:
-                            acc += -mp.conj(res)
-                    else:
-                        res = cauchy_transform(
-                            pg, z, derivative=derivative, w_value=wmap[(k, l)]
-                        )
-                        if derivative:
-                            acc += res[0]
-                            dacc += res[1]
-                        else:
-                            acc += res
+                    res = cauchy_transform(pg, zz, w_value=wmap[(k, l)])
+                    acc += -mp.conj(res) if use_conj else res
                 Y[i, p + l] = d * acc
-                if derivative:
-                    dY[i, p + l] = d * dacc
-        if derivative:
-            return Y, dY
         return Y
 
 
@@ -278,33 +247,48 @@ def jump_matrix(ws: WeightSystem, x) -> matrix:
 # Correlation kernel and density
 # ---------------------------------------------------------------------------
 
-def correlation_kernel(ws: WeightSystem, idx: MultiIndexPair, x, y=None):
-    """K(x, y) of the determinantal process; K(x, x) by confluence.
+@lru_cache(maxsize=64)
+def _kernel_form(ws: WeightSystem, idx: MultiIndexPair, prec: int) -> tuple:
+    """The bits G(n, m)^{-1} settled at, its blocks B^{kl} and, for the
+    diagonal, each block collapsed to P_kl(x) = sum_{i+j=d} B^{kl}[i][j] x^d."""
+    blocks, bits = bimoment_inverse(ws, idx)
+    diagonal = {}
+    with mp.workprec(bits):
+        for (k, l), block in blocks.items():
+            coeffs = [mpf(0)] * max(idx.n[k] + idx.m[l] - 1, 0)
+            for i, row in enumerate(block):
+                for j, v in enumerate(row):
+                    coeffs[i + j] += v
+            diagonal[(k, l)] = coeffs
+    return bits, blocks, diagonal
 
-    Boundary values are taken from above.
+
+def correlation_kernel(ws: WeightSystem, idx: MultiIndexPair, x, y=None):
+    """K(x, y) of the determinantal process, in the Eynard-Mehta form
+
+        K(x, y) = sum_{k,l} w_{1,k}(x) w_{2,l}(y) sum_{i,j} x^i B^{kl}[i][j] y^j
+
+    with B^{kl}[i][j] = (G^{-1})[(k, i), (l, j)] for the bimoment matrix
+    G(n, m) (|n| = |m|).  One certified G^{-1} per (ws, idx, precision) is
+    cached; a point then costs real Horner evaluations and exponentials.
+    The sum cancels about as many bits as the solve loses, so it runs at
+    the precision G^{-1} settled at and is rounded to working precision.
     """
-    ev = y_evaluator(ws, idx)
-    p, q = ws.p, ws.q
+    bits, blocks, diagonal = _kernel_form(ws, idx, mp.prec)
     x = nu.to_ext(x)
     confluent = y is None or y == x
     y = x if y is None else nu.to_ext(y)
-    v1 = [ws.w1(k, x) for k in range(p)]
-    v2 = [ws.w2(l, y) for l in range(q)]
-    if confluent:
-        Y, dY = ev.value(x, derivative=True)
-        core = mp.inverse(Y) * dY
-    else:
-        Yx = ev.value(x)
-        Yy = ev.value(y)
-        core = mp.inverse(Yy) * Yx
-    acc = mpc(0)
-    for l in range(q):
-        for k in range(p):
-            acc += v2[l] * core[p + l, k] * v1[k]
-    if not confluent:
-        acc /= x - y
-    val = acc / TWO_PI_I
-    return val.real if abs(val.imag) <= mpf("1e-6") * max(abs(val.real), mpf(1)) else val
+    with mp.workprec(bits):
+        v1 = [ws.w1(k, x) for k in range(ws.p)]
+        v2 = [ws.w2(l, y) for l in range(ws.q)]
+        acc = mpf(0)
+        for (k, l), block in blocks.items():
+            if confluent:
+                poly = _horner(diagonal[(k, l)], x)
+            else:
+                poly = _horner([_horner(row, y) for row in block], x)
+            acc += v1[k] * v2[l] * poly
+    return +acc
 
 
 @dataclass

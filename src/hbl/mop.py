@@ -197,17 +197,21 @@ def _solve_rows(
     idx: MultiIndexPair,
     tags: list,
     max_precision: int = MAX_ESCALATED_PRECISION,
-) -> list:
-    """MOP rows around a pair with |n| = |m|, all from one LU of G(n, m).
+) -> tuple:
+    """MOP rows and columns of G^{-1} around a pair with |n| = |m|, all
+    from one LU of G(n, m); returns them with the bits they settled at.
 
     G has rows (l, j), j < m_l, and columns (k, i), i < n_k, with entries
     M^{kl}_{i+j}; each row is scaled by its largest entry.  Tag ("II", k)
     gives the type (II,k) solution at (n + e_k, m): its leading coefficient
     is 1 and G x = -[M^{kl}_{n_k+j}].  Tag ("I", l) gives the type (I,l)
     solution at (n, m - e_l): G x = e_(l, m_l - 1), the normalization row.
+    Tag ("G^-1", (l, j)) gives column (l, j) of G^{-1}, G x = e_(l, j), as
+    coefficient tuples over k.
 
     Gaussian weights make every index pair normal, so a singular G or a
-    row that misses its orthogonality residual signals precision
+    result that misses its residual (orthogonality for MOP rows, the
+    relative residual of G x = e_(l, j) for a column) signals precision
     exhaustion: the whole factorization is redone at doubled precision up
     to ``max_precision``.  A start above ``max_precision`` is still tried
     once.
@@ -218,12 +222,11 @@ def _solve_rows(
     while prec <= ceiling:
         with mp.workprec(prec):
             try:
-                sols = _factor_and_solve(ws, idx, tags)
-                resid = max(check_orthogonality(s, ws, s.idx) for s in sols)
+                sols, resid = _factor_and_solve(ws, idx, tags)
                 if resid <= mpf(2) ** (-(prec // 4)):
-                    return sols
+                    return sols, prec
                 last_error = NormalizationImpossible(
-                    f"orthogonality residual {resid} at {prec} bits"
+                    f"certificate residual {resid} at {prec} bits"
                 )
             except SingularMatrix as exc:
                 last_error = exc
@@ -231,8 +234,9 @@ def _solve_rows(
     raise NormalizationImpossible(str(last_error))
 
 
-def _factor_and_solve(ws: WeightSystem, idx: MultiIndexPair, tags: list) -> list:
-    """One attempt of _solve_rows at working precision, unchecked."""
+def _factor_and_solve(ws: WeightSystem, idx: MultiIndexPair, tags: list) -> tuple:
+    """One attempt of _solve_rows at working precision: the results and
+    their largest certificate residual."""
     offsets = _flat_offsets(idx)
     tables = {
         (k, l): _moment_table(ws, k, l, _pair_jmax(idx), mp.prec)
@@ -257,23 +261,41 @@ def _factor_and_solve(ws: WeightSystem, idx: MultiIndexPair, tags: list) -> list
                 [-tables[pos, l][top + j] / s for (l, j), s in zip(row_keys, scales)]
             )
         else:
-            r = row_keys.index((pos, idx.m[pos] - 1))
+            r = row_keys.index((pos, idx.m[pos] - 1) if kind == "I" else pos)
             col = [mpf(0)] * len(rows)
             col[r] = 1 / scales[r]
             rhs.append(col)
     xs = nu.solve_linear(matrix(rows), rhs) if rows else [[] for _ in tags]
-    sols = []
-    for (kind, pos), x in zip(tags, xs):
+    sols, resid = [], mpf(0)
+    for (kind, pos), x, b in zip(tags, xs, rhs):
         coeffs = [
             tuple(x[offsets[k] + i] for i in range(idx.n[k])) for k in range(ws.p)
         ]
+        if kind == "G^-1":
+            sols.append(tuple(coeffs))
+            resid = max(resid, _relative_residual(rows, x, b))
+            continue
         if kind == "II":
             coeffs[pos] += (mpf(1),)
             sol_idx = idx.shift_n(pos)
         else:
             sol_idx = idx.shift_m(pos, -1)
-        sols.append(MopSolution(sol_idx, (kind, pos), tuple(coeffs), moments=tables))
-    return sols
+        sol = MopSolution(sol_idx, (kind, pos), tuple(coeffs), moments=tables)
+        sols.append(sol)
+        resid = max(resid, check_orthogonality(sol, ws, sol_idx))
+    return sols, resid
+
+
+def _relative_residual(rows: list, x: list, b: list) -> mpf:
+    """max over rows r of |(G x - b)_r| over the largest of |G[r][a] x[a]|
+    and |b[r]|."""
+    worst = mpf(0)
+    for row, target in zip(rows, b):
+        terms = [g * v for g, v in zip(row, x)]
+        scale = max(max(abs(v) for v in terms), abs(target))
+        if scale > 0:
+            worst = max(worst, abs(sum(terms, mpf(0)) - target) / scale)
+    return worst
 
 
 def solve_mop(
@@ -304,7 +326,7 @@ def solve_mop(
         base = idx.shift_n(pos, -1)
     else:
         base = idx.shift_m(pos)
-    return _solve_rows(ws, base, [norm], max_precision)[0]
+    return _solve_rows(ws, base, [norm], max_precision)[0][0]
 
 
 def _moments(sol: MopSolution, ws: WeightSystem, k: int, l: int, top: int) -> tuple:
@@ -390,7 +412,31 @@ def shifted_solutions(ws: WeightSystem, idx: MultiIndexPair) -> list:
         raise InvalidIndex("RH rows need |n| = |m|")
     tags = [("II", k) for k in range(ws.p)]
     tags += [("I", l) for l in range(ws.q) if idx.m[l] > 0]
-    by_tag = dict(zip(tags, _solve_rows(ws, idx, tags)))
+    by_tag = dict(zip(tags, _solve_rows(ws, idx, tags)[0]))
     return [by_tag.get(("II", k)) for k in range(ws.p)] + [
         by_tag.get(("I", l)) for l in range(ws.q)
     ]
+
+
+def bimoment_inverse(ws: WeightSystem, idx: MultiIndexPair) -> tuple:
+    """The blocks of G(n, m)^{-1} at |n| = |m|, by (k, l), and the bits
+    they settled at.
+
+    B[(k, l)][i][j] = (G^{-1})[(k, i), (l, j)] for i < n_k, j < m_l.  Every
+    column is certified by its relative residual of G x = e_(l, j) under
+    the escalation of _solve_rows, in the same factorization.
+    """
+    if idx.size_n != idx.size_m:
+        raise InvalidIndex("G(n, m) is square only at |n| = |m|")
+    keys = [(l, j) for l in range(ws.q) for j in range(idx.m[l])]
+    tags = [("G^-1", key) for key in keys]
+    sols, bits = _solve_rows(ws, idx, tags)
+    cols = dict(zip(keys, sols))
+    blocks = {
+        (k, l): tuple(
+            tuple(cols[l, j][k][i] for j in range(idx.m[l])) for i in range(idx.n[k])
+        )
+        for k in range(ws.p)
+        for l in range(ws.q)
+    }
+    return blocks, bits

@@ -14,14 +14,17 @@ from mpmath import mp, mpf, mpc, matrix
 from .errors import SingularMatrix
 
 DEFAULT_PRECISION_BITS = 256
+MIN_PRECISION_BITS = 128
 
 mp.prec = DEFAULT_PRECISION_BITS
 
 
 def set_precision(bits: int) -> None:
     """Set the process-wide working precision (mantissa bits, >= 128)."""
-    if bits < 128:
-        raise ValueError("working precision must be at least 128 bits")
+    if bits < MIN_PRECISION_BITS:
+        raise ValueError(
+            f"working precision must be at least {MIN_PRECISION_BITS} bits"
+        )
     mp.prec = bits
 
 

@@ -93,6 +93,60 @@ def moment_system(ws, idx, norm):
     return rows, rhs
 
 
+def count_solves(monkeypatch) -> list:
+    """Record (size, working bits) of every numerics.solve_linear call."""
+    calls = []
+    solve = nu.solve_linear
+
+    def counting(a, b):
+        calls.append((a.rows, mp.prec))
+        return solve(a, b)
+
+    monkeypatch.setattr(nu, "solve_linear", counting)
+    return calls
+
+
+# Central 8th-order first-derivative stencil: f'(x) h ~ sum w (f(x+oh) - f(x-oh)).
+_FD8 = ((1, mpf(4) / 5), (2, mpf(-1) / 5), (3, mpf(4) / 105), (4, mpf(-1) / 280))
+
+
+def rh_kernel_oracle(ws, idx, x, y=None, extra_bits=64):
+    """K(x, y) from the RH matrix (test oracle): the sum over k, l of
+    w_{1,k}(x) [Y_+^{-1}(y) Y_+(x)]_{p+l,k} w_{2,l}(y) / (2 pi i (x - y)),
+    and for y = x its confluent limit with Y_+^{-1}(x) Y_+'(x).
+
+    Y_+ on the real axis is the restriction of an entire function, so Y_+'
+    comes from the 8th-order central difference with step 2^-(bits/8).
+    Everything runs with ``extra_bits`` guard bits; the result is rounded to
+    working precision and keeps its (rounding-size) imaginary part.
+    """
+    from hbl.kernel import y_evaluator
+
+    p, q = ws.p, ws.q
+    x = nu.to_ext(x)
+    confluent = y is None or y == x
+    y = x if y is None else nu.to_ext(y)
+    with mp.workprec(mp.prec + extra_bits):
+        ev = y_evaluator(ws, idx)
+        if confluent:
+            h = mpf(2) ** (-(mp.prec // 8))
+            dY = sum(
+                (w * (ev.value(x + o * h) - ev.value(x - o * h)) for o, w in _FD8),
+                mp.zeros(p + q),
+            ) / h
+            core = mp.inverse(ev.value(x)) * dY
+        else:
+            core = mp.inverse(ev.value(y)) * ev.value(x)
+        acc = mp.mpc(0)
+        for l in range(q):
+            for k in range(p):
+                acc += ws.w2(l, y) * core[p + l, k] * ws.w1(k, x)
+        if not confluent:
+            acc /= x - y
+        val = acc / (2j * mp.pi)
+    return +val
+
+
 def pytest_terminal_summary(terminalreporter, exitstatus, config):
     """Re-print the acceptance criterion lines after every run."""
     try:

@@ -207,6 +207,31 @@ def test_wrong_regime_maps_to_exit_2(large_sep_config_file, tmp_path, capsys):
     assert json.loads(capsys.readouterr().err)["error"] == "wrong-regime"
 
 
+@pytest.mark.parametrize(
+    "global_opts, density_opts, code, error",
+    [
+        ([], ["--points", "1"], 64, "usage"),
+        ([], ["--points", "0"], 64, "usage"),
+        (["--precision", "64"], [], 64, "usage"),
+        ([], ["--t", "1.5"], 2, "invalid-config"),
+    ],
+    ids=["points-1", "points-0", "precision-64", "t-1.5"],
+)
+def test_odd_density_inputs_exit_cleanly(
+    large_sep_config_file, tmp_path, capsys, global_opts, density_opts, code, error
+):
+    out = tmp_path / "art"
+    opts = {"--n": "2,2", "--m": "2,2", "--t": "0.5", "--points": "8"}
+    opts.update(zip(density_opts[::2], density_opts[1::2]))
+    argv = global_opts + ["--out", str(out), "density"]
+    argv += ["--config", str(large_sep_config_file)]
+    argv += [v for item in opts.items() for v in item]
+    assert main(argv) == code
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and json.loads(lines[0])["error"] == error
+    assert not (out / "density.csv").exists()
+
+
 def test_scaling_dispatches_by_regime(critical_config_file, tmp_path):
     out = tmp_path / "art"
     code = main(

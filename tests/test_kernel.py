@@ -11,6 +11,8 @@ from hbl.errors import WrongRegime
 from hbl.model import BrownianConfig, ellipse_endpoints
 from hbl.mop import MultiIndexPair, WeightSystem
 
+from conftest import count_solves, rh_kernel_oracle
+
 
 @pytest.fixture(scope="module")
 def cfg_large():
@@ -74,15 +76,6 @@ def test_cauchy_schwarz_reflection():
     assert abs(lower + mp.conj(upper)) < mpf("1e-60") * abs(upper)
 
 
-def test_cauchy_derivative_vs_finite_differences():
-    pg = kn.PolyGaussian(coeffs=("1", "-0.5", "2"), gamma="1.1", mu="0.2")
-    z = mpc("0.4", "0.9")
-    _, dval = kn.cauchy_transform(pg, z, derivative=True)
-    h = mpf("1e-25")
-    fd = (kn.cauchy_transform(pg, z + h) - kn.cauchy_transform(pg, z - h)) / (2 * h)
-    assert abs(dval - fd) <= mpf("1e-20") * abs(dval)
-
-
 # ---------------------------------------------------------------------------
 # assemble_Y
 # ---------------------------------------------------------------------------
@@ -137,6 +130,59 @@ def test_y_asymptotic_normalization(ws4, idx22):
 # ---------------------------------------------------------------------------
 # correlation kernel
 # ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("case", ["large_12_12", "asymmetric_31_22"])
+def test_kernel_matches_rh_oracle(case, cfg_large):
+    # the Eynard-Mehta form from G^{-1} against Y_+^{-1}(y) Y_+(x)
+    if case == "large_12_12":
+        ws = WeightSystem.from_config(cfg_large, mpf(1) / 2, 24)
+        idx = MultiIndexPair((12, 12), (12, 12))
+        xs = ("-1.3", "-0.85", "0.05", "0.7", "1.2")
+        pairs = (("-0.9", "-0.8"), ("0.8", "0.95"), ("0.6", "0.7"))
+    else:
+        ws = WeightSystem(a=("1.1", "-0.4"), b=("0.9", "-0.3"), t=mpf(2) / 5, N=4)
+        idx = MultiIndexPair((3, 1), (2, 2))
+        xs = ("0.63", "-0.2", "1.4", "-1.1", "0.2")
+        pairs = (("0.63", "0.5"), ("-0.2", "0.1"), ("1.4", "1.0"))
+    for x in xs:
+        got = kn.correlation_kernel(ws, idx, mpf(x))
+        ref = rh_kernel_oracle(ws, idx, mpf(x))
+        assert abs(got - ref) <= mpf("1e-50") * abs(ref), x
+    for x, y in pairs:
+        got = kn.correlation_kernel(ws, idx, mpf(x), mpf(y))
+        ref = rh_kernel_oracle(ws, idx, mpf(x), mpf(y))
+        assert abs(got - ref) <= mpf("1e-50") * abs(ref), (x, y)
+
+
+def test_kernel_factors_once(cfg_large, monkeypatch):
+    # 100 points, diagonal and off it, share one factorization of G(8, 8)
+    ws = WeightSystem.from_config(cfg_large, mpf(3) / 7, 16)
+    idx = MultiIndexPair((8, 8), (8, 8))
+    kn._kernel_form.cache_clear()
+    calls = count_solves(monkeypatch)
+    grid = kn.default_grid(cfg_large, mpf(3) / 7, points=50)
+    for x in grid:
+        kn.correlation_kernel(ws, idx, x)
+        kn.correlation_kernel(ws, idx, x, x / 2)
+    assert calls == [(16, mp.prec)]
+
+
+def test_kernel_escalates_with_its_factorization(cfg_large, monkeypatch):
+    # at 128 bits the 48x48 G(24,24) is numerically singular; the kernel's
+    # one factorization is redone at doubled precision and then agrees
+    # with the 512-bit kernel
+    ws = WeightSystem.from_config(cfg_large, mpf(1) / 2, 48)
+    idx = MultiIndexPair((24, 24), (24, 24))
+    xs = (mpf("-0.9"), mpf("0.1"), mpf("0.8"))
+    calls = count_solves(monkeypatch)
+    with mp.workprec(128):
+        got = [kn.correlation_kernel(ws, idx, x) for x in xs]
+    assert len(calls) > 1 and calls[0] == (48, 128)
+    with mp.workprec(512):
+        ref = [kn.correlation_kernel(ws, idx, x) for x in xs]
+    for g, r in zip(got, ref):
+        assert abs(g - r) <= mpf(2) ** (-32) * abs(r)
+
 
 def test_kernel_confluence_step_halving(ws4, idx22):
     x = mpf("0.2")

@@ -10,7 +10,7 @@ from hbl import mop
 from hbl.errors import InvalidIndex, NormalizationImpossible
 from hbl.mop import MultiIndexPair, WeightSystem
 
-from conftest import moment_system, mpf_to_fraction
+from conftest import count_solves, moment_system, mpf_to_fraction
 
 
 @pytest.fixture(scope="module")
@@ -195,22 +195,8 @@ def test_precision_escalation_recovers_conditioning(ws):
 # shifted solutions: the p + q rows of Y from one factorization
 # ---------------------------------------------------------------------------
 
-def _count_solves(monkeypatch) -> list:
-    from hbl import numerics as nu
-
-    calls = []
-    solve = nu.solve_linear
-
-    def counting(a, b):
-        calls.append((a.rows, mp.prec))
-        return solve(a, b)
-
-    monkeypatch.setattr(nu, "solve_linear", counting)
-    return calls
-
-
 def test_shifted_solutions_factor_once(ws, monkeypatch):
-    calls = _count_solves(monkeypatch)
+    calls = count_solves(monkeypatch)
     rows = mop.shifted_solutions(ws, MultiIndexPair((8, 8), (8, 8)))
     assert calls == [(16, mp.prec)]
     assert all(sol is not None for sol in rows)
@@ -241,7 +227,7 @@ def test_shifted_solutions_escalate_together(ws, monkeypatch):
     # every row then meets it
     from hbl import numerics as nu
 
-    calls = _count_solves(monkeypatch)
+    calls = count_solves(monkeypatch)
     idx = MultiIndexPair((24, 24), (24, 24))
     nu.set_precision(128)
     try:
