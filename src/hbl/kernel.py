@@ -19,7 +19,7 @@ from typing import Optional, Sequence
 from mpmath import mp, mpf, mpc, matrix
 
 from . import numerics as nu
-from .errors import WrongRegime
+from .errors import NormalizationImpossible, WrongRegime
 from .model import (
     BrownianConfig,
     Regime,
@@ -27,7 +27,13 @@ from .model import (
     ellipse_endpoints,
     semicircle_density,
 )
-from .mop import MultiIndexPair, WeightSystem, bimoment_inverse, shifted_solutions
+from .mop import (
+    MAX_ESCALATED_PRECISION,
+    MultiIndexPair,
+    WeightSystem,
+    bimoment_inverse,
+    shifted_solutions,
+)
 
 TWO_PI_I = 2j * mp.pi
 
@@ -248,10 +254,12 @@ def jump_matrix(ws: WeightSystem, x) -> matrix:
 # ---------------------------------------------------------------------------
 
 @lru_cache(maxsize=64)
-def _kernel_form(ws: WeightSystem, idx: MultiIndexPair, prec: int) -> tuple:
-    """The bits G(n, m)^{-1} settled at, its blocks B^{kl} and, for the
-    diagonal, each block collapsed to P_kl(x) = sum_{i+j=d} B^{kl}[i][j] x^d."""
-    blocks, bits = bimoment_inverse(ws, idx)
+def _kernel_form(ws: WeightSystem, idx: MultiIndexPair, start: int) -> tuple:
+    """G(n, m)^{-1} from a solve starting at ``start`` bits: the bits it
+    settled at, its blocks B^{kl} and, for the diagonal, each block
+    collapsed to P_kl(x) = sum_{i+j=d} B^{kl}[i][j] x^d."""
+    with mp.workprec(start):
+        blocks, bits = bimoment_inverse(ws, idx)
     diagonal = {}
     with mp.workprec(bits):
         for (k, l), block in blocks.items():
@@ -263,21 +271,9 @@ def _kernel_form(ws: WeightSystem, idx: MultiIndexPair, prec: int) -> tuple:
     return bits, blocks, diagonal
 
 
-def correlation_kernel(ws: WeightSystem, idx: MultiIndexPair, x, y=None):
-    """K(x, y) of the determinantal process, in the Eynard-Mehta form
-
-        K(x, y) = sum_{k,l} w_{1,k}(x) w_{2,l}(y) sum_{i,j} x^i B^{kl}[i][j] y^j
-
-    with B^{kl}[i][j] = (G^{-1})[(k, i), (l, j)] for the bimoment matrix
-    G(n, m) (|n| = |m|).  One certified G^{-1} per (ws, idx, precision) is
-    cached; a point then costs real Horner evaluations and exponentials.
-    The sum cancels about as many bits as the solve loses, so it runs at
-    the precision G^{-1} settled at and is rounded to working precision.
-    """
-    bits, blocks, diagonal = _kernel_form(ws, idx, mp.prec)
-    x = nu.to_ext(x)
-    confluent = y is None or y == x
-    y = x if y is None else nu.to_ext(y)
+def _kernel_sum(ws: WeightSystem, form: tuple, x, y, confluent: bool):
+    """The Eynard-Mehta sum from one kernel form, at the bits it settled at."""
+    bits, blocks, diagonal = form
     with mp.workprec(bits):
         v1 = [ws.w1(k, x) for k in range(ws.p)]
         v2 = [ws.w2(l, y) for l in range(ws.q)]
@@ -288,7 +284,46 @@ def correlation_kernel(ws: WeightSystem, idx: MultiIndexPair, x, y=None):
             else:
                 poly = _horner([_horner(row, y) for row in block], x)
             acc += v1[k] * v2[l] * poly
-    return +acc
+    return acc
+
+
+def correlation_kernel(ws: WeightSystem, idx: MultiIndexPair, x, y=None):
+    """K(x, y) of the determinantal process, in the Eynard-Mehta form
+
+        K(x, y) = sum_{k,l} w_{1,k}(x) w_{2,l}(y) sum_{i,j} x^i B^{kl}[i][j] y^j
+
+    with B^{kl}[i][j] = (G^{-1})[(k, i), (l, j)] for the bimoment matrix
+    G(n, m) (|n| = |m|).  G^{-1} is cached per (ws, idx, starting bits); a
+    point then costs real Horner evaluations and exponentials.
+
+    The sum cancels about as many bits as the solve loses, and how many
+    depends on the point (at n = m = (20, 20) on the large-separation
+    config at t = 1/2, about 40 bits more inside the right group than in
+    the left one).  So each value is checked against the same sum from a
+    G^{-1} solved at twice the bits: they must agree to 2^-(prec/4)
+    relative.  On a miss both move up one doubling; a miss with the lower
+    one at MAX_ESCALATED_PRECISION (or the working precision, if higher)
+    raises NormalizationImpossible.  The value returned is the lower sum,
+    rounded to working precision.
+    """
+    x = nu.to_ext(x)
+    confluent = y is None or y == x
+    y = x if y is None else nu.to_ext(y)
+    tol = mpf(2) ** (-(mp.prec // 4))
+    ceiling = max(MAX_ESCALATED_PRECISION, mp.prec)
+    low = _kernel_form(ws, idx, mp.prec)
+    while True:
+        high = _kernel_form(ws, idx, 2 * low[0])
+        value = _kernel_sum(ws, low, x, y, confluent)
+        ref = _kernel_sum(ws, high, x, y, confluent)
+        if abs(value - ref) <= tol * abs(ref):
+            return +value
+        if high[0] > ceiling:
+            raise NormalizationImpossible(
+                f"kernel at ({x}, {y}): {value} at {low[0]} bits "
+                f"against {ref} at {high[0]} bits"
+            )
+        low = high
 
 
 @dataclass

@@ -210,11 +210,11 @@ def _solve_rows(
     coefficient tuples over k.
 
     Gaussian weights make every index pair normal, so a singular G or a
-    result that misses its residual (orthogonality for MOP rows, the
-    relative residual of G x = e_(l, j) for a column) signals precision
+    MOP row that misses its orthogonality residual signals precision
     exhaustion: the whole factorization is redone at doubled precision up
     to ``max_precision``.  A start above ``max_precision`` is still tried
-    once.
+    once.  Columns of G^{-1} escalate only on a singular G; their accuracy
+    is checked by the caller (kernel.correlation_kernel).
     """
     prec = mp.prec
     ceiling = max(max_precision, prec)
@@ -222,11 +222,16 @@ def _solve_rows(
     while prec <= ceiling:
         with mp.workprec(prec):
             try:
-                sols, resid = _factor_and_solve(ws, idx, tags)
+                sols = _factor_and_solve(ws, idx, tags)
+                resid = max(
+                    (check_orthogonality(s, ws, s.idx) for s in sols
+                     if isinstance(s, MopSolution)),
+                    default=mpf(0),
+                )
                 if resid <= mpf(2) ** (-(prec // 4)):
                     return sols, prec
                 last_error = NormalizationImpossible(
-                    f"certificate residual {resid} at {prec} bits"
+                    f"orthogonality residual {resid} at {prec} bits"
                 )
             except SingularMatrix as exc:
                 last_error = exc
@@ -234,9 +239,8 @@ def _solve_rows(
     raise NormalizationImpossible(str(last_error))
 
 
-def _factor_and_solve(ws: WeightSystem, idx: MultiIndexPair, tags: list) -> tuple:
-    """One attempt of _solve_rows at working precision: the results and
-    their largest certificate residual."""
+def _factor_and_solve(ws: WeightSystem, idx: MultiIndexPair, tags: list) -> list:
+    """One attempt of _solve_rows at working precision, unchecked."""
     offsets = _flat_offsets(idx)
     tables = {
         (k, l): _moment_table(ws, k, l, _pair_jmax(idx), mp.prec)
@@ -266,36 +270,21 @@ def _factor_and_solve(ws: WeightSystem, idx: MultiIndexPair, tags: list) -> tupl
             col[r] = 1 / scales[r]
             rhs.append(col)
     xs = nu.solve_linear(matrix(rows), rhs) if rows else [[] for _ in tags]
-    sols, resid = [], mpf(0)
-    for (kind, pos), x, b in zip(tags, xs, rhs):
+    sols = []
+    for (kind, pos), x in zip(tags, xs):
         coeffs = [
             tuple(x[offsets[k] + i] for i in range(idx.n[k])) for k in range(ws.p)
         ]
         if kind == "G^-1":
             sols.append(tuple(coeffs))
-            resid = max(resid, _relative_residual(rows, x, b))
             continue
         if kind == "II":
             coeffs[pos] += (mpf(1),)
             sol_idx = idx.shift_n(pos)
         else:
             sol_idx = idx.shift_m(pos, -1)
-        sol = MopSolution(sol_idx, (kind, pos), tuple(coeffs), moments=tables)
-        sols.append(sol)
-        resid = max(resid, check_orthogonality(sol, ws, sol_idx))
-    return sols, resid
-
-
-def _relative_residual(rows: list, x: list, b: list) -> mpf:
-    """max over rows r of |(G x - b)_r| over the largest of |G[r][a] x[a]|
-    and |b[r]|."""
-    worst = mpf(0)
-    for row, target in zip(rows, b):
-        terms = [g * v for g, v in zip(row, x)]
-        scale = max(max(abs(v) for v in terms), abs(target))
-        if scale > 0:
-            worst = max(worst, abs(sum(terms, mpf(0)) - target) / scale)
-    return worst
+        sols.append(MopSolution(sol_idx, (kind, pos), tuple(coeffs), moments=tables))
+    return sols
 
 
 def solve_mop(
@@ -422,9 +411,11 @@ def bimoment_inverse(ws: WeightSystem, idx: MultiIndexPair) -> tuple:
     """The blocks of G(n, m)^{-1} at |n| = |m|, by (k, l), and the bits
     they settled at.
 
-    B[(k, l)][i][j] = (G^{-1})[(k, i), (l, j)] for i < n_k, j < m_l.  Every
-    column is certified by its relative residual of G x = e_(l, j) under
-    the escalation of _solve_rows, in the same factorization.
+    B[(k, l)][i][j] = (G^{-1})[(k, i), (l, j)] for i < n_k, j < m_l.  The
+    columns are unit right-hand sides of one factorization, redone at
+    doubled precision while G is numerically singular (see _solve_rows).
+    No residual is checked here: LU with partial pivoting keeps the
+    residual of G x = e_(l, j) at rounding level however inaccurate x is.
     """
     if idx.size_n != idx.size_m:
         raise InvalidIndex("G(n, m) is square only at |n| = |m|")

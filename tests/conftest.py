@@ -106,10 +106,6 @@ def count_solves(monkeypatch) -> list:
     return calls
 
 
-# Central 8th-order first-derivative stencil: f'(x) h ~ sum w (f(x+oh) - f(x-oh)).
-_FD8 = ((1, mpf(4) / 5), (2, mpf(-1) / 5), (3, mpf(4) / 105), (4, mpf(-1) / 280))
-
-
 def rh_kernel_oracle(ws, idx, x, y=None, extra_bits=64):
     """K(x, y) from the RH matrix (test oracle): the sum over k, l of
     w_{1,k}(x) [Y_+^{-1}(y) Y_+(x)]_{p+l,k} w_{2,l}(y) / (2 pi i (x - y)),
@@ -121,6 +117,7 @@ def rh_kernel_oracle(ws, idx, x, y=None, extra_bits=64):
     working precision and keeps its (rounding-size) imaginary part.
     """
     from hbl.kernel import y_evaluator
+    from hbl.rh import _FD8_OFFSETS, _FD8_WEIGHTS
 
     p, q = ws.p, ws.q
     x = nu.to_ext(x)
@@ -131,7 +128,10 @@ def rh_kernel_oracle(ws, idx, x, y=None, extra_bits=64):
         if confluent:
             h = mpf(2) ** (-(mp.prec // 8))
             dY = sum(
-                (w * (ev.value(x + o * h) - ev.value(x - o * h)) for o, w in _FD8),
+                (
+                    w * (ev.value(x + o * h) - ev.value(x - o * h))
+                    for o, w in zip(_FD8_OFFSETS, _FD8_WEIGHTS)
+                ),
                 mp.zeros(p + q),
             ) / h
             core = mp.inverse(ev.value(x)) * dY

@@ -7,7 +7,7 @@ from mpmath import mp, mpf, mpc
 
 from hbl import kernel as kn
 from hbl import numerics as nu
-from hbl.errors import WrongRegime
+from hbl.errors import NormalizationImpossible, WrongRegime
 from hbl.model import BrownianConfig, ellipse_endpoints
 from hbl.mop import MultiIndexPair, WeightSystem
 
@@ -156,6 +156,7 @@ def test_kernel_matches_rh_oracle(case, cfg_large):
 
 def test_kernel_factors_once(cfg_large, monkeypatch):
     # 100 points, diagonal and off it, share one factorization of G(8, 8)
+    # and its doubled-precision check
     ws = WeightSystem.from_config(cfg_large, mpf(3) / 7, 16)
     idx = MultiIndexPair((8, 8), (8, 8))
     kn._kernel_form.cache_clear()
@@ -164,7 +165,7 @@ def test_kernel_factors_once(cfg_large, monkeypatch):
     for x in grid:
         kn.correlation_kernel(ws, idx, x)
         kn.correlation_kernel(ws, idx, x, x / 2)
-    assert calls == [(16, mp.prec)]
+    assert calls == [(16, mp.prec), (16, 2 * mp.prec)]
 
 
 def test_kernel_escalates_with_its_factorization(cfg_large, monkeypatch):
@@ -182,6 +183,33 @@ def test_kernel_escalates_with_its_factorization(cfg_large, monkeypatch):
         ref = [kn.correlation_kernel(ws, idx, x) for x in xs]
     for g, r in zip(got, ref):
         assert abs(g - r) <= mpf(2) ** (-32) * abs(r)
+
+
+def test_kernel_escalates_where_the_sum_cancels(cfg_large):
+    # at 128 bits G(20, 20) is not singular, but the unchecked sum was
+    # about 5000 times off at x = 1.03 (inside the right group); the
+    # doubled-precision check escalates there and the result meets 2^-32
+    ws = WeightSystem.from_config(cfg_large, mpf(1) / 2, 40)
+    idx = MultiIndexPair((20, 20), (20, 20))
+    xs = [mpf(x) for x in ("-1.03", "0", "0.51", "1.03", "1.54")]
+    with mp.workprec(128):
+        got = [kn.correlation_kernel(ws, idx, x) for x in xs]
+        off = kn.correlation_kernel(ws, idx, xs[3], xs[2])
+    with mp.workprec(1024):
+        ref = [kn.correlation_kernel(ws, idx, x) for x in xs]
+        ref_off = kn.correlation_kernel(ws, idx, xs[3], xs[2])
+    for g, r in zip(got + [off], ref + [ref_off]):
+        assert abs(g - r) <= mpf(2) ** (-32) * abs(r)
+
+
+def test_kernel_raises_at_the_ceiling(cfg_large, monkeypatch):
+    # with no room to escalate, a point whose check fails raises
+    ws = WeightSystem.from_config(cfg_large, mpf(1) / 2, 40)
+    idx = MultiIndexPair((20, 20), (20, 20))
+    monkeypatch.setattr(kn, "MAX_ESCALATED_PRECISION", 128)
+    with mp.workprec(128):
+        with pytest.raises(NormalizationImpossible):
+            kn.correlation_kernel(ws, idx, mpf("1.03"))
 
 
 def test_kernel_confluence_step_halving(ws4, idx22):
