@@ -114,10 +114,26 @@ def write_csv(path: Path, header: Sequence[str], rows, metadata: dict) -> None:
 # Subcommands
 # ---------------------------------------------------------------------------
 
+def _int_list(option: str, text: str) -> tuple:
+    """A comma list of integers given to ``option``."""
+    try:
+        return tuple(int(v) for v in text.split(","))
+    except ValueError:
+        raise UsageError(
+            f"{option} must be a comma list of integers, got {text!r}"
+        ) from None
+
+
+def _decimal(option: str, text: str) -> mpf:
+    """A decimal number given to ``option``, at working precision."""
+    try:
+        return nu.to_ext(text)
+    except ValueError:
+        raise UsageError(f"{option} must be a decimal number, got {text!r}") from None
+
+
 def _parse_index(ns) -> MultiIndexPair:
-    n = tuple(int(v) for v in ns.n.split(","))
-    m = tuple(int(v) for v in ns.m.split(","))
-    return MultiIndexPair(n, m)
+    return MultiIndexPair(_int_list("--n", ns.n), _int_list("--m", ns.m))
 
 
 def _parse_t(ns) -> mpf:
@@ -220,14 +236,9 @@ def cmd_identities(cfg: BrownianConfig, ns, out: Path) -> int:
     rep = rh.scalar_product_report(exp)
     record("scalar_products", rep.max_residual)
     zs = [mpf(0), mpf(1), mpc(-1, 1)]
-    worst_fw = mpf(0)
-    worst_bw = mpf(0)
-    for k in range(exp.p):
-        for l in range(exp.q):
-            worst_fw = max(worst_fw, rh.verify_five_term_recurrence(ws, idx, k, l, zs))
-            worst_bw = max(worst_bw, rh.verify_backward_recurrence(ws, idx, k, l, zs))
-    record("five_term_recurrence", worst_fw)
-    record("backward_recurrence", worst_bw)
+    residuals = rh.verify_recurrences(ws, idx, zs).values()
+    record("five_term_recurrence", max(fw for fw, _ in residuals))
+    record("backward_recurrence", max(bw for _, bw in residuals))
     worst_inv = mpf(0)
     z0 = mpc(2, 1)
     for k in range(exp.p):
@@ -295,7 +306,9 @@ def cmd_density(cfg: BrownianConfig, ns, out: Path) -> int:
 
 def cmd_painleve(cfg: Optional[BrownianConfig], ns, out: Path) -> int:
     sol = painleve.solve_hastings_mcleod(
-        s_lo=nu.to_ext(ns.s_lo), s_hi=nu.to_ext(ns.s_hi), tol=nu.to_ext(ns.tol)
+        s_lo=_decimal("--s-lo", ns.s_lo),
+        s_hi=_decimal("--s-hi", ns.s_hi),
+        tol=_decimal("--tol", ns.tol),
     )
     rows = []
     for i, s in enumerate(sol.grid):
@@ -318,13 +331,13 @@ def cmd_painleve(cfg: Optional[BrownianConfig], ns, out: Path) -> int:
 
 def cmd_scaling(cfg: BrownianConfig, ns, out: Path) -> int:
     t = _parse_t(ns)
-    n_list = tuple(int(v) for v in ns.n_list.split(","))
+    n_list = _int_list("--n-list", ns.n_list)
     rep = classify_separation(cfg)
     meta = _metadata(cfg)
     meta["t"] = _fmt(t)
     meta["regime"] = rep.regime.value
     if rep.regime is Regime.CRITICAL:
-        L = nu.to_ext(ns.L if ns.L is not None else (cfg.L or 0))
+        L = _decimal("--L", ns.L) if ns.L is not None else nu.to_ext(cfg.L or 0)
         study = scaling.double_scaling_study(cfg, L, t, n_list)
         meta.update({"L": _fmt(L), "K": _fmt(study.K), "s": _fmt(study.s),
                      "q_of_s": _fmt(study.q_of_s)})
@@ -481,8 +494,10 @@ def _check_options(ns) -> None:
             f"--precision must be at least {nu.MIN_PRECISION_BITS} bits, "
             f"got {ns.precision}"
         )
-    if getattr(ns, "points", 2) < 2:
-        raise UsageError(f"--points must be at least 2, got {ns.points}")
+    for option, least in (("points", 2), ("samples", 2), ("stride", 1)):
+        value = getattr(ns, option, least)
+        if value < least:
+            raise UsageError(f"--{option} must be at least {least}, got {value}")
 
 
 def _report_error(exc: HblError) -> None:

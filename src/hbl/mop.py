@@ -96,13 +96,6 @@ def _moment_table(ws: WeightSystem, k: int, l: int, jmax: int, prec: int) -> tup
         return tuple(out)
 
 
-def gaussian_moment(ws: WeightSystem, k: int, l: int, j: int) -> mpf:
-    """int x^j w_{1,k}(x) w_{2,l}(x) dx via the closed recursion (0-based k, l)."""
-    if j < 0:
-        raise ValueError("moment order must be non-negative")
-    return _moment_table(ws, k, l, j, mp.prec)[j]
-
-
 # ---------------------------------------------------------------------------
 # Multi-indices
 # ---------------------------------------------------------------------------
@@ -287,17 +280,9 @@ def _factor_and_solve(ws: WeightSystem, idx: MultiIndexPair, tags: list) -> list
     return sols
 
 
-def solve_mop(
-    ws: WeightSystem,
-    idx: MultiIndexPair,
-    norm: NormTag,
-    max_precision: int = MAX_ESCALATED_PRECISION,
-) -> MopSolution:
-    """Solve for the MOP vector at |n| = |m| + 1 under the given tag.
-
-    Type (II,k) is solved around the pair (n - e_k, m), type (I,l) around
-    (n, m + e_l); see _solve_rows for the system and precision escalation.
-    """
+def _base_pair(ws: WeightSystem, idx: MultiIndexPair, norm: NormTag) -> MultiIndexPair:
+    """The |n| = |m| pair around which the MOP vector (idx, norm) is solved:
+    (n - e_k, m) for type (II,k), (n, m + e_l) for type (I,l)."""
     if idx.size_n != idx.size_m + 1:
         raise InvalidIndex("solve_mop requires |n| = |m| + 1")
     kind, pos = norm
@@ -312,10 +297,40 @@ def solve_mop(
             raise NormalizationImpossible(
                 f"type (II,{pos + 1}) needs a free leading coefficient"
             )
-        base = idx.shift_n(pos, -1)
-    else:
-        base = idx.shift_m(pos)
-    return _solve_rows(ws, base, [norm], max_precision)[0][0]
+        return idx.shift_n(pos, -1)
+    return idx.shift_m(pos)
+
+
+def solve_batch(
+    ws: WeightSystem,
+    requests,
+    max_precision: int = MAX_ESCALATED_PRECISION,
+) -> dict:
+    """{(idx, norm): MopSolution} for MOP vectors at |n| = |m| + 1.
+
+    Requests that share a base pair (see _base_pair) are right-hand sides
+    of one LU of its G and escalate together (see _solve_rows); no factors
+    outlive their group.  Every request is checked before any solve.
+    """
+    groups: dict = {}
+    for idx, norm in requests:
+        groups.setdefault(_base_pair(ws, idx, norm), {})[norm] = None
+    out = {}
+    for base, tags in groups.items():
+        for sol in _solve_rows(ws, base, list(tags), max_precision)[0]:
+            out[sol.idx, sol.norm] = sol
+    return out
+
+
+def solve_mop(
+    ws: WeightSystem,
+    idx: MultiIndexPair,
+    norm: NormTag,
+    max_precision: int = MAX_ESCALATED_PRECISION,
+) -> MopSolution:
+    """The MOP vector at |n| = |m| + 1 under the given tag: the
+    one-request case of solve_batch."""
+    return solve_batch(ws, [(idx, norm)], max_precision)[idx, norm]
 
 
 def _moments(sol: MopSolution, ws: WeightSystem, k: int, l: int, top: int) -> tuple:

@@ -10,7 +10,7 @@ c_{i,j} c_{j,i} appearing in a recurrence is real.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Optional, Sequence
 
@@ -31,7 +31,7 @@ from .mop import (
     WeightSystem,
     q_moment,
     shifted_solutions,
-    solve_mop,
+    solve_batch,
 )
 
 TWO_PI_I = 2j * mp.pi
@@ -39,12 +39,14 @@ TWO_PI_I = 2j * mp.pi
 
 @dataclass(frozen=True)
 class RhExpansion:
-    """Y1 and Y2 of the large-z expansion, with block views."""
+    """Y1 and Y2 of the large-z expansion, with block views, and the p+q
+    shifted MOP rows they were built from (see shifted_solutions)."""
 
     ws: WeightSystem
     idx: MultiIndexPair
     Y1: matrix
     Y2: matrix
+    rows: tuple = field(compare=False, repr=False)
 
     @property
     def p(self) -> int:
@@ -102,7 +104,7 @@ def _expansion_uncached(ws: WeightSystem, idx: MultiIndexPair) -> RhExpansion:
             ml = idx.m[l]
             y1[i, ws.p + l] = moment_factor * q_moment(sol, ws, l, ml)
             y2[i, ws.p + l] = moment_factor * q_moment(sol, ws, l, ml + 1)
-    return RhExpansion(ws=ws, idx=idx, Y1=y1, Y2=y2)
+    return RhExpansion(ws=ws, idx=idx, Y1=y1, Y2=y2, rows=tuple(rows))
 
 
 @lru_cache(maxsize=256)
@@ -227,88 +229,128 @@ def _vector_values(sol: MopSolution, z) -> list:
     return [sol.eval_A(k, z) for k in range(len(sol.coeffs))]
 
 
-def verify_five_term_recurrence(
-    ws: WeightSystem, idx: MultiIndexPair, k: int, l: int, zs: Sequence
-) -> mpf:
-    """Residual of the forward p+q+1 term recurrence at the points zs.
-
-    All participating vectors use the type (II,k) normalization.  Raises
-    InvalidIndex when a shift would push a component negative.
-    """
+def _forward_requests(ws: WeightSystem, idx: MultiIndexPair, k: int, l: int):
+    """MOP requests (index pair, tag) of the forward recurrence: left side,
+    main vector, and the off vectors keyed by the Y1 row of their
+    coefficient.  All use the type (II,k) normalization."""
     p, q = ws.p, ws.q
-    exp = assemble_rh_expansion(ws, idx)
+    tag = ("II", k)
     n_lhs = tuple(v + 2 * (i == k) for i, v in enumerate(idx.n))
     m_lhs = tuple(v + (i == l) for i, v in enumerate(idx.m))
-    lhs_sol = solve_mop(ws, MultiIndexPair(n_lhs, m_lhs), ("II", k))
-    main_sol = solve_mop(ws, idx.shift_n(k), ("II", k))
-    off_n = {
-        kk: solve_mop(ws, idx.shift_n(kk), ("II", k)) for kk in range(p) if kk != k
-    }
-    off_m = {ll: solve_mop(ws, idx.shift_m(ll, -1), ("II", k)) for ll in range(q)}
-    diag = diagonal_recurrence(exp, k, l).via_lax
+    lhs = (MultiIndexPair(n_lhs, m_lhs), tag)
+    main = (idx.shift_n(k), tag)
+    off = [(kk, (idx.shift_n(kk), tag)) for kk in range(p) if kk != k]
+    off += [(p + ll, (idx.shift_m(ll, -1), tag)) for ll in range(q)]
+    return lhs, main, off
+
+
+def _backward_requests(ws: WeightSystem, idx: MultiIndexPair, k: int, l: int):
+    """As _forward_requests for the backward recurrence, type (I,l)."""
+    p, q = ws.p, ws.q
+    tag = ("I", l)
+    shifted = idx.shift_n(k).shift_m(l)
+    lhs = (idx.shift_m(l, -1), tag)
+    main = (idx.shift_n(k), tag)
+    off = [(kk, (shifted.shift_n(kk), tag)) for kk in range(p)]
+    off += [(p + ll, (shifted.shift_m(ll, -1), tag)) for ll in range(q) if ll != l]
+    return lhs, main, off
+
+
+def _recurrence_residual(lhs_sol, main_sol, shift, terms, zs) -> mpf:
+    """Max over zs and components of the relative residual of
+    lhs(z) = (z + shift) main(z) - sum coef * vec(z) over (coef, vec) in terms."""
     worst = mpf(0)
     for z in zs:
         z = mpc(z)
         lhs = _vector_values(lhs_sol, z)
-        main = _vector_values(main_sol, z)
-        terms = [[(z - diag) * v for v in main]]
-        for kk, sol in off_n.items():
-            coef = exp.product(k + 1, kk + 1)
-            terms.append([-coef * v for v in _vector_values(sol, z)])
-        for ll, sol in off_m.items():
-            coef = exp.product(k + 1, p + ll + 1)
-            terms.append([-coef * v for v in _vector_values(sol, z)])
-        for comp in range(p):
-            rhs = sum(term[comp] for term in terms)
-            scale = max(
-                [abs(lhs[comp])] + [abs(term[comp]) for term in terms]
-            )
+        rows = [[(z + shift) * v for v in _vector_values(main_sol, z)]]
+        rows += [[-coef * v for v in _vector_values(sol, z)] for coef, sol in terms]
+        for comp in range(len(lhs)):
+            rhs = sum(row[comp] for row in rows)
+            scale = max([abs(lhs[comp])] + [abs(row[comp]) for row in rows])
             if scale == 0:
                 continue
             worst = max(worst, abs(lhs[comp] - rhs) / scale)
     return worst
+
+
+def _recurrence_residuals(
+    ws: WeightSystem, idx: MultiIndexPair, checks: Sequence, zs: Sequence
+) -> dict:
+    """Residuals of the recurrences in ``checks``, keyed by their (k, l,
+    forward) triples.
+
+    The rows that the expansions at idx and idx + e_k + e_l already hold
+    (main and left-side vectors) are reused; every other vector comes from
+    one solve_batch, one LU per base pair.  Raises InvalidIndex when a
+    shift would push a component negative.
+    """
+    p = ws.p
+    specs = [
+        (_forward_requests if forward else _backward_requests)(ws, idx, k, l)
+        for k, l, forward in checks
+    ]
+    exp = assemble_rh_expansion(ws, idx)
+    shifted = {
+        (k, l): assemble_rh_expansion(ws, idx.shift_n(k).shift_m(l))
+        for k, l, _ in checks
+    }
+    held = {
+        (sol.idx, sol.norm): sol
+        for e in (exp, *shifted.values())
+        for sol in e.rows
+        if sol is not None
+    }
+    wanted = [
+        req
+        for lhs, main, off in specs
+        for req in (lhs, main, *(r for _, r in off))
+        if req not in held
+    ]
+    sols = {**held, **solve_batch(ws, wanted)}
+    out = {}
+    for (k, l, forward), (lhs, main, off) in zip(checks, specs):
+        if forward:
+            shift = -diagonal_recurrence(exp, k, l).via_lax
+            terms = [(exp.product(k + 1, j + 1), sols[r]) for j, r in off]
+        else:
+            exp_sh = shifted[k, l]
+            shift = exp.Y1[p + l, p + l] - exp_sh.Y1[p + l, p + l]
+            terms = [
+                (exp_sh.Y1[p + l, j] * exp_sh.Y1[j, p + l], sols[r]) for j, r in off
+            ]
+        out[k, l, forward] = _recurrence_residual(
+            sols[lhs], sols[main], shift, terms, zs
+        )
+    return out
+
+
+def verify_recurrences(ws: WeightSystem, idx: MultiIndexPair, zs: Sequence) -> dict:
+    """{(k, l): (forward, backward)} residuals of every recurrence at idx,
+    all vectors from one batch (see _recurrence_residuals)."""
+    checks = [
+        (k, l, forward)
+        for k in range(ws.p)
+        for l in range(ws.q)
+        for forward in (True, False)
+    ]
+    res = _recurrence_residuals(ws, idx, checks, zs)
+    return {(k, l): (res[k, l, True], res[k, l, False]) for k, l, _ in checks}
+
+
+def verify_five_term_recurrence(
+    ws: WeightSystem, idx: MultiIndexPair, k: int, l: int, zs: Sequence
+) -> mpf:
+    """Residual of the forward p+q+1 term recurrence at the points zs,
+    all vectors in the type (II,k) normalization."""
+    return _recurrence_residuals(ws, idx, [(k, l, True)], zs)[k, l, True]
 
 
 def verify_backward_recurrence(
     ws: WeightSystem, idx: MultiIndexPair, k: int, l: int, zs: Sequence
 ) -> mpf:
     """Residual of the backward recurrence (type (I,l) normalization)."""
-    p, q = ws.p, ws.q
-    exp = assemble_rh_expansion(ws, idx)
-    shifted = idx.shift_n(k).shift_m(l)
-    exp_sh = assemble_rh_expansion(ws, shifted)
-    lhs_sol = solve_mop(ws, idx.shift_m(l, -1), ("I", l))
-    main_sol = solve_mop(ws, idx.shift_n(k), ("I", l))
-    off_n = {
-        kk: solve_mop(ws, shifted.shift_n(kk), ("I", l)) for kk in range(p)
-    }
-    off_m = {
-        ll: solve_mop(ws, shifted.shift_m(ll, -1), ("I", l))
-        for ll in range(q)
-        if ll != l
-    }
-    diag = exp.Y1[p + l, p + l] - exp_sh.Y1[p + l, p + l]
-    worst = mpf(0)
-    for z in zs:
-        z = mpc(z)
-        lhs = _vector_values(lhs_sol, z)
-        main = _vector_values(main_sol, z)
-        terms = [[(z + diag) * v for v in main]]
-        for kk, sol in off_n.items():
-            coef = exp_sh.Y1[p + l, kk] * exp_sh.Y1[kk, p + l]
-            terms.append([-coef * v for v in _vector_values(sol, z)])
-        for ll, sol in off_m.items():
-            coef = exp_sh.Y1[p + l, p + ll] * exp_sh.Y1[p + ll, p + l]
-            terms.append([-coef * v for v in _vector_values(sol, z)])
-        for comp in range(p):
-            rhs = sum(term[comp] for term in terms)
-            scale = max(
-                [abs(lhs[comp])] + [abs(term[comp]) for term in terms]
-            )
-            if scale == 0:
-                continue
-            worst = max(worst, abs(lhs[comp] - rhs) / scale)
-    return worst
+    return _recurrence_residuals(ws, idx, [(k, l, False)], zs)[k, l, False]
 
 
 # ---------------------------------------------------------------------------

@@ -64,6 +64,14 @@ def mpf_to_fraction(x) -> Fraction:
     return Fraction(int(num), int(den))
 
 
+def gaussian_moment(ws, k, l, j):
+    """int x^j w_{1,k}(x) w_{2,l}(x) dx, 0-based k, l, read from the moment
+    table the solves use (test oracle helper)."""
+    from hbl.mop import _moment_table
+
+    return _moment_table(ws, k, l, j, mp.prec)[j]
+
+
 def moment_system(ws, idx, norm):
     """Unscaled square MOP system at |n| = |m| + 1, built entry by entry
     from gaussian_moment (test oracle helper).
@@ -73,8 +81,6 @@ def moment_system(ws, idx, norm):
     leading coefficient of A_k equal to 1 for ("II", k), the moment against
     x^{m_l} w_{2,l} equal to 1 for ("I", l).
     """
-    from hbl.mop import gaussian_moment
-
     def moment_row(l, j):
         return [
             gaussian_moment(ws, k, l, i + j)

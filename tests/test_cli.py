@@ -7,6 +7,8 @@ from mpmath import mpf
 
 from hbl.cli import load_config, main
 
+from conftest import count_solves
+
 
 @pytest.fixture()
 def large_sep_config_file(tmp_path):
@@ -230,6 +232,45 @@ def test_odd_density_inputs_exit_cleanly(
     lines = capsys.readouterr().err.splitlines()
     assert len(lines) == 1 and json.loads(lines[0])["error"] == error
     assert not (out / "density.csv").exists()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["geometry", "--config", "large", "--t", "0.4", "--samples", "1"],
+        ["painleve", "--stride", "0"],
+        ["coefficients", "--config", "large", "--n", "2,x", "--m", "2,2", "--t", "0.4"],
+        ["scaling", "--config", "large", "--t", "0.4", "--n-list", "8,x"],
+        ["painleve", "--s-lo", "x"],
+        ["scaling", "--config", "critical", "--t", "0.33", "--L", "x"],
+    ],
+    ids=["samples-1", "stride-0", "n-2x", "n-list-8x", "s-lo-x", "L-x"],
+)
+def test_odd_inputs_exit_with_usage_error(
+    large_sep_config_file, critical_config_file, tmp_path, capsys, argv
+):
+    configs = {"large": str(large_sep_config_file), "critical": str(critical_config_file)}
+    argv = ["--out", str(tmp_path / "art")] + [configs.get(v, v) for v in argv]
+    assert main(argv) == 64
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and json.loads(lines[0])["error"] == "usage"
+
+
+def test_identities_factors_each_base_pair_once(
+    large_sep_config_file, tmp_path, monkeypatch
+):
+    # 21 base pairs of the weight system (the expansion at n, the four at
+    # n + e_k, m + e_l, and 16 for the recurrence vectors they do not hold)
+    # plus the swapped system's expansion
+    from hbl import rh
+
+    rh._expansion_cached.cache_clear()
+    calls = count_solves(monkeypatch)
+    argv = ["--out", str(tmp_path / "art"), "identities"]
+    argv += ["--config", str(large_sep_config_file)]
+    argv += ["--n", "3,3", "--m", "3,3", "--t", "0.4"]
+    assert main(argv) == 0
+    assert len(calls) == 22
 
 
 def test_scaling_dispatches_by_regime(critical_config_file, tmp_path):

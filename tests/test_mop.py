@@ -10,7 +10,7 @@ from hbl import mop
 from hbl.errors import InvalidIndex, NormalizationImpossible
 from hbl.mop import MultiIndexPair, WeightSystem
 
-from conftest import count_solves, moment_system, mpf_to_fraction
+from conftest import count_solves, gaussian_moment, moment_system, mpf_to_fraction
 
 
 @pytest.fixture(scope="module")
@@ -31,7 +31,7 @@ def test_moment_j0_is_gaussian_integral():
     # a_k = b_l = 0 makes the product weight a centered Gaussian
     ws0 = WeightSystem(a=("0", "-1"), b=("0", "-1"), t=mpf(1) / 2, N=3)
     gamma = ws0.gamma
-    assert abs(mop.gaussian_moment(ws0, 0, 0, 0) - mp.sqrt(mp.pi / gamma)) < mpf("1e-70")
+    assert abs(gaussian_moment(ws0, 0, 0, 0) - mp.sqrt(mp.pi / gamma)) < mpf("1e-70")
 
 
 def test_product_weight_closed_form_pointwise(ws):
@@ -47,14 +47,14 @@ def test_product_weight_closed_form_pointwise(ws):
 
 
 def test_moment_j1_is_mean(ws):
-    m0 = mop.gaussian_moment(ws, 0, 1, 0)
-    m1 = mop.gaussian_moment(ws, 0, 1, 1)
+    m0 = gaussian_moment(ws, 0, 1, 0)
+    m1 = gaussian_moment(ws, 0, 1, 1)
     assert abs(m1 - ws.mu(0, 1) * m0) < mpf("1e-70") * abs(m1)
 
 
 @pytest.mark.parametrize("k,l,j", [(1, 0, 6), (0, 0, 13), (1, 1, 20)])
 def test_moment_vs_quadrature_oracle(ws, k, l, j):
-    rec = mop.gaussian_moment(ws, k, l, j)
+    rec = gaussian_moment(ws, k, l, j)
     quad = mp.quad(lambda x: x**j * ws.w1(k, x) * ws.w2(l, x), [-mp.inf, 0, mp.inf])
     assert abs(rec - quad) <= mpf("1e-20") * abs(rec)
 
@@ -70,7 +70,7 @@ def test_moment_vs_quadrature_random_configs():
         )
         j = rng.randint(0, 20)
         k, l = rng.randint(0, 1), rng.randint(0, 1)
-        rec = mop.gaussian_moment(wsr, k, l, j)
+        rec = gaussian_moment(wsr, k, l, j)
         quad = mp.quad(
             lambda x: x**j * wsr.w1(k, x) * wsr.w2(l, x), [-mp.inf, 0, mp.inf]
         )
@@ -109,7 +109,7 @@ def test_solve_against_exact_rational_oracle(ws):
     idx = MultiIndexPair((2, 1), (1, 1))
     sol = mop.solve_mop(ws, idx, ("II", 0))
     tabs = {
-        (k, l): [mpf_to_fraction(mop.gaussian_moment(ws, k, l, j)) for j in range(4)]
+        (k, l): [mpf_to_fraction(gaussian_moment(ws, k, l, j)) for j in range(4)]
         for k in range(2)
         for l in range(2)
     }
@@ -238,6 +238,40 @@ def test_shifted_solutions_escalate_together(ws, monkeypatch):
     assert len(calls) > 1 and calls[0] == (48, 128)
     assert all(resid <= mpf(2) ** (-32) for resid in resids)
     assert rows[0].coeffs[0][-1] == 1 and rows[1].coeffs[1][-1] == 1
+
+
+def test_solve_batch_one_lu_per_base_pair(ws, monkeypatch):
+    # four requests around the ill-conditioned G(24, 24) share each LU of
+    # it; around G(2, 2) the 128-bit solve of the last request is spoiled,
+    # so only the orthogonality check of that vector can send its group
+    # to doubled precision
+    from hbl import numerics as nu
+
+    calls = count_solves(monkeypatch)
+    counted = nu.solve_linear
+
+    def spoiling(a, b):
+        xs = counted(a, b)
+        if a.rows == 4 and mp.prec == 128:
+            xs[-1][0] += max(abs(v) for v in xs[-1]) / 2**10
+        return xs
+
+    monkeypatch.setattr(nu, "solve_linear", spoiling)
+    big, small = MultiIndexPair((24, 24), (24, 24)), MultiIndexPair((2, 2), (2, 2))
+    requests = [(big.shift_n(k), ("II", k)) for k in range(2)]
+    requests += [(big.shift_m(l, -1), ("I", l)) for l in range(2)]
+    requests += [(small.shift_n(0), ("II", 0)), (small.shift_m(1, -1), ("I", 1))]
+    nu.set_precision(128)
+    try:
+        sols = mop.solve_batch(ws, requests + requests[:1])
+        resids = [mop.check_orthogonality(sol, ws, sol.idx) for sol in sols.values()]
+    finally:
+        nu.set_precision(nu.DEFAULT_PRECISION_BITS)
+    assert set(sols) == set(requests)
+    assert all((sol.idx, sol.norm) == key for key, sol in sols.items())
+    assert calls.count((48, 128)) == 1
+    assert [c for c in calls if c[0] == 4] == [(4, 128), (4, 256)]
+    assert all(resid <= mpf(2) ** (-32) for resid in resids)
 
 
 # ---------------------------------------------------------------------------

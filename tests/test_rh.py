@@ -194,6 +194,14 @@ def test_backward_recurrence(ws, idx22):
     assert rh.verify_backward_recurrence(ws, idx22, 1, 1, ZS) < mpf("1e-20")
 
 
+def test_recurrence_batch_matches_single_checks(ws, idx22):
+    batch = rh.verify_recurrences(ws, idx22, ZS)
+    assert sorted(batch) == [(0, 0), (0, 1), (1, 0), (1, 1)]
+    for (k, l), (forward, backward) in batch.items():
+        assert forward == rh.verify_five_term_recurrence(ws, idx22, k, l, ZS)
+        assert backward == rh.verify_backward_recurrence(ws, idx22, k, l, ZS)
+
+
 def test_five_term_on_rational_oracle_solutions(ws, idx22, exp22):
     # independent route: recompute every participating MOP with exact
     # Fraction arithmetic on the (exactly converted) moment matrices, then
