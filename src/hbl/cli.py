@@ -494,7 +494,9 @@ def _check_options(ns) -> None:
             f"--precision must be at least {nu.MIN_PRECISION_BITS} bits, "
             f"got {ns.precision}"
         )
-    for option, least in (("points", 2), ("samples", 2), ("stride", 1)):
+    for option, least in (
+        ("points", 2), ("samples", 2), ("raster", 2), ("stride", 1)
+    ):
         value = getattr(ns, option, least)
         if value < least:
             raise UsageError(f"--{option} must be at least {least}, got {value}")

@@ -185,12 +185,7 @@ def _pair_jmax(idx: MultiIndexPair) -> int:
     return max(idx.n) + max(idx.m, default=0) + 2
 
 
-def _solve_rows(
-    ws: WeightSystem,
-    idx: MultiIndexPair,
-    tags: list,
-    max_precision: int = MAX_ESCALATED_PRECISION,
-) -> tuple:
+def _solve_rows(ws: WeightSystem, idx: MultiIndexPair, tags: list) -> tuple:
     """MOP rows and columns of G^{-1} around a pair with |n| = |m|, all
     from one LU of G(n, m); returns them with the bits they settled at.
 
@@ -205,12 +200,12 @@ def _solve_rows(
     Gaussian weights make every index pair normal, so a singular G or a
     MOP row that misses its orthogonality residual signals precision
     exhaustion: the whole factorization is redone at doubled precision up
-    to ``max_precision``.  A start above ``max_precision`` is still tried
-    once.  Columns of G^{-1} escalate only on a singular G; their accuracy
-    is checked by the caller (kernel.correlation_kernel).
+    to MAX_ESCALATED_PRECISION.  A start above it is still tried once.
+    Columns of G^{-1} escalate only on a singular G; their accuracy is
+    checked by the caller (kernel.correlation_kernel).
     """
     prec = mp.prec
-    ceiling = max(max_precision, prec)
+    ceiling = max(MAX_ESCALATED_PRECISION, prec)
     last_error: Optional[Exception] = None
     while prec <= ceiling:
         with mp.workprec(prec):
@@ -301,11 +296,7 @@ def _base_pair(ws: WeightSystem, idx: MultiIndexPair, norm: NormTag) -> MultiInd
     return idx.shift_m(pos)
 
 
-def solve_batch(
-    ws: WeightSystem,
-    requests,
-    max_precision: int = MAX_ESCALATED_PRECISION,
-) -> dict:
+def solve_batch(ws: WeightSystem, requests) -> dict:
     """{(idx, norm): MopSolution} for MOP vectors at |n| = |m| + 1.
 
     Requests that share a base pair (see _base_pair) are right-hand sides
@@ -317,20 +308,15 @@ def solve_batch(
         groups.setdefault(_base_pair(ws, idx, norm), {})[norm] = None
     out = {}
     for base, tags in groups.items():
-        for sol in _solve_rows(ws, base, list(tags), max_precision)[0]:
+        for sol in _solve_rows(ws, base, list(tags))[0]:
             out[sol.idx, sol.norm] = sol
     return out
 
 
-def solve_mop(
-    ws: WeightSystem,
-    idx: MultiIndexPair,
-    norm: NormTag,
-    max_precision: int = MAX_ESCALATED_PRECISION,
-) -> MopSolution:
+def solve_mop(ws: WeightSystem, idx: MultiIndexPair, norm: NormTag) -> MopSolution:
     """The MOP vector at |n| = |m| + 1 under the given tag: the
     one-request case of solve_batch."""
-    return solve_batch(ws, [(idx, norm)], max_precision)[idx, norm]
+    return solve_batch(ws, [(idx, norm)])[idx, norm]
 
 
 def _moments(sol: MopSolution, ws: WeightSystem, k: int, l: int, top: int) -> tuple:

@@ -238,13 +238,15 @@ def test_odd_density_inputs_exit_cleanly(
     "argv",
     [
         ["geometry", "--config", "large", "--t", "0.4", "--samples", "1"],
+        ["phase-diagram", "--config", "large", "--samples", "1"],
+        ["phase-diagram", "--config", "large", "--raster", "0"],
         ["painleve", "--stride", "0"],
         ["coefficients", "--config", "large", "--n", "2,x", "--m", "2,2", "--t", "0.4"],
         ["scaling", "--config", "large", "--t", "0.4", "--n-list", "8,x"],
         ["painleve", "--s-lo", "x"],
         ["scaling", "--config", "critical", "--t", "0.33", "--L", "x"],
     ],
-    ids=["samples-1", "stride-0", "n-2x", "n-list-8x", "s-lo-x", "L-x"],
+    ids=["samples-1", "phase-samples-1", "raster-0", "stride-0", "n-2x", "n-list-8x", "s-lo-x", "L-x"],
 )
 def test_odd_inputs_exit_with_usage_error(
     large_sep_config_file, critical_config_file, tmp_path, capsys, argv

@@ -1,12 +1,14 @@
 """Y1/Y2 data, transfer matrices, recurrences, Lax pair, spectral curve."""
 
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 from mpmath import mp, mpf, mpc
 
 from hbl import kernel as kn
+from hbl import mop
 from hbl import numerics as nu
 from hbl import rh
 from hbl.errors import BranchCollision, InvalidIndex
@@ -194,12 +196,22 @@ def test_backward_recurrence(ws, idx22):
     assert rh.verify_backward_recurrence(ws, idx22, 1, 1, ZS) < mpf("1e-20")
 
 
-def test_recurrence_batch_matches_single_checks(ws, idx22):
+def test_recurrence_batch_matches_single_checks(ws, idx22, monkeypatch):
     batch = rh.verify_recurrences(ws, idx22, ZS)
     assert sorted(batch) == [(0, 0), (0, 1), (1, 0), (1, 1)]
     for (k, l), (forward, backward) in batch.items():
         assert forward == rh.verify_five_term_recurrence(ws, idx22, k, l, ZS)
         assert backward == rh.verify_backward_recurrence(ws, idx22, k, l, ZS)
+    # independent route: no expansion row reused, every vector from its own
+    # solve_mop; the residuals must not move by a bit
+    expansion = rh.assemble_rh_expansion
+    monkeypatch.setattr(
+        rh, "assemble_rh_expansion", lambda ws, idx: replace(expansion(ws, idx), rows=())
+    )
+    monkeypatch.setattr(
+        rh, "solve_batch", lambda ws, reqs: {r: mop.solve_mop(ws, *r) for r in reqs}
+    )
+    assert rh.verify_recurrences(ws, idx22, ZS) == batch
 
 
 def test_five_term_on_rational_oracle_solutions(ws, idx22, exp22):
