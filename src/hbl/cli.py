@@ -18,7 +18,7 @@ from mpmath import mp, mpf, mpc
 
 from . import __version__
 from . import numerics as nu
-from .errors import HblError, InvalidConfig, UnsupportedFractions, UsageError
+from .errors import HblError, InvalidConfig, UsageError
 from .model import (
     BrownianConfig,
     Regime,
@@ -147,10 +147,6 @@ def _parse_t(ns) -> mpf:
     return t
 
 
-def _weight_system(cfg: BrownianConfig, t, size: int) -> WeightSystem:
-    return WeightSystem.from_config(cfg, t, size)
-
-
 def cmd_classify(cfg: BrownianConfig, ns, out: Path) -> int:
     rep = classify_separation(cfg)
     payload = {
@@ -188,7 +184,7 @@ def cmd_geometry(cfg: BrownianConfig, ns, out: Path) -> int:
 def cmd_coefficients(cfg: BrownianConfig, ns, out: Path) -> int:
     idx = _parse_index(ns)
     t = _parse_t(ns)
-    ws = _weight_system(cfg, t, idx.size_n)
+    ws = WeightSystem.from_config(cfg, t, idx.size_n)
     exp = rh.assemble_rh_expansion(ws, idx)
     H = rh.recurrence_matrix_H(exp)
     size = exp.p + exp.q
@@ -219,7 +215,7 @@ def cmd_coefficients(cfg: BrownianConfig, ns, out: Path) -> int:
 def cmd_identities(cfg: BrownianConfig, ns, out: Path) -> int:
     idx = _parse_index(ns)
     t = _parse_t(ns)
-    ws = _weight_system(cfg, t, idx.size_n)
+    ws = WeightSystem.from_config(cfg, t, idx.size_n)
     exp = rh.assemble_rh_expansion(ws, idx)
     tol = mpf(10) ** ns.tol_exponent
     checks = []
@@ -276,7 +272,7 @@ def cmd_identities(cfg: BrownianConfig, ns, out: Path) -> int:
 def cmd_density(cfg: BrownianConfig, ns, out: Path) -> int:
     idx = _parse_index(ns)
     t = _parse_t(ns)
-    ws = _weight_system(cfg, t, idx.size_n)
+    ws = WeightSystem.from_config(cfg, t, idx.size_n)
     grid = kernel.default_grid(cfg, t, points=ns.points)
     prof = kernel.density_profile(ws, idx, cfg, t, grid=grid)
     rows = [
@@ -341,7 +337,6 @@ def cmd_scaling(cfg: BrownianConfig, ns, out: Path) -> int:
         study = scaling.double_scaling_study(cfg, L, t, n_list)
         meta.update({"L": _fmt(L), "K": _fmt(study.K), "s": _fmt(study.s),
                      "q_of_s": _fmt(study.q_of_s)})
-        rows = [r.as_dict() for r in study.rows]
     elif rep.regime is Regime.SMALL:
         study = scaling.small_separation_study(cfg, t, n_list)
         meta.update(
@@ -352,7 +347,6 @@ def cmd_scaling(cfg: BrownianConfig, ns, out: Path) -> int:
                 "order_c14c41": repr(study.order_c14c41),
             }
         )
-        rows = [r.as_dict() for r in study.rows]
     else:
         study = scaling.large_separation_decay(cfg, t, n_list)
         meta.update(
@@ -363,7 +357,7 @@ def cmd_scaling(cfg: BrownianConfig, ns, out: Path) -> int:
                 "r_squared_c14c41": repr(study.fit_c14c41.r_squared),
             }
         )
-        rows = [r.as_dict() for r in study.rows]
+    rows = [r.as_dict() for r in study.rows]
     header = list(rows[0].keys())
     write_csv(out / "scaling.csv", header, ([r[h] for h in header] for r in rows), meta)
     write_json(out / "scaling.json", {**meta, "rows": rows})
@@ -374,7 +368,7 @@ def cmd_scaling(cfg: BrownianConfig, ns, out: Path) -> int:
 def cmd_spectral(cfg: BrownianConfig, ns, out: Path) -> int:
     idx = _parse_index(ns)
     t = _parse_t(ns)
-    ws = _weight_system(cfg, t, idx.size_n)
+    ws = WeightSystem.from_config(cfg, t, idx.size_n)
     exp = rh.assemble_rh_expansion(ws, idx)
     report = rh.spectral_curve(exp)
     payload = _metadata(cfg)
@@ -407,10 +401,7 @@ def cmd_phase_diagram(cfg: BrownianConfig, ns, out: Path) -> int:
     curve_rows = []
     for i in range(1, samples):
         t = mpf(i) / samples
-        try:
-            curve_rows.append((_fmt(t), _fmt(phase_boundary(cfg, t))))
-        except UnsupportedFractions:
-            raise
+        curve_rows.append((_fmt(t), _fmt(phase_boundary(cfg, t))))
     raster_rows = []
     t_crit = classify_separation(cfg).t_crit
     for i in range(1, ns.raster):

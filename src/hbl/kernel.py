@@ -1,5 +1,5 @@
-"""Full RH matrix Y(z), closed-form Cauchy transforms, correlation kernel
-and particle-density profiles.
+"""Full RH matrix Y(z) from the rows of an RH expansion, closed-form Cauchy
+transforms, correlation kernel and particle-density profiles.
 
 Every Cauchy column entry of Y is a finite combination of Faddeeva values:
 for a polynomial-times-Gaussian integrand the substitution
@@ -32,7 +32,6 @@ from .mop import (
     MultiIndexPair,
     WeightSystem,
     bimoment_inverse,
-    shifted_solutions,
 )
 
 TWO_PI_I = 2j * mp.pi
@@ -128,41 +127,37 @@ def cauchy_transform(pg: PolyGaussian, z, w_value=None):
 # ---------------------------------------------------------------------------
 
 class YEvaluator:
-    """Evaluates Y(z) for an index pair with |n| = |m|.
+    """Evaluates Y(z) from the p + q rows of an RhExpansion (which holds
+    them only at |n| = |m|).
 
-    The p + q multiple-orthogonal rows come from one factorization at
-    construction; each evaluation costs one Faddeeva value per product
-    weight.
+    It makes no solve of its own; each evaluation costs one Faddeeva value
+    per product weight.
     """
 
-    def __init__(self, ws: WeightSystem, idx: MultiIndexPair):
-        if idx.size_n != idx.size_m:
-            raise ValueError("Y(z) needs |n| = |m|")
-        self.ws = ws
-        self.idx = idx
-        self.rows = shifted_solutions(ws, idx)
+    def __init__(self, exp):
+        self.ws = ws = exp.ws
+        self.rows = exp.rows
         self.size = ws.p + ws.q
-        gamma = ws.gamma
-        # Per (row, l): the list of PolyGaussians whose transforms sum to
+        # Per (row, l): the (k, PolyGaussian) pairs whose transforms sum to
         # the (row, p+l) entry before the D factor.
         self._pgs: dict = {}
         for i, sol in enumerate(self.rows):
             if sol is None:
                 continue
             for l in range(ws.q):
-                parts = []
-                for k in range(ws.p):
-                    if not sol.coeffs[k]:
-                        continue
-                    parts.append(
+                self._pgs[(i, l)] = [
+                    (
+                        k,
                         PolyGaussian(
                             coeffs=sol.coeffs[k],
-                            gamma=gamma,
+                            gamma=ws.gamma,
                             mu=ws.mu(k, l),
                             log_scale=ws.log_scale(k, l),
-                        )
+                        ),
                     )
-                self._pgs[(i, l)] = parts
+                    for k in range(ws.p)
+                    if sol.coeffs[k]
+                ]
 
     def _d_factor(self, i: int):
         return mpf(1) if i < self.ws.p else -TWO_PI_I
@@ -191,15 +186,11 @@ class YEvaluator:
                 Y[i, j] = d * sol.eval_A(j, z)
             for l in range(q):
                 acc = mpc(0)
-                for pg, k in zip(self._pgs[(i, l)], _nonempty_ks(sol)):
+                for k, pg in self._pgs[(i, l)]:
                     res = cauchy_transform(pg, zz, w_value=wmap[(k, l)])
                     acc += -mp.conj(res) if use_conj else res
                 Y[i, p + l] = d * acc
         return Y
-
-
-def _nonempty_ks(sol) -> list:
-    return [k for k in range(len(sol.coeffs)) if sol.coeffs[k]]
 
 
 def _reflect_matrix(ev: YEvaluator, mat: matrix):
@@ -221,31 +212,6 @@ def _reflect_matrix(ev: YEvaluator, mat: matrix):
                 continue
             pre = mat[i, p + l] / d
             out[i, p + l] = d * (-mp.conj(pre))
-    return out
-
-
-@lru_cache(maxsize=64)
-def _evaluator(ws: WeightSystem, idx: MultiIndexPair, prec: int) -> YEvaluator:
-    return YEvaluator(ws, idx)
-
-
-def y_evaluator(ws: WeightSystem, idx: MultiIndexPair) -> YEvaluator:
-    return _evaluator(ws, idx, mp.prec)
-
-
-def assemble_Y(ws: WeightSystem, idx: MultiIndexPair, z, boundary: str = "above"):
-    """The (p+q) x (p+q) RH matrix Y(z)."""
-    return y_evaluator(ws, idx).value(z, boundary=boundary)
-
-
-def jump_matrix(ws: WeightSystem, x) -> matrix:
-    """[[I, W(x)], [0, I]] with the rank-one block W = w1 w2^T."""
-    p, q = ws.p, ws.q
-    out = nu.identity(p + q)
-    for k in range(p):
-        w1 = ws.w1(k, x)
-        for l in range(q):
-            out[k, p + l] = w1 * ws.w2(l, x)
     return out
 
 

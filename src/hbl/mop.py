@@ -203,6 +203,12 @@ def _solve_rows(ws: WeightSystem, idx: MultiIndexPair, tags: list) -> tuple:
     to MAX_ESCALATED_PRECISION.  A start above it is still tried once.
     Columns of G^{-1} escalate only on a singular G; their accuracy is
     checked by the caller (kernel.correlation_kernel).
+
+    The orthogonality residual has not been seen to fire: LU with partial
+    pivoting is backward stable, so it stays near 2^-125 at 128 bits however
+    inaccurate the row is, and every escalation probed came from
+    SingularMatrix.  ROADMAP item 1 (certified Y1/Y2) replaces it with a
+    forward-error certificate, the scalar-product residual of the expansion.
     """
     prec = mp.prec
     ceiling = max(MAX_ESCALATED_PRECISION, prec)

@@ -24,7 +24,7 @@ from .errors import (
     OnContour,
     ZeroDenominator,
 )
-from .kernel import y_evaluator
+from .kernel import YEvaluator
 from .mop import (
     MopSolution,
     MultiIndexPair,
@@ -116,6 +116,22 @@ def assemble_rh_expansion(ws: WeightSystem, idx: MultiIndexPair) -> RhExpansion:
     """Y1 and Y2 from the p+q shifted MOP rows, one factorization (cached
     per precision)."""
     return _expansion_cached(ws, idx, mp.prec)
+
+
+def assemble_Y(ws: WeightSystem, idx: MultiIndexPair, z, boundary: str = "above"):
+    """The (p+q) x (p+q) RH matrix Y(z), from the rows of the cached expansion."""
+    return YEvaluator(assemble_rh_expansion(ws, idx)).value(z, boundary=boundary)
+
+
+def jump_matrix(ws: WeightSystem, x) -> matrix:
+    """[[I, W(x)], [0, I]] with the rank-one block W = w1 w2^T."""
+    p, q = ws.p, ws.q
+    out = nu.identity(p + q)
+    for k in range(p):
+        w1 = ws.w1(k, x)
+        for l in range(q):
+            out[k, p + l] = w1 * ws.w2(l, x)
+    return out
 
 
 def recurrence_matrix_H(exp: RhExpansion) -> matrix:
@@ -274,11 +290,10 @@ def _recurrence_residual(lhs_sol, main_sol, shift, terms, zs) -> mpf:
     return worst
 
 
-def _recurrence_residuals(
-    ws: WeightSystem, idx: MultiIndexPair, checks: Sequence, zs: Sequence
-) -> dict:
-    """Residuals of the recurrences in ``checks``, keyed by their (k, l,
-    forward) triples.
+def verify_recurrences(ws: WeightSystem, idx: MultiIndexPair, zs: Sequence) -> dict:
+    """{(k, l): (forward, backward)} residuals of every recurrence at idx
+    and the points zs: the forward p+q+1 term recurrence in the type (II,k)
+    normalization, the backward one in the type (I,l) normalization.
 
     The rows that the expansions at idx and idx + e_k + e_l already hold
     (main and left-side vectors) are reused; every other vector comes from
@@ -286,14 +301,14 @@ def _recurrence_residuals(
     shift would push a component negative.
     """
     p = ws.p
-    specs = [
-        (_forward_requests if forward else _backward_requests)(ws, idx, k, l)
-        for k, l, forward in checks
-    ]
+    pairs = [(k, l) for k in range(p) for l in range(ws.q)]
+    specs = {
+        (k, l): (_forward_requests(ws, idx, k, l), _backward_requests(ws, idx, k, l))
+        for k, l in pairs
+    }
     exp = assemble_rh_expansion(ws, idx)
     shifted = {
-        (k, l): assemble_rh_expansion(ws, idx.shift_n(k).shift_m(l))
-        for k, l, _ in checks
+        (k, l): assemble_rh_expansion(ws, idx.shift_n(k).shift_m(l)) for k, l in pairs
     }
     held = {
         (sol.idx, sol.norm): sol
@@ -303,54 +318,32 @@ def _recurrence_residuals(
     }
     wanted = [
         req
-        for lhs, main, off in specs
+        for spec in specs.values()
+        for lhs, main, off in spec
         for req in (lhs, main, *(r for _, r in off))
         if req not in held
     ]
     sols = {**held, **solve_batch(ws, wanted)}
     out = {}
-    for (k, l, forward), (lhs, main, off) in zip(checks, specs):
-        if forward:
-            shift = -diagonal_recurrence(exp, k, l).via_lax
-            terms = [(exp.product(k + 1, j + 1), sols[r]) for j, r in off]
-        else:
-            exp_sh = shifted[k, l]
-            shift = exp.Y1[p + l, p + l] - exp_sh.Y1[p + l, p + l]
-            terms = [
-                (exp_sh.Y1[p + l, j] * exp_sh.Y1[j, p + l], sols[r]) for j, r in off
-            ]
-        out[k, l, forward] = _recurrence_residual(
-            sols[lhs], sols[main], shift, terms, zs
+    for k, l in pairs:
+        (f_lhs, f_main, f_off), (b_lhs, b_main, b_off) = specs[k, l]
+        exp_sh = shifted[k, l]
+        forward = _recurrence_residual(
+            sols[f_lhs],
+            sols[f_main],
+            -diagonal_recurrence(exp, k, l).via_lax,
+            [(exp.product(k + 1, j + 1), sols[r]) for j, r in f_off],
+            zs,
         )
+        backward = _recurrence_residual(
+            sols[b_lhs],
+            sols[b_main],
+            exp.Y1[p + l, p + l] - exp_sh.Y1[p + l, p + l],
+            [(exp_sh.Y1[p + l, j] * exp_sh.Y1[j, p + l], sols[r]) for j, r in b_off],
+            zs,
+        )
+        out[k, l] = (forward, backward)
     return out
-
-
-def verify_recurrences(ws: WeightSystem, idx: MultiIndexPair, zs: Sequence) -> dict:
-    """{(k, l): (forward, backward)} residuals of every recurrence at idx,
-    all vectors from one batch (see _recurrence_residuals)."""
-    checks = [
-        (k, l, forward)
-        for k in range(ws.p)
-        for l in range(ws.q)
-        for forward in (True, False)
-    ]
-    res = _recurrence_residuals(ws, idx, checks, zs)
-    return {(k, l): (res[k, l, True], res[k, l, False]) for k, l, _ in checks}
-
-
-def verify_five_term_recurrence(
-    ws: WeightSystem, idx: MultiIndexPair, k: int, l: int, zs: Sequence
-) -> mpf:
-    """Residual of the forward p+q+1 term recurrence at the points zs,
-    all vectors in the type (II,k) normalization."""
-    return _recurrence_residuals(ws, idx, [(k, l, True)], zs)[k, l, True]
-
-
-def verify_backward_recurrence(
-    ws: WeightSystem, idx: MultiIndexPair, k: int, l: int, zs: Sequence
-) -> mpf:
-    """Residual of the backward recurrence (type (I,l) normalization)."""
-    return _recurrence_residuals(ws, idx, [(k, l, False)], zs)[k, l, False]
 
 
 # ---------------------------------------------------------------------------
@@ -407,8 +400,8 @@ def verify_lax_ode(ws: WeightSystem, idx: MultiIndexPair, z, fd_step=None):
         raise OnContour("the Lax ODE check requires Im z != 0")
     p, q = ws.p, ws.q
     size = p + q
-    ev = y_evaluator(ws, idx)
     exp = assemble_rh_expansion(ws, idx)
+    ev = YEvaluator(exp)
     Y = ev.value(z)
     if fd_step is None:
         fd_step = mpf(10) ** (-(mp.prec // 24))

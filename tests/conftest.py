@@ -122,15 +122,15 @@ def rh_kernel_oracle(ws, idx, x, y=None, extra_bits=64):
     Everything runs with ``extra_bits`` guard bits; the result is rounded to
     working precision and keeps its (rounding-size) imaginary part.
     """
-    from hbl.kernel import y_evaluator
-    from hbl.rh import _FD8_OFFSETS, _FD8_WEIGHTS
+    from hbl.kernel import YEvaluator
+    from hbl.rh import _FD8_OFFSETS, _FD8_WEIGHTS, assemble_rh_expansion
 
     p, q = ws.p, ws.q
     x = nu.to_ext(x)
     confluent = y is None or y == x
     y = x if y is None else nu.to_ext(y)
     with mp.workprec(mp.prec + extra_bits):
-        ev = y_evaluator(ws, idx)
+        ev = YEvaluator(assemble_rh_expansion(ws, idx))
         if confluent:
             h = mpf(2) ** (-(mp.prec // 8))
             dY = sum(

@@ -70,11 +70,10 @@ def test_criterion_02_five_term_recurrences():
         idx = MultiIndexPair(comps, comps)
         ws = WeightSystem.from_config(cfg, mpf(1) / 3, idx.size_n)
         exp = rh.assemble_rh_expansion(ws, idx)
+        res = rh.verify_recurrences(ws, idx, zs)
         for k in range(2):
             for l in range(2):
-                worst_rec = max(
-                    worst_rec, rh.verify_five_term_recurrence(ws, idx, k, l, zs)
-                )
+                worst_rec = max(worst_rec, res[k, l][0])
                 worst_diag = max(
                     worst_diag, rh.diagonal_recurrence(exp, k, l).disagreement
                 )
@@ -337,13 +336,13 @@ def test_criterion_11_kernel_plumbing():
     worst_jump = mpf(0)
     for x in ("-1.2", "0", "0.9"):
         x = mpf(x)
-        Yp = kn.assemble_Y(ws, idx, x, boundary="above")
-        Ym = kn.assemble_Y(ws, idx, x, boundary="below")
-        J = kn.jump_matrix(ws, x)
+        Yp = rh.assemble_Y(ws, idx, x, boundary="above")
+        Ym = rh.assemble_Y(ws, idx, x, boundary="below")
+        J = rh.jump_matrix(ws, x)
         worst_jump = max(
             worst_jump, nu.max_abs(Yp * mp.inverse(J) * mp.inverse(Ym) - nu.identity(4))
         )
-    det_err = abs(nu.lu_det(kn.assemble_Y(ws, idx, mpc(1, 1))) - 1)
+    det_err = abs(nu.lu_det(rh.assemble_Y(ws, idx, mpc(1, 1))) - 1)
     ok = worst_ct <= mpf("1e-18") and worst_jump <= mpf("1e-15") and det_err <= mpf("1e-18")
     _report(11, ok, f"cauchy vs quadrature {mp.nstr(worst_ct, 3)} (1e-18), "
                     f"jump {mp.nstr(worst_jump, 3)} (1e-15), "

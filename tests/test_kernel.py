@@ -7,6 +7,7 @@ from mpmath import mp, mpf, mpc
 
 from hbl import kernel as kn
 from hbl import numerics as nu
+from hbl import rh
 from hbl.errors import NormalizationImpossible, WrongRegime
 from hbl.model import BrownianConfig, ellipse_endpoints
 from hbl.mop import MultiIndexPair, WeightSystem
@@ -81,9 +82,9 @@ def test_cauchy_schwarz_reflection():
 # ---------------------------------------------------------------------------
 
 def test_jump_relation_at_origin(ws4, idx22):
-    Yp = kn.assemble_Y(ws4, idx22, mpf(0), boundary="above")
-    Ym = kn.assemble_Y(ws4, idx22, mpf(0), boundary="below")
-    J = kn.jump_matrix(ws4, mpf(0))
+    Yp = rh.assemble_Y(ws4, idx22, mpf(0), boundary="above")
+    Ym = rh.assemble_Y(ws4, idx22, mpf(0), boundary="below")
+    J = rh.jump_matrix(ws4, mpf(0))
     resid = Yp * mp.inverse(J) * mp.inverse(Ym) - nu.identity(4)
     assert nu.max_abs(resid) < mpf("1e-15")
 
@@ -91,9 +92,9 @@ def test_jump_relation_at_origin(ws4, idx22):
 def test_jump_relation_five_real_points(ws4, idx22):
     for x in ("-1.5", "-0.4", "0.1", "0.8", "1.6"):
         x = mpf(x)
-        Yp = kn.assemble_Y(ws4, idx22, x, boundary="above")
-        Ym = kn.assemble_Y(ws4, idx22, x, boundary="below")
-        J = kn.jump_matrix(ws4, x)
+        Yp = rh.assemble_Y(ws4, idx22, x, boundary="above")
+        Ym = rh.assemble_Y(ws4, idx22, x, boundary="below")
+        J = rh.jump_matrix(ws4, x)
         resid = Yp * mp.inverse(J) * mp.inverse(Ym) - nu.identity(4)
         assert nu.max_abs(resid) < mpf("1e-15")
 
@@ -102,23 +103,23 @@ def test_det_y_is_one(ws4, idx22):
     rng = random.Random(13)
     for _ in range(10):
         z = mpc(rng.uniform(-2, 2), rng.choice([-1, 1]) * rng.uniform(0.2, 2))
-        d = nu.lu_det(kn.assemble_Y(ws4, idx22, z))
+        d = nu.lu_det(rh.assemble_Y(ws4, idx22, z))
         assert abs(d - 1) < mpf("1e-20")
 
 
 def test_det_y_cross_checked_at_doubled_precision(ws4, idx22):
     z = mpc(1, 1)
     with mp.workprec(256):
-        d256 = nu.lu_det(kn.YEvaluator(ws4, idx22).value(z))
+        d256 = nu.lu_det(kn.YEvaluator(rh.assemble_rh_expansion(ws4, idx22)).value(z))
     with mp.workprec(512):
-        d512 = nu.lu_det(kn.YEvaluator(ws4, idx22).value(z))
+        d512 = nu.lu_det(kn.YEvaluator(rh.assemble_rh_expansion(ws4, idx22)).value(z))
     assert abs(d256 - 1) < mpf("1e-18")
     assert abs(d512 - 1) < mpf(2) ** (-320)
 
 
 def test_y_asymptotic_normalization(ws4, idx22):
     z = mpc("1e6", "1e6")
-    Y = kn.assemble_Y(ws4, idx22, z)
+    Y = rh.assemble_Y(ws4, idx22, z)
     scaled = mp.matrix(4, 4)
     powers = [-2, -2, 2, 2]
     for i in range(4):

@@ -7,7 +7,6 @@ from fractions import Fraction
 import pytest
 from mpmath import mp, mpf, mpc
 
-from hbl import kernel as kn
 from hbl import mop
 from hbl import numerics as nu
 from hbl import rh
@@ -15,7 +14,7 @@ from hbl.errors import BranchCollision, InvalidIndex
 from hbl.model import BrownianConfig
 from hbl.mop import MultiIndexPair, WeightSystem, transition_number
 
-from conftest import moment_system, mpf_to_fraction
+from conftest import count_solves, moment_system, mpf_to_fraction
 
 TWO_PI_I = 2j * mp.pi
 
@@ -160,15 +159,15 @@ def test_transfer_product_identity(ws, idx22, exp22):
 
 
 def test_transfer_maps_y_to_shifted_y(ws, idx22, exp22):
-    # oracle: both sides via the kernel module's full Y assembly
+    # oracle: both sides via the full Y assembly from Cauchy transforms
     sh = idx22.shift_n(1).shift_m(0)
     exp_sh = rh.assemble_rh_expansion(ws, sh)
     rng = random.Random(8)
     for _ in range(5):
         z = mpc(rng.uniform(-2, 2), rng.choice([-1, 1]) * rng.uniform(0.3, 2))
         U = rh.forward_transfer(exp22, exp_sh, 1, 0, z)
-        Y = kn.assemble_Y(ws, idx22, z)
-        Ysh = kn.assemble_Y(ws, sh, z)
+        Y = rh.assemble_Y(ws, idx22, z)
+        Ysh = rh.assemble_Y(ws, sh, z)
         assert nu.max_abs(U * Y - Ysh) <= mpf("1e-20") * nu.max_abs(Ysh)
         Ub = rh.backward_transfer(exp22, exp_sh, 1, 0, z)
         assert nu.max_abs(Ub * Ysh - Y) <= mpf("1e-20") * nu.max_abs(Ysh)
@@ -183,25 +182,23 @@ ZS = (mpf(0), mpf(1), mpc(-1, 1))
 
 @pytest.mark.parametrize("k,l", [(0, 0), (0, 1), (1, 0), (1, 1)])
 def test_five_term_recurrence(ws, idx22, k, l):
-    assert rh.verify_five_term_recurrence(ws, idx22, k, l, ZS) < mpf("1e-20")
+    assert rh.verify_recurrences(ws, idx22, ZS)[k, l][0] < mpf("1e-20")
 
 
 def test_five_term_degenerate_base_refused(ws):
     with pytest.raises(InvalidIndex):
-        rh.verify_five_term_recurrence(ws, MultiIndexPair((1, 0), (1, 0)), 0, 0, ZS)
+        rh.verify_recurrences(ws, MultiIndexPair((1, 0), (1, 0)), ZS)
 
 
 def test_backward_recurrence(ws, idx22):
-    assert rh.verify_backward_recurrence(ws, idx22, 0, 0, ZS) < mpf("1e-20")
-    assert rh.verify_backward_recurrence(ws, idx22, 1, 1, ZS) < mpf("1e-20")
+    res = rh.verify_recurrences(ws, idx22, ZS)
+    assert res[0, 0][1] < mpf("1e-20")
+    assert res[1, 1][1] < mpf("1e-20")
 
 
-def test_recurrence_batch_matches_single_checks(ws, idx22, monkeypatch):
+def test_recurrence_batch_matches_independent_route(ws, idx22, monkeypatch):
     batch = rh.verify_recurrences(ws, idx22, ZS)
     assert sorted(batch) == [(0, 0), (0, 1), (1, 0), (1, 1)]
-    for (k, l), (forward, backward) in batch.items():
-        assert forward == rh.verify_five_term_recurrence(ws, idx22, k, l, ZS)
-        assert backward == rh.verify_backward_recurrence(ws, idx22, k, l, ZS)
     # independent route: no expansion row reused, every vector from its own
     # solve_mop; the residuals must not move by a bit
     expansion = rh.assemble_rh_expansion
@@ -343,6 +340,20 @@ def test_lax_ode_residual(ws, nm):
     assert res_poly < mpf("1e-20")
     res2, _ = rh.verify_lax_ode(ws, idx, mpc(3, -2))
     assert res2 < mpf("1e-10")
+
+
+def test_lax_ode_factors_once(monkeypatch):
+    # Y(z) reads its rows from the expansion: one LU of G(4, 4), none for
+    # the evaluator, and the residual is bit for bit the two-LU one
+    ws = WeightSystem(a=("1", "-1"), b=("0.7", "-0.7"), t=mpf(1) / 2, N=8)
+    idx = MultiIndexPair((4, 4), (4, 4))
+    rh._expansion_cached.cache_clear()
+    calls = count_solves(monkeypatch)
+    res, _ = rh.verify_lax_ode(ws, idx, mpc(0, 1))
+    assert calls == [(8, 256)]
+    assert res == mpf(
+        "5.562119244643842582072777978586211712899254183809102854956390768122705735685821e-73"
+    )
 
 
 def test_lax_ode_step_halving_converges(ws):
@@ -540,8 +551,8 @@ def test_involution_full_matrix_identity(ws, idx22):
     J = rh.involution_matrix(2, 2)
     Jinv = rh.involution_matrix_inverse(2, 2)
     for z in (mpc("0.7", "1.1"), mpc("-1.2", "0.6")):
-        Y = kn.assemble_Y(ws, idx22, z)
-        Ysw = kn.assemble_Y(ws_sw, idx_sw, z)
+        Y = rh.assemble_Y(ws, idx22, z)
+        Ysw = rh.assemble_Y(ws_sw, idx_sw, z)
         Yinv = mp.inverse(Y)
         YinvT = mp.matrix(4, 4)
         for i in range(4):
@@ -599,11 +610,11 @@ def test_general_pq_transfer_and_recurrence(ws_32):
     U = rh.forward_transfer(exp, exp_sh, 2, 0, z)
     Ub = rh.backward_transfer(exp, exp_sh, 2, 0, z)
     assert nu.max_abs(U * Ub - nu.identity(5)) < mpf("1e-20")
-    Y = kn.assemble_Y(ws_32, idx, z)
-    Ysh = kn.assemble_Y(ws_32, sh, z)
+    Y = rh.assemble_Y(ws_32, idx, z)
+    Ysh = rh.assemble_Y(ws_32, sh, z)
     assert nu.max_abs(U * Y - Ysh) <= mpf("1e-20") * nu.max_abs(Ysh)
     # the six-term (p+q+1) recurrence
-    assert rh.verify_five_term_recurrence(ws_32, idx, 0, 1, ZS) < mpf("1e-20")
+    assert rh.verify_recurrences(ws_32, idx, ZS)[0, 1][0] < mpf("1e-20")
 
 
 def test_general_pq_involution(ws_32):
