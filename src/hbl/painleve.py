@@ -2,9 +2,14 @@
 q(s) ~ Ai(s) as s -> +infinity and q(s) ~ sqrt(-s/2) as s -> -infinity.
 
 Shipped method: 6th-order finite-difference collocation on a uniform grid
-with a damped inexact Newton iteration (double-precision banded Jacobian
-solves steering an extended-precision residual).  Shooting is deliberately
-not the shipped method; the connection problem is exponentially unstable
+with a damped Newton iteration in two phases.  A float64 Newton on the
+banded Jacobian runs until its residual stops halving; a polish then holds
+the grid values as integers scaled by 2^P, P = prec + GUARD_BITS, and
+evaluates the collocation residual exactly up to rounding at 2^-P, each
+step still a float64 banded solve, until the residual reaches 1e-40 or the
+floor that rounding the values to working precision leaves.  ``achieved_residual`` is
+the residual of the rounded values returned.  Shooting is deliberately not
+the shipped method; the connection problem is exponentially unstable
 leftward and shooting survives only as a test oracle.
 """
 
@@ -13,7 +18,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import factorial
+from math import factorial, lcm
+from operator import mul
 import numpy as np
 import scipy.special
 from mpmath import mp, mpf
@@ -25,6 +31,8 @@ from .errors import DomainTooNarrow, NoConvergence, OutOfDomain
 DEFAULT_TOL = mpf("1e-12")
 MIN_TOL = mpf("1e-14")
 _BANDWIDTH = 7
+GUARD_BITS = 64  # fixed-point bits of the polish beyond working precision
+_NEWTON_TARGET = 1e-40  # far below any allowed tol, above the 256-bit floor
 _INTERP_POINTS = 9
 
 
@@ -32,48 +40,62 @@ _INTERP_POINTS = 9
 def _fd_weights(offsets: tuple, order: int) -> tuple:
     """Exact finite-difference weights for d^order/ds^order at offset 0.
 
-    Solves the Vandermonde moment system over rationals, so stencils of
-    any one-sided shape are exact to polynomial degree len(offsets)-1.
+    Each weight is the order-th derivative at 0 of a Lagrange basis
+    polynomial, built over the integers, so stencils of any one-sided
+    shape are exact to polynomial degree len(offsets)-1.
     """
-    n = len(offsets)
-    rows = [[Fraction(o) ** r for o in offsets] for r in range(n)]
-    rhs = [Fraction(factorial(r)) if r == order else Fraction(0) for r in range(n)]
-    # Gaussian elimination over Fractions
-    for col in range(n):
-        piv = next(r for r in range(col, n) if rows[r][col] != 0)
-        rows[col], rows[piv] = rows[piv], rows[col]
-        rhs[col], rhs[piv] = rhs[piv], rhs[col]
-        inv = rows[col][col]
-        for r in range(n):
-            if r != col and rows[r][col] != 0:
-                f = rows[r][col] / inv
-                rows[r] = [a - f * b for a, b in zip(rows[r], rows[col])]
-                rhs[r] -= f * rhs[col]
-    return tuple(rhs[i] / rows[i][i] for i in range(n))
+    weights = []
+    for j, oj in enumerate(offsets):
+        coef, den = [1], 1  # prod_{k != j} (x - o_k), lowest degree first
+        for ok in offsets[:j] + offsets[j + 1 :]:
+            coef = [a - ok * b for a, b in zip([0] + coef, coef + [0])]
+            den *= oj - ok
+        weights.append(Fraction(factorial(order) * coef[order], den))
+    return tuple(weights)
 
 
-def _second_derivative_stencils(npts: int):
-    """(offsets, weights) per interior row for q'' on a unit grid, 6th order."""
-    stencils = []
-    for i in range(1, npts - 1):
-        if 3 <= i <= npts - 4:
-            offsets = tuple(range(-3, 4))
-        elif i < 3:
-            offsets = tuple(range(-i, 8 - i))
+def _offsets(i: int, npts: int, half: int, edge: int) -> tuple:
+    """Stencil offsets at node i: -half..half where the grid allows, else
+    the ``edge``-point window flush with the nearer end of the grid."""
+    if half <= i <= npts - 1 - half:
+        return tuple(range(-half, half + 1))
+    lo = 0 if i < half else npts - edge
+    return tuple(range(lo - i, lo - i + edge))
+
+
+def _int_rows(rows, npts: int, order: int, half: int, edge: int):
+    """(D, [(first node, integer weights)]) of the 6th-order d^order stencil
+    at each node of ``rows``, the weights over one common denominator D."""
+    offs = [_offsets(i, npts, half, edge) for i in rows]
+    exact = {o: _fd_weights(o, order) for o in set(offs)}
+    den = lcm(*(w.denominator for ws in exact.values() for w in ws))
+    ints = {o: tuple(int(w * den) for w in ws) for o, ws in exact.items()}
+    return den, [(i + o[0], ints[o]) for i, o in zip(rows, offs)]
+
+
+def _band_matvec(ab, x):
+    """A x for a matrix A held in solve_banded's layout, ab[u + i - j, j] = A[i, j]."""
+    y = np.zeros_like(x)
+    for o in range(-_BANDWIDTH, _BANDWIDTH + 1):
+        col = ab[_BANDWIDTH - o] * x
+        if o >= 0:
+            y[: len(x) - o] += col[o:]
         else:
-            offsets = tuple(range(-(7 - (npts - 1 - i)), npts - i))
-        stencils.append((offsets, _fd_weights(offsets, 2)))
-    return stencils
+            y[-o:] += col[:o]
+    return y
 
 
-def _first_derivative_weights(i: int, npts: int):
-    if 4 <= i <= npts - 5:
-        offsets = tuple(range(-4, 5))
-    elif i < 4:
-        offsets = tuple(range(-i, 9 - i))
-    else:
-        offsets = tuple(range(-(8 - (npts - 1 - i)), npts - i))
-    return offsets, _fd_weights(offsets, 1)
+def _damped_step(x, rhs, norm, jac, residual, sub):
+    """One damped Newton step from x: the banded float64 solve J d = rhs,
+    halved up to 12 times until the residual norm drops; None if none does."""
+    delta = solve_banded((_BANDWIDTH, _BANDWIDTH), jac, rhs)
+    for _ in range(12):
+        trial = sub(x, delta)
+        res, trial_norm = residual(trial)
+        if trial_norm < norm:
+            return trial, res, trial_norm
+        delta = delta / 2
+    return None
 
 
 def left_asymptote(s) -> mpf:
@@ -158,74 +180,88 @@ def solve_hastings_mcleod(
     blend = np.clip((s_float + 1) / 2, 0.0, 1.0)
     smooth = blend * blend * (3 - 2 * blend)
     sqrt_part = np.sqrt(np.maximum(-s_float, 0.01) / 2)
-    q = [mpf(float(v)) for v in smooth * ai_seed + (1 - smooth) * sqrt_part]
-
+    q = smooth * ai_seed + (1 - smooth) * sqrt_part
     bc_left = left_asymptote(s_lo)
     bc_right = mp.airyai(s_hi)
-    stencils = _second_derivative_stencils(npts)
-    h2 = h * h
-    mp_weights = [
-        (off, tuple(mpf(w.numerator) / w.denominator for w in wts))
-        for off, wts in stencils
-    ]
-    fl_weights = [
-        (off, np.array([float(Fraction(w)) for w in wts])) for off, wts in stencils
-    ]
-    h2f = float(h2)
 
-    def residual(qv):
-        out = [qv[0] - bc_left]
-        for i in range(1, npts - 1):
-            off, wts = mp_weights[i - 1]
-            acc = mpf(0)
-            for o, w in zip(off, wts):
-                acc += w * qv[i + o]
-            out.append(acc / h2 - grid[i] * qv[i] - 2 * qv[i] ** 3)
-        out.append(qv[npts - 1] - bc_right)
-        return out
+    # constant part of the banded Jacobian: the stencils over h^2
+    den, stencils = _int_rows(range(1, npts - 1), npts, 2, 3, 8)
+    band = np.zeros((2 * _BANDWIDTH + 1, npts))
+    for i, (a, w) in enumerate(stencils, 1):
+        cols = np.arange(a, a + len(w))
+        band[_BANDWIDTH + i - cols, cols] = w
+    band /= den * float(h) ** 2
+    band[_BANDWIDTH, [0, npts - 1]] = 1.0
 
-    target = mpf(10) ** (-40)  # far below any allowed tol, above mp noise
-    res = residual(q)
-    res_norm = max(abs(v) for v in res)
+    def jacobian(qf):
+        ab = band.copy()
+        ab[_BANDWIDTH, 1:-1] -= s_float[1:-1] + 6.0 * qf[1:-1] ** 2
+        return ab
+
+    # (a) float64 Newton while each step at least halves the residual
+    def float_residual(qf):
+        res = _band_matvec(band, qf)
+        res[[0, -1]] -= float(bc_left), float(bc_right)
+        res[1:-1] -= s_float[1:-1] * qf[1:-1] + 2.0 * qf[1:-1] ** 3
+        return res, np.abs(res).max()
+
+    res, norm = float_residual(q)
     for _ in range(max_newton):
-        if res_norm <= target:
+        step = _damped_step(q, res, norm, jacobian(q), float_residual, np.subtract)
+        if step is None or step[2] > norm / 2:
             break
-        # banded float64 Jacobian: rows i, columns i+offset
-        ab = np.zeros((2 * _BANDWIDTH + 1, npts))
-        ab[_BANDWIDTH, 0] = 1.0
-        ab[_BANDWIDTH, npts - 1] = 1.0
-        qf = np.array([float(v) for v in q])
-        for i in range(1, npts - 1):
-            off, wts = fl_weights[i - 1]
-            for o, w in zip(off, wts):
-                ab[_BANDWIDTH - o, i + o] += w / h2f
-            ab[_BANDWIDTH, i] += -(s_float[i] + 6.0 * qf[i] ** 2)
-        rhs = np.array([float(v) for v in res])
-        delta = solve_banded((_BANDWIDTH, _BANDWIDTH), ab, rhs)
-        lam = 1.0
-        improved = False
-        for _ in range(12):
-            lam_mp = mpf(lam)
-            trial = [q[i] - lam_mp * mpf(float(delta[i])) for i in range(npts)]
-            trial_res = residual(trial)
-            trial_norm = max(abs(v) for v in trial_res)
-            if trial_norm < res_norm:
-                q, res, res_norm = trial, trial_res, trial_norm
-                improved = True
-                break
-            lam /= 2
-        if not improved:
+        q, res, norm = step
+    # rounding the returned values to working precision moves row i of the
+    # residual by up to 2^-prec (|J| |q|)_i: no step gets below that floor
+    rounding = _band_matvec(np.abs(jacobian(q)), np.abs(q)).max() * 2.0**-mp.prec
+    floor = max(_NEWTON_TARGET, rounding)
+
+    # (b) polish on scaled integers Q_i = q_i 2^P: products are exact, and
+    # only the data and the shifts back to scale 2^P round, at 2^-P
+    P = mp.prec + GUARD_BITS
+    one = 1 << P
+    man, exp = h.man_exp
+    inv_dh2 = (1 << (P - 2 * exp)) // (den * man * man)  # 2^P / (D h^2)
+    S = [int(mp.ldexp(v, P)) for v in grid]
+    BL, BR = int(mp.ldexp(bc_left, P)), int(mp.ldexp(bc_right, P))
+
+    def residual(Q):
+        out = [Q[0] - BL]
+        for i, (a, w) in enumerate(stencils, 1):
+            qi = Q[i]
+            acc = sum(map(mul, w, Q[a : a + len(w)]))
+            out.append((acc * inv_dh2 - S[i] * qi - (2 * qi**3 >> P)) >> P)
+        out.append(Q[-1] - BR)
+        return out, max(map(abs, out))
+
+    def to_scaled(x: float) -> int:
+        num, d = x.as_integer_ratio()
+        return (num << P) // d
+
+    def sub(Q, delta):
+        return [a - to_scaled(d) for a, d in zip(Q, delta.tolist())]
+
+    Q = [to_scaled(v) for v in q.tolist()]
+    res, norm = residual(Q)
+    for _ in range(max_newton):
+        if norm / one <= floor:
             break
+        qf = np.array([v / one for v in Q])
+        rhs = np.array([v / one for v in res])
+        step = _damped_step(Q, rhs, norm, jacobian(qf), residual, sub)
+        if step is None:
+            break
+        Q, res, norm = step
+
+    q = [mp.ldexp(mpf(v), -P) for v in Q]
+    Q = [int(mp.ldexp(v, P)) for v in q]
+    res_norm = mp.ldexp(mpf(residual(Q)[1]), -P)
     if res_norm > tol:
         raise NoConvergence(f"collocation stalled at residual {res_norm}")
 
-    q_prime = []
-    for i in range(npts):
-        off, wts = _first_derivative_weights(i, npts)
-        acc = mpf(0)
-        for o, w in zip(off, wts):
-            acc += (mpf(w.numerator) / w.denominator) * q[i + o]
-        q_prime.append(acc / h)
+    den1, first = _int_rows(range(npts), npts, 1, 4, 9)
+    dh = mp.ldexp(den1 * h, P)
+    q_prime = [sum(map(mul, w, Q[a : a + len(w)])) / dh for a, w in first]
     return HmlSolution(
         s_lo=s_lo,
         s_hi=s_hi,

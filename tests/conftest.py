@@ -58,6 +58,31 @@ def hml_solution():
         return solve_hastings_mcleod()
 
 
+def hml_residual_oracle(sol, extra_bits=64):
+    """max |collocation residual| of a Hastings-McLeod solution's grid
+    values as returned (test oracle): the plain mpf sweep of the 6th-order
+    q'' stencils (7 points, 8 at the two ends of the grid), evaluated with
+    ``extra_bits`` guard bits on the boundary data of the working precision.
+    """
+    from hbl.painleve import _fd_weights, left_asymptote
+
+    q, grid, npts = sol.q, sol.grid, len(sol.grid)
+    out = [abs(q[0] - left_asymptote(sol.s_lo)), abs(q[-1] - mp.airyai(sol.s_hi))]
+    with mp.workprec(mp.prec + extra_bits):
+        for i in range(1, npts - 1):
+            if 3 <= i <= npts - 4:
+                offsets = tuple(range(-3, 4))
+            elif i < 3:
+                offsets = tuple(range(-i, 8 - i))
+            else:
+                offsets = tuple(range(npts - 8 - i, npts - i))
+            acc = mpf(0)
+            for o, w in zip(offsets, _fd_weights(offsets, 2)):
+                acc += mpf(w.numerator) / w.denominator * q[i + o]
+            out.append(abs(acc / sol.h**2 - grid[i] * q[i] - 2 * q[i] ** 3))
+    return max(out)
+
+
 def mpf_to_fraction(x) -> Fraction:
     """Exact rational value of an mpf (test oracle helper)."""
     num, den = mpmath.libmp.to_rational(x._mpf_)

@@ -1,6 +1,7 @@
 """CLI dispatch, config ingestion, artifact determinism."""
 
 import json
+from pathlib import Path
 
 import pytest
 from mpmath import mpf
@@ -8,6 +9,8 @@ from mpmath import mpf
 from hbl.cli import load_config, main
 
 from conftest import count_solves
+
+DATA = Path(__file__).parent / "data"
 
 
 @pytest.fixture()
@@ -245,8 +248,13 @@ def test_odd_density_inputs_exit_cleanly(
         ["scaling", "--config", "large", "--t", "0.4", "--n-list", "8,x"],
         ["painleve", "--s-lo", "x"],
         ["scaling", "--config", "critical", "--t", "0.33", "--L", "x"],
+        ["painleve", "--tol", "1e-16"],
+        ["painleve", "--tol", "0"],
     ],
-    ids=["samples-1", "phase-samples-1", "raster-0", "stride-0", "n-2x", "n-list-8x", "s-lo-x", "L-x"],
+    ids=[
+        "samples-1", "phase-samples-1", "raster-0", "stride-0", "n-2x", "n-list-8x",
+        "s-lo-x", "L-x", "tol-1e-16", "tol-0",
+    ],
 )
 def test_odd_inputs_exit_with_usage_error(
     large_sep_config_file, critical_config_file, tmp_path, capsys, argv
@@ -355,6 +363,25 @@ def test_painleve_artifact(tmp_path):
     lines = (out / "painleve.csv").read_text().splitlines()
     assert lines[1] == "s,q,q_prime,u"
     assert len(lines) > 10
+
+
+def test_critical_separation_artifacts_match_golden(tmp_path):
+    # golden files written by the pure-mpf Newton solver that preceded the
+    # scaled-integer polish; the config sits at a fixed path
+    out = tmp_path / "art"
+    argv = ["--out", str(out), "scaling", "--config", str(DATA / "critical_config.json")]
+    assert main(argv + ["--t", "0.324", "--L", "0", "--n-list", "8,12"]) == 0
+    assert main(["--out", str(out), "painleve", "--stride", "200"]) == 0
+    for name in ("scaling.json", "scaling.csv"):
+        assert (out / name).read_bytes() == (DATA / f"golden_{name}").read_bytes()
+    got, want = (
+        path.read_bytes().split(b"\n", 1)
+        for path in (out / "painleve.csv", DATA / "golden_painleve.csv")
+    )
+    assert got[1] == want[1]  # header and data rows
+    meta_got, meta_want = (json.loads(part[0][2:]) for part in (got, want))
+    assert meta_got.pop("achieved_residual") and meta_want.pop("achieved_residual")
+    assert meta_got == meta_want
 
 
 def test_identities_failure_exit(large_sep_config_file, tmp_path):

@@ -1,6 +1,9 @@
 """Hastings-McLeod collocation, interpolation and the Hamiltonian."""
 
+from math import factorial
+
 import pytest
+from conftest import hml_residual_oracle
 from mpmath import mp, mpf
 
 from hbl import painleve as pv
@@ -82,6 +85,46 @@ def test_positivity(hml_solution):
 
 def test_collocation_residual_on_grid(hml_solution):
     assert hml_solution.achieved_residual < mpf("1e-12")
+
+
+def test_fd_weights_exact_on_polynomials():
+    # every stencil shape the solver uses differentiates x^r exactly for
+    # r below its number of points
+    for half, edge, order in ((3, 8, 2), (4, 9, 1)):
+        shapes = [tuple(range(-half, half + 1))]
+        shapes += [tuple(range(-j, edge - j)) for j in range(edge)]
+        for offsets in shapes:
+            weights = pv._fd_weights(offsets, order)
+            for r in range(len(offsets)):
+                moment = sum(w * o**r for o, w in zip(offsets, weights))
+                assert moment == (factorial(order) if r == order else 0)
+
+
+def test_returned_grid_meets_newton_target(hml_solution):
+    # the values handed back, not a guarded iterate, meet the 1e-40 target,
+    # and achieved_residual reports their residual
+    oracle = hml_residual_oracle(hml_solution)
+    assert oracle <= mpf("1e-40")
+    assert oracle / 4 <= hml_solution.achieved_residual <= 4 * oracle
+
+
+def test_128_bit_solve_stops_at_its_rounding_floor():
+    # at 128 bits rounding the grid values to working precision leaves a
+    # residual of about 2^-128 max(|J| |q|) ~ 4e-34, above the 1e-40 target
+    with mp.workprec(128):
+        sol = pv.solve_hastings_mcleod()
+        oracle = hml_residual_oracle(sol)
+    assert oracle <= mpf("1e-33")
+    assert oracle / 4 <= sol.achieved_residual <= 4 * oracle
+
+
+def test_grid_values_agree_across_precisions(hml_solution):
+    # at 512 bits 20 / 0.01 rounds above 2000 and the default spacing gives
+    # 2002 points; a spacing a hair above 0.01 keeps the 2001-point grid
+    with mp.workprec(512):
+        fine = pv.solve_hastings_mcleod(spacing=mpf("0.0100000001"))
+    assert len(fine.grid) == len(hml_solution.grid)
+    assert max(abs(a - b) for a, b in zip(hml_solution.q, fine.q)) <= mpf("1e-38")
 
 
 def test_ode_residual_off_grid(hml_solution):
