@@ -133,7 +133,14 @@ def _decimal(option: str, text: str) -> mpf:
 
 
 def _parse_index(ns) -> MultiIndexPair:
-    return MultiIndexPair(_int_list("--n", ns.n), _int_list("--m", ns.m))
+    """--n and --m: two components each (one per starting and ending
+    position), with a positive total degree."""
+    n, m = _int_list("--n", ns.n), _int_list("--m", ns.m)
+    if len(n) != 2 or len(m) != 2:
+        raise UsageError(f"--n and --m must list two integers each, got {ns.n!r}, {ns.m!r}")
+    if sum(n) + sum(m) == 0:
+        raise UsageError("--n and --m must not both be zero")
+    return MultiIndexPair(n, m)
 
 
 def _parse_t(ns) -> mpf:
@@ -243,7 +250,7 @@ def cmd_identities(cfg: BrownianConfig, ns, out: Path) -> int:
             exp_sh = rh.assemble_rh_expansion(ws, sh)
             U = rh.forward_transfer(exp, exp_sh, k, l, z0)
             Ub = rh.backward_transfer(exp, exp_sh, k, l, z0)
-            worst_inv = max(worst_inv, nu.max_abs(U * Ub - nu.identity(exp.p + exp.q)))
+            worst_inv = max(worst_inv, nu.max_abs(U * Ub - mp.eye(exp.p + exp.q)))
     record("transfer_inverse", worst_inv)
     ws_sw, idx_sw = rh.swapped_system(ws, idx)
     exp_sw = rh.assemble_rh_expansion(ws_sw, idx_sw)

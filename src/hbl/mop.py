@@ -13,10 +13,11 @@ two-term recursion; quadrature only ever appears as a test oracle.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cmp_to_key, lru_cache
 from typing import Optional
 
 from mpmath import mp, mpf, matrix
+from mpmath.libmp import fzero, mpf_abs, mpf_cmp, mpf_div, mpf_mul, mpf_sum, round_nearest
 
 from . import numerics as nu
 from .errors import InvalidIndex, NormalizationImpossible, SingularMatrix
@@ -185,6 +186,12 @@ def _pair_jmax(idx: MultiIndexPair) -> int:
     return max(idx.n) + max(idx.m, default=0) + 2
 
 
+def _check_shape(ws: WeightSystem, idx: MultiIndexPair) -> None:
+    """idx must have one component per starting and per ending position."""
+    if (len(idx.n), len(idx.m)) != (ws.p, ws.q):
+        raise InvalidIndex(f"{idx} does not have {ws.p} + {ws.q} components")
+
+
 def _solve_rows(ws: WeightSystem, idx: MultiIndexPair, tags: list) -> tuple:
     """MOP rows and columns of G^{-1} around a pair with |n| = |m|, all
     from one LU of G(n, m); returns them with the bits they settled at.
@@ -284,6 +291,7 @@ def _factor_and_solve(ws: WeightSystem, idx: MultiIndexPair, tags: list) -> list
 def _base_pair(ws: WeightSystem, idx: MultiIndexPair, norm: NormTag) -> MultiIndexPair:
     """The |n| = |m| pair around which the MOP vector (idx, norm) is solved:
     (n - e_k, m) for type (II,k), (n, m + e_l) for type (I,l)."""
+    _check_shape(ws, idx)
     if idx.size_n != idx.size_m + 1:
         raise InvalidIndex("solve_mop requires |n| = |m| + 1")
     kind, pos = norm
@@ -334,19 +342,20 @@ def _moments(sol: MopSolution, ws: WeightSystem, k: int, l: int, top: int) -> tu
     return tab
 
 
-def _q_moment_terms(sol: MopSolution, ws: WeightSystem, l: int, j: int) -> list:
-    """The terms c * M^{kl}_{i+j} whose sum is int Q(x) x^j w_{2,l}(x) dx."""
-    terms = []
+def _q_moment_factors(sol: MopSolution, ws: WeightSystem, l: int, j: int) -> list:
+    """The pairs (c, M^{kl}_{i+j}) whose products sum to
+    int Q(x) x^j w_{2,l}(x) dx."""
+    pairs = []
     for k in range(ws.p):
         cs = sol.coeffs[k]
         tab = _moments(sol, ws, k, l, len(cs) - 1 + j)
-        terms.extend(c * tab[i + j] for i, c in enumerate(cs))
-    return terms
+        pairs.extend((c, tab[i + j]) for i, c in enumerate(cs))
+    return pairs
 
 
 def q_moment(sol: MopSolution, ws: WeightSystem, l: int, j: int) -> mpf:
     """int Q(x) x^j w_{2,l}(x) dx through the moment recursion."""
-    return sum(_q_moment_terms(sol, ws, l, j), mpf(0))
+    return sum((c * v for c, v in _q_moment_factors(sol, ws, l, j)), mpf(0))
 
 
 def evaluate_Q(sol: MopSolution, ws: WeightSystem, x):
@@ -356,14 +365,17 @@ def evaluate_Q(sol: MopSolution, ws: WeightSystem, x):
 
 
 def check_orthogonality(sol: MopSolution, ws: WeightSystem, idx: MultiIndexPair):
-    """Max relative residual of the vanishing-moment conditions (0 if none)."""
-    worst = mpf(0)
+    """Max relative residual |sum of terms| / max |term| of the
+    vanishing-moment conditions (0 if none).  The terms c * M^{kl}_{i+j},
+    their sum and their max are exact; the ratio is rounded once."""
+    worst, by_value = mpf(0), cmp_to_key(mpf_cmp)
     for l in range(ws.q):
         for j in range(idx.m[l]):
-            terms = _q_moment_terms(sol, ws, l, j)
-            scale = max((abs(v) for v in terms), default=mpf(0))
-            if scale > 0:
-                worst = max(worst, abs(sum(terms, mpf(0))) / scale)
+            terms = [mpf_mul(c._mpf_, v._mpf_) for c, v in _q_moment_factors(sol, ws, l, j)]
+            scale = max((mpf_abs(t) for t in terms), key=by_value, default=fzero)
+            if scale != fzero:
+                ratio = mpf_div(mpf_abs(mpf_sum(terms)), scale, mp.prec, round_nearest)
+                worst = max(worst, mp.make_mpf(ratio))
     return worst
 
 
@@ -404,6 +416,7 @@ def shifted_solutions(ws: WeightSystem, idx: MultiIndexPair) -> list:
                     (that row of Y degenerates to the unit row e_{p+l}).
     All rows come from one factorization of G(n, m); see _solve_rows.
     """
+    _check_shape(ws, idx)
     if idx.size_n != idx.size_m:
         raise InvalidIndex("RH rows need |n| = |m|")
     tags = [("II", k) for k in range(ws.p)]
@@ -424,6 +437,7 @@ def bimoment_inverse(ws: WeightSystem, idx: MultiIndexPair) -> tuple:
     No residual is checked here: LU with partial pivoting keeps the
     residual of G x = e_(l, j) at rounding level however inaccurate x is.
     """
+    _check_shape(ws, idx)
     if idx.size_n != idx.size_m:
         raise InvalidIndex("G(n, m) is square only at |n| = |m|")
     keys = [(l, j) for l in range(ws.q) for j in range(idx.m[l])]

@@ -5,11 +5,20 @@ precision is a process-wide setting, default 256 bits; a caller that needs
 a different precision for one computation wraps it in ``mp.workprec`` or
 ``mp.extraprec``.  Results carry the precision they were computed at;
 mpmath never downgrades them silently.
+
+The dense LU runs on the integer mantissas and exponents inside each mpf,
+rounded as mpf rounds: bit-identical results without mpf's overhead.
 """
 
 from __future__ import annotations
 
+from functools import cmp_to_key
+
 from mpmath import mp, mpf, mpc, matrix
+from mpmath.libmp import (
+    fzero, from_man_exp, mpf_abs, mpf_cmp, mpf_div, mpf_lt, mpf_mul, mpf_rdiv_int,
+    mpf_shift, mpf_sub, round_nearest,
+)
 
 from .errors import SingularMatrix
 
@@ -52,8 +61,45 @@ def to_ext(x) -> mpf:
 # Dense linear algebra
 # ---------------------------------------------------------------------------
 
-def _as_rows(a: matrix) -> list[list]:
-    return [[a[i, j] for j in range(a.cols)] for i in range(a.rows)]
+def _pair(raw: tuple) -> tuple:
+    """(signed mantissa, exponent) of a raw finite mpf tuple, exactly."""
+    sign, man, exp, _ = raw
+    return (-man if sign else man), exp
+
+
+def _fms(a: tuple, u: tuple, v: tuple, prec: int) -> tuple:
+    """a - u*v on (signed mantissa, exponent) pairs, the product and then the
+    difference rounded to nearest-even at ``prec`` bits as mpf rounds them.
+    Exponents over 2 prec + 8 apart: the larger term is the rounded result."""
+    bm, be = u[0] * v[0], u[1] + v[1]
+    k = bm.bit_length() - prec
+    if k > 0:
+        t = bm >> (k - 1)
+        bm = (t >> 1) + 1 if t & 1 and (t & 2 or bm & ((1 << (k - 1)) - 1)) else t >> 1
+        be += k
+    am, ae = a
+    d = ae - be
+    if d >= 0:
+        if d > 2 * prec + 8:
+            return a if am else (-bm, be)
+        am, ae = (am << d) - bm, be
+    else:
+        if d < -2 * prec - 8:
+            return (-bm, be) if bm else a
+        am -= bm << -d
+    k = am.bit_length() - prec
+    if k > 0:
+        t = am >> (k - 1)
+        am = (t >> 1) + 1 if t & 1 and (t & 2 or am & ((1 << (k - 1)) - 1)) else t >> 1
+        ae += k
+    return am, ae
+
+
+def _fms_wide(a: tuple, u: tuple, v: tuple, prec: int) -> tuple:
+    """_fms by mpf_mul and mpf_sub, for rows holding an input wider than
+    ``prec`` bits: mpf_sub may round those unlike the exact difference."""
+    prod = mpf_mul(from_man_exp(*u), from_man_exp(*v), prec, round_nearest)
+    return _pair(mpf_sub(from_man_exp(*a), prod, prec, round_nearest))
 
 
 def solve_linear(a: matrix, b) -> list:
@@ -64,66 +110,80 @@ def solve_linear(a: matrix, b) -> list:
     same order.  Each solution is bit-identical to a solve of its own.
     Raises SingularMatrix when the best available pivot falls below a
     precision-scaled threshold relative to the largest initial entry.
+
+    It runs on int pairs from each ``_mpf_`` with mpf's roundings in mpf's
+    order (_fms, mpf_rdiv_int, mpf_div): x is bit-identical to the same
+    elimination in mpf operations.  The first pivot of largest magnitude
+    (rounded as ``abs`` rounds) wins.  A must be real; a complex right-hand
+    side is solved by parts, as mpc arithmetic against a real A does.
     """
     n = a.rows
     if a.cols != n:
         raise ValueError("matrix must be square")
-    rows = _as_rows(a)
     several = isinstance(b, list) and bool(b) and isinstance(b[0], (list, tuple))
     cols = [list(v) for v in b] if several else [[b[i] for i in range(len(b))]]
     if any(len(v) != n for v in cols):
         raise ValueError("right-hand side length mismatch")
-    rhs = [list(v) for v in zip(*cols)]  # rhs[i][s]: row i of right-hand side s
+    parts, cplx = [], []  # raw real columns: a complex column gives two
+    for col in ([mp.convert(v) for v in col] for col in cols):
+        cplx.append(any(hasattr(v, "_mpc_") for v in col))
+        zs = [getattr(v, "_mpc_", None) or (v._mpf_, fzero) for v in col]
+        parts += [[re for re, _ in zs], [im for _, im in zs]][: 1 + cplx[-1]]
+    rows = [[a[i, j] for j in range(n)] for i in range(n)]
+    if any(hasattr(v, "_mpc_") for row in rows for v in row):
+        raise TypeError("solve_linear needs a real matrix")
+    rows = [[v._mpf_ for v in row] + [p[i] for p in parts] for i, row in enumerate(rows)]
 
-    scale = max((abs(rows[i][j]) for i in range(n) for j in range(n)), default=mpf(0))
-    if scale == 0:
+    prec, by_value = mp.prec, cmp_to_key(mpf_cmp)
+    scale = max((mpf_abs(v, prec, round_nearest) for row in rows for v in row[:n]),
+                key=by_value, default=fzero)
+    if scale == fzero:
         raise SingularMatrix("zero matrix")
     # Leave 32 bits of slack; anything smaller than this is numerically zero.
-    threshold = scale * mpf(2) ** (-(mp.prec - 32))
+    threshold = mp.make_mpf(mpf_shift(scale, -(prec - 32)))
+    rows = [[_pair(v) for v in row] for row in rows]
+    wide = {id(row) for row in rows if any(m.bit_length() > prec for m, _ in row)}
 
     for col in range(n):
-        piv, piv_mag = col, abs(rows[col][col])
-        for r in range(col + 1, n):
-            m = abs(rows[r][col])
-            if m > piv_mag:
-                piv, piv_mag = r, m
-        if piv_mag < threshold:
+        mags = [from_man_exp(abs(r[col][0]), r[col][1], prec, round_nearest) for r in rows[col:]]
+        piv_mag = max(mags, key=by_value)
+        if mpf_lt(piv_mag, threshold._mpf_):
             raise SingularMatrix(
-                f"pivot {piv_mag} below threshold {threshold} in column {col}"
+                f"pivot {mp.make_mpf(piv_mag)} below threshold {threshold} in column {col}"
             )
-        if piv != col:
-            rows[col], rows[piv] = rows[piv], rows[col]
-            rhs[col], rhs[piv] = rhs[piv], rhs[col]
-        pivot_row, pivot_rhs = rows[col], rhs[col]
-        inv_p = 1 / pivot_row[col]
-        for r in range(col + 1, n):
-            row = rows[r]
-            f = row[col] * inv_p
-            if f == 0:
+        piv = col + mags.index(piv_mag)
+        rows[col], rows[piv] = rows[piv], rows[col]
+        pivot_row = rows[col]
+        inv_p = mpf_rdiv_int(1, from_man_exp(*pivot_row[col]), prec, round_nearest)
+        for row in rows[col + 1:]:
+            f = mpf_mul(from_man_exp(*row[col]), inv_p, prec, round_nearest)
+            if f == fzero:
                 continue
-            row[col] = mpf(0)
-            for c in range(col + 1, n):
-                row[c] -= f * pivot_row[c]
-            row_rhs = rhs[r]
-            for s, v in enumerate(pivot_rhs):
-                row_rhs[s] -= f * v
+            f, fms = _pair(f), _fms_wide if id(row) in wide else _fms
+            wide.discard(id(row))
+            row[col + 1:] = [fms(v, f, p, prec)
+                             for v, p in zip(row[col + 1:], pivot_row[col + 1:])]
 
     xs = []
-    for s in range(len(cols)):
-        x = [mpf(0)] * n
+    for s in range(n, n + len(parts)):
+        x = [None] * n
         for r in range(n - 1, -1, -1):
-            acc = rhs[r][s]
+            row, acc = rows[r], rows[r][s]
+            fms = _fms_wide if id(row) in wide else _fms
             for c in range(r + 1, n):
-                acc -= rows[r][c] * x[c]
-            x[r] = acc / rows[r][r]
-        xs.append(x)
-    return xs if several else xs[0]
+                acc = fms(acc, row[c], x[c], prec)
+            x[r] = _pair(mpf_div(from_man_exp(*acc), from_man_exp(*row[r]), prec, round_nearest))
+        xs.append([from_man_exp(*v) for v in x])
+    xs = iter(xs)  # each complex solution takes its real and imaginary parts
+    out = [[mp.make_mpc(v) for v in zip(re, next(xs))] if z else [mp.make_mpf(v) for v in re]
+           for z, re in zip(cplx, xs)]
+    return out if several else out[0]
 
 
 def lu_det(a: matrix):
-    """Determinant via the same pivoted elimination as solve_linear."""
+    """Determinant by LU with partial pivoting, in mpf (or mpc) arithmetic."""
     n = a.rows
-    rows = _as_rows(a)
+    rows = [[a[i, j] for j in range(n)] for i in range(n)]
     det = mpf(1)
     for col in range(n):
         piv, piv_mag = col, abs(rows[col][col])
@@ -147,20 +207,6 @@ def lu_det(a: matrix):
 
 def max_abs(a: matrix) -> mpf:
     return max(abs(a[i, j]) for i in range(a.rows) for j in range(a.cols))
-
-
-def inf_norm(a: matrix) -> mpf:
-    """Matrix infinity norm (max absolute row sum)."""
-    return max(
-        sum(abs(a[i, j]) for j in range(a.cols)) for i in range(a.rows)
-    )
-
-
-def identity(n: int) -> matrix:
-    out = matrix(n, n)
-    for i in range(n):
-        out[i, i] = mpf(1)
-    return out
 
 
 # ---------------------------------------------------------------------------

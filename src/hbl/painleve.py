@@ -172,7 +172,9 @@ def solve_hastings_mcleod(
         raise DomainTooNarrow("right endpoint must satisfy s_hi >= 6")
     if s_lo > -6:
         raise DomainTooNarrow("left endpoint must satisfy s_lo <= -6")
-    npts = int(mp.ceil((s_hi - s_lo) / nu.to_ext(spacing))) + 1
+    # A quotient within 2^-32 of an integer is that integer: 20 / 0.01 rounds
+    # above 2000 at some precisions, and the grid must not depend on them.
+    npts = int(mp.ceil((s_hi - s_lo) / nu.to_ext(spacing) - mpf(2) ** -32)) + 1
     h = (s_hi - s_lo) / (npts - 1)
     grid = [s_lo + i * h for i in range(npts)]
     s_float = np.array([float(v) for v in grid])

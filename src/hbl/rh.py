@@ -126,7 +126,7 @@ def assemble_Y(ws: WeightSystem, idx: MultiIndexPair, z, boundary: str = "above"
 def jump_matrix(ws: WeightSystem, x) -> matrix:
     """[[I, W(x)], [0, I]] with the rank-one block W = w1 w2^T."""
     p, q = ws.p, ws.q
-    out = nu.identity(p + q)
+    out = mp.eye(p + q)
     for k in range(p):
         w1 = ws.w1(k, x)
         for l in range(q):

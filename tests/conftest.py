@@ -9,6 +9,7 @@ from mpmath import mp, mpf
 import mpmath.libmp
 
 from hbl import numerics as nu
+from hbl.errors import SingularMatrix
 from hbl.model import BrownianConfig
 
 
@@ -122,6 +123,59 @@ def moment_system(ws, idx, norm):
         rows.append(moment_row(pos, idx.m[pos]))
     rhs = [mpf(0)] * (len(rows) - 1) + [mpf(1)]
     return rows, rhs
+
+
+def solve_linear_mpf(a, b):
+    """numerics.solve_linear written with mpf operations (test oracle): the
+    same pivoted elimination, each product and difference an mpf operation
+    at working precision.  solve_linear must match it bit for bit."""
+    n = a.rows
+    rows = [[a[i, j] for j in range(n)] for i in range(n)]
+    several = isinstance(b, list) and bool(b) and isinstance(b[0], (list, tuple))
+    cols = [list(v) for v in b] if several else [[b[i] for i in range(len(b))]]
+    rhs = [list(v) for v in zip(*cols)]  # rhs[i][s]: row i of right-hand side s
+
+    scale = max((abs(rows[i][j]) for i in range(n) for j in range(n)), default=mpf(0))
+    if scale == 0:
+        raise SingularMatrix("zero matrix")
+    threshold = scale * mpf(2) ** (-(mp.prec - 32))
+    for col in range(n):
+        piv, piv_mag = col, abs(rows[col][col])
+        for r in range(col + 1, n):
+            m = abs(rows[r][col])
+            if m > piv_mag:
+                piv, piv_mag = r, m
+        if piv_mag < threshold:
+            raise SingularMatrix(
+                f"pivot {piv_mag} below threshold {threshold} in column {col}"
+            )
+        if piv != col:
+            rows[col], rows[piv] = rows[piv], rows[col]
+            rhs[col], rhs[piv] = rhs[piv], rhs[col]
+        pivot_row, pivot_rhs = rows[col], rhs[col]
+        inv_p = 1 / pivot_row[col]
+        for r in range(col + 1, n):
+            row = rows[r]
+            f = row[col] * inv_p
+            if f == 0:
+                continue
+            row[col] = mpf(0)
+            for c in range(col + 1, n):
+                row[c] -= f * pivot_row[c]
+            row_rhs = rhs[r]
+            for s, v in enumerate(pivot_rhs):
+                row_rhs[s] -= f * v
+
+    xs = []
+    for s in range(len(cols)):
+        x = [mpf(0)] * n
+        for r in range(n - 1, -1, -1):
+            acc = rhs[r][s]
+            for c in range(r + 1, n):
+                acc -= rows[r][c] * x[c]
+            x[r] = acc / rows[r][r]
+        xs.append(x)
+    return xs if several else xs[0]
 
 
 def count_solves(monkeypatch) -> list:

@@ -102,7 +102,7 @@ def test_criterion_03_transfer_inverse():
                 z = mpc(rng.uniform(-2, 2), rng.uniform(-2, 2))
                 U = rh.forward_transfer(exp, exp_sh, k, l, z)
                 Ub = rh.backward_transfer(exp, exp_sh, k, l, z)
-                worst = max(worst, nu.inf_norm(U * Ub - nu.identity(4)))
+                worst = max(worst, mp.mnorm(U * Ub - mp.eye(4), "inf"))
     ok = worst <= tol
     _report(3, ok, f"max |U Ub - I| {mp.nstr(worst, 3)} (tol 1e-20)")
     assert ok
@@ -340,7 +340,7 @@ def test_criterion_11_kernel_plumbing():
         Ym = rh.assemble_Y(ws, idx, x, boundary="below")
         J = rh.jump_matrix(ws, x)
         worst_jump = max(
-            worst_jump, nu.max_abs(Yp * mp.inverse(J) * mp.inverse(Ym) - nu.identity(4))
+            worst_jump, nu.max_abs(Yp * mp.inverse(J) * mp.inverse(Ym) - mp.eye(4))
         )
     det_err = abs(nu.lu_det(rh.assemble_Y(ws, idx, mpc(1, 1))) - 1)
     ok = worst_ct <= mpf("1e-18") and worst_jump <= mpf("1e-15") and det_err <= mpf("1e-18")

@@ -250,10 +250,17 @@ def test_odd_density_inputs_exit_cleanly(
         ["scaling", "--config", "critical", "--t", "0.33", "--L", "x"],
         ["painleve", "--tol", "1e-16"],
         ["painleve", "--tol", "0"],
+        ["identities", "--config", "large", "--n", "0,0", "--m", "0,0", "--t", "0.4"],
+        ["coefficients", "--config", "large", "--n", "0,0", "--m", "0,0", "--t", "0.4"],
+        ["density", "--config", "large", "--n", "0,0", "--m", "0,0", "--t", "0.4"],
+        ["identities", "--config", "large", "--n", "2,2,2", "--m", "2,2,2", "--t", "0.4"],
+        ["density", "--config", "large", "--n", "2,2,2", "--m", "2,2,2", "--t", "0.4"],
+        ["spectral", "--config", "large", "--n", "4", "--m", "3", "--t", "0.4"],
     ],
     ids=[
         "samples-1", "phase-samples-1", "raster-0", "stride-0", "n-2x", "n-list-8x",
-        "s-lo-x", "L-x", "tol-1e-16", "tol-0",
+        "s-lo-x", "L-x", "tol-1e-16", "tol-0", "identities-n-0", "coefficients-n-0",
+        "density-n-0", "identities-n-3-groups", "density-n-3-groups", "spectral-n-1-group",
     ],
 )
 def test_odd_inputs_exit_with_usage_error(
@@ -382,6 +389,17 @@ def test_critical_separation_artifacts_match_golden(tmp_path):
     meta_got, meta_want = (json.loads(part[0][2:]) for part in (got, want))
     assert meta_got.pop("achieved_residual") and meta_want.pop("achieved_residual")
     assert meta_got == meta_want
+
+
+def test_identities_match_golden(tmp_path):
+    # golden file written by the mpf-operation LU that preceded the
+    # integer-pair elimination; its 30-digit residuals move with any change
+    # in how the LU rounds.  The config sits at a fixed path
+    out = tmp_path / "art"
+    argv = ["--out", str(out), "identities", "--config", str(DATA / "large_config.json")]
+    assert main(argv + ["--n", "6,6", "--m", "6,6", "--t", "0.4"]) == 0
+    golden = (DATA / "golden_identities.json").read_bytes()
+    assert (out / "identities.json").read_bytes() == golden
 
 
 def test_identities_failure_exit(large_sep_config_file, tmp_path):

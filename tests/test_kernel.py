@@ -85,7 +85,7 @@ def test_jump_relation_at_origin(ws4, idx22):
     Yp = rh.assemble_Y(ws4, idx22, mpf(0), boundary="above")
     Ym = rh.assemble_Y(ws4, idx22, mpf(0), boundary="below")
     J = rh.jump_matrix(ws4, mpf(0))
-    resid = Yp * mp.inverse(J) * mp.inverse(Ym) - nu.identity(4)
+    resid = Yp * mp.inverse(J) * mp.inverse(Ym) - mp.eye(4)
     assert nu.max_abs(resid) < mpf("1e-15")
 
 
@@ -95,7 +95,7 @@ def test_jump_relation_five_real_points(ws4, idx22):
         Yp = rh.assemble_Y(ws4, idx22, x, boundary="above")
         Ym = rh.assemble_Y(ws4, idx22, x, boundary="below")
         J = rh.jump_matrix(ws4, x)
-        resid = Yp * mp.inverse(J) * mp.inverse(Ym) - nu.identity(4)
+        resid = Yp * mp.inverse(J) * mp.inverse(Ym) - mp.eye(4)
         assert nu.max_abs(resid) < mpf("1e-15")
 
 
@@ -125,7 +125,7 @@ def test_y_asymptotic_normalization(ws4, idx22):
     for i in range(4):
         for j in range(4):
             scaled[i, j] = Y[i, j] * z ** powers[j]
-    assert nu.max_abs(scaled - nu.identity(4)) < mpf("1e-5")
+    assert nu.max_abs(scaled - mp.eye(4)) < mpf("1e-5")
 
 
 # ---------------------------------------------------------------------------

@@ -174,6 +174,18 @@ def test_negative_shift_rejected():
         MultiIndexPair((1, 0), (0, 0)).shift_m(0, -1)
 
 
+def test_index_length_must_match_weights(ws):
+    # a third component has no weight: G(n, m) would silently drop it
+    wide, short = MultiIndexPair((2, 2, 2), (2, 2, 2)), MultiIndexPair((4,), (4,))
+    for idx in (wide, short):
+        with pytest.raises(InvalidIndex):
+            mop.shifted_solutions(ws, idx)
+        with pytest.raises(InvalidIndex):
+            mop.bimoment_inverse(ws, idx)
+    with pytest.raises(InvalidIndex):
+        mop.solve_mop(ws, wide.shift_n(0), ("II", 0))
+
+
 def test_precision_escalation_recovers_conditioning(ws):
     # at 128 bits the |n| = 48 moment system is too ill-conditioned to
     # meet the residual contract; the solver must escalate internally and

@@ -4,6 +4,7 @@ from fractions import Fraction
 import random
 
 import pytest
+from conftest import solve_linear_mpf
 from mpmath import mp, mpf, mpc, matrix
 
 from hbl import numerics as nu
@@ -15,7 +16,7 @@ from hbl.errors import SingularMatrix
 # ---------------------------------------------------------------------------
 
 def test_solve_identity():
-    A = nu.identity(3)
+    A = mp.eye(3)
     x = nu.solve_linear(A, [mpf(1), mpf(2), mpf(3)])
     assert x == [mpf(1), mpf(2), mpf(3)]
 
@@ -57,7 +58,7 @@ def test_solve_residual_contract_random_8x8():
         )
         bound = (
             mpf(2) ** (-(mp.prec // 2))
-            * nu.inf_norm(A)
+            * mp.mnorm(A, "inf")
             * max(abs(v) for v in got)
         )
         assert resid <= bound
@@ -89,6 +90,97 @@ def test_solutions_are_deterministic():
     first = nu.solve_linear(A, b)
     second = nu.solve_linear(A, b)
     assert all(u == v for u, v in zip(first, second))
+
+
+def _raw(values):
+    """Raw tuples of a solve's output (or the SingularMatrix message)."""
+    if isinstance(values, str):
+        return values
+    if isinstance(values[0], list):
+        return [_raw(v) for v in values]
+    return [getattr(v, "_mpc_", None) or v._mpf_ for v in values]
+
+
+def _outcome(solve, a, b):
+    try:
+        return _raw(solve(a, b))
+    except SingularMatrix as exc:
+        return str(exc)
+
+
+def _entry(rng, kind, prec):
+    """One matrix or right-hand-side entry of the given kind."""
+    if kind == "spread":  # exponents far more than 2 prec apart
+        return mpf(rng.uniform(-1, 1)) * mpf(2) ** rng.randint(-3 * prec, 3 * prec)
+    if kind == "dyadic":  # small mantissas: exact half-way ties in the sums
+        exp = rng.choice((0, 1, -1, prec, -prec, 1 - prec, -1 - prec))
+        return rng.choice((-7, -3, -1, 1, 3, 5)) * mpf(2) ** exp
+    if kind == "equal":  # equal-magnitude pivot candidates, zeros, singular
+        return mpf(rng.choice((-2, -1, 0, 0, 1, 2)))
+    if kind == "zeros":
+        return mpf(0) if rng.random() < 0.4 else mpf(rng.uniform(-1, 1))
+    with mp.workprec(3 * prec):  # "wide": more bits than the working precision
+        return rng.choice((-1, 1)) * mpf(rng.getrandbits(3 * prec) | 1) * mpf(2) ** (-3 * prec)
+
+
+@pytest.mark.parametrize("prec", [128, 256, 512, 1088])
+def test_solve_bit_identical_to_mpf_elimination(prec):
+    # the integer-pair elimination against the same elimination in mpf
+    # operations: _mpf_-equal solutions, or the same SingularMatrix message
+    rng = random.Random(f"solve/{prec}")
+    kinds = ("spread", "dyadic", "equal", "zeros", "wide")
+    nu.set_precision(prec)
+    sizes = [rng.randint(1, 12) for _ in range(14)] + [40]
+    singular = 0
+    for size in sizes:
+        mix = rng.sample(kinds, 2)
+        A = matrix(size, size)
+        for i in range(size):
+            for j in range(size):
+                A[i, j] = _entry(rng, rng.choice(mix), prec)
+        cols = [[_entry(rng, rng.choice(mix), prec) for _ in range(size)] for _ in range(2)]
+        cols.append([mpc(_entry(rng, mix[0], prec), _entry(rng, mix[1], prec))
+                     for _ in range(size)])
+        want = _outcome(solve_linear_mpf, A, cols)
+        assert _outcome(nu.solve_linear, A, cols) == want, (size, mix)
+        assert _outcome(nu.solve_linear, A, cols[-1]) == _outcome(solve_linear_mpf, A, cols[-1])
+        singular += isinstance(want, str)
+    assert 0 < singular < len(sizes)
+
+
+def test_wide_entries_rounded_as_mpf_sub_rounds():
+    # a minuend of 2 prec + 51 bits just above a rounding tie, less a
+    # full-width term whose last bit lies over 100 bits below the minuend's:
+    # mpf_sub rounds that by a perturbation (up), not as the exact
+    # difference (down)
+    prec = mp.prec
+    with mp.workprec(3 * prec):
+        s = 1 + mpf(2) ** -prec + mpf(2) ** (-2 * prec - 50)
+    p, q = mpf(2) ** (-prec - 160) / 3, mpf(1) / 7
+    for rows, b in (([[1, p], [q, s]], [1, 1]), ([[1, p], [0, 1]], [s, 1])):
+        A = matrix(rows)
+        assert _raw(nu.solve_linear(A, b)) == _raw(solve_linear_mpf(A, b))
+
+
+def test_bimoment_solve_bit_identical_to_mpf_elimination(monkeypatch):
+    # the real G(16, 16) of the large-separation weights with its four
+    # MOP right-hand sides
+    from hbl import mop
+
+    seen = []
+    solve = nu.solve_linear
+    monkeypatch.setattr(nu, "solve_linear", lambda a, b: seen.append((a, b)) or solve(a, b))
+    ws = mop.WeightSystem(a=("1", "-1"), b=("0.7", "-0.7"), t="0.4", N=32)
+    idx = mop.MultiIndexPair((16, 16), (16, 16))
+    mop._factor_and_solve(ws, idx, [("II", 0), ("II", 1), ("I", 0), ("I", 1)])
+    ((A, cols),) = seen
+    assert A.rows == 32 and len(cols) == 4
+    assert _raw(solve(A, cols)) == _raw(solve_linear_mpf(A, cols))
+
+
+def test_solve_rejects_complex_matrix():
+    with pytest.raises(TypeError):
+        nu.solve_linear(matrix([[mpc(1, 1)]]), [mpf(1)])
 
 
 # ---------------------------------------------------------------------------

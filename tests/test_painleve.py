@@ -118,11 +118,18 @@ def test_128_bit_solve_stops_at_its_rounding_floor():
     assert oracle / 4 <= sol.achieved_residual <= 4 * oracle
 
 
+@pytest.mark.parametrize("bits", [128, 256, 512, 1088])
+def test_default_grid_independent_of_precision(bits):
+    # 20 / 0.01 rounds above 2000 at 512 and 1088 bits; the default domain
+    # still has 2001 points, spaced 0.01 apart
+    with mp.workprec(bits):
+        sol = pv.solve_hastings_mcleod()
+        assert len(sol.grid) == 2001 and sol.h == mpf(20) / 2000
+
+
 def test_grid_values_agree_across_precisions(hml_solution):
-    # at 512 bits 20 / 0.01 rounds above 2000 and the default spacing gives
-    # 2002 points; a spacing a hair above 0.01 keeps the 2001-point grid
     with mp.workprec(512):
-        fine = pv.solve_hastings_mcleod(spacing=mpf("0.0100000001"))
+        fine = pv.solve_hastings_mcleod()
     assert len(fine.grid) == len(hml_solution.grid)
     assert max(abs(a - b) for a, b in zip(hml_solution.q, fine.q)) <= mpf("1e-38")
 

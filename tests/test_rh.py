@@ -154,8 +154,8 @@ def test_transfer_product_identity(ws, idx22, exp22):
                 z = mpc(rng.uniform(-2, 2), rng.uniform(-2, 2))
                 U = rh.forward_transfer(exp22, exp_sh, k, l, z)
                 Ub = rh.backward_transfer(exp22, exp_sh, k, l, z)
-                assert nu.max_abs(U * Ub - nu.identity(4)) < mpf("1e-20")
-                assert nu.max_abs(Ub * U - nu.identity(4)) < mpf("1e-20")
+                assert nu.max_abs(U * Ub - mp.eye(4)) < mpf("1e-20")
+                assert nu.max_abs(Ub * U - mp.eye(4)) < mpf("1e-20")
 
 
 def test_transfer_maps_y_to_shifted_y(ws, idx22, exp22):
@@ -609,7 +609,7 @@ def test_general_pq_transfer_and_recurrence(ws_32):
     z = mpc("0.8", "-0.5")
     U = rh.forward_transfer(exp, exp_sh, 2, 0, z)
     Ub = rh.backward_transfer(exp, exp_sh, 2, 0, z)
-    assert nu.max_abs(U * Ub - nu.identity(5)) < mpf("1e-20")
+    assert nu.max_abs(U * Ub - mp.eye(5)) < mpf("1e-20")
     Y = rh.assemble_Y(ws_32, idx, z)
     Ysh = rh.assemble_Y(ws_32, sh, z)
     assert nu.max_abs(U * Y - Ysh) <= mpf("1e-20") * nu.max_abs(Ysh)
@@ -754,6 +754,6 @@ def test_characteristic_polynomial_evaluates_to_det(ws, idx22, exp22):
     n = idx22.size_n
     z = mpc("1.3", "0.4")
     xi = mpc("0.2", "-1.1")
-    direct = nu.lu_det(xi * nu.identity(4) + rh.lax_matrix(exp22, z) / n)
+    direct = nu.lu_det(xi * mp.eye(4) + rh.lax_matrix(exp22, z) / n)
     via_poly = sum(c * xi**i * z**j for (i, j), c in charpoly.items())
     assert abs(direct - via_poly) <= mpf("1e-60") * max(abs(direct), mpf(1))
