@@ -37,13 +37,6 @@ from .mop import (
 TWO_PI_I = 2j * mp.pi
 
 
-def _horner(coeffs: Sequence, x):
-    acc = mpf(0)
-    for c in reversed(coeffs):
-        acc = acc * x + c
-    return acc
-
-
 @dataclass(frozen=True)
 class PolyGaussian:
     """P(x) exp(-gamma (x - mu)^2 + c) with real coefficients."""
@@ -62,7 +55,8 @@ class PolyGaussian:
             raise ValueError("gamma must be positive")
 
     def __call__(self, x):
-        return _horner(self.coeffs, x) * mp.exp(-self.gamma * (x - self.mu) ** 2 + self.log_scale)
+        weight = mp.exp(-self.gamma * (x - self.mu) ** 2 + self.log_scale)
+        return mp.polyval(self.coeffs[::-1], x) * weight
 
     def mass(self) -> mpf:
         """int pg(x) dx via central Gaussian moments of the shifted polynomial."""
@@ -223,7 +217,8 @@ def _reflect_matrix(ev: YEvaluator, mat: matrix):
 def _kernel_form(ws: WeightSystem, idx: MultiIndexPair, start: int) -> tuple:
     """G(n, m)^{-1} from a solve starting at ``start`` bits: the bits it
     settled at, its blocks B^{kl} and, for the diagonal, each block
-    collapsed to P_kl(x) = sum_{i+j=d} B^{kl}[i][j] x^d."""
+    collapsed to P_kl(x) = sum_{i+j=d} B^{kl}[i][j] x^d.  Blocks and
+    diagonals are stored in descending powers, as mp.polyval takes them."""
     with mp.workprec(start):
         blocks, bits = bimoment_inverse(ws, idx)
     diagonal = {}
@@ -233,7 +228,8 @@ def _kernel_form(ws: WeightSystem, idx: MultiIndexPair, start: int) -> tuple:
             for i, row in enumerate(block):
                 for j, v in enumerate(row):
                     coeffs[i + j] += v
-            diagonal[(k, l)] = coeffs
+            diagonal[(k, l)] = coeffs[::-1]
+    blocks = {kl: tuple(row[::-1] for row in block[::-1]) for kl, block in blocks.items()}
     return bits, blocks, diagonal
 
 
@@ -246,9 +242,9 @@ def _kernel_sum(ws: WeightSystem, form: tuple, x, y, confluent: bool):
         acc = mpf(0)
         for (k, l), block in blocks.items():
             if confluent:
-                poly = _horner(diagonal[(k, l)], x)
+                poly = mp.polyval(diagonal[(k, l)], x)
             else:
-                poly = _horner([_horner(row, y) for row in block], x)
+                poly = mp.polyval([mp.polyval(row, y) for row in block], x)
             acc += v1[k] * v2[l] * poly
     return acc
 
@@ -260,7 +256,7 @@ def correlation_kernel(ws: WeightSystem, idx: MultiIndexPair, x, y=None):
 
     with B^{kl}[i][j] = (G^{-1})[(k, i), (l, j)] for the bimoment matrix
     G(n, m) (|n| = |m|).  G^{-1} is cached per (ws, idx, starting bits); a
-    point then costs real Horner evaluations and exponentials.
+    point then costs real polynomial evaluations and exponentials.
 
     The sum cancels about as many bits as the solve loses, and how many
     depends on the point (at n = m = (20, 20) on the large-separation
@@ -316,6 +312,11 @@ class KernelGrid:
             )
 
 
+#: share of each support interval, centred, over which density_profile
+#: measures the distance to the semicircle law
+INTERIOR_FRACTION = mpf("0.8")
+
+
 def default_grid(cfg: BrownianConfig, t, points: int = 400) -> list:
     al2, _ = ellipse_endpoints(cfg, t, 2)
     _, be1 = ellipse_endpoints(cfg, t, 1)
@@ -331,11 +332,10 @@ def density_profile(
     cfg: BrownianConfig,
     t,
     grid: Optional[Sequence] = None,
-    interior_fraction=mpf("0.8"),
 ) -> KernelGrid:
     """(1/n) K_n(x, x) on a grid plus sup-distance to the two semicircle
-    laws over the interior of each support interval (edges carry Airy-size
-    transients and are excluded)."""
+    laws over the middle INTERIOR_FRACTION of each support interval (edges
+    carry Airy-size transients and are excluded)."""
     rep = classify_separation(cfg)
     t = nu.to_ext(t)
     if rep.regime is Regime.SMALL:
@@ -346,7 +346,7 @@ def density_profile(
     if grid is None:
         grid = default_grid(cfg, t)
     sup1, sup2 = ellipse_endpoints(cfg, t, 1), ellipse_endpoints(cfg, t, 2)
-    margin = (1 - interior_fraction) / 2
+    margin = (1 - INTERIOR_FRACTION) / 2
     values, flags, semi1, semi2 = [], [], [], []
     d1 = d2 = mpf(0)
     for x in grid:

@@ -138,41 +138,30 @@ def _endpoints(a: mpf, b: mpf, p: mpf, T: mpf, t: mpf) -> tuple[mpf, mpf]:
     return center - half, center + half
 
 
-def ellipse_endpoints(
-    cfg: BrownianConfig,
-    t,
-    j: int,
-    starred: bool = True,
-    fractions: Optional[tuple[mpf, mpf]] = None,
-    T=None,
-) -> tuple[mpf, mpf]:
-    """Interval [alpha_j, beta_j] filled by group j at time t.
-
-    ``starred`` uses the limiting fractions p_j* (and the limiting
-    temperature); the finite-n variant is obtained by passing the varying
-    ``fractions`` and ``T`` explicitly.
+def ellipse_endpoints(cfg: BrownianConfig, t, j: int, T=None) -> tuple[mpf, mpf]:
+    """Interval [alpha_j, beta_j] filled by group j at time t, with the
+    limiting fractions p_j* and, unless ``T`` is given, the limiting
+    temperature.
     """
     t = nu.to_ext(t)
     if not 0 < t < 1:
         raise InvalidConfig("time must lie in (0, 1)")
     if j not in (1, 2):
         raise InvalidConfig("group index must be 1 or 2")
-    if fractions is None:
-        fractions = cfg.fractions
     if T is None:
         T = cfg.temperature()
     a = cfg.position("a", j)
     b = cfg.position("b", j)
-    p = fractions[j - 1]
+    p = cfg.fractions[j - 1]
     return _endpoints(a, b, p, nu.to_ext(T), t)
 
 
-def semicircle_density(cfg: BrownianConfig, t, j: int, x, starred: bool = True):
+def semicircle_density(cfg: BrownianConfig, t, j: int, x):
     """Limiting particle density of group j at time t (semicircle law)."""
     t = nu.to_ext(t)
     x = nu.to_ext(x)
     T = cfg.temperature()
-    alpha, beta = ellipse_endpoints(cfg, t, j, starred=starred)
+    alpha, beta = ellipse_endpoints(cfg, t, j)
     if not alpha <= x <= beta:
         # Boundary dust: callers may hand in endpoints rounded at a lower
         # precision than the ambient one (mp.quad elevates internally).
@@ -226,7 +215,6 @@ def xi_at(
     cfg: BrownianConfig,
     t,
     z,
-    starred: bool = True,
     real_part_on_cut: bool = False,
     T=None,
 ) -> XiValues:
@@ -245,7 +233,7 @@ def xi_at(
     out = {}
     consts = {}
     for j in (1, 2):
-        alpha, beta = ellipse_endpoints(cfg, t, j, starred=starred, T=T)
+        alpha, beta = ellipse_endpoints(cfg, t, j, T=T)
         a, b = cfg.position("a", j), cfg.position("b", j)
         base = -(1 - t) * a + t * b
         consts[j] = pref * base
@@ -268,8 +256,8 @@ def xi_at(
     )
 
 
-def _xi_real(cfg, t, x, starred=True, T=None):
-    v = xi_at(cfg, t, x, starred=starred, real_part_on_cut=True, T=T)
+def _xi_real(cfg, t, x, T=None):
+    v = xi_at(cfg, t, x, real_part_on_cut=True, T=T)
     return tuple(w.real for w in v.as_tuple())
 
 

@@ -152,17 +152,11 @@ class MopSolution:
     moments: Optional[dict] = field(default=None, compare=False, repr=False)
 
     def eval_A(self, k: int, x):
-        acc = mp.mpf(0)
-        for c in reversed(self.coeffs[k]):
-            acc = acc * x + c
-        return acc
+        return mp.polyval(self.coeffs[k][::-1], x)
 
     def eval_A_prime(self, k: int, x):
-        acc = mp.mpf(0)
         cs = self.coeffs[k]
-        for j in range(len(cs) - 1, 0, -1):
-            acc = acc * x + j * cs[j]
-        return acc
+        return mp.polyval([j * cs[j] for j in range(len(cs) - 1, 0, -1)], x)
 
     def coefficient(self, k: int, power: int):
         """Coefficient of x^power in A_k; zero outside the stored range."""

@@ -181,7 +181,13 @@ def solve_linear(a: matrix, b) -> list:
 
 
 def lu_det(a: matrix):
-    """Determinant by LU with partial pivoting, in mpf (or mpc) arithmetic."""
+    """Determinant by LU with partial pivoting, in mpf (or mpc) arithmetic.
+
+    Kept instead of mp.det: mpmath 1.3 raises TypeError on an exactly zero
+    pivot column (mp.det(mp.matrix([[0, 1], [0, 2]]))), where this returns
+    0.  rh.scalar_product_report reaches that case: with some n_k = 0, the
+    column k of C21, and so of C12 C21, is zero.
+    """
     n = a.rows
     rows = [[a[i, j] for j in range(n)] for i in range(n)]
     det = mpf(1)

@@ -33,6 +33,7 @@ MIN_TOL = mpf("1e-14")
 _BANDWIDTH = 7
 GUARD_BITS = 64  # fixed-point bits of the polish beyond working precision
 _NEWTON_TARGET = 1e-40  # far below any allowed tol, above the 256-bit floor
+MAX_NEWTON = 60  # steps of each Newton phase
 _INTERP_POINTS = 9
 
 
@@ -154,7 +155,6 @@ def solve_hastings_mcleod(
     s_hi=mpf(10),
     tol=DEFAULT_TOL,
     spacing=mpf("0.01"),
-    max_newton: int = 60,
 ) -> HmlSolution:
     """Collocate the Hastings-McLeod boundary-value problem on [s_lo, s_hi].
 
@@ -208,7 +208,7 @@ def solve_hastings_mcleod(
         return res, np.abs(res).max()
 
     res, norm = float_residual(q)
-    for _ in range(max_newton):
+    for _ in range(MAX_NEWTON):
         step = _damped_step(q, res, norm, jacobian(q), float_residual, np.subtract)
         if step is None or step[2] > norm / 2:
             break
@@ -245,7 +245,7 @@ def solve_hastings_mcleod(
 
     Q = [to_scaled(v) for v in q.tolist()]
     res, norm = residual(Q)
-    for _ in range(max_newton):
+    for _ in range(MAX_NEWTON):
         if norm / one <= floor:
             break
         qf = np.array([v / one for v in Q])

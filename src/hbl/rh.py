@@ -14,12 +14,12 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Optional, Sequence
 
-import numpy as np
 from mpmath import mp, mpf, mpc, matrix
 
 from . import numerics as nu
 from .errors import (
     BranchCollision,
+    InvalidIndex,
     NoConvergence,
     OnContour,
     ZeroDenominator,
@@ -56,26 +56,17 @@ class RhExpansion:
     def q(self) -> int:
         return self.ws.q
 
-    def _block(self, mat, rows, cols):
-        out = matrix(len(rows), len(cols))
-        for i, r in enumerate(rows):
-            for j, c in enumerate(cols):
-                out[i, j] = mat[r, c]
-        return out
-
     def C11(self):
-        return self._block(self.Y1, range(self.p), range(self.p))
+        return self.Y1[: self.p, : self.p]
 
     def C12(self):
-        return self._block(self.Y1, range(self.p), range(self.p, self.p + self.q))
+        return self.Y1[: self.p, self.p :]
 
     def C21(self):
-        return self._block(self.Y1, range(self.p, self.p + self.q), range(self.p))
+        return self.Y1[self.p :, : self.p]
 
     def C22(self):
-        return self._block(
-            self.Y1, range(self.p, self.p + self.q), range(self.p, self.p + self.q)
-        )
+        return self.Y1[self.p :, self.p :]
 
     def c(self, i: int, j: int):
         """Entry c_{i,j} with 1-based indices, as in the recurrence relations."""
@@ -83,8 +74,7 @@ class RhExpansion:
 
     def product(self, i: int, j: int) -> mpf:
         """Real recurrence coefficient c_{i,j} c_{j,i} (1-based)."""
-        v = self.Y1[i - 1, j - 1] * self.Y1[j - 1, i - 1]
-        return v.real if isinstance(v, mpc) else v
+        return (self.Y1[i - 1, j - 1] * self.Y1[j - 1, i - 1]).real
 
 
 def _expansion_uncached(ws: WeightSystem, idx: MultiIndexPair) -> RhExpansion:
@@ -202,11 +192,10 @@ class DiagonalCoefficient:
         return abs(self.via_lax - self.via_y2)
 
 
-def diagonal_recurrence(
-    exp: RhExpansion, k: int, l: int, cross_check_tol=None
-) -> DiagonalCoefficient:
+def diagonal_recurrence(exp: RhExpansion, k: int, l: int) -> DiagonalCoefficient:
     """Diagonal recurrence coefficient from Y1 alone (Gaussian-weights
-    formula) and from Y1 plus Y2; both routes must agree.
+    formula) and from Y1 plus Y2; both routes must agree to 2^-(prec/4)
+    relative.
 
     0-based k < p, l < q.
     """
@@ -225,12 +214,8 @@ def diagonal_recurrence(
     for ll in range(q):
         acc2 += y1[k, p + ll] * y1[p + ll, p + l]
     via_y2 = (y2[k, p + l] - acc - acc2) / denom
-    via_lax = via_lax.real if isinstance(via_lax, mpc) else via_lax
-    via_y2 = via_y2.real if isinstance(via_y2, mpc) else via_y2
-    result = DiagonalCoefficient(via_lax=via_lax, via_y2=via_y2)
-    if cross_check_tol is None:
-        cross_check_tol = mpf(2) ** (-(mp.prec // 4))
-    if result.disagreement > cross_check_tol * max(mpf(1), abs(via_lax)):
+    result = DiagonalCoefficient(via_lax=via_lax.real, via_y2=via_y2.real)
+    if result.disagreement > mpf(2) ** (-(mp.prec // 4)) * max(mpf(1), abs(via_lax)):
         raise NoConvergence(
             f"diagonal coefficient routes disagree by {result.disagreement}"
         )
@@ -297,9 +282,12 @@ def verify_recurrences(ws: WeightSystem, idx: MultiIndexPair, zs: Sequence) -> d
 
     The rows that the expansions at idx and idx + e_k + e_l already hold
     (main and left-side vectors) are reused; every other vector comes from
-    one solve_batch, one LU per base pair.  Raises InvalidIndex when a
-    shift would push a component negative.
+    one solve_batch, one LU per base pair.  The recurrences shift n - e_k
+    and m - e_l, so every component of idx must be at least 1; otherwise
+    InvalidIndex is raised.
     """
+    if min(idx.n + idx.m) < 1:
+        raise InvalidIndex(f"every n_k and m_l must be at least 1, got {idx}")
     p = ws.p
     pairs = [(k, l) for k in range(p) for l in range(ws.q)]
     specs = {
@@ -552,25 +540,14 @@ def involution_matrix(p: int, q: int) -> matrix:
 
 
 def involution_matrix_inverse(p: int, q: int) -> matrix:
-    """J^{-1} = [[0, -I_p], [I_q, 0]]; equals -J only when p = q."""
-    out = matrix(p + q, p + q)
-    for k in range(p):
-        out[k, q + k] = mpf(-1)
-    for l in range(q):
-        out[p + l, l] = mpf(1)
-    return out
+    """J^{-1} = J^T = [[0, -I_p], [I_q, 0]]; equals -J only when p = q."""
+    return involution_matrix(p, q).T
 
 
 def involution_check(exp: RhExpansion, exp_swapped: RhExpansion) -> mpf:
     """Residual of Y1_swapped = -J Y1^T J^{-1} (relative, max-entry scale)."""
-    p, q = exp.p, exp.q
-    J = involution_matrix(p, q)
-    Jinv = involution_matrix_inverse(p, q)
-    y1t = matrix(p + q, p + q)
-    for i in range(p + q):
-        for j in range(p + q):
-            y1t[i, j] = exp.Y1[j, i]
-    target = -(J * y1t * Jinv)
+    J = involution_matrix(exp.p, exp.q)
+    target = -(J * exp.Y1.T * J.T)
     scale = max(nu.max_abs(exp_swapped.Y1), mpf(1))
     return nu.max_abs(exp_swapped.Y1 - target) / scale
 
@@ -643,41 +620,21 @@ def characteristic_polynomial(exp: RhExpansion) -> dict:
 
 
 def _eigenvalues_at(exp: RhExpansion, charpoly: dict, z) -> list:
-    """Roots in xi of the characteristic polynomial at numeric z, refined
-    from double-precision seeds by extended-precision Newton."""
-    size = exp.p + exp.q
+    """Roots in xi of the characteristic polynomial at numeric z.
+
+    mp.polyroots stops on an absolute error of eps, and the slope branches
+    reach about 4e7 at the outer probe radius, so it gets mp.prec extra
+    bits (with mpmath's default of 10 it does not converge there).  A miss
+    raises NoConvergence.
+    """
     z = mpc(z)
-    coeffs = [mpc(0)] * (size + 1)
+    coeffs = [mpc(0)] * (exp.p + exp.q + 1)
     for (i, j), c in charpoly.items():
         coeffs[i] += c * z**j
-    # numpy seeds from the companion eigenvalues of -V(z)/n
-    n = exp.idx.size_n
-    V = lax_matrix(exp, z)
-    arr = np.array(
-        [[complex(-V[i, j] / n) for j in range(size)] for i in range(size)]
-    )
-    seeds = np.linalg.eigvals(arr)
-    dcoeffs = [coeffs[i] * i for i in range(1, size + 1)]
-
-    def pval(x, cs):
-        acc = mpc(0)
-        for c in reversed(cs):
-            acc = acc * x + c
-        return acc
-
-    roots = []
-    for seed in seeds:
-        x = mpc(seed)
-        for _ in range(mp.prec):
-            f = pval(x, coeffs)
-            fp = pval(x, dcoeffs)
-            if fp == 0:
-                break
-            step = f / fp
-            x -= step
-            if abs(step) <= abs(x) * mpf(2) ** (-(mp.prec - 8)):
-                break
-        roots.append(x)
+    try:
+        roots = mp.polyroots(coeffs[::-1], maxsteps=100, extraprec=mp.prec)
+    except mp.NoConvergence as exc:
+        raise NoConvergence(f"branch values at z = {z}: {exc}") from None
     check_branch_separation(roots, z)
     return roots
 
@@ -736,9 +693,9 @@ def spectral_curve(exp: RhExpansion) -> SpectralCurveReport:
         err = abs(pred - samples[_ERROR_RADIUS][b])
         branches.append(
             BranchFit(
-                slope=sol[0].real if isinstance(sol[0], mpc) else sol[0],
-                constant=sol[1].real if isinstance(sol[1], mpc) else sol[1],
-                inverse_z=sol[2].real if isinstance(sol[2], mpc) else sol[2],
+                slope=sol[0].real,
+                constant=sol[1].real,
+                inverse_z=sol[2].real,
                 fit_error=err,
             )
         )

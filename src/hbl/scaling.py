@@ -84,14 +84,13 @@ def _row_products(exp) -> dict:
 
 
 def _diag_ratios(exp) -> tuple:
-    def real(v):
-        return v.real if hasattr(v, "real") and not isinstance(v, mpf) else v
-
-    r1 = real(exp.c(1, 2) * exp.c(2, 3) / exp.c(1, 3))
-    r2 = real(exp.c(1, 2) * exp.c(2, 4) / exp.c(1, 4))
-    r3 = real(exp.c(2, 1) * exp.c(1, 3) / exp.c(2, 3))
-    r4 = real(exp.c(2, 1) * exp.c(1, 4) / exp.c(2, 4))
-    return (r1, r2, r3, r4)
+    c = exp.c
+    return (
+        (c(1, 2) * c(2, 3) / c(1, 3)).real,
+        (c(1, 2) * c(2, 4) / c(1, 4)).real,
+        (c(2, 1) * c(1, 3) / c(2, 3)).real,
+        (c(2, 1) * c(1, 4) / c(2, 4)).real,
+    )
 
 
 def _relation_residuals(exp, idx, ws) -> tuple:
@@ -156,7 +155,6 @@ def double_scaling_study(
     t,
     n_list: Sequence[int] = DEFAULT_N_LIST,
     hml: Optional[HmlSolution] = None,
-    precision: Optional[int] = None,
 ) -> DoubleScalingStudy:
     """Sample the recurrence coefficients along T_n = 1 + L n^{-2/3} at a
     critical-separation configuration and tabulate the Painleve II
@@ -194,10 +192,9 @@ def double_scaling_study(
         }
 
     rows = []
-    with mp.workprec(precision or mp.prec):
-        for n in sorted(n_list):
-            T_n = 1 + L * mpf(n) ** (mpf(-2) / 3)
-            rows.append(_study_row(cfg, t, n, T_n, predictions))
+    for n in sorted(n_list):
+        T_n = 1 + L * mpf(n) ** (mpf(-2) / 3)
+        rows.append(_study_row(cfg, t, n, T_n, predictions))
     return DoubleScalingStudy(
         rows=tuple(rows), K=consts.K, s=consts.s, q_of_s=qs, t=t, L=L
     )
@@ -216,7 +213,6 @@ def small_separation_study(
     cfg: BrownianConfig,
     t,
     n_list: Sequence[int] = (8, 16, 32, 64),
-    precision: Optional[int] = None,
 ) -> SmallSeparationStudy:
     """Deviations from the small-separation limits (p1 = p2 = 1/2 only):
 
@@ -234,10 +230,7 @@ def small_separation_study(
     lim14 = t * (1 - t) / 8 * (2 - da * db)
     T = cfg.temperature()
     preds = {"c12c21": lim12, "c14c41": lim14}
-    rows = []
-    with mp.workprec(precision or mp.prec):
-        for n in sorted(n_list):
-            rows.append(_study_row(cfg, t, n, T, preds))
+    rows = [_study_row(cfg, t, n, T, preds) for n in sorted(n_list)]
     fit12 = convergence_rate_fit([r.c12c21 for r in rows], [r.n for r in rows], lim12)
     fit14 = convergence_rate_fit([r.c14c41 for r in rows], [r.n for r in rows], lim14)
     return SmallSeparationStudy(
@@ -268,7 +261,6 @@ def large_separation_decay(
     cfg: BrownianConfig,
     t,
     n_list: Sequence[int] = (8, 16, 24, 32, 40),
-    precision: Optional[int] = None,
 ) -> LargeSeparationStudy:
     """Fit log |c12 c21| and log |c14 c41| against n in the large regime.
 
@@ -282,10 +274,8 @@ def large_separation_decay(
         raise WrongRegime("decay study requires the large regime")
     t = nu.to_ext(t)
     T = cfg.temperature()
-    rows = []
-    with mp.workprec(precision or max(512, mp.prec)):
-        for n in sorted(n_list):
-            rows.append(_study_row(cfg, t, n, T, {}))
+    with mp.workprec(max(512, mp.prec)):
+        rows = [_study_row(cfg, t, n, T, {}) for n in sorted(n_list)]
 
     def fit(values):
         ns = np.array([float(r.n) for r in rows])

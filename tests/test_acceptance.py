@@ -220,10 +220,11 @@ def test_criterion_07_painleve():
 def test_criterion_08_double_scaling(hml_solution):
     t0 = time.monotonic()
     cfg = BrownianConfig("1", "-1", "0.5", "-0.5", L="0")
-    study = sc.double_scaling_study(
-        cfg, L=0, t=mpf(1) / 3, n_list=(8, 12, 16, 24, 32, 48, 64),
-        hml=hml_solution, precision=512,
-    )
+    with mp.workprec(512):
+        study = sc.double_scaling_study(
+            cfg, L=0, t=mpf(1) / 3, n_list=(8, 12, 16, 24, 32, 48, 64),
+            hml=hml_solution,
+        )
     signs_ok = all(r.c12c21 < 0 < r.c14c41 for r in study.rows)
     da, db = cfg.a1 - cfg.a2, cfg.b1 - cfg.b2
     t = study.t

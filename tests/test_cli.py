@@ -273,6 +273,24 @@ def test_odd_inputs_exit_with_usage_error(
     assert len(lines) == 1 and json.loads(lines[0])["error"] == "usage"
 
 
+@pytest.mark.parametrize(
+    "n, m", [("0,2", "1,1"), ("1,1", "2,0")], ids=["n-0-2", "m-2-0"]
+)
+def test_identities_zero_component_exits_invalid_index(
+    large_sep_config_file, tmp_path, capsys, n, m
+):
+    # the recurrence checks shift n - e_k and m - e_l: every component
+    # must be at least 1, and the message names the index as given
+    argv = ["--out", str(tmp_path / "art"), "identities"]
+    argv += ["--config", str(large_sep_config_file), "--n", n, "--m", m, "--t", "0.4"]
+    assert main(argv) == 2
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1
+    error = json.loads(lines[0])
+    assert error["error"] == "invalid-index"
+    assert "at least 1" in error["message"] and "-1" not in error["message"]
+
+
 def test_identities_factors_each_base_pair_once(
     large_sep_config_file, tmp_path, monkeypatch
 ):
@@ -400,6 +418,26 @@ def test_identities_match_golden(tmp_path):
     assert main(argv + ["--n", "6,6", "--m", "6,6", "--t", "0.4"]) == 0
     golden = (DATA / "golden_identities.json").read_bytes()
     assert (out / "identities.json").read_bytes() == golden
+
+
+@pytest.mark.parametrize(
+    "argv, name",
+    [
+        (["spectral", "--n", "4,4", "--m", "4,4", "--t", "0.4"], "spectral.json"),
+        (["density", "--n", "4,4", "--m", "4,4", "--t", "0.5", "--points", "20"],
+         "density.csv"),
+    ],
+    ids=["spectral", "density"],
+)
+def test_spectral_and_density_match_golden(tmp_path, argv, name):
+    # golden files written by the Newton-polished spectral roots and the
+    # hand-written Horner loops that mpmath's polyroots and polyval
+    # replaced.  The config sits at a fixed path
+    out = tmp_path / "art"
+    config = ["--config", str(DATA / "large_config.json")]
+    assert main(["--out", str(out), argv[0]] + config + argv[1:]) == 0
+    golden = (DATA / f"golden_{name}").read_bytes()
+    assert (out / name).read_bytes() == golden
 
 
 def test_identities_failure_exit(large_sep_config_file, tmp_path):

@@ -10,7 +10,7 @@ from mpmath import mp, mpf, mpc
 from hbl import mop
 from hbl import numerics as nu
 from hbl import rh
-from hbl.errors import BranchCollision, InvalidIndex
+from hbl.errors import BranchCollision, InvalidIndex, NoConvergence
 from hbl.model import BrownianConfig
 from hbl.mop import MultiIndexPair, WeightSystem, transition_number
 
@@ -728,6 +728,18 @@ def test_spectral_branch_collision_detected():
     with pytest.raises(BranchCollision):
         rh.check_branch_separation(roots, mpf(1000))
     rh.check_branch_separation([mpc(1), mpc(2)], mpf(1000))  # no raise
+
+
+def test_spectral_root_finder_failure_raises_no_convergence(exp22, monkeypatch):
+    # mp.polyroots capped at one step misses its tolerance; the mpmath
+    # exception surfaces as hbl's NoConvergence (exit 3)
+    polyroots = mp.polyroots
+    monkeypatch.setattr(
+        mp, "polyroots", lambda coeffs, **kw: polyroots(coeffs, **{**kw, "maxsteps": 1})
+    )
+    with pytest.raises(NoConvergence) as info:
+        rh.spectral_curve(exp22)
+    assert info.value.exit_code == 3
 
 
 def test_spectral_near_degenerate_endpoints_still_resolved():

@@ -238,12 +238,12 @@ def test_large_separation_wrong_regime(small_sep_config):
 
 def test_large_separation_follows_higher_working_precision(large_sep_config):
     # the study runs at max(512, working precision): at 1024 working bits
-    # it agrees with an explicit 2048-bit study far beyond what 512 bits
-    # can resolve
+    # it agrees with a 2048-bit study far beyond what 512 bits can resolve
     t, n_list = mpf(1) / 2, (8, 16)
     with mp.workprec(1024):
         lo = sc.large_separation_decay(large_sep_config, t, n_list)
-    hi = sc.large_separation_decay(large_sep_config, t, n_list, precision=2048)
+    with mp.workprec(2048):
+        hi = sc.large_separation_decay(large_sep_config, t, n_list)
     for a, b in zip(lo.rows, hi.rows):
         for u, v in ((a.c12c21, b.c12c21), (a.c14c41, b.c14c41)):
             assert abs(u - v) <= mpf(2) ** -900 * abs(v)
