@@ -125,11 +125,14 @@ def _int_list(option: str, text: str) -> tuple:
 
 
 def _decimal(option: str, text: str) -> mpf:
-    """A decimal number given to ``option``, at working precision."""
+    """A finite decimal number given to ``option``, at working precision."""
     try:
-        return nu.to_ext(text)
+        value = nu.to_ext(text)
     except ValueError:
-        raise UsageError(f"{option} must be a decimal number, got {text!r}") from None
+        value = mp.nan
+    if not mp.isfinite(value):
+        raise UsageError(f"{option} must be a finite decimal number, got {text!r}")
+    return value
 
 
 def _parse_index(ns) -> MultiIndexPair:

@@ -180,37 +180,6 @@ def solve_linear(a: matrix, b) -> list:
     return out if several else out[0]
 
 
-def lu_det(a: matrix):
-    """Determinant by LU with partial pivoting, in mpf (or mpc) arithmetic.
-
-    Kept instead of mp.det: mpmath 1.3 raises TypeError on an exactly zero
-    pivot column (mp.det(mp.matrix([[0, 1], [0, 2]]))), where this returns
-    0.  rh.scalar_product_report reaches that case: with some n_k = 0, the
-    column k of C21, and so of C12 C21, is zero.
-    """
-    n = a.rows
-    rows = [[a[i, j] for j in range(n)] for i in range(n)]
-    det = mpf(1)
-    for col in range(n):
-        piv, piv_mag = col, abs(rows[col][col])
-        for r in range(col + 1, n):
-            m = abs(rows[r][col])
-            if m > piv_mag:
-                piv, piv_mag = r, m
-        if piv_mag == 0:
-            return mpf(0)
-        if piv != col:
-            rows[col], rows[piv] = rows[piv], rows[col]
-            det = -det
-        det *= rows[col][col]
-        inv_p = 1 / rows[col][col]
-        for r in range(col + 1, n):
-            f = rows[r][col] * inv_p
-            for c in range(col + 1, n):
-                rows[r][c] -= f * rows[col][c]
-    return det
-
-
 def max_abs(a: matrix) -> mpf:
     return max(abs(a[i, j]) for i in range(a.rows) for j in range(a.cols))
 

@@ -3,7 +3,8 @@ q(s) ~ Ai(s) as s -> +infinity and q(s) ~ sqrt(-s/2) as s -> -infinity.
 
 Shipped method: 6th-order finite-difference collocation on a uniform grid
 with a damped Newton iteration in two phases.  A float64 Newton on the
-banded Jacobian runs until its residual stops halving; a polish then holds
+banded Jacobian (``solve_banded``: pure-Python elimination over each row's
+stencil span) runs until its residual stops halving; a polish then holds
 the grid values as integers scaled by 2^P, P = prec + GUARD_BITS, and
 evaluates the collocation residual exactly up to rounding at 2^-P, each
 step still a float64 banded solve, until the residual reaches 1e-40 or the
@@ -21,16 +22,13 @@ from functools import lru_cache
 from math import factorial, lcm
 from operator import mul
 import numpy as np
-import scipy.special
 from mpmath import mp, mpf
-from scipy.linalg import solve_banded
 
 from . import numerics as nu
 from .errors import DomainTooNarrow, NoConvergence, OutOfDomain
 
 DEFAULT_TOL = mpf("1e-12")
 MIN_TOL = mpf("1e-14")
-_BANDWIDTH = 7
 GUARD_BITS = 64  # fixed-point bits of the polish beyond working precision
 _NEWTON_TARGET = 1e-40  # far below any allowed tol, above the 256-bit floor
 MAX_NEWTON = 60  # steps of each Newton phase
@@ -74,22 +72,67 @@ def _int_rows(rows, npts: int, order: int, half: int, edge: int):
     return den, [(i + o[0], ints[o]) for i, o in zip(rows, offs)]
 
 
-def _band_matvec(ab, x):
-    """A x for a matrix A held in solve_banded's layout, ab[u + i - j, j] = A[i, j]."""
-    y = np.zeros_like(x)
-    for o in range(-_BANDWIDTH, _BANDWIDTH + 1):
-        col = ab[_BANDWIDTH - o] * x
-        if o >= 0:
-            y[: len(x) - o] += col[o:]
-        else:
-            y[-o:] += col[:o]
-    return y
+def solve_banded(rows, rhs):
+    """x with A x = rhs, A given by its rows as (first column, values over the
+    row's span, diagonal included); the rows are overwritten.
+
+    Gaussian elimination without pivoting over each row's span.  The
+    Hastings-McLeod Jacobian allows it: its interior is symmetric negative
+    definite along the Newton path, and the polish recomputes the exact
+    residual of every step, so a poor one shows.  A zero pivot raises.
+    """
+    pivots, upper, y = [], [], []  # U's diagonal and the rest of its rows; L^-1 rhs
+    for i, (a, row) in enumerate(rows):
+        b = rhs[i]
+        for k in range(a, i):
+            u = upper[k]
+            f = row[k - a] / pivots[k]
+            j = k - a
+            if j + len(u) >= len(row):  # fill-in beyond the row's span
+                row += [0.0] * (j + 1 + len(u) - len(row))
+            for v in u:
+                j += 1
+                row[j] -= f * v
+            b -= f * y[k]
+        if not row[i - a]:
+            raise NoConvergence(f"zero pivot in row {i} of the banded Newton solve")
+        pivots.append(row[i - a])
+        upper.append(row[i - a + 1 :])
+        y.append(b)
+    x = [0.0] * len(rows)
+    for i in range(len(rows) - 1, -1, -1):
+        u = upper[i]
+        x[i] = (y[i] - sum(map(mul, u, x[i + 1 : i + 1 + len(u)]))) / pivots[i]
+    return x
+
+
+def _ai_float(x):
+    """Airy Ai in float64 for the Newton seed: the Maclaurin series up to
+    x = 2 (about 1e-16 absolute), three terms of the asymptotic series beyond
+    (3e-3 relative just past 2, 4e-6 at 10)."""
+    x = np.asarray(x, dtype=float)
+    out = np.empty_like(x)
+    near = x <= 2
+    t = x[near]
+    f, g = np.ones_like(t), t.copy()  # the two Maclaurin solutions
+    sum_f, sum_g, cube = f.copy(), g.copy(), t**3
+    for k in range(12):
+        f = f * cube / ((3 * k + 2) * (3 * k + 3))
+        g = g * cube / ((3 * k + 3) * (3 * k + 4))
+        sum_f += f
+        sum_g += g
+    out[near] = 0.355028053887817239 * sum_f - 0.258819403792806798 * sum_g
+    t = x[~near]
+    zeta = 2 / 3 * t**1.5
+    series = 1 - 5 / 72 / zeta + 385 / 10368 / zeta**2
+    out[~near] = np.exp(-zeta) / (2 * np.sqrt(np.pi) * t**0.25) * series
+    return out
 
 
 def _damped_step(x, rhs, norm, jac, residual, sub):
     """One damped Newton step from x: the banded float64 solve J d = rhs,
     halved up to 12 times until the residual norm drops; None if none does."""
-    delta = solve_banded((_BANDWIDTH, _BANDWIDTH), jac, rhs)
+    delta = np.array(solve_banded(jac, rhs.tolist()))
     for _ in range(12):
         trial = sub(x, delta)
         res, trial_norm = residual(trial)
@@ -178,7 +221,8 @@ def solve_hastings_mcleod(
     h = (s_hi - s_lo) / (npts - 1)
     grid = [s_lo + i * h for i in range(npts)]
     s_float = np.array([float(v) for v in grid])
-    ai_seed = scipy.special.airy(s_float)[0]
+    # Ai enters only where the blend weight is nonzero, s > -1
+    ai_seed = _ai_float(np.maximum(s_float, -1.0))
     blend = np.clip((s_float + 1) / 2, 0.0, 1.0)
     smooth = blend * blend * (3 - 2 * blend)
     sqrt_part = np.sqrt(np.maximum(-s_float, 0.01) / 2)
@@ -186,23 +230,26 @@ def solve_hastings_mcleod(
     bc_left = left_asymptote(s_lo)
     bc_right = mp.airyai(s_hi)
 
-    # constant part of the banded Jacobian: the stencils over h^2
+    # constant part of the Jacobian, row i as (first column, values): the
+    # stencils over h^2 between identity rows; also zero-padded for numpy
     den, stencils = _int_rows(range(1, npts - 1), npts, 2, 3, 8)
-    band = np.zeros((2 * _BANDWIDTH + 1, npts))
-    for i, (a, w) in enumerate(stencils, 1):
-        cols = np.arange(a, a + len(w))
-        band[_BANDWIDTH + i - cols, cols] = w
-    band /= den * float(h) ** 2
-    band[_BANDWIDTH, [0, npts - 1]] = 1.0
+    scale = 1.0 / (den * float(h) ** 2)
+    band = [(0, [1.0])] + [(a, [c * scale for c in w]) for a, w in stencils]
+    band.append((npts - 1, [1.0]))
+    width = max(len(w) for _, w in band)
+    weights = np.array([w + [0.0] * (width - len(w)) for _, w in band])
+    cols = np.minimum([[a + j for j in range(width)] for a, _ in band], npts - 1)
 
     def jacobian(qf):
-        ab = band.copy()
-        ab[_BANDWIDTH, 1:-1] -= s_float[1:-1] + 6.0 * qf[1:-1] ** 2
-        return ab
+        diag = (s_float + 6.0 * qf * qf).tolist()
+        rows = [(a, w[:]) for a, w in band]
+        for i, (a, w) in enumerate(rows[1:-1], 1):
+            w[i - a] -= diag[i]
+        return rows
 
     # (a) float64 Newton while each step at least halves the residual
     def float_residual(qf):
-        res = _band_matvec(band, qf)
+        res = (weights * qf[cols]).sum(axis=1)
         res[[0, -1]] -= float(bc_left), float(bc_right)
         res[1:-1] -= s_float[1:-1] * qf[1:-1] + 2.0 * qf[1:-1] ** 3
         return res, np.abs(res).max()
@@ -215,8 +262,9 @@ def solve_hastings_mcleod(
         q, res, norm = step
     # rounding the returned values to working precision moves row i of the
     # residual by up to 2^-prec (|J| |q|)_i: no step gets below that floor
-    rounding = _band_matvec(np.abs(jacobian(q)), np.abs(q)).max() * 2.0**-mp.prec
-    floor = max(_NEWTON_TARGET, rounding)
+    ql = q.tolist()
+    rounding = max(sum(abs(v * ql[a + j]) for j, v in enumerate(w)) for a, w in jacobian(q))
+    floor = max(_NEWTON_TARGET, rounding * 2.0**-mp.prec)
 
     # (b) polish on scaled integers Q_i = q_i 2^P: products are exact, and
     # only the data and the shifts back to scale 2^P round, at 2^-P

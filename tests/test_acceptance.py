@@ -343,7 +343,7 @@ def test_criterion_11_kernel_plumbing():
         worst_jump = max(
             worst_jump, nu.max_abs(Yp * mp.inverse(J) * mp.inverse(Ym) - mp.eye(4))
         )
-    det_err = abs(nu.lu_det(rh.assemble_Y(ws, idx, mpc(1, 1))) - 1)
+    det_err = abs(mp.det(rh.assemble_Y(ws, idx, mpc(1, 1))) - 1)
     ok = worst_ct <= mpf("1e-18") and worst_jump <= mpf("1e-15") and det_err <= mpf("1e-18")
     _report(11, ok, f"cauchy vs quadrature {mp.nstr(worst_ct, 3)} (1e-18), "
                     f"jump {mp.nstr(worst_jump, 3)} (1e-15), "

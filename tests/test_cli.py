@@ -256,11 +256,15 @@ def test_odd_density_inputs_exit_cleanly(
         ["identities", "--config", "large", "--n", "2,2,2", "--m", "2,2,2", "--t", "0.4"],
         ["density", "--config", "large", "--n", "2,2,2", "--m", "2,2,2", "--t", "0.4"],
         ["spectral", "--config", "large", "--n", "4", "--m", "3", "--t", "0.4"],
+        ["painleve", "--s-hi", "inf"],
+        ["painleve", "--s-lo", "nan"],
+        ["scaling", "--config", "critical", "--t", "0.33", "--L", "inf"],
     ],
     ids=[
         "samples-1", "phase-samples-1", "raster-0", "stride-0", "n-2x", "n-list-8x",
         "s-lo-x", "L-x", "tol-1e-16", "tol-0", "identities-n-0", "coefficients-n-0",
         "density-n-0", "identities-n-3-groups", "density-n-3-groups", "spectral-n-1-group",
+        "s-hi-inf", "s-lo-nan", "L-inf",
     ],
 )
 def test_odd_inputs_exit_with_usage_error(

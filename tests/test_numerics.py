@@ -178,12 +178,6 @@ def test_bimoment_solve_bit_identical_to_mpf_elimination(monkeypatch):
     assert _raw(solve(A, cols)) == _raw(solve_linear_mpf(A, cols))
 
 
-def test_lu_det_zero_pivot_column():
-    # an exactly zero pivot column gives determinant 0 (mpmath 1.3's mp.det
-    # raises TypeError on this matrix)
-    assert nu.lu_det(matrix([[0, 1], [0, 2]])) == 0
-
-
 def test_solve_rejects_complex_matrix():
     with pytest.raises(TypeError):
         nu.solve_linear(matrix([[mpc(1, 1)]]), [mpf(1)])

@@ -1,13 +1,16 @@
 """Hastings-McLeod collocation, interpolation and the Hamiltonian."""
 
+import subprocess
+import sys
 from math import factorial
+from pathlib import Path
 
 import pytest
 from conftest import hml_residual_oracle
 from mpmath import mp, mpf
 
 from hbl import painleve as pv
-from hbl.errors import DomainTooNarrow, OutOfDomain
+from hbl.errors import DomainTooNarrow, NoConvergence, OutOfDomain
 
 
 def _shooting_oracle_q0():
@@ -211,3 +214,66 @@ def test_domain_validation():
 def test_out_of_domain(hml_solution):
     with pytest.raises(OutOfDomain):
         pv.evaluate_q(hml_solution, mpf(11))
+
+
+def _recorded_jacobians(monkeypatch, bits):
+    """(rows, rhs) of every banded solve in one solve at ``bits``, copied
+    before the elimination overwrites them: the first is at the seed."""
+    calls = []
+    solve = pv.solve_banded
+
+    def record(rows, rhs):
+        calls.append(([(a, list(w)) for a, w in rows], list(rhs)))
+        return solve(rows, rhs)
+
+    monkeypatch.setattr(pv, "solve_banded", record)
+    with mp.workprec(bits):
+        pv.solve_hastings_mcleod()
+    return calls
+
+
+def test_solve_banded_matches_lapack(monkeypatch):
+    # the elimination without pivoting against LAPACK's pivoted banded solve,
+    # on the Jacobian at the seed and at the converged 128-bit grid
+    import numpy as np
+    from scipy.linalg import solve_banded as lapack_banded
+
+    calls = _recorded_jacobians(monkeypatch, 128)
+    for rows, rhs in (calls[0], calls[-1]):
+        n = len(rows)
+        reach = max(max(i - a, a + len(w) - 1 - i) for i, (a, w) in enumerate(rows))
+        ab = np.zeros((2 * reach + 1, n))
+        for i, (a, w) in enumerate(rows):
+            for j, v in enumerate(w, a):
+                ab[reach + i - j, j] = v
+        want = lapack_banded((reach, reach), ab, np.array(rhs))
+        got = np.array(pv.solve_banded([(a, list(w)) for a, w in rows], rhs))
+        assert np.abs(got - want).max() <= 1e-10 * np.abs(want).max()
+
+
+@pytest.mark.parametrize(
+    "rows", [[(0, [0.0, 1.0]), (0, [1.0, 1.0])], [(0, [1.0, 1.0]), (0, [1.0, 1.0])]],
+    ids=["first-pivot", "after-elimination"],
+)
+def test_solve_banded_zero_pivot_raises(rows):
+    with pytest.raises(NoConvergence):
+        pv.solve_banded(rows, [1.0, 1.0])
+
+
+def test_float_airy_seed():
+    # the float64 Ai that seeds Newton, on both sides of its switch at s = 2
+    nodes = ["-1", "-0.5", "0", "1", "1.99", "2", "2.01", "3", "5.5", "10"]
+    seed = pv._ai_float([float(s) for s in nodes])
+    for s, got in zip(nodes, seed.tolist()):
+        want = mp.airyai(mpf(s))
+        assert abs(got - want) <= mpf("1e-2") * want
+
+
+def test_cli_import_leaves_out_scipy():
+    src = str(Path(pv.__file__).resolve().parents[1])
+    code = "import sys, hbl.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    out = subprocess.run(
+        [sys.executable, "-c", f"import sys; sys.path.insert(0, {src!r}); {code}"],
+        capture_output=True, text=True, check=True,
+    )
+    assert out.stdout.strip() == "[]"

@@ -386,6 +386,14 @@ def test_scalar_products_base_case(ws):
     assert rep.max_residual == 0
 
 
+def test_scalar_products_zero_component(ws):
+    # with n_2 = 0 the second column of C21, and so of C12 C21, is zero: the
+    # 2x2 determinant relations still hold, in closed form
+    rep = rh.scalar_product_report(rh.assemble_rh_expansion(ws, MultiIndexPair((2, 0), (1, 1))))
+    assert rep.determinant_top is not None and rep.determinant_bottom is not None
+    assert rep.max_residual < mpf("1e-22")
+
+
 def test_scalar_products_unequal_split(ws_asym):
     idx = MultiIndexPair((3, 2), (3, 2))
     rep = rh.scalar_product_report(rh.assemble_rh_expansion(ws_asym, idx))
@@ -766,6 +774,6 @@ def test_characteristic_polynomial_evaluates_to_det(ws, idx22, exp22):
     n = idx22.size_n
     z = mpc("1.3", "0.4")
     xi = mpc("0.2", "-1.1")
-    direct = nu.lu_det(xi * mp.eye(4) + rh.lax_matrix(exp22, z) / n)
+    direct = mp.det(xi * mp.eye(4) + rh.lax_matrix(exp22, z) / n)
     via_poly = sum(c * xi**i * z**j for (i, j), c in charpoly.items())
     assert abs(direct - via_poly) <= mpf("1e-60") * max(abs(direct), mpf(1))
