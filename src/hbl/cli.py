@@ -339,6 +339,12 @@ def cmd_scaling(cfg: BrownianConfig, ns, out: Path) -> int:
     t = _parse_t(ns)
     n_list = _int_list("--n-list", ns.n_list)
     rep = classify_separation(cfg)
+    least = {Regime.SMALL: 4, Regime.LARGE: 2}.get(rep.regime, 1)  # points the fit needs
+    if min(n_list) < 2 or len(set(n_list)) < max(len(n_list), least):
+        raise UsageError(
+            f"--n-list must be {least} or more distinct integers, each at least 2, "
+            f"got {ns.n_list!r}"
+        )
     meta = _metadata(cfg)
     meta["t"] = _fmt(t)
     meta["regime"] = rep.regime.value

@@ -16,8 +16,8 @@ from functools import cmp_to_key
 
 from mpmath import mp, mpf, mpc, matrix
 from mpmath.libmp import (
-    fzero, from_man_exp, mpf_abs, mpf_cmp, mpf_div, mpf_lt, mpf_mul, mpf_rdiv_int,
-    mpf_shift, mpf_sub, round_nearest,
+    fzero, from_man_exp, mpf_abs, mpf_cmp, mpf_div, mpf_lt, mpf_mul, mpf_pos,
+    mpf_rdiv_int, mpf_shift, round_nearest,
 )
 
 from .errors import SingularMatrix
@@ -95,13 +95,6 @@ def _fms(a: tuple, u: tuple, v: tuple, prec: int) -> tuple:
     return am, ae
 
 
-def _fms_wide(a: tuple, u: tuple, v: tuple, prec: int) -> tuple:
-    """_fms by mpf_mul and mpf_sub, for rows holding an input wider than
-    ``prec`` bits: mpf_sub may round those unlike the exact difference."""
-    prod = mpf_mul(from_man_exp(*u), from_man_exp(*v), prec, round_nearest)
-    return _pair(mpf_sub(from_man_exp(*a), prod, prec, round_nearest))
-
-
 def solve_linear(a: matrix, b) -> list:
     """Solve A x = b by LU with partial pivoting at working precision.
 
@@ -111,9 +104,11 @@ def solve_linear(a: matrix, b) -> list:
     Raises SingularMatrix when the best available pivot falls below a
     precision-scaled threshold relative to the largest initial entry.
 
-    It runs on int pairs from each ``_mpf_`` with mpf's roundings in mpf's
-    order (_fms, mpf_rdiv_int, mpf_div): x is bit-identical to the same
-    elimination in mpf operations.  The first pivot of largest magnitude
+    Each entry of A and b is rounded to working precision once, on entry.
+    The elimination then runs on int pairs from each ``_mpf_`` with mpf's
+    roundings in mpf's order (_fms, mpf_rdiv_int, mpf_div): x is
+    bit-identical to the same elimination in mpf operations on the rounded
+    entries.  The first pivot of largest magnitude
     (rounded as ``abs`` rounds) wins.  A must be real; a complex right-hand
     side is solved by parts, as mpc arithmetic against a real A does.
     """
@@ -141,8 +136,7 @@ def solve_linear(a: matrix, b) -> list:
         raise SingularMatrix("zero matrix")
     # Leave 32 bits of slack; anything smaller than this is numerically zero.
     threshold = mp.make_mpf(mpf_shift(scale, -(prec - 32)))
-    rows = [[_pair(v) for v in row] for row in rows]
-    wide = {id(row) for row in rows if any(m.bit_length() > prec for m, _ in row)}
+    rows = [[_pair(mpf_pos(v, prec, round_nearest)) for v in row] for row in rows]
 
     for col in range(n):
         mags = [from_man_exp(abs(r[col][0]), r[col][1], prec, round_nearest) for r in rows[col:]]
@@ -159,9 +153,8 @@ def solve_linear(a: matrix, b) -> list:
             f = mpf_mul(from_man_exp(*row[col]), inv_p, prec, round_nearest)
             if f == fzero:
                 continue
-            f, fms = _pair(f), _fms_wide if id(row) in wide else _fms
-            wide.discard(id(row))
-            row[col + 1:] = [fms(v, f, p, prec)
+            f = _pair(f)
+            row[col + 1:] = [_fms(v, f, p, prec)
                              for v, p in zip(row[col + 1:], pivot_row[col + 1:])]
 
     xs = []
@@ -169,9 +162,8 @@ def solve_linear(a: matrix, b) -> list:
         x = [None] * n
         for r in range(n - 1, -1, -1):
             row, acc = rows[r], rows[r][s]
-            fms = _fms_wide if id(row) in wide else _fms
             for c in range(r + 1, n):
-                acc = fms(acc, row[c], x[c], prec)
+                acc = _fms(acc, row[c], x[c], prec)
             x[r] = _pair(mpf_div(from_man_exp(*acc), from_man_exp(*row[r]), prec, round_nearest))
         xs.append([from_man_exp(*v) for v in x])
     xs = iter(xs)  # each complex solution takes its real and imaginary parts

@@ -19,9 +19,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+import math
 from math import factorial, lcm
 from operator import mul
-import numpy as np
 from mpmath import mp, mpf
 
 from . import numerics as nu
@@ -106,39 +106,35 @@ def solve_banded(rows, rhs):
     return x
 
 
-def _ai_float(x):
+def _ai_float(x: float) -> float:
     """Airy Ai in float64 for the Newton seed: the Maclaurin series up to
     x = 2 (about 1e-16 absolute), three terms of the asymptotic series beyond
     (3e-3 relative just past 2, 4e-6 at 10)."""
-    x = np.asarray(x, dtype=float)
-    out = np.empty_like(x)
-    near = x <= 2
-    t = x[near]
-    f, g = np.ones_like(t), t.copy()  # the two Maclaurin solutions
-    sum_f, sum_g, cube = f.copy(), g.copy(), t**3
-    for k in range(12):
-        f = f * cube / ((3 * k + 2) * (3 * k + 3))
-        g = g * cube / ((3 * k + 3) * (3 * k + 4))
-        sum_f += f
-        sum_g += g
-    out[near] = 0.355028053887817239 * sum_f - 0.258819403792806798 * sum_g
-    t = x[~near]
-    zeta = 2 / 3 * t**1.5
+    if x <= 2:
+        f, g = 1.0, x  # the two Maclaurin solutions
+        sum_f, sum_g, cube = f, g, x**3
+        for k in range(12):
+            f = f * cube / ((3 * k + 2) * (3 * k + 3))
+            g = g * cube / ((3 * k + 3) * (3 * k + 4))
+            sum_f += f
+            sum_g += g
+        return 0.355028053887817239 * sum_f - 0.258819403792806798 * sum_g
+    zeta = 2 / 3 * x**1.5
     series = 1 - 5 / 72 / zeta + 385 / 10368 / zeta**2
-    out[~near] = np.exp(-zeta) / (2 * np.sqrt(np.pi) * t**0.25) * series
-    return out
+    return math.exp(-zeta) / (2 * math.sqrt(math.pi) * x**0.25) * series
 
 
-def _damped_step(x, rhs, norm, jac, residual, sub):
-    """One damped Newton step from x: the banded float64 solve J d = rhs,
-    halved up to 12 times until the residual norm drops; None if none does."""
-    delta = np.array(solve_banded(jac, rhs.tolist()))
+def _damped_step(x, rhs, norm, jac, residual, scaled):
+    """One damped Newton step from x: the banded float64 solve J d = rhs, then
+    x - d with d halved up to 12 times until the residual norm drops; None if
+    none does.  ``scaled`` takes each float d_i to the representation of x."""
+    delta = solve_banded(jac, rhs)
     for _ in range(12):
-        trial = sub(x, delta)
+        trial = [v - scaled(d) for v, d in zip(x, delta)]
         res, trial_norm = residual(trial)
         if trial_norm < norm:
             return trial, res, trial_norm
-        delta = delta / 2
+        delta = [d / 2 for d in delta]
     return None
 
 
@@ -220,50 +216,46 @@ def solve_hastings_mcleod(
     npts = int(mp.ceil((s_hi - s_lo) / nu.to_ext(spacing) - mpf(2) ** -32)) + 1
     h = (s_hi - s_lo) / (npts - 1)
     grid = [s_lo + i * h for i in range(npts)]
-    s_float = np.array([float(v) for v in grid])
-    # Ai enters only where the blend weight is nonzero, s > -1
-    ai_seed = _ai_float(np.maximum(s_float, -1.0))
-    blend = np.clip((s_float + 1) / 2, 0.0, 1.0)
-    smooth = blend * blend * (3 - 2 * blend)
-    sqrt_part = np.sqrt(np.maximum(-s_float, 0.01) / 2)
-    q = smooth * ai_seed + (1 - smooth) * sqrt_part
+    s_float = [float(v) for v in grid]
+    q = []
+    for s in s_float:
+        blend = min(max((s + 1) / 2, 0.0), 1.0)
+        smooth = blend * blend * (3 - 2 * blend)
+        ai = _ai_float(s) if smooth else 0.0  # Ai enters only where s > -1
+        q.append(smooth * ai + (1 - smooth) * math.sqrt(max(-s, 0.01) / 2))
     bc_left = left_asymptote(s_lo)
     bc_right = mp.airyai(s_hi)
 
     # constant part of the Jacobian, row i as (first column, values): the
-    # stencils over h^2 between identity rows; also zero-padded for numpy
+    # stencils over h^2 between identity rows
     den, stencils = _int_rows(range(1, npts - 1), npts, 2, 3, 8)
     scale = 1.0 / (den * float(h) ** 2)
     band = [(0, [1.0])] + [(a, [c * scale for c in w]) for a, w in stencils]
     band.append((npts - 1, [1.0]))
-    width = max(len(w) for _, w in band)
-    weights = np.array([w + [0.0] * (width - len(w)) for _, w in band])
-    cols = np.minimum([[a + j for j in range(width)] for a, _ in band], npts - 1)
 
     def jacobian(qf):
-        diag = (s_float + 6.0 * qf * qf).tolist()
         rows = [(a, w[:]) for a, w in band]
         for i, (a, w) in enumerate(rows[1:-1], 1):
-            w[i - a] -= diag[i]
+            w[i - a] -= s_float[i] + 6.0 * qf[i] * qf[i]
         return rows
 
     # (a) float64 Newton while each step at least halves the residual
     def float_residual(qf):
-        res = (weights * qf[cols]).sum(axis=1)
-        res[[0, -1]] -= float(bc_left), float(bc_right)
-        res[1:-1] -= s_float[1:-1] * qf[1:-1] + 2.0 * qf[1:-1] ** 3
-        return res, np.abs(res).max()
+        res = [qf[0] - float(bc_left)]
+        res += [sum(map(mul, w, qf[a : a + len(w)])) - (s * v + 2.0 * v**3)
+                for (a, w), s, v in zip(band[1:-1], s_float[1:-1], qf[1:-1])]
+        res.append(qf[-1] - float(bc_right))
+        return res, max(map(abs, res))
 
     res, norm = float_residual(q)
     for _ in range(MAX_NEWTON):
-        step = _damped_step(q, res, norm, jacobian(q), float_residual, np.subtract)
+        step = _damped_step(q, res, norm, jacobian(q), float_residual, float)
         if step is None or step[2] > norm / 2:
             break
         q, res, norm = step
     # rounding the returned values to working precision moves row i of the
     # residual by up to 2^-prec (|J| |q|)_i: no step gets below that floor
-    ql = q.tolist()
-    rounding = max(sum(abs(v * ql[a + j]) for j, v in enumerate(w)) for a, w in jacobian(q))
+    rounding = max(sum(map(abs, map(mul, w, q[a : a + len(w)]))) for a, w in jacobian(q))
     floor = max(_NEWTON_TARGET, rounding * 2.0**-mp.prec)
 
     # (b) polish on scaled integers Q_i = q_i 2^P: products are exact, and
@@ -288,17 +280,14 @@ def solve_hastings_mcleod(
         num, d = x.as_integer_ratio()
         return (num << P) // d
 
-    def sub(Q, delta):
-        return [a - to_scaled(d) for a, d in zip(Q, delta.tolist())]
-
-    Q = [to_scaled(v) for v in q.tolist()]
+    Q = [to_scaled(v) for v in q]
     res, norm = residual(Q)
     for _ in range(MAX_NEWTON):
         if norm / one <= floor:
             break
-        qf = np.array([v / one for v in Q])
-        rhs = np.array([v / one for v in res])
-        step = _damped_step(Q, rhs, norm, jacobian(qf), residual, sub)
+        qf = [v / one for v in Q]
+        rhs = [v / one for v in res]
+        step = _damped_step(Q, rhs, norm, jacobian(qf), residual, to_scaled)
         if step is None:
             break
         Q, res, norm = step

@@ -11,7 +11,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-import numpy as np
 from mpmath import mp, mpf
 
 from . import numerics as nu
@@ -278,17 +277,17 @@ def large_separation_decay(
         rows = [_study_row(cfg, t, n, T, {}) for n in sorted(n_list)]
 
     def fit(values):
-        ns = np.array([float(r.n) for r in rows])
-        logs = np.array([float(mp.log(abs(v))) for v in values])
-        slope, intercept = np.polyfit(ns, logs, 1)
-        pred = slope * ns + intercept
-        ss_res = float(np.sum((logs - pred) ** 2))
-        ss_tot = float(np.sum((logs - logs.mean()) ** 2))
-        r2 = 1.0 - ss_res / ss_tot if ss_tot > 0 else 1.0
+        ns = [r.n for r in rows]
+        logs = [mp.log(abs(v)) for v in values]
+        slope, intercept = _line_fit(ns, logs)
+        mean = mp.fsum(logs) / len(logs)
+        ss_res = mp.fsum((y - slope * x - intercept) ** 2 for x, y in zip(ns, logs))
+        ss_tot = mp.fsum((y - mean) ** 2 for y in logs)
+        r2 = 1 - ss_res / ss_tot if ss_tot > 0 else 1
         return DecayFit(
             slope=float(slope),
             intercept=float(intercept),
-            r_squared=r2,
+            r_squared=float(r2),
             values=tuple(values),
         )
 
@@ -299,18 +298,25 @@ def large_separation_decay(
     )
 
 
+def _line_fit(xs, ys) -> tuple:
+    """(slope, intercept) of the least-squares line through the points
+    (xs, ys), in mpf at working precision."""
+    mx, my = mp.fsum(xs) / len(xs), mp.fsum(ys) / len(ys)
+    sxx = mp.fsum((x - mx) ** 2 for x in xs)
+    if not sxx:
+        raise DegenerateData("all abscissae equal; cannot fit a line")
+    slope = mp.fsum((x - mx) * (y - my) for x, y in zip(xs, ys)) / sxx
+    return slope, my - slope * mx
+
+
 @dataclass(frozen=True)
 class RateFit:
     order: float
-    stderr: float
 
 
 def convergence_rate_fit(values, n_list, predicted_limit) -> RateFit:
-    """Least-squares slope of log |value - limit| against log n.
-
-    Returns the estimated convergence order (minus the slope) with the
-    regression standard error of the slope.
-    """
+    """Least-squares slope of log |value - limit| against log n; the
+    estimated convergence order is minus the slope."""
     if len(values) != len(n_list) or len(values) < 4:
         raise ValueError("need at least 4 samples")
     limit = nu.to_ext(predicted_limit)
@@ -318,7 +324,5 @@ def convergence_rate_fit(values, n_list, predicted_limit) -> RateFit:
     devs = [abs(nu.to_ext(v) - limit) for v in values]
     if any(d < mpf("1e-30") * scale for d in devs):
         raise DegenerateData("deviation below resolution; cannot fit a rate")
-    xs = np.array([float(mp.log(n)) for n in n_list])
-    ys = np.array([float(mp.log(d)) for d in devs])
-    coef, cov = np.polyfit(xs, ys, 1, cov=True)
-    return RateFit(order=float(-coef[0]), stderr=float(np.sqrt(cov[0, 0])))
+    slope, _ = _line_fit([mp.log(n) for n in n_list], [mp.log(d) for d in devs])
+    return RateFit(order=float(-slope))

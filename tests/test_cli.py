@@ -259,18 +259,33 @@ def test_odd_density_inputs_exit_cleanly(
         ["painleve", "--s-hi", "inf"],
         ["painleve", "--s-lo", "nan"],
         ["scaling", "--config", "critical", "--t", "0.33", "--L", "inf"],
+        ["scaling", "--config", "large", "--t", "0.4", "--n-list", "-4"],
+        ["scaling", "--config", "large", "--t", "0.4", "--n-list", "0"],
+        ["scaling", "--config", "critical", "--t", "0.33", "--n-list", "1"],
+        ["scaling", "--config", "large", "--t", "0.4", "--n-list", "8"],
+        ["scaling", "--config", "large", "--t", "0.4", "--n-list", "8,16,8"],
+        ["scaling", "--config", "small", "--t", "0.4", "--n-list", "8,16"],
+        ["scaling", "--config", "small", "--t", "0.4", "--n-list", "8,8,8,8"],
     ],
     ids=[
         "samples-1", "phase-samples-1", "raster-0", "stride-0", "n-2x", "n-list-8x",
         "s-lo-x", "L-x", "tol-1e-16", "tol-0", "identities-n-0", "coefficients-n-0",
         "density-n-0", "identities-n-3-groups", "density-n-3-groups", "spectral-n-1-group",
-        "s-hi-inf", "s-lo-nan", "L-inf",
+        "s-hi-inf", "s-lo-nan", "L-inf", "n-list-negative", "n-list-0", "n-list-1",
+        "large-n-list-one-point", "large-n-list-repeat", "small-n-list-two-points",
+        "small-n-list-repeat",
     ],
 )
 def test_odd_inputs_exit_with_usage_error(
     large_sep_config_file, critical_config_file, tmp_path, capsys, argv
 ):
-    configs = {"large": str(large_sep_config_file), "critical": str(critical_config_file)}
+    small = tmp_path / "small_sep.json"
+    small.write_text(json.dumps(
+        {"schema": "hbl-config/1", "a": ["0.4", "-0.4"], "b": ["0.3", "-0.3"],
+         "p": ["0.5", "0.5"], "T": "1"}
+    ))
+    configs = {"large": str(large_sep_config_file), "critical": str(critical_config_file),
+               "small": str(small)}
     argv = ["--out", str(tmp_path / "art")] + [configs.get(v, v) for v in argv]
     assert main(argv) == 64
     lines = capsys.readouterr().err.splitlines()

@@ -263,15 +263,15 @@ def test_solve_banded_zero_pivot_raises(rows):
 def test_float_airy_seed():
     # the float64 Ai that seeds Newton, on both sides of its switch at s = 2
     nodes = ["-1", "-0.5", "0", "1", "1.99", "2", "2.01", "3", "5.5", "10"]
-    seed = pv._ai_float([float(s) for s in nodes])
-    for s, got in zip(nodes, seed.tolist()):
-        want = mp.airyai(mpf(s))
+    for s in nodes:
+        got, want = pv._ai_float(float(s)), mp.airyai(mpf(s))
         assert abs(got - want) <= mpf("1e-2") * want
 
 
-def test_cli_import_leaves_out_scipy():
+def test_cli_import_leaves_out_numpy_and_scipy():
     src = str(Path(pv.__file__).resolve().parents[1])
-    code = "import sys, hbl.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    code = ("import sys, hbl.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] in ('numpy', 'scipy')))")
     out = subprocess.run(
         [sys.executable, "-c", f"import sys; sys.path.insert(0, {src!r}); {code}"],
         capture_output=True, text=True, check=True,

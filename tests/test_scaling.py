@@ -35,6 +35,28 @@ def test_rate_fit_requires_enough_points():
         sc.convergence_rate_fit([mpf(1), mpf(2)], [8, 16], 0)
 
 
+def test_line_fit_exact_on_a_line():
+    xs = [mpf(n) for n in (8, 16, 24, 40)]
+    slope, intercept = sc._line_fit(xs, [mpf(-7) / 3 * x + mpf(5) / 7 for x in xs])
+    assert abs(slope + mpf(7) / 3) < mpf(2) ** (-mp.prec + 8)
+    assert abs(intercept - mpf(5) / 7) < mpf(2) ** (-mp.prec + 8)
+
+
+def test_line_fit_matches_numpy_polyfit():
+    import numpy as np
+
+    xs = [mp.log(n) for n in (8, 16, 32, 64, 128)]
+    ys = [mp.log(abs(mp.sin(n) / n**2)) for n in (8, 16, 32, 64, 128)]
+    want = np.polyfit([float(x) for x in xs], [float(y) for y in ys], 1)
+    got = sc._line_fit(xs, ys)
+    assert all(abs(float(g) - w) <= 1e-12 * max(abs(w), 1) for g, w in zip(got, want))
+
+
+def test_line_fit_equal_abscissae_degenerate():
+    with pytest.raises(DegenerateData):
+        sc._line_fit([mpf(16)] * 3, [mpf(1), mpf(2), mpf(3)])
+
+
 def test_split_count_rounding():
     assert sc.split_count("0.5", 8) == (4, 4)
     assert sc.split_count("0.5", 9) == (5, 4)
