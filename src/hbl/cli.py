@@ -226,7 +226,12 @@ def cmd_identities(cfg: BrownianConfig, ns, out: Path) -> int:
     idx = _parse_index(ns)
     t = _parse_t(ns)
     ws = WeightSystem.from_config(cfg, t, idx.size_n)
-    exp = rh.assemble_rh_expansion(ws, idx)
+    ws_sw, idx_sw = rh.swapped_system(ws, idx)
+    shifts = [(k, l) for k in range(ws.p) for l in range(ws.q)]
+    # every expansion the checks read, in one batch
+    exp, exp_sw, *exp_shifted = rh.assemble_rh_expansions(
+        [(ws, idx), (ws_sw, idx_sw)] + [(ws, idx.shift_n(k).shift_m(l)) for k, l in shifts]
+    )
     tol = mpf(10) ** ns.tol_exponent
     checks = []
 
@@ -247,16 +252,11 @@ def cmd_identities(cfg: BrownianConfig, ns, out: Path) -> int:
     record("backward_recurrence", max(bw for _, bw in residuals))
     worst_inv = mpf(0)
     z0 = mpc(2, 1)
-    for k in range(exp.p):
-        for l in range(exp.q):
-            sh = idx.shift_n(k).shift_m(l)
-            exp_sh = rh.assemble_rh_expansion(ws, sh)
-            U = rh.forward_transfer(exp, exp_sh, k, l, z0)
-            Ub = rh.backward_transfer(exp, exp_sh, k, l, z0)
-            worst_inv = max(worst_inv, nu.max_abs(U * Ub - mp.eye(exp.p + exp.q)))
+    for (k, l), exp_sh in zip(shifts, exp_shifted):
+        U = rh.forward_transfer(exp, exp_sh, k, l, z0)
+        Ub = rh.backward_transfer(exp, exp_sh, k, l, z0)
+        worst_inv = max(worst_inv, nu.max_abs(U * Ub - mp.eye(exp.p + exp.q)))
     record("transfer_inverse", worst_inv)
-    ws_sw, idx_sw = rh.swapped_system(ws, idx)
-    exp_sw = rh.assemble_rh_expansion(ws_sw, idx_sw)
     record("involution", rh.involution_check(exp, exp_sw))
     worst_diag = mpf(0)
     for k in range(exp.p):

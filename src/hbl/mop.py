@@ -12,6 +12,8 @@ two-term recursion; quadrature only ever appears as a test oracle.
 
 from __future__ import annotations
 
+import os
+import threading
 from dataclasses import dataclass, field
 from functools import cmp_to_key, lru_cache
 from typing import Optional
@@ -304,21 +306,105 @@ def _base_pair(ws: WeightSystem, idx: MultiIndexPair, norm: NormTag) -> MultiInd
     return idx.shift_m(pos)
 
 
+def _matrix(rows: list) -> matrix:
+    """An mpmath matrix from its rows: mp.matrix is a class made per
+    context, so a pickle names this function to rebuild one."""
+    return matrix(rows)
+
+
+def _run_share(fn, jobs: list, share: list) -> tuple:
+    """(share, results of its jobs in order up to the first that raises,
+    (index, exception) of that job or None)."""
+    done = []
+    for i in share:
+        try:
+            done.append(fn(jobs[i]))
+        except Exception as exc:
+            return share, done, (i, exc)
+    return share, done, None
+
+
+def _map_cores(fn, jobs, cost) -> list:
+    """[fn(job) for job in jobs], the jobs spread over the CPUs this
+    process may run on.
+
+    A largest-first partition by ``cost`` gives each CPU one share.  The
+    parent runs the first share; every other share runs in a forked child,
+    which sends its results back as one pickle through a pipe.  One CPU,
+    one job, no os.fork or other live threads give no child.  Each share
+    stops at its first exception; once every child is reaped, the
+    exception of the earliest failed job is raised, so results and errors
+    are those of the in-order loop whatever the split.
+    """
+    jobs = list(jobs)
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:
+        cpus = os.cpu_count() or 1
+    if not hasattr(os, "fork") or threading.active_count() > 1:
+        cpus = 1
+    costs = [cost(job) for job in jobs]
+    shares = [[] for _ in range(max(1, min(cpus, len(jobs))))]
+    loads = [0] * len(shares)
+    for i in sorted(range(len(jobs)), key=lambda i: -costs[i]):
+        s = loads.index(min(loads))
+        shares[s].append(i)
+        loads[s] += costs[i]
+    shares = [sorted(share) for share in shares]
+    children = []  # [pid, read end of its pipe]; pid is None until forked
+    try:
+        if len(shares) > 1:
+            import pickle  # only when forking: `import hbl.cli` does not load it
+        for share in shares[1:]:
+            read, write = os.pipe()
+            children.append([None, open(read, "rb")])
+            with open(write, "wb") as sink:
+                children[-1][0] = os.fork()
+                if children[-1][0] == 0:
+                    try:
+                        for _, source in children:
+                            source.close()
+                        pickler = pickle.Pickler(sink, pickle.HIGHEST_PROTOCOL)
+                        pickler.dispatch_table = {matrix: lambda a: (_matrix, (a.tolist(),))}
+                        pickler.dump(_run_share(fn, jobs, share))
+                        sink.flush()
+                    finally:
+                        os._exit(0)
+        results = [_run_share(fn, jobs, shares[0])]
+        results += [pickle.load(source) for _, source in children]
+    finally:
+        # a child blocked on a full pipe sees it closed and exits
+        for pid, source in children:
+            source.close()
+            if pid:
+                os.waitpid(pid, 0)
+    failed = [err for _, _, err in results if err]
+    if failed:
+        raise min(failed, key=lambda err: err[0])[1]
+    out = [None] * len(jobs)
+    for share, done, _ in results:
+        for i, value in zip(share, done):
+            out[i] = value
+    return out
+
+
 def solve_batch(ws: WeightSystem, requests) -> dict:
     """{(idx, norm): MopSolution} for MOP vectors at |n| = |m| + 1.
 
     Requests that share a base pair (see _base_pair) are right-hand sides
     of one LU of its G and escalate together (see _solve_rows); no factors
-    outlive their group.  Every request is checked before any solve.
+    outlive their group.  Every request is checked before any solve, and
+    the groups are factored concurrently (see _map_cores).
     """
     groups: dict = {}
     for idx, norm in requests:
         groups.setdefault(_base_pair(ws, idx, norm), {})[norm] = None
-    out = {}
-    for base, tags in groups.items():
-        for sol in _solve_rows(ws, base, list(tags))[0]:
-            out[sol.idx, sol.norm] = sol
-    return out
+    solved = _map_cores(
+        lambda group: _solve_rows(ws, group[0], list(group[1]))[0],
+        groups.items(),
+        cost=lambda group: group[0].size_n ** 3,
+    )
+    return {(sol.idx, sol.norm): sol for sols in solved for sol in sols}
 
 
 def solve_mop(ws: WeightSystem, idx: MultiIndexPair, norm: NormTag) -> MopSolution:

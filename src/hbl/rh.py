@@ -11,7 +11,6 @@ c_{i,j} c_{j,i} appearing in a recurrence is real.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache
 from typing import Optional, Sequence
 
 from mpmath import mp, mpf, mpc, matrix
@@ -29,6 +28,7 @@ from .mop import (
     MopSolution,
     MultiIndexPair,
     WeightSystem,
+    _map_cores,
     q_moment,
     shifted_solutions,
     solve_batch,
@@ -97,15 +97,35 @@ def _expansion_uncached(ws: WeightSystem, idx: MultiIndexPair) -> RhExpansion:
     return RhExpansion(ws=ws, idx=idx, Y1=y1, Y2=y2, rows=tuple(rows))
 
 
-@lru_cache(maxsize=256)
-def _expansion_cached(ws: WeightSystem, idx: MultiIndexPair, prec: int) -> RhExpansion:
-    return _expansion_uncached(ws, idx)
+# (ws, idx, precision) -> RhExpansion, least recently used first
+_EXPANSIONS: dict = {}
+_EXPANSIONS_MAX = 256
+
+
+def assemble_rh_expansions(pairs) -> list:
+    """[Y1 and Y2 at idx for (ws, idx) in pairs]: each from the p+q shifted
+    MOP rows of one factorization, cached per precision.  The missing
+    expansions are assembled concurrently (see mop._map_cores)."""
+    keys = [(ws, idx, mp.prec) for ws, idx in pairs]
+    missing = [key for key in dict.fromkeys(keys) if key not in _EXPANSIONS]
+    made = _map_cores(
+        lambda key: _expansion_uncached(key[0], key[1]),
+        missing,
+        cost=lambda key: key[1].size_n ** 3,
+    )
+    _EXPANSIONS.update(zip(missing, made))
+    out = []
+    for key in keys:
+        out.append(_EXPANSIONS.pop(key))
+        _EXPANSIONS[key] = out[-1]
+    while len(_EXPANSIONS) > _EXPANSIONS_MAX:
+        del _EXPANSIONS[next(iter(_EXPANSIONS))]
+    return out
 
 
 def assemble_rh_expansion(ws: WeightSystem, idx: MultiIndexPair) -> RhExpansion:
-    """Y1 and Y2 from the p+q shifted MOP rows, one factorization (cached
-    per precision)."""
-    return _expansion_cached(ws, idx, mp.prec)
+    """Y1 and Y2 at idx: the one-pair case of assemble_rh_expansions."""
+    return assemble_rh_expansions([(ws, idx)])[0]
 
 
 def assemble_Y(ws: WeightSystem, idx: MultiIndexPair, z, boundary: str = "above"):
@@ -280,11 +300,11 @@ def verify_recurrences(ws: WeightSystem, idx: MultiIndexPair, zs: Sequence) -> d
     and the points zs: the forward p+q+1 term recurrence in the type (II,k)
     normalization, the backward one in the type (I,l) normalization.
 
-    The rows that the expansions at idx and idx + e_k + e_l already hold
-    (main and left-side vectors) are reused; every other vector comes from
-    one solve_batch, one LU per base pair.  The recurrences shift n - e_k
-    and m - e_l, so every component of idx must be at least 1; otherwise
-    InvalidIndex is raised.
+    The expansions at idx and idx + e_k + e_l come from one batch, and the
+    rows they hold (main and left-side vectors) are reused; every other
+    vector comes from one solve_batch, one LU per base pair.  The
+    recurrences shift n - e_k and m - e_l, so every component of idx must
+    be at least 1; otherwise InvalidIndex is raised.
     """
     if min(idx.n + idx.m) < 1:
         raise InvalidIndex(f"every n_k and m_l must be at least 1, got {idx}")
@@ -294,10 +314,10 @@ def verify_recurrences(ws: WeightSystem, idx: MultiIndexPair, zs: Sequence) -> d
         (k, l): (_forward_requests(ws, idx, k, l), _backward_requests(ws, idx, k, l))
         for k, l in pairs
     }
-    exp = assemble_rh_expansion(ws, idx)
-    shifted = {
-        (k, l): assemble_rh_expansion(ws, idx.shift_n(k).shift_m(l)) for k, l in pairs
-    }
+    exp, *exp_shifted = assemble_rh_expansions(
+        [(ws, idx)] + [(ws, idx.shift_n(k).shift_m(l)) for k, l in pairs]
+    )
+    shifted = dict(zip(pairs, exp_shifted))
     held = {
         (sol.idx, sol.norm): sol
         for e in (exp, *shifted.values())

@@ -18,7 +18,7 @@ from .errors import DegenerateData, WrongRegime
 from .model import BrownianConfig, Regime, classify_separation, scaling_constants
 from .mop import MultiIndexPair, WeightSystem
 from .painleve import HmlSolution, evaluate_q, solve_hastings_mcleod
-from .rh import assemble_rh_expansion
+from .rh import assemble_rh_expansions
 
 DEFAULT_N_LIST = (8, 12, 16, 24, 32, 48, 64)
 
@@ -117,15 +117,25 @@ def _relation_residuals(exp, idx, ws) -> tuple:
     return (r1, r2, r3, r4)
 
 
-def _study_row(cfg, t, n: int, T_n, predictions) -> ScalingRow:
-    n1, n2 = split_count(cfg.p1, n)
-    N = mpf(n) / T_n
-    ws = WeightSystem(a=(cfg.a1, cfg.a2), b=(cfg.b1, cfg.b2), t=t, N=N)
-    idx = MultiIndexPair((n1, n2), (n1, n2))
-    exp = assemble_rh_expansion(ws, idx)
+def _study_rows(cfg, t, n_list, temperature, predictions) -> tuple:
+    """One ScalingRow per n of n_list in ascending order, at T_n =
+    temperature(n) and N = n / T_n; the expansions come from one batch."""
+    systems = []
+    for n in sorted(n_list):
+        n1, n2 = split_count(cfg.p1, n)
+        T_n = temperature(n)
+        ws = WeightSystem(a=(cfg.a1, cfg.a2), b=(cfg.b1, cfg.b2), t=t, N=mpf(n) / T_n)
+        systems.append((n, T_n, ws, MultiIndexPair((n1, n2), (n1, n2))))
+    exps = assemble_rh_expansions([(ws, idx) for _, _, ws, idx in systems])
+    return tuple(
+        _study_row(*system, exp, predictions) for system, exp in zip(systems, exps)
+    )
+
+
+def _study_row(n: int, T_n, ws, idx, exp, predictions) -> ScalingRow:
     prods = _row_products(exp)
     return ScalingRow(
-        n=n, n1=n1, n2=n2, T_n=T_n, N=N,
+        n=n, n1=idx.n[0], n2=idx.n[1], T_n=T_n, N=ws.N,
         c12c21=prods["c12c21"],
         c14c41=prods["c14c41"],
         c13c31=prods["c13c31"],
@@ -190,13 +200,10 @@ def double_scaling_study(
             "c21c14_c24": K2q2 * t * db * mp.sqrt(da * db / cfg.p2) * fac,
         }
 
-    rows = []
-    for n in sorted(n_list):
-        T_n = 1 + L * mpf(n) ** (mpf(-2) / 3)
-        rows.append(_study_row(cfg, t, n, T_n, predictions))
-    return DoubleScalingStudy(
-        rows=tuple(rows), K=consts.K, s=consts.s, q_of_s=qs, t=t, L=L
+    rows = _study_rows(
+        cfg, t, n_list, lambda n: 1 + L * mpf(n) ** (mpf(-2) / 3), predictions
     )
+    return DoubleScalingStudy(rows=rows, K=consts.K, s=consts.s, q_of_s=qs, t=t, L=L)
 
 
 @dataclass(frozen=True)
@@ -229,11 +236,11 @@ def small_separation_study(
     lim14 = t * (1 - t) / 8 * (2 - da * db)
     T = cfg.temperature()
     preds = {"c12c21": lim12, "c14c41": lim14}
-    rows = [_study_row(cfg, t, n, T, preds) for n in sorted(n_list)]
+    rows = _study_rows(cfg, t, n_list, lambda n: T, preds)
     fit12 = convergence_rate_fit([r.c12c21 for r in rows], [r.n for r in rows], lim12)
     fit14 = convergence_rate_fit([r.c14c41 for r in rows], [r.n for r in rows], lim14)
     return SmallSeparationStudy(
-        rows=tuple(rows),
+        rows=rows,
         limit_c12c21=lim12,
         limit_c14c41=lim14,
         order_c12c21=fit12.order,
@@ -244,9 +251,7 @@ def small_separation_study(
 @dataclass(frozen=True)
 class DecayFit:
     slope: float
-    intercept: float
     r_squared: float
-    values: tuple
 
 
 @dataclass(frozen=True)
@@ -274,7 +279,7 @@ def large_separation_decay(
     t = nu.to_ext(t)
     T = cfg.temperature()
     with mp.workprec(max(512, mp.prec)):
-        rows = [_study_row(cfg, t, n, T, {}) for n in sorted(n_list)]
+        rows = _study_rows(cfg, t, n_list, lambda n: T, {})
 
     def fit(values):
         ns = [r.n for r in rows]
@@ -284,15 +289,10 @@ def large_separation_decay(
         ss_res = mp.fsum((y - slope * x - intercept) ** 2 for x, y in zip(ns, logs))
         ss_tot = mp.fsum((y - mean) ** 2 for y in logs)
         r2 = 1 - ss_res / ss_tot if ss_tot > 0 else 1
-        return DecayFit(
-            slope=float(slope),
-            intercept=float(intercept),
-            r_squared=float(r2),
-            values=tuple(values),
-        )
+        return DecayFit(slope=float(slope), r_squared=float(r2))
 
     return LargeSeparationStudy(
-        rows=tuple(rows),
+        rows=rows,
         fit_c12c21=fit([r.c12c21 for r in rows]),
         fit_c14c41=fit([r.c14c41 for r in rows]),
     )

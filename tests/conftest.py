@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import os
+import tempfile
+import weakref
 from fractions import Fraction
 
 import pytest
@@ -178,13 +181,51 @@ def solve_linear_mpf(a, b):
     return xs if several else xs[0]
 
 
+class SolveLog(list):
+    """(size, working bits) records that forked workers append to as well.
+
+    Each record is a line of an unlinked O_APPEND file that the workers
+    inherit; every read of the list first reloads it from that file.
+    """
+
+    def __init__(self):
+        super().__init__()
+        fd, path = tempfile.mkstemp()
+        os.close(fd)
+        self.fd = os.open(path, os.O_RDWR | os.O_APPEND)
+        os.unlink(path)
+        weakref.finalize(self, os.close, self.fd)
+
+    def record(self, size: int, bits: int) -> None:
+        os.write(self.fd, b"%d %d\n" % (size, bits))
+
+    def reload(self) -> None:
+        data = os.pread(self.fd, os.fstat(self.fd).st_size, 0).split()
+        list.__init__(self, zip(map(int, data[::2]), map(int, data[1::2])))
+
+
+def _reloading(name):
+    method = getattr(list, name)
+
+    def reload_first(self, *args):
+        self.reload()
+        return method(self, *args)
+
+    return reload_first
+
+
+for _name in ("__eq__", "__getitem__", "__iter__", "__len__", "__repr__", "count"):
+    setattr(SolveLog, _name, _reloading(_name))
+
+
 def count_solves(monkeypatch) -> list:
-    """Record (size, working bits) of every numerics.solve_linear call."""
-    calls = []
+    """Record (size, working bits) of every numerics.solve_linear call,
+    in this process and in the workers it forks (see SolveLog)."""
+    calls = SolveLog()
     solve = nu.solve_linear
 
     def counting(a, b):
-        calls.append((a.rows, mp.prec))
+        calls.record(a.rows, mp.prec)
         return solve(a, b)
 
     monkeypatch.setattr(nu, "solve_linear", counting)

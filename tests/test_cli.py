@@ -318,7 +318,7 @@ def test_identities_factors_each_base_pair_once(
     # plus the swapped system's expansion
     from hbl import rh
 
-    rh._expansion_cached.cache_clear()
+    rh._EXPANSIONS.clear()
     calls = count_solves(monkeypatch)
     argv = ["--out", str(tmp_path / "art"), "identities"]
     argv += ["--config", str(large_sep_config_file)]

@@ -1,5 +1,6 @@
 """Moment systems, MOP solves, normalizations and transition numbers."""
 
+import os
 import random
 from fractions import Fraction
 
@@ -284,6 +285,68 @@ def test_solve_batch_one_lu_per_base_pair(ws, monkeypatch):
     assert calls.count((48, 128)) == 1
     assert [c for c in calls if c[0] == 4] == [(4, 128), (4, 256)]
     assert all(resid <= mpf(2) ** (-32) for resid in resids)
+
+
+def _bits(sols) -> list:
+    return [(s.idx, s.norm, [c._mpf_ for block in s.coeffs for c in block]) for s in sols]
+
+
+def _rows_requests(base):
+    return [(base.shift_n(k), ("II", k)) for k in range(2)] + [
+        (base.shift_m(l, -1), ("I", l)) for l in range(2)
+    ]
+
+
+def test_solve_batch_matches_in_process_groups(ws, monkeypatch):
+    # over two CPUs a worker solves the two groups of size 11; every vector
+    # is bit for bit the in-process solve of its group
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    bases = [MultiIndexPair((6, 6), (6, 6)), MultiIndexPair((6, 5), (5, 6)),
+             MultiIndexPair((5, 6), (6, 5)), MultiIndexPair((5, 5), (5, 5))]
+    sols = mop.solve_batch(ws, [r for base in bases for r in _rows_requests(base)])
+    for base in bases:
+        tags = [norm for _, norm in _rows_requests(base)]
+        want = mop._solve_rows(ws, base, tags)[0]
+        assert _bits(sols[s.idx, s.norm] for s in want) == _bits(want)
+
+
+def test_map_cores_splits_largest_first(monkeypatch):
+    # costs 5, 4, 3, 3 over two CPUs: shares {0, 3} (the parent's) and {1, 2}
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    pids = mop._map_cores(lambda job: (job, os.getpid()), [5, 4, 3, 3], cost=lambda job: job)
+    assert [job for job, _ in pids] == [5, 4, 3, 3]
+    assert pids[0][1] == pids[3][1] == os.getpid() != pids[1][1] == pids[2][1]
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_map_cores_reaps_children_and_reraises(ws, monkeypatch):
+    # at 128 bits with no room to escalate, G(20, 20) and G(24, 24) are
+    # singular; G(24, 24) is the parent's share, so the error of the earlier
+    # job G(20, 20) comes from a worker, with the type and message of the
+    # in-process solve
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    monkeypatch.setattr(mop, "MAX_ESCALATED_PRECISION", 128)
+    small, big = MultiIndexPair((20, 20), (20, 20)), MultiIndexPair((24, 24), (24, 24))
+    with mp.workprec(128):
+        with pytest.raises(NormalizationImpossible) as want:
+            mop._solve_rows(ws, small, [("II", 0)])
+        with pytest.raises(NormalizationImpossible) as got:
+            mop.solve_batch(ws, [(small.shift_n(0), ("II", 0)), (big.shift_n(0), ("II", 0))])
+    assert str(got.value) == str(want.value)
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_one_cpu_forks_nothing(ws, monkeypatch):
+    def fork():
+        raise AssertionError("forked on one CPU")
+
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+    monkeypatch.setattr(os, "fork", fork)
+    bases = [MultiIndexPair((3, 3), (3, 3)), MultiIndexPair((3, 2), (2, 3))]
+    sols = mop.solve_batch(ws, [r for base in bases for r in _rows_requests(base)])
+    assert len(sols) == 8
 
 
 # ---------------------------------------------------------------------------

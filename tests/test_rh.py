@@ -1,5 +1,6 @@
 """Y1/Y2 data, transfer matrices, recurrences, Lax pair, spectral curve."""
 
+import os
 import random
 from dataclasses import replace
 from fractions import Fraction
@@ -342,12 +343,37 @@ def test_lax_ode_residual(ws, nm):
     assert res2 < mpf("1e-10")
 
 
+def _entry_bits(a) -> list:
+    return [
+        (v.real._mpf_, v.imag._mpf_) if isinstance(v, mpc) else v._mpf_
+        for row in a.tolist() for v in row
+    ]
+
+
+def test_expansion_batch_matches_in_process(ws, monkeypatch):
+    # expansions assembled by a worker are bit for bit the in-process ones,
+    # rows included, and the batch leaves them in the one cache
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    rh._EXPANSIONS.clear()
+    pairs = [(ws, MultiIndexPair(n, n)) for n in ((4, 4), (4, 3), (3, 4), (3, 3))]
+    got = rh.assemble_rh_expansions(pairs)
+    for (w, idx), exp in zip(pairs, got):
+        want = rh._expansion_uncached(w, idx)
+        assert exp.idx == idx
+        assert _entry_bits(exp.Y1) == _entry_bits(want.Y1)
+        assert _entry_bits(exp.Y2) == _entry_bits(want.Y2)
+        assert [[c._mpf_ for block in s.coeffs for c in block] for s in exp.rows] == [
+            [c._mpf_ for block in s.coeffs for c in block] for s in want.rows
+        ]
+        assert rh.assemble_rh_expansion(w, idx) is exp
+
+
 def test_lax_ode_factors_once(monkeypatch):
     # Y(z) reads its rows from the expansion: one LU of G(4, 4), none for
     # the evaluator, and the residual is bit for bit the two-LU one
     ws = WeightSystem(a=("1", "-1"), b=("0.7", "-0.7"), t=mpf(1) / 2, N=8)
     idx = MultiIndexPair((4, 4), (4, 4))
-    rh._expansion_cached.cache_clear()
+    rh._EXPANSIONS.clear()
     calls = count_solves(monkeypatch)
     res, _ = rh.verify_lax_ode(ws, idx, mpc(0, 1))
     assert calls == [(8, 256)]
