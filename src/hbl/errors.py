@@ -129,3 +129,9 @@ class DegenerateData(HblError):
     """Data is constant or below resolution; no rate can be fitted."""
 
     code = "degenerate-data"
+
+
+class WorkerFailed(HblError):
+    """A forked worker died or could not send its results back."""
+
+    code = "worker-failed"

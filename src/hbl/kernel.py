@@ -13,7 +13,6 @@ phi(x)^T G^{-1} psi(y) with the inverse of the bimoment matrix G(n, m).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Optional, Sequence
 
 from mpmath import mp, mpf, mpc, matrix
@@ -31,6 +30,8 @@ from .mop import (
     MAX_ESCALATED_PRECISION,
     MultiIndexPair,
     WeightSystem,
+    _cached_map,
+    _map_cores,
     bimoment_inverse,
 )
 
@@ -213,8 +214,7 @@ def _reflect_matrix(ev: YEvaluator, mat: matrix):
 # Correlation kernel and density
 # ---------------------------------------------------------------------------
 
-@lru_cache(maxsize=64)
-def _kernel_form(ws: WeightSystem, idx: MultiIndexPair, start: int) -> tuple:
+def _kernel_form_uncached(ws: WeightSystem, idx: MultiIndexPair, start: int) -> tuple:
     """G(n, m)^{-1} from a solve starting at ``start`` bits: the bits it
     settled at, its blocks B^{kl} and, for the diagonal, each block
     collapsed to P_kl(x) = sum_{i+j=d} B^{kl}[i][j] x^d.  Blocks and
@@ -231,6 +231,24 @@ def _kernel_form(ws: WeightSystem, idx: MultiIndexPair, start: int) -> tuple:
             diagonal[(k, l)] = coeffs[::-1]
     blocks = {kl: tuple(row[::-1] for row in block[::-1]) for kl, block in blocks.items()}
     return bits, blocks, diagonal
+
+
+# (ws, idx, starting bits) -> kernel form, least recently used first
+_KERNEL_FORMS: dict = {}
+_KERNEL_FORMS_MAX = 64
+
+
+def _kernel_forms(ws: WeightSystem, idx: MultiIndexPair, starts) -> list:
+    """The kernel forms of G(n, m)^{-1} from solves starting at each of
+    ``starts`` bits (see _kernel_form_uncached), cached; the missing ones
+    are factored concurrently (see mop._map_cores)."""
+    return _cached_map(
+        _KERNEL_FORMS,
+        _KERNEL_FORMS_MAX,
+        lambda key: _kernel_form_uncached(*key),
+        [(ws, idx, start) for start in starts],
+        cost=lambda key: key[2],
+    )
 
 
 def _kernel_sum(ws: WeightSystem, form: tuple, x, y, confluent: bool):
@@ -273,9 +291,9 @@ def correlation_kernel(ws: WeightSystem, idx: MultiIndexPair, x, y=None):
     y = x if y is None else nu.to_ext(y)
     tol = mpf(2) ** (-(mp.prec // 4))
     ceiling = max(MAX_ESCALATED_PRECISION, mp.prec)
-    low = _kernel_form(ws, idx, mp.prec)
+    (low,) = _kernel_forms(ws, idx, [mp.prec])
     while True:
-        high = _kernel_form(ws, idx, 2 * low[0])
+        (high,) = _kernel_forms(ws, idx, [2 * low[0]])
         value = _kernel_sum(ws, low, x, y, confluent)
         ref = _kernel_sum(ws, high, x, y, confluent)
         if abs(value - ref) <= tol * abs(ref):
@@ -347,10 +365,16 @@ def density_profile(
         grid = default_grid(cfg, t)
     sup1, sup2 = ellipse_endpoints(cfg, t, 1), ellipse_endpoints(cfg, t, 2)
     margin = (1 - INTERIOR_FRACTION) / 2
+    # The two forms every point reads, factored at once.  If the first
+    # escalated, its check form is factored too before the points are
+    # forked, so a worker factors only for a point that escalates.
+    low, _ = _kernel_forms(ws, idx, [mp.prec, 2 * mp.prec])
+    _kernel_forms(ws, idx, [2 * low[0]])
+    diag = _map_cores(lambda x: correlation_kernel(ws, idx, x), grid, cost=lambda x: 1)
     values, flags, semi1, semi2 = [], [], [], []
     d1 = d2 = mpf(0)
-    for x in grid:
-        val = correlation_kernel(ws, idx, x) / n
+    for x, k in zip(grid, diag):
+        val = k / n
         values.append(val)
         flag = 0
         s1 = s2 = mpf(0)

@@ -22,7 +22,7 @@ from mpmath import mp, mpf, matrix
 from mpmath.libmp import fzero, mpf_abs, mpf_cmp, mpf_div, mpf_mul, mpf_sum, round_nearest
 
 from . import numerics as nu
-from .errors import InvalidIndex, NormalizationImpossible, SingularMatrix
+from .errors import InvalidIndex, NormalizationImpossible, SingularMatrix, WorkerFailed
 
 MAX_ESCALATED_PRECISION = 1024
 
@@ -324,6 +324,30 @@ def _run_share(fn, jobs: list, share: list) -> tuple:
     return share, done, None
 
 
+def _send_share(sink, fn, jobs: list, share: list) -> None:
+    """Run a share in a forked child and pickle its outcome into ``sink``.
+
+    An exception that would not load again in the parent (one whose
+    __init__ does not take its args, say) is sent as WorkerFailed with its
+    type and message.  A result that cannot be pickled propagates, and the
+    child then exits non-zero.
+    """
+    import pickle
+
+    outcome = _run_share(fn, jobs, share)
+    if outcome[2]:
+        i, exc = outcome[2]
+        try:
+            pickle.loads(pickle.dumps(exc, pickle.HIGHEST_PROTOCOL))
+        except Exception:
+            exc = WorkerFailed(f"job {i} raised {type(exc).__name__}: {exc}")
+            outcome = share, outcome[1], (i, exc)
+    pickler = pickle.Pickler(sink, pickle.HIGHEST_PROTOCOL)
+    pickler.dispatch_table = {matrix: lambda a: (_matrix, (a.tolist(),))}
+    pickler.dump(outcome)
+    sink.flush()
+
+
 def _map_cores(fn, jobs, cost) -> list:
     """[fn(job) for job in jobs], the jobs spread over the CPUs this
     process may run on.
@@ -334,7 +358,9 @@ def _map_cores(fn, jobs, cost) -> list:
     one job, no os.fork or other live threads give no child.  Each share
     stops at its first exception; once every child is reaped, the
     exception of the earliest failed job is raised, so results and errors
-    are those of the in-order loop whatever the split.
+    are those of the in-order loop whatever the split.  A child that exits
+    non-zero (it could not send its results, or was killed) raises
+    WorkerFailed naming its jobs and exit status.
     """
     jobs = list(jobs)
     try:
@@ -352,6 +378,7 @@ def _map_cores(fn, jobs, cost) -> list:
         loads[s] += costs[i]
     shares = [sorted(share) for share in shares]
     children = []  # [pid, read end of its pipe]; pid is None until forked
+    statuses = []
     try:
         if len(shares) > 1:
             import pickle  # only when forking: `import hbl.cli` does not load it
@@ -361,23 +388,32 @@ def _map_cores(fn, jobs, cost) -> list:
             with open(write, "wb") as sink:
                 children[-1][0] = os.fork()
                 if children[-1][0] == 0:
+                    status = 1
                     try:
                         for _, source in children:
                             source.close()
-                        pickler = pickle.Pickler(sink, pickle.HIGHEST_PROTOCOL)
-                        pickler.dispatch_table = {matrix: lambda a: (_matrix, (a.tolist(),))}
-                        pickler.dump(_run_share(fn, jobs, share))
-                        sink.flush()
+                        _send_share(sink, fn, jobs, share)
+                        status = 0
                     finally:
-                        os._exit(0)
+                        os._exit(status)
         results = [_run_share(fn, jobs, shares[0])]
-        results += [pickle.load(source) for _, source in children]
+        for _, source in children:
+            try:
+                results.append(pickle.load(source))
+            except (EOFError, pickle.UnpicklingError):
+                pass  # a child that sent no whole pickle exits non-zero
     finally:
         # a child blocked on a full pipe sees it closed and exits
         for pid, source in children:
             source.close()
             if pid:
-                os.waitpid(pid, 0)
+                statuses.append(os.waitpid(pid, 0)[1])
+    for share, status in zip(shares[1:], statuses):
+        if status:
+            raise WorkerFailed(
+                f"the worker for jobs {share} exited with status "
+                f"{os.waitstatus_to_exitcode(status)}"
+            )
     failed = [err for _, _, err in results if err]
     if failed:
         raise min(failed, key=lambda err: err[0])[1]
@@ -385,6 +421,23 @@ def _map_cores(fn, jobs, cost) -> list:
     for share, done, _ in results:
         for i, value in zip(share, done):
             out[i] = value
+    return out
+
+
+def _cached_map(cache: dict, limit: int, fn, keys, cost) -> list:
+    """[fn(key) for key in keys] through ``cache``, a dict in least
+    recently used order: keys it misses are computed once each, together
+    through _map_cores, and the cache is then cut to ``limit`` entries."""
+    keys = list(keys)
+    missing = [key for key in dict.fromkeys(keys) if key not in cache]
+    if missing:
+        cache.update(zip(missing, _map_cores(fn, missing, cost)))
+    out = []
+    for key in keys:
+        out.append(cache.pop(key))
+        cache[key] = out[-1]
+    while len(cache) > limit:
+        del cache[next(iter(cache))]
     return out
 
 

@@ -28,7 +28,7 @@ from .mop import (
     MopSolution,
     MultiIndexPair,
     WeightSystem,
-    _map_cores,
+    _cached_map,
     q_moment,
     shifted_solutions,
     solve_batch,
@@ -105,22 +105,14 @@ _EXPANSIONS_MAX = 256
 def assemble_rh_expansions(pairs) -> list:
     """[Y1 and Y2 at idx for (ws, idx) in pairs]: each from the p+q shifted
     MOP rows of one factorization, cached per precision.  The missing
-    expansions are assembled concurrently (see mop._map_cores)."""
-    keys = [(ws, idx, mp.prec) for ws, idx in pairs]
-    missing = [key for key in dict.fromkeys(keys) if key not in _EXPANSIONS]
-    made = _map_cores(
+    expansions are assembled concurrently (see mop._cached_map)."""
+    return _cached_map(
+        _EXPANSIONS,
+        _EXPANSIONS_MAX,
         lambda key: _expansion_uncached(key[0], key[1]),
-        missing,
+        [(ws, idx, mp.prec) for ws, idx in pairs],
         cost=lambda key: key[1].size_n ** 3,
     )
-    _EXPANSIONS.update(zip(missing, made))
-    out = []
-    for key in keys:
-        out.append(_EXPANSIONS.pop(key))
-        _EXPANSIONS[key] = out[-1]
-    while len(_EXPANSIONS) > _EXPANSIONS_MAX:
-        del _EXPANSIONS[next(iter(_EXPANSIONS))]
-    return out
 
 
 def assemble_rh_expansion(ws: WeightSystem, idx: MultiIndexPair) -> RhExpansion:

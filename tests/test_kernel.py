@@ -1,5 +1,6 @@
 """Cauchy transforms, the full Y(z) matrix, kernel and density profiles."""
 
+import os
 import random
 
 import pytest
@@ -160,7 +161,7 @@ def test_kernel_factors_once(cfg_large, monkeypatch):
     # and its doubled-precision check
     ws = WeightSystem.from_config(cfg_large, mpf(3) / 7, 16)
     idx = MultiIndexPair((8, 8), (8, 8))
-    kn._kernel_form.cache_clear()
+    kn._KERNEL_FORMS.clear()
     calls = count_solves(monkeypatch)
     grid = kn.default_grid(cfg_large, mpf(3) / 7, points=50)
     for x in grid:
@@ -275,6 +276,74 @@ def test_density_profile_self_convergence(cfg_large):
         prof = kn.density_profile(ws, idx, cfg_large, t, grid=grid)
         sup[n] = max(prof.sup_distance_1, prof.sup_distance_2)
     assert sup[16] < sup[8]
+
+
+def test_density_profile_matches_the_point_loop(cfg_large, monkeypatch):
+    # over two CPUs a worker takes every other point; each value is bit for
+    # bit that of the in-process loop, and of a one-CPU run that cannot fork
+    def fork():
+        raise AssertionError("forked on one CPU")
+
+    t = mpf(1) / 2
+    ws = WeightSystem.from_config(cfg_large, t, 16)
+    idx = MultiIndexPair((8, 8), (8, 8))
+    grid = kn.default_grid(cfg_large, t, points=21)
+    kn._KERNEL_FORMS.clear()
+    want = [(kn.correlation_kernel(ws, idx, x) / 16)._mpf_ for x in grid]
+    runs = []
+    for cpus in ({0, 1}, {0}):
+        kn._KERNEL_FORMS.clear()
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus)
+        if cpus == {0}:
+            monkeypatch.setattr(os, "fork", fork)
+        prof = kn.density_profile(ws, idx, cfg_large, t, grid=grid)
+        runs.append([v._mpf_ for v in prof.values])
+    assert runs == [want, want]
+
+
+@pytest.mark.parametrize(
+    "n_k, bits, lus",
+    [
+        (12, 256, [(24, 256), (24, 512)]),
+        # G(24, 24) is singular at 128 bits: the first form escalates to
+        # the 256-bit solve of the second, and its 512-bit check is
+        # factored before the points
+        (24, 128, [(48, 128), (48, 256), (48, 256), (48, 512)]),
+    ],
+)
+def test_density_factors_each_form_once(cfg_large, monkeypatch, n_k, bits, lus):
+    # the form at working precision and its check at twice the bits are one
+    # LU each, counted in the parent and in the worker; no point factors
+    t = mpf(1) / 2
+    ws = WeightSystem.from_config(cfg_large, t, 2 * n_k)
+    idx = MultiIndexPair((n_k, n_k), (n_k, n_k))
+    kn._KERNEL_FORMS.clear()
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    calls = count_solves(monkeypatch)
+    with mp.workprec(bits):
+        kn.density_profile(ws, idx, cfg_large, t, grid=kn.default_grid(cfg_large, t, points=8))
+    assert sorted(calls) == lus
+
+
+def test_density_point_that_misses_in_a_worker(cfg_large, monkeypatch):
+    # at 160 bits with no room to escalate, G(20, 20) passes its check at
+    # x = -1.03 and 0 (the left group and the gap) and misses at x = 1.03
+    # (the right group; see test_kernel_escalates_where_the_sum_cancels).
+    # The worker has x = 1.03, and the parent raises the in-process error.
+    monkeypatch.setattr(kn, "MAX_ESCALATED_PRECISION", 160)
+    t = mpf(1) / 2
+    ws = WeightSystem.from_config(cfg_large, t, 40)
+    idx = MultiIndexPair((20, 20), (20, 20))
+    grid = [mpf("-1.03"), mpf("1.03"), mpf("0")]
+    with mp.workprec(160):
+        with pytest.raises(NormalizationImpossible) as want:
+            kn.correlation_kernel(ws, idx, grid[1])
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        with pytest.raises(NormalizationImpossible) as got:
+            kn.density_profile(ws, idx, cfg_large, t, grid=grid)
+    assert str(got.value) == str(want.value)
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 def test_density_far_tail(cfg_large):

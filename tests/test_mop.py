@@ -8,7 +8,7 @@ import pytest
 from mpmath import matrix, mp, mpf
 
 from hbl import mop
-from hbl.errors import InvalidIndex, NormalizationImpossible
+from hbl.errors import InvalidIndex, NormalizationImpossible, WorkerFailed
 from hbl.mop import MultiIndexPair, WeightSystem
 
 from conftest import count_solves, gaussian_moment, moment_system, mpf_to_fraction
@@ -334,6 +334,40 @@ def test_map_cores_reaps_children_and_reraises(ws, monkeypatch):
         with pytest.raises(NormalizationImpossible) as got:
             mop.solve_batch(ws, [(small.shift_n(0), ("II", 0)), (big.shift_n(0), ("II", 0))])
     assert str(got.value) == str(want.value)
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+class TwoArgumentError(Exception):
+    """Pickles as its message alone, so it fails to load again."""
+
+    def __init__(self, what, why):
+        super().__init__(f"{what}: {why}")
+
+
+def _raise_two_argument_error(job):
+    if job == 2:
+        raise TwoArgumentError("job 2", "no such value")
+    return job
+
+
+@pytest.mark.parametrize(
+    "fn, message",
+    [
+        # the worker's result cannot be pickled
+        (lambda job: (lambda: job) if job == 2 else job,
+         "the worker for jobs [1] exited with status 1"),
+        # the worker's exception cannot be unpickled
+        (_raise_two_argument_error, "job 1 raised TwoArgumentError: job 2: no such value"),
+    ],
+    ids=["unpicklable-result", "unloadable-exception"],
+)
+def test_map_cores_names_a_worker_that_cannot_send(fn, message, monkeypatch):
+    # jobs 1 and 2 of equal cost over two CPUs: the worker runs job 2
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    with pytest.raises(WorkerFailed) as got:
+        mop._map_cores(fn, [1, 2], cost=lambda job: 1)
+    assert str(got.value) == message
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
 
