@@ -507,6 +507,8 @@ def _check_options(ns) -> None:
         value = getattr(ns, option, least)
         if value < least:
             raise UsageError(f"--{option} must be at least {least}, got {value}")
+    if getattr(ns, "tol_exponent", -1) >= 0:
+        raise UsageError(f"--tol-exponent must be negative, got {ns.tol_exponent}")
     tol = getattr(ns, "tol", None)
     if tol is not None and not _decimal("--tol", tol) >= painleve.MIN_TOL:
         raise UsageError(f"--tol must be at least {_fmt(painleve.MIN_TOL)}, got {tol}")

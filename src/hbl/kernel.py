@@ -4,7 +4,10 @@ transforms, correlation kernel and particle-density profiles.
 Every Cauchy column entry of Y is a finite combination of Faddeeva values:
 for a polynomial-times-Gaussian integrand the substitution
 u = sqrt(gamma)(x-mu) turns (1/2 pi i) int P(x) e^{-gamma(x-mu)^2+c}/(x-z) dx
-into moments I_j(zeta) driven by I_0(zeta) = i pi w(zeta).
+into moments I_j(zeta) driven by I_0(zeta) = i pi w(zeta).  The same
+Faddeeva values give Y'(z) exactly, since d/dz C[f] = C[f'] and f' is again
+polynomial-times-Gaussian, and the boundary value from below Y_-(x), the
+branch C(z) = -conj(C(conj z)) taken on the real axis.
 
 The correlation kernel does not go through Y: it is the Eynard-Mehta form
 phi(x)^T G^{-1} psi(y) with the inverse of the bimoment matrix G(n, m).
@@ -69,6 +72,16 @@ class PolyGaussian:
             central.append((j - 1) * inv2g * central[j - 2] if j >= 2 else mpf(0))
         return sum(c * central[j] for j, c in enumerate(shifted))
 
+    def derivative(self) -> "PolyGaussian":
+        """pg'(x): the polynomial P' - 2 gamma (x - mu) P on the same Gaussian."""
+        out = [mpf(0)] * (len(self.coeffs) + 1)
+        for j, c in enumerate(self.coeffs):
+            out[j] += 2 * self.gamma * self.mu * c
+            out[j + 1] -= 2 * self.gamma * c
+            if j:
+                out[j - 1] += j * c
+        return PolyGaussian(out, self.gamma, self.mu, self.log_scale)
+
 
 def _shift_poly(coeffs: Sequence, mu, scale) -> list:
     """Coefficients of P(mu + scale * u) in powers of u."""
@@ -122,11 +135,11 @@ def cauchy_transform(pg: PolyGaussian, z, w_value=None):
 # ---------------------------------------------------------------------------
 
 class YEvaluator:
-    """Evaluates Y(z) from the p + q rows of an RhExpansion (which holds
-    them only at |n| = |m|).
+    """Evaluates Y(z) and Y'(z) from the p + q rows of an RhExpansion (which
+    holds them only at |n| = |m|).
 
     It makes no solve of its own; each evaluation costs one Faddeeva value
-    per product weight.
+    per product weight, which Y' shares with Y.
     """
 
     def __init__(self, exp):
@@ -154,60 +167,56 @@ class YEvaluator:
                     if sol.coeffs[k]
                 ]
 
-    def _d_factor(self, i: int):
-        return mpf(1) if i < self.ws.p else -TWO_PI_I
-
     def value(self, z, boundary: str = "above"):
         """Y(z); for real z the boundary value from 'above' or 'below'."""
         z = mpc(z)
-        if z.imag == 0 and boundary == "below":
-            return _reflect_matrix(self, self.value(z))
-        p, q = self.ws.p, self.ws.q
+        below = z.imag < 0 or (z.imag == 0 and boundary == "below")
+        return self._matrix(z, below, self._faddeeva(z, below), derivative=False)
+
+    def jet(self, z):
+        """(Y(z), Y'(z)) from one set of Faddeeva values; for real z the
+        boundary value from above and its derivative."""
+        z = mpc(z)
+        below = z.imag < 0
+        wmap = self._faddeeva(z, below)
+        return (
+            self._matrix(z, below, wmap, derivative=False),
+            self._matrix(z, below, wmap, derivative=True),
+        )
+
+    def _faddeeva(self, z, below: bool) -> dict:
+        """w(sqrt(gamma) (z - mu_kl)) per (k, l), at conj(z) when ``below``."""
+        zz = mp.conj(z) if below else z
         sqrt_g = mp.sqrt(self.ws.gamma)
-        wmap = {}
-        use_conj = z.imag < 0
-        zz = mp.conj(z) if use_conj else z
-        for k in range(p):
-            for l in range(q):
-                zeta = sqrt_g * (zz - self.ws.mu(k, l))
-                wmap[(k, l)] = nu.faddeeva(zeta)
+        return {
+            (k, l): nu.faddeeva(sqrt_g * (zz - self.ws.mu(k, l)))
+            for k in range(self.ws.p)
+            for l in range(self.ws.q)
+        }
+
+    def _matrix(self, z, below: bool, wmap: dict, derivative: bool):
+        """Y(z), or Y'(z) if ``derivative``: polynomial columns from A_k or
+        A_k', Cauchy columns from C[f] or d/dz C[f] = C[f'] (integration by
+        parts) on the Faddeeva values ``wmap``.  When ``below`` the Cauchy
+        columns take the lower branch -conj(C(conj z)) of real-coefficient
+        data, which on the real axis is the boundary value from below."""
+        p, q = self.ws.p, self.ws.q
+        zz = mp.conj(z) if below else z
         Y = matrix(self.size, self.size)
         for i, sol in enumerate(self.rows):
-            d = self._d_factor(i)
             if sol is None:
-                Y[i, i] = mpf(1)
+                Y[i, i] = mpf(0 if derivative else 1)
                 continue
+            d = mpf(1) if i < p else -TWO_PI_I
             for j in range(p):
-                Y[i, j] = d * sol.eval_A(j, z)
+                Y[i, j] = d * (sol.eval_A_prime(j, z) if derivative else sol.eval_A(j, z))
             for l in range(q):
                 acc = mpc(0)
                 for k, pg in self._pgs[(i, l)]:
-                    res = cauchy_transform(pg, zz, w_value=wmap[(k, l)])
-                    acc += -mp.conj(res) if use_conj else res
-                Y[i, p + l] = d * acc
+                    f = pg.derivative() if derivative else pg
+                    acc += cauchy_transform(f, zz, w_value=wmap[(k, l)])
+                Y[i, p + l] = d * (-mp.conj(acc) if below else acc)
         return Y
-
-
-def _reflect_matrix(ev: YEvaluator, mat: matrix):
-    """Boundary value from below: polynomial columns unchanged, Cauchy
-    columns replaced by -conj (Schwarz reflection of real-coefficient data).
-
-    Rows carrying a -2 pi i factor conjugate back to the same factor, so
-    the reflection acts column-wise on the pre-factor transform values.
-    """
-    p, q = ev.ws.p, ev.ws.q
-    out = matrix(ev.size, ev.size)
-    for i in range(ev.size):
-        d = ev._d_factor(i)
-        for j in range(p):
-            out[i, j] = mat[i, j]
-        for l in range(q):
-            if ev.rows[i] is None:
-                out[i, p + l] = mat[i, p + l]  # constant unit row
-                continue
-            pre = mat[i, p + l] / d
-            out[i, p + l] = d * (-mp.conj(pre))
-    return out
 
 
 # ---------------------------------------------------------------------------

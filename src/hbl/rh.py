@@ -383,17 +383,13 @@ def _psi_exponent_factors(ws: WeightSystem, z):
     return fs, logderivs
 
 
-_FD8_OFFSETS = (1, 2, 3, 4)
-_FD8_WEIGHTS = (mpf(4) / 5, mpf(-1) / 5, mpf(4) / 105, mpf(-1) / 280)
-
-
-def verify_lax_ode(ws: WeightSystem, idx: MultiIndexPair, z, fd_step=None):
+def verify_lax_ode(ws: WeightSystem, idx: MultiIndexPair, z):
     """Relative residual of Psi' = V Psi at a non-real z.
 
-    Returns (relative_residual, polynomial_column_residual).  Polynomial
-    columns of Psi' are exact (polynomial derivative plus the log-derivative
-    of the exponent factor); Cauchy columns are differentiated by 8th-order
-    central finite differences of the closed-form transforms.
+    Returns (relative_residual, polynomial_column_residual).  Psi' is exact:
+    Y' comes from YEvaluator.jet (polynomial derivatives, and the Cauchy
+    transforms of the differentiated integrands on the Faddeeva values of
+    Y), plus the log-derivative of the exponent factor.
     """
     z = mpc(z)
     if z.imag == 0:
@@ -401,26 +397,7 @@ def verify_lax_ode(ws: WeightSystem, idx: MultiIndexPair, z, fd_step=None):
     p, q = ws.p, ws.q
     size = p + q
     exp = assemble_rh_expansion(ws, idx)
-    ev = YEvaluator(exp)
-    Y = ev.value(z)
-    if fd_step is None:
-        fd_step = mpf(10) ** (-(mp.prec // 24))
-    h = mpf(fd_step)
-    dY = matrix(size, size)
-    for i, sol in enumerate(ev.rows):
-        if sol is not None:
-            for j in range(p):
-                dY[i, j] = ev._d_factor(i) * sol.eval_A_prime(j, z)
-    samples = {}
-    for off in _FD8_OFFSETS:
-        samples[off] = ev.value(z + off * h)
-        samples[-off] = ev.value(z - off * h)
-    for i in range(size):
-        for j in range(p, size):
-            acc = mpc(0)
-            for off, wgt in zip(_FD8_OFFSETS, _FD8_WEIGHTS):
-                acc += wgt * (samples[off][i, j] - samples[-off][i, j])
-            dY[i, j] = acc / h
+    Y, dY = YEvaluator(exp).jet(z)
     fs, logderivs = _psi_exponent_factors(ws, z)
     psi = matrix(size, size)
     dpsi = matrix(size, size)

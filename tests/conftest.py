@@ -237,13 +237,13 @@ def rh_kernel_oracle(ws, idx, x, y=None, extra_bits=64):
     w_{1,k}(x) [Y_+^{-1}(y) Y_+(x)]_{p+l,k} w_{2,l}(y) / (2 pi i (x - y)),
     and for y = x its confluent limit with Y_+^{-1}(x) Y_+'(x).
 
-    Y_+ on the real axis is the restriction of an entire function, so Y_+'
-    comes from the 8th-order central difference with step 2^-(bits/8).
+    Y_+' is exact: YEvaluator.jet differentiates the polynomial columns and
+    the integrands of the Cauchy columns, on the Faddeeva values of Y_+.
     Everything runs with ``extra_bits`` guard bits; the result is rounded to
     working precision and keeps its (rounding-size) imaginary part.
     """
     from hbl.kernel import YEvaluator
-    from hbl.rh import _FD8_OFFSETS, _FD8_WEIGHTS, assemble_rh_expansion
+    from hbl.rh import assemble_rh_expansion
 
     p, q = ws.p, ws.q
     x = nu.to_ext(x)
@@ -252,15 +252,8 @@ def rh_kernel_oracle(ws, idx, x, y=None, extra_bits=64):
     with mp.workprec(mp.prec + extra_bits):
         ev = YEvaluator(assemble_rh_expansion(ws, idx))
         if confluent:
-            h = mpf(2) ** (-(mp.prec // 8))
-            dY = sum(
-                (
-                    w * (ev.value(x + o * h) - ev.value(x - o * h))
-                    for o, w in zip(_FD8_OFFSETS, _FD8_WEIGHTS)
-                ),
-                mp.zeros(p + q),
-            ) / h
-            core = mp.inverse(ev.value(x)) * dY
+            Y, dY = ev.jet(x)
+            core = mp.inverse(Y) * dY
         else:
             core = mp.inverse(ev.value(y)) * ev.value(x)
         acc = mp.mpc(0)

@@ -266,6 +266,8 @@ def test_odd_density_inputs_exit_cleanly(
         ["scaling", "--config", "large", "--t", "0.4", "--n-list", "8,16,8"],
         ["scaling", "--config", "small", "--t", "0.4", "--n-list", "8,16"],
         ["scaling", "--config", "small", "--t", "0.4", "--n-list", "8,8,8,8"],
+        ["identities", "--config", "large", "--n", "2,2", "--m", "2,2", "--t", "0.4",
+         "--tol-exponent", "0"],
     ],
     ids=[
         "samples-1", "phase-samples-1", "raster-0", "stride-0", "n-2x", "n-list-8x",
@@ -273,7 +275,7 @@ def test_odd_density_inputs_exit_cleanly(
         "density-n-0", "identities-n-3-groups", "density-n-3-groups", "spectral-n-1-group",
         "s-hi-inf", "s-lo-nan", "L-inf", "n-list-negative", "n-list-0", "n-list-1",
         "large-n-list-one-point", "large-n-list-repeat", "small-n-list-two-points",
-        "small-n-list-repeat",
+        "small-n-list-repeat", "tol-exponent-0",
     ],
 )
 def test_odd_inputs_exit_with_usage_error(

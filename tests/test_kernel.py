@@ -78,6 +78,20 @@ def test_cauchy_schwarz_reflection():
     assert abs(lower + mp.conj(upper)) < mpf("1e-60") * abs(upper)
 
 
+@pytest.mark.parametrize(
+    "z", [mpc("0.7", "1.3"), mpc("-0.4", "-0.9"), mpf("0.35")], ids=["upper", "lower", "real"]
+)
+def test_cauchy_transform_of_derivative_is_derivative(z):
+    # d/dz C[f] = C[f'] against mp.diff of the transform itself; on the
+    # real axis both are the boundary values from above
+    pg = kn.PolyGaussian(
+        coeffs=("1", "0.25", "-0.5", "2"), gamma="1.7", mu="0.1", log_scale="-0.3"
+    )
+    got = kn.cauchy_transform(pg.derivative(), z)
+    ref = mp.diff(lambda u: kn.cauchy_transform(pg, u), z)
+    assert abs(got - ref) <= mpf(2) ** (-(mp.prec // 2)) * abs(ref)
+
+
 # ---------------------------------------------------------------------------
 # assemble_Y
 # ---------------------------------------------------------------------------

@@ -8,6 +8,7 @@ from fractions import Fraction
 import pytest
 from mpmath import mp, mpf, mpc
 
+from hbl import kernel as kn
 from hbl import mop
 from hbl import numerics as nu
 from hbl import rh
@@ -369,26 +370,71 @@ def test_expansion_batch_matches_in_process(ws, monkeypatch):
 
 
 def test_lax_ode_factors_once(monkeypatch):
-    # Y(z) reads its rows from the expansion: one LU of G(4, 4), none for
-    # the evaluator, and the residual is bit for bit the two-LU one
+    # Y(z) and Y'(z) read their rows from the expansion: one LU of G(4, 4),
+    # none for the evaluator, and the residual is bit for bit the one from a
+    # freshly assembled, uncached expansion
     ws = WeightSystem(a=("1", "-1"), b=("0.7", "-0.7"), t=mpf(1) / 2, N=8)
     idx = MultiIndexPair((4, 4), (4, 4))
     rh._EXPANSIONS.clear()
     calls = count_solves(monkeypatch)
     res, _ = rh.verify_lax_ode(ws, idx, mpc(0, 1))
     assert calls == [(8, 256)]
-    assert res == mpf(
-        "5.562119244643842582072777978586211712899254183809102854956390768122705735685821e-73"
+    monkeypatch.setattr(rh, "assemble_rh_expansion", rh._expansion_uncached)
+    fresh, _ = rh.verify_lax_ode(ws, idx, mpc(0, 1))
+    assert res._mpf_ == fresh._mpf_
+
+
+def test_lax_ode_makes_one_faddeeva_map(ws_32, monkeypatch):
+    # Y and Y' share one Faddeeva value per product weight: p q calls
+    idx = MultiIndexPair((2, 1, 1), (2, 2))
+    calls = []
+    faddeeva = nu.faddeeva
+    monkeypatch.setattr(nu, "faddeeva", lambda z: calls.append(z) or faddeeva(z))
+    rh.verify_lax_ode(ws_32, idx, mpc(0, 1))
+    assert len(calls) == ws_32.p * ws_32.q
+
+
+def _lax_entry_residual(ws, idx, z) -> mpf:
+    """Max over entries of |Psi' - V Psi| relative to the larger side."""
+    exp = rh.assemble_rh_expansion(ws, idx)
+    Y, dY = kn.YEvaluator(exp).jet(z)
+    fs, logderivs = rh._psi_exponent_factors(ws, z)
+    size = ws.p + ws.q
+    psi = mp.matrix(size, size)
+    dpsi = mp.matrix(size, size)
+    for i in range(size):
+        for j in range(size):
+            psi[i, j] = Y[i, j] * fs[j]
+            dpsi[i, j] = (dY[i, j] + Y[i, j] * logderivs[j]) * fs[j]
+    rhs = rh.lax_matrix(exp, z) * psi
+    return max(
+        abs(dpsi[i, j] - rhs[i, j]) / max(abs(dpsi[i, j]), abs(rhs[i, j]))
+        for i in range(size)
+        for j in range(size)
     )
 
 
-def test_lax_ode_step_halving_converges(ws):
-    # the finite-difference residual must drop by ~2^8 per halving until
-    # it saturates; checks the claimed convergence order of the FD columns
-    idx = MultiIndexPair((1, 1), (1, 1))
-    r1, _ = rh.verify_lax_ode(ws, idx, mpc(0, 1), fd_step=mpf("1e-2"))
-    r2, _ = rh.verify_lax_ode(ws, idx, mpc(0, 1), fd_step=mpf("5e-3"))
-    assert r2 < r1 / 100  # 8th order would be 256; allow slack
+@pytest.mark.parametrize(
+    "comps, z, bits",
+    [
+        ((1, 1), mpc(0, 1), 256),
+        ((1, 1), mpc(3, -2), 256),
+        ((2, 2), mpc(0, 1), 256),
+        ((2, 2), mpc(3, -2), 256),
+        ((3, 3), mpc(0, 1), 256),
+        ((3, 3), mpc(3, -2), 256),
+        ((3, 3), mpc(3, -2), 1088),
+    ],
+    ids=["1-i", "1-3-2i", "2-i", "2-3-2i", "3-i", "3-3-2i", "3-3-2i-1088"],
+)
+def test_lax_ode_every_entry(comps, z, bits):
+    # the criterion-4 systems: Psi' is exact, so every entry of
+    # Psi' - V Psi is at rounding level, at any precision
+    nu.set_precision(bits)
+    idx = MultiIndexPair(comps, comps)
+    cfg = BrownianConfig("1", "-1", "0.7", "-0.7")
+    ws = WeightSystem.from_config(cfg, mpf(1) / 3, idx.size_n)
+    assert _lax_entry_residual(ws, idx, z) <= mpf(2) ** (-(mp.prec // 2))
 
 
 def test_lax_ode_rejects_real_z(ws, idx22):
@@ -664,6 +710,8 @@ def test_general_pq_lax_ode(ws_32):
     res, res_poly = rh.verify_lax_ode(ws_32, idx, mpc(0, 1))
     assert res < mpf("1e-10")
     assert res_poly < mpf("1e-20")
+    for z in (mpc(0, 1), mpc(3, -2)):
+        assert _lax_entry_residual(ws_32, idx, z) <= mpf(2) ** (-(mp.prec // 2))
 
 
 def test_general_pq_spectral_branches(ws_32):
