@@ -38,8 +38,6 @@ from .mop import (
     bimoment_inverse,
 )
 
-TWO_PI_I = 2j * mp.pi
-
 
 @dataclass(frozen=True)
 class PolyGaussian:
@@ -126,7 +124,7 @@ def cauchy_transform(pg: PolyGaussian, z, w_value=None):
     i_vals = [1j * mp.pi * w]
     for j in range(1, deg + 1):
         i_vals.append(zeta * i_vals[j - 1] + gm[j - 1])
-    scale = mp.exp(pg.log_scale) / TWO_PI_I
+    scale = mp.exp(pg.log_scale) / (2j * mp.pi)
     return scale * sum(c * i_vals[j] for j, c in enumerate(shifted))
 
 
@@ -169,6 +167,8 @@ class YEvaluator:
 
     def value(self, z, boundary: str = "above"):
         """Y(z); for real z the boundary value from 'above' or 'below'."""
+        if boundary not in ("above", "below"):
+            raise ValueError(f"boundary must be 'above' or 'below', got {boundary!r}")
         z = mpc(z)
         below = z.imag < 0 or (z.imag == 0 and boundary == "below")
         return self._matrix(z, below, self._faddeeva(z, below), derivative=False)
@@ -207,7 +207,7 @@ class YEvaluator:
             if sol is None:
                 Y[i, i] = mpf(0 if derivative else 1)
                 continue
-            d = mpf(1) if i < p else -TWO_PI_I
+            d = mpf(1) if i < p else -2j * mp.pi
             for j in range(p):
                 Y[i, j] = d * (sol.eval_A_prime(j, z) if derivative else sol.eval_A(j, z))
             for l in range(q):

@@ -15,7 +15,7 @@ from __future__ import annotations
 import os
 import threading
 from dataclasses import dataclass, field
-from functools import cmp_to_key, lru_cache
+from functools import cmp_to_key, lru_cache, partial
 from typing import Optional
 
 from mpmath import mp, mpf, matrix
@@ -203,7 +203,9 @@ def _solve_rows(ws: WeightSystem, idx: MultiIndexPair, tags: list) -> tuple:
     Gaussian weights make every index pair normal, so a singular G or a
     MOP row that misses its orthogonality residual signals precision
     exhaustion: the whole factorization is redone at doubled precision up
-    to MAX_ESCALATED_PRECISION.  A start above it is still tried once.
+    to MAX_ESCALATED_PRECISION.  A start above it is still tried once.  The
+    error at the ceiling names the last bits tried and the --precision that
+    would try the next doubling.
     Columns of G^{-1} escalate only on a singular G; their accuracy is
     checked by the caller (kernel.correlation_kernel).
 
@@ -216,7 +218,7 @@ def _solve_rows(ws: WeightSystem, idx: MultiIndexPair, tags: list) -> tuple:
     prec = mp.prec
     ceiling = max(MAX_ESCALATED_PRECISION, prec)
     last_error: Optional[Exception] = None
-    while prec <= ceiling:
+    while True:
         with mp.workprec(prec):
             try:
                 sols = _factor_and_solve(ws, idx, tags)
@@ -232,8 +234,12 @@ def _solve_rows(ws: WeightSystem, idx: MultiIndexPair, tags: list) -> tuple:
                 )
             except SingularMatrix as exc:
                 last_error = exc
+        if 2 * prec > ceiling:
+            raise NormalizationImpossible(
+                f"{last_error}; gave up at {prec} bits, the last step under the "
+                f"escalation ceiling of {ceiling}: retry with --precision {2 * prec}"
+            )
         prec *= 2
-    raise NormalizationImpossible(str(last_error))
 
 
 def _factor_and_solve(ws: WeightSystem, idx: MultiIndexPair, tags: list) -> list:
@@ -424,15 +430,18 @@ def _map_cores(fn, jobs, cost) -> list:
     return out
 
 
-def _cached_map(cache: dict, limit: int, fn, keys, cost) -> list:
-    """[fn(key) for key in keys] through ``cache``, a dict in least
-    recently used order: keys it misses are computed once each, together
-    through _map_cores, and the cache is then cut to ``limit`` entries."""
-    keys = list(keys)
+def _cached_map(cache: dict, limit: int, fn, keys, cost, first=()) -> list:
+    """[job() for job, _ in first] + [fn(key) for key in keys], the keys
+    through ``cache``, a dict in least recently used order: keys it misses
+    are computed once each, after the ``first`` jobs (functions of no
+    argument, each with its cost) in one _map_cores call, and the cache is
+    then cut to ``limit`` entries."""
+    keys, first = list(keys), list(first)
     missing = [key for key in dict.fromkeys(keys) if key not in cache]
-    if missing:
-        cache.update(zip(missing, _map_cores(fn, missing, cost)))
-    out = []
+    jobs = first + [(partial(fn, key), cost(key)) for key in missing]
+    done = _map_cores(lambda job: job[0](), jobs, lambda job: job[1]) if jobs else []
+    out = done[: len(first)]
+    cache.update(zip(missing, done[len(first) :]))
     for key in keys:
         out.append(cache.pop(key))
         cache[key] = out[-1]

@@ -34,8 +34,6 @@ from .mop import (
     solve_batch,
 )
 
-TWO_PI_I = 2j * mp.pi
-
 
 @dataclass(frozen=True)
 class RhExpansion:
@@ -85,11 +83,11 @@ def _expansion_uncached(ws: WeightSystem, idx: MultiIndexPair) -> RhExpansion:
     for i, sol in enumerate(rows):
         if sol is None:
             continue  # degenerate unit row: zero contribution to Y1, Y2
-        d = mpf(1) if i < ws.p else -TWO_PI_I
+        d = mpf(1) if i < ws.p else -2j * mp.pi
         for j in range(ws.p):
             y1[i, j] = d * sol.coefficient(j, idx.n[j] - 1)
             y2[i, j] = d * sol.coefficient(j, idx.n[j] - 2)
-        moment_factor = -d / TWO_PI_I
+        moment_factor = -d / (2j * mp.pi)
         for l in range(ws.q):
             ml = idx.m[l]
             y1[i, ws.p + l] = moment_factor * q_moment(sol, ws, l, ml)
@@ -102,16 +100,19 @@ _EXPANSIONS: dict = {}
 _EXPANSIONS_MAX = 256
 
 
-def assemble_rh_expansions(pairs) -> list:
+def assemble_rh_expansions(pairs, first=()) -> list:
     """[Y1 and Y2 at idx for (ws, idx) in pairs]: each from the p+q shifted
     MOP rows of one factorization, cached per precision.  The missing
-    expansions are assembled concurrently (see mop._cached_map)."""
+    expansions are assembled concurrently, after the ``first`` jobs, whose
+    results lead the list (see mop._cached_map); a job's cost is on the
+    size**3 scale of an expansion of that size."""
     return _cached_map(
         _EXPANSIONS,
         _EXPANSIONS_MAX,
         lambda key: _expansion_uncached(key[0], key[1]),
         [(ws, idx, mp.prec) for ws, idx in pairs],
         cost=lambda key: key[1].size_n ** 3,
+        first=first,
     )
 
 

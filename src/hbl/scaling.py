@@ -9,6 +9,7 @@ large-separation regime (exponential decay of the cross coefficients).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import Optional, Sequence
 
 from mpmath import mp, mpf
@@ -21,6 +22,12 @@ from .painleve import HmlSolution, evaluate_q, solve_hastings_mcleod
 from .rh import assemble_rh_expansions
 
 DEFAULT_N_LIST = (8, 12, 16, 24, 32, 48, 64)
+# The Hastings-McLeod solve on the size**3 cost scale of the expansion jobs
+# it runs beside (rh.assemble_rh_expansions): warm and in one process, the
+# solve took 0.82, 0.74 and 0.79 times one n = 64 expansion of the critical
+# config at t = 0.333, at 256, 512 and 1024 bits (medians of three calls on
+# a 2-vCPU x86-64 host, Python 3.11, mpmath 1.3 pure-Python backend).
+HML_SOLVE_COST = 64**3
 
 
 def split_count(p1, n: int) -> tuple[int, int]:
@@ -117,22 +124,31 @@ def _relation_residuals(exp, idx, ws) -> tuple:
     return (r1, r2, r3, r4)
 
 
-def _study_rows(cfg, t, n_list, temperature, predictions) -> tuple:
-    """One ScalingRow per n of n_list in ascending order, at T_n =
-    temperature(n) and N = n / T_n; the expansions come from one batch."""
+def _study_rows(cfg, t, n_list, temperature, predictions, first=()) -> tuple:
+    """(the results of the ``first`` jobs, one ScalingRow per n of n_list in
+    ascending order at T_n = temperature(n) and N = n / T_n).  The
+    expansions come from one batch after those jobs (see
+    rh.assemble_rh_expansions); ``predictions`` is a dict, or a function of
+    n and the results of the jobs."""
     systems = []
     for n in sorted(n_list):
         n1, n2 = split_count(cfg.p1, n)
         T_n = temperature(n)
         ws = WeightSystem(a=(cfg.a1, cfg.a2), b=(cfg.b1, cfg.b2), t=t, N=mpf(n) / T_n)
         systems.append((n, T_n, ws, MultiIndexPair((n1, n2), (n1, n2))))
-    exps = assemble_rh_expansions([(ws, idx) for _, _, ws, idx in systems])
-    return tuple(
-        _study_row(*system, exp, predictions) for system, exp in zip(systems, exps)
+    done = assemble_rh_expansions([(ws, idx) for _, _, ws, idx in systems], first)
+    side = done[: len(first)]
+    return side, tuple(
+        _study_row(
+            *system,
+            exp,
+            predictions(system[0], *side) if callable(predictions) else dict(predictions),
+        )
+        for system, exp in zip(systems, done[len(first) :])
     )
 
 
-def _study_row(n: int, T_n, ws, idx, exp, predictions) -> ScalingRow:
+def _study_row(n: int, T_n, ws, idx, exp, predictions: dict) -> ScalingRow:
     prods = _row_products(exp)
     return ScalingRow(
         n=n, n1=idx.n[0], n2=idx.n[1], T_n=T_n, N=ws.N,
@@ -143,7 +159,7 @@ def _study_row(n: int, T_n, ws, idx, exp, predictions) -> ScalingRow:
         c24c42=prods["c24c42"],
         c34c43=prods["c34c43"],
         diag_ratios=_diag_ratios(exp),
-        predictions=predictions(n) if callable(predictions) else dict(predictions),
+        predictions=predictions,
         relation_residuals=_relation_residuals(exp, idx, ws),
     )
 
@@ -168,6 +184,12 @@ def double_scaling_study(
     """Sample the recurrence coefficients along T_n = 1 + L n^{-2/3} at a
     critical-separation configuration and tabulate the Painleve II
     predictions next to them.
+
+    Without ``hml`` the Hastings-McLeod solve is the first job of the
+    expansion batch, at cost HML_SOLVE_COST, so it runs on one CPU while
+    the expansions run on the others; the job returns q(s) alone, and its
+    error comes before any expansion's, as if it ran first.  A given
+    ``hml`` is evaluated in this process and adds no job.
     """
     rep = classify_separation(
         BrownianConfig(cfg.a1, cfg.a2, cfg.b1, cfg.b2, cfg.p1, cfg.p2, T=1)
@@ -183,13 +205,10 @@ def double_scaling_study(
     consts = scaling_constants(
         BrownianConfig(cfg.a1, cfg.a2, cfg.b1, cfg.b2, cfg.p1, cfg.p2, T=1), L, t
     )
-    if hml is None:
-        hml = solve_hastings_mcleod()
-    qs = evaluate_q(hml, consts.s)[0]
     da, db = cfg.a1 - cfg.a2, cfg.b1 - cfg.b2
-    K2q2 = consts.K**2 * qs**2
 
-    def predictions(n: int) -> dict:
+    def predictions(n: int, qs) -> dict:
+        K2q2 = consts.K**2 * qs**2
         fac = mpf(n) ** (mpf(-2) / 3)
         return {
             "c12c21": -K2q2 * t**2 * db**2 * fac,
@@ -200,9 +219,15 @@ def double_scaling_study(
             "c21c14_c24": K2q2 * t * db * mp.sqrt(da * db / cfg.p2) * fac,
         }
 
-    rows = _study_rows(
-        cfg, t, n_list, lambda n: 1 + L * mpf(n) ** (mpf(-2) / 3), predictions
-    )
+    def temperature(n: int):
+        return 1 + L * mpf(n) ** (mpf(-2) / 3)
+
+    if hml is None:
+        solve = (lambda: evaluate_q(solve_hastings_mcleod(), consts.s)[0], HML_SOLVE_COST)
+        (qs,), rows = _study_rows(cfg, t, n_list, temperature, predictions, [solve])
+    else:
+        qs = evaluate_q(hml, consts.s)[0]
+        _, rows = _study_rows(cfg, t, n_list, temperature, partial(predictions, qs=qs))
     return DoubleScalingStudy(rows=rows, K=consts.K, s=consts.s, q_of_s=qs, t=t, L=L)
 
 
@@ -236,7 +261,7 @@ def small_separation_study(
     lim14 = t * (1 - t) / 8 * (2 - da * db)
     T = cfg.temperature()
     preds = {"c12c21": lim12, "c14c41": lim14}
-    rows = _study_rows(cfg, t, n_list, lambda n: T, preds)
+    _, rows = _study_rows(cfg, t, n_list, lambda n: T, preds)
     fit12 = convergence_rate_fit([r.c12c21 for r in rows], [r.n for r in rows], lim12)
     fit14 = convergence_rate_fit([r.c14c41 for r in rows], [r.n for r in rows], lim14)
     return SmallSeparationStudy(
@@ -279,7 +304,7 @@ def large_separation_decay(
     t = nu.to_ext(t)
     T = cfg.temperature()
     with mp.workprec(max(512, mp.prec)):
-        rows = _study_rows(cfg, t, n_list, lambda n: T, {})
+        _, rows = _study_rows(cfg, t, n_list, lambda n: T, {})
 
     def fit(values):
         ns = [r.n for r in rows]

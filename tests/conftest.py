@@ -182,7 +182,8 @@ def solve_linear_mpf(a, b):
 
 
 class SolveLog(list):
-    """(size, working bits) records that forked workers append to as well.
+    """Integer pairs, such as (size, working bits) or (size, pid), that
+    forked workers append to as well.
 
     Each record is a line of an unlinked O_APPEND file that the workers
     inherit; every read of the list first reloads it from that file.
@@ -196,8 +197,8 @@ class SolveLog(list):
         os.unlink(path)
         weakref.finalize(self, os.close, self.fd)
 
-    def record(self, size: int, bits: int) -> None:
-        os.write(self.fd, b"%d %d\n" % (size, bits))
+    def record(self, first: int, second: int) -> None:
+        os.write(self.fd, b"%d %d\n" % (first, second))
 
     def reload(self) -> None:
         data = os.pread(self.fd, os.fstat(self.fd).st_size, 0).split()

@@ -154,6 +154,26 @@ def test_precision_above_escalation_ceiling(large_sep_config_file, tmp_path):
     assert payload["precision_bits"] == 2048
 
 
+def test_escalation_ceiling_names_the_precision_to_retry(
+    large_sep_config_file, tmp_path, capsys, monkeypatch
+):
+    # G(48, 48) is singular at 128 bits; with the ceiling there, the error
+    # names the last bits tried and the --precision of the next doubling
+    from hbl import mop
+
+    monkeypatch.setattr(mop, "MAX_ESCALATED_PRECISION", 128)
+    argv = ["--precision", "128", "--out", str(tmp_path / "art"), "coefficients",
+            "--config", str(large_sep_config_file), "--n", "24,24", "--m", "24,24",
+            "--t", "0.5"]
+    assert main(argv) == 3
+    report = json.loads(capsys.readouterr().err)
+    assert report["error"] == "normalization-impossible"
+    assert report["message"].endswith(
+        "; gave up at 128 bits, the last step under the escalation ceiling of 128: "
+        "retry with --precision 256"
+    )
+
+
 def test_csv_format_contract(large_sep_config_file, tmp_path):
     out = tmp_path / "art"
     main(

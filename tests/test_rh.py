@@ -68,6 +68,27 @@ def test_y1_off_diagonal_is_transition_number(ws, idx22, exp22):
     assert abs(got2 - tau2) <= mpf("1e-60") * abs(tau2)
 
 
+def test_y1_cauchy_entry_at_working_precision():
+    # the (1, p+1) entry is -q_moment / (2 pi i) with 2 pi i at the working
+    # precision; a 256-bit constant is off by about 3.5e-78 here
+    with mp.workprec(1088):
+        ws = WeightSystem.from_config(BrownianConfig("1", "-1", "0.7", "-0.7"), mpf(1) / 3, 4)
+        idx = MultiIndexPair((2, 2), (2, 2))
+        exp = rh.assemble_rh_expansion(ws, idx)
+        want = -mop.q_moment(exp.rows[0], ws, 0, idx.m[0]) / (2j * mp.pi)
+        assert abs(exp.Y1[0, 2] - want) <= mpf(2) ** -1080 * abs(want)
+
+
+def test_boundary_other_than_above_or_below_is_rejected(ws, idx22, exp22):
+    # a misspelt boundary used to give the value from above
+    with pytest.raises(ValueError, match="'lower'"):
+        rh.assemble_Y(ws, idx22, 0, boundary="lower")
+    with pytest.raises(ValueError, match="'lower'"):
+        kn.YEvaluator(exp22).value(0, boundary="lower")
+    above, below = (rh.assemble_Y(ws, idx22, 0, boundary=b) for b in ("above", "below"))
+    assert nu.max_abs(above - below) > mpf("0.1")
+
+
 def test_y1_symmetric_config_reflection_pattern():
     # mirror symmetry x -> -x: entries map to the (1<->2, 3<->4) swapped
     # position with a parity sign; verified against the independently

@@ -1,10 +1,19 @@
 """Convergence studies against the large-n laws of the three regimes."""
 
+import os
+from pathlib import Path
+
 import pytest
 from mpmath import mp, mpf
 
+from hbl import mop, rh
 from hbl import scaling as sc
-from hbl.errors import DegenerateData, WrongRegime
+from hbl.cli import main
+from hbl.errors import DegenerateData, NoConvergence, NormalizationImpossible, WrongRegime
+
+from conftest import SolveLog
+
+CRITICAL_CONFIG = Path(__file__).parent / "data" / "critical_config.json"
 
 
 # ---------------------------------------------------------------------------
@@ -184,6 +193,121 @@ def test_double_scaling_q_against_interpolant(critical_config, hml_solution):
         hml=hml_solution,
     )
     assert abs(study.q_of_s - evaluate_q(hml_solution, study.s)[0]) == 0
+
+
+# ---------------------------------------------------------------------------
+# the Hastings-McLeod solve beside the expansion batch
+# ---------------------------------------------------------------------------
+
+def test_scaling_batch_puts_the_solve_in_the_parent(critical_config, monkeypatch):
+    # default n-list over two CPUs: the solve (first job, cost 64^3) and
+    # n = 48 run in this process, n = 64 and the small n in one worker
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    log = SolveLog()  # (n, pid): n = 0 for the solve
+    solve, expand = sc.solve_hastings_mcleod, rh._expansion_uncached
+
+    def recorded_solve():
+        log.record(0, os.getpid())
+        return solve()
+
+    def recorded_expand(ws, idx):
+        log.record(idx.size_n, os.getpid())
+        return expand(ws, idx)
+
+    monkeypatch.setattr(sc, "solve_hastings_mcleod", recorded_solve)
+    monkeypatch.setattr(rh, "_expansion_uncached", recorded_expand)
+    rh._EXPANSIONS.clear()
+    sc.double_scaling_study(critical_config, L=0, t=mpf(1) / 3)
+    pids = dict(log)
+    assert sorted(pids) == [0, 8, 12, 16, 24, 32, 48, 64]
+    worker = pids[64]
+    assert pids[0] == pids[48] == os.getpid() != worker
+    assert {pids[n] for n in (8, 12, 16, 24, 32)} == {worker}
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_scaling_batch_passes_a_given_solution_through(critical_config, hml_solution, monkeypatch):
+    # with hml given there is no solve job: the batch is the expansions alone
+    def no_solve():
+        raise AssertionError("solved although hml was given")
+
+    jobs = []
+    map_cores = mop._map_cores
+
+    def counting(fn, batch, cost):
+        jobs.append(len(batch))
+        return map_cores(fn, batch, cost)
+
+    monkeypatch.setattr(sc, "solve_hastings_mcleod", no_solve)
+    monkeypatch.setattr(mop, "_map_cores", counting)
+    rh._EXPANSIONS.clear()
+    sc.double_scaling_study(critical_config, L=0, t=mpf(1) / 3, n_list=(8, 12), hml=hml_solution)
+    assert jobs == [2]
+
+
+@pytest.mark.parametrize(
+    "n_list",
+    [
+        sc.DEFAULT_N_LIST,
+        # n = 72 outweighs the solve: the solve runs in the worker and its
+        # error crosses the pipe, while this process fails on n = 72
+        (8, 72),
+    ],
+    ids=["solve-in-parent", "solve-in-worker"],
+)
+def test_scaling_batch_raises_the_solve_error(critical_config, hml_solution, monkeypatch, n_list):
+    # at 128 bits with no room to escalate, n >= 48 fails too; the solve's
+    # error wins, as when the solve ran before the batch, and no child is left
+    def failing_solve():
+        raise NoConvergence("Newton stalled")
+
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    monkeypatch.setattr(mop, "MAX_ESCALATED_PRECISION", 128)
+    monkeypatch.setattr(sc, "solve_hastings_mcleod", failing_solve)
+    with mp.workprec(128):
+        with pytest.raises(NormalizationImpossible):
+            sc.double_scaling_study(critical_config, L=0, t=mpf(1) / 3, n_list=n_list, hml=hml_solution)
+        with pytest.raises(NoConvergence, match="^Newton stalled$"):
+            sc.double_scaling_study(critical_config, L=0, t=mpf(1) / 3, n_list=n_list)
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["scaling", "--t", "0.333"],
+        ["scaling", "--t", "0.333", "--L", "1.5", "--n-list", "8,16,32"],
+        ["--precision", "512", "scaling", "--t", "0.333"],
+    ],
+    ids=["default", "L-1.5", "512-bits"],
+)
+def test_scaling_batch_artifacts_match_the_loop(argv, tmp_path, monkeypatch):
+    # the study over two CPUs writes the bytes of the in-process loop and of
+    # a one-CPU run that cannot fork
+    def fork():
+        raise AssertionError("forked on one CPU")
+
+    at = argv.index("scaling") + 1
+    argv = argv[:at] + ["--config", str(CRITICAL_CONFIG)] + argv[at:]
+    def loop(fn, jobs, cost):
+        return [fn(job) for job in jobs]
+
+    runs = []
+    for name, cpus, map_cores in (("loop", {0, 1}, loop), ("two", {0, 1}, None),
+                                  ("one", {0}, None)):
+        monkeypatch.undo()
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus)
+        if map_cores:
+            monkeypatch.setattr(mop, "_map_cores", map_cores)
+        if cpus == {0}:
+            monkeypatch.setattr(os, "fork", fork)
+        rh._EXPANSIONS.clear()
+        out = tmp_path / name
+        assert main(["--out", str(out)] + argv) == 0
+        runs.append([(out / f).read_bytes() for f in ("scaling.csv", "scaling.json")])
+    assert runs[0] == runs[1] == runs[2]
 
 
 # ---------------------------------------------------------------------------
