@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import os
 import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cmp_to_key, lru_cache, partial
 from typing import Optional
 
@@ -144,14 +144,12 @@ NormTag = tuple  # ("II", k) or ("I", l) with 0-based position index
 
 @dataclass(frozen=True)
 class MopSolution:
-    """Coefficient arrays of A_1..A_p (ascending powers) plus its tag."""
+    """Coefficient arrays of A_1..A_p (ascending powers) plus its tag; the
+    coefficients keep the bits their solve settled at (see shifted_solutions)."""
 
     idx: MultiIndexPair
     norm: NormTag
     coeffs: tuple  # tuple over k of tuple of mpf, length n_k
-    # Moment tables M^{kl}_j by (k, l) that the solve used, at the precision
-    # it settled at; q_moment reads them.
-    moments: Optional[dict] = field(default=None, compare=False, repr=False)
 
     def eval_A(self, k: int, x):
         return mp.polyval(self.coeffs[k][::-1], x)
@@ -176,10 +174,12 @@ def _flat_offsets(idx: MultiIndexPair) -> list:
     return offsets
 
 
-def _pair_jmax(idx: MultiIndexPair) -> int:
-    """Moment order covering every entry that a solve at this pair, and the
-    Y1/Y2 entries built from it, read."""
-    return max(idx.n) + max(idx.m, default=0) + 2
+def moment_tables(ws: WeightSystem, idx: MultiIndexPair) -> dict:
+    """{(k, l): M^{kl}_0..M^{kl}_jmax} at working precision, jmax covering
+    every entry that a solve at this pair, and the Y1/Y2 built from it, read."""
+    jmax = max(idx.n) + max(idx.m, default=0) + 2
+    pairs = [(k, l) for k in range(ws.p) for l in range(ws.q)]
+    return {kl: _moment_table(ws, *kl, jmax, mp.prec) for kl in pairs}
 
 
 def _check_shape(ws: WeightSystem, idx: MultiIndexPair) -> None:
@@ -221,12 +221,7 @@ def _solve_rows(ws: WeightSystem, idx: MultiIndexPair, tags: list) -> tuple:
     while True:
         with mp.workprec(prec):
             try:
-                sols = _factor_and_solve(ws, idx, tags)
-                resid = max(
-                    (check_orthogonality(s, ws, s.idx) for s in sols
-                     if isinstance(s, MopSolution)),
-                    default=mpf(0),
-                )
+                sols, resid = _factor_and_solve(ws, idx, tags)
                 if resid <= mpf(2) ** (-(prec // 4)):
                     return sols, prec
                 last_error = NormalizationImpossible(
@@ -242,14 +237,12 @@ def _solve_rows(ws: WeightSystem, idx: MultiIndexPair, tags: list) -> tuple:
         prec *= 2
 
 
-def _factor_and_solve(ws: WeightSystem, idx: MultiIndexPair, tags: list) -> list:
-    """One attempt of _solve_rows at working precision, unchecked."""
+def _factor_and_solve(ws: WeightSystem, idx: MultiIndexPair, tags: list) -> tuple:
+    """One attempt of _solve_rows at working precision: the solutions and
+    the worst orthogonality residual of the MOP rows among them (0 if
+    none), both from one fetch of the moment tables."""
     offsets = _flat_offsets(idx)
-    tables = {
-        (k, l): _moment_table(ws, k, l, _pair_jmax(idx), mp.prec)
-        for k in range(ws.p)
-        for l in range(ws.q)
-    }
+    tables = moment_tables(ws, idx)
     rows, scales, row_keys = [], [], []
     for l in range(ws.q):
         for j in range(idx.m[l]):
@@ -286,8 +279,12 @@ def _factor_and_solve(ws: WeightSystem, idx: MultiIndexPair, tags: list) -> list
             sol_idx = idx.shift_n(pos)
         else:
             sol_idx = idx.shift_m(pos, -1)
-        sols.append(MopSolution(sol_idx, (kind, pos), tuple(coeffs), moments=tables))
-    return sols
+        sols.append(MopSolution(sol_idx, (kind, pos), tuple(coeffs)))
+    resid = max(
+        (check_orthogonality(s, tables) for s in sols if isinstance(s, MopSolution)),
+        default=mpf(0),
+    )
+    return sols, resid
 
 
 def _base_pair(ws: WeightSystem, idx: MultiIndexPair, norm: NormTag) -> MultiIndexPair:
@@ -475,29 +472,19 @@ def solve_mop(ws: WeightSystem, idx: MultiIndexPair, norm: NormTag) -> MopSoluti
     return solve_batch(ws, [(idx, norm)])[idx, norm]
 
 
-def _moments(sol: MopSolution, ws: WeightSystem, k: int, l: int, top: int) -> tuple:
-    """M^{kl}_0..M^{kl}_top: the table the solve built, widened only when
-    ``top`` needs more (or built at the pair's jmax for a bare solution)."""
-    tab = sol.moments.get((k, l)) if sol.moments else None
-    if tab is None or len(tab) <= top:
-        tab = _moment_table(ws, k, l, max(_pair_jmax(sol.idx), top), mp.prec)
-    return tab
-
-
-def _q_moment_factors(sol: MopSolution, ws: WeightSystem, l: int, j: int) -> list:
+def _q_moment_factors(sol: MopSolution, tables: dict, l: int, j: int) -> list:
     """The pairs (c, M^{kl}_{i+j}) whose products sum to
-    int Q(x) x^j w_{2,l}(x) dx."""
-    pairs = []
-    for k in range(ws.p):
-        cs = sol.coeffs[k]
-        tab = _moments(sol, ws, k, l, len(cs) - 1 + j)
-        pairs.extend((c, tab[i + j]) for i, c in enumerate(cs))
-    return pairs
+    int Q(x) x^j w_{2,l}(x) dx, the moments read from ``tables``."""
+    return [
+        (c, tables[k, l][i + j])
+        for k, cs in enumerate(sol.coeffs)
+        for i, c in enumerate(cs)
+    ]
 
 
-def q_moment(sol: MopSolution, ws: WeightSystem, l: int, j: int) -> mpf:
-    """int Q(x) x^j w_{2,l}(x) dx through the moment recursion."""
-    return sum((c * v for c, v in _q_moment_factors(sol, ws, l, j)), mpf(0))
+def q_moment(sol: MopSolution, tables: dict, l: int, j: int) -> mpf:
+    """int Q(x) x^j w_{2,l}(x) dx from ``tables`` (see moment_tables)."""
+    return sum((c * v for c, v in _q_moment_factors(sol, tables, l, j)), mpf(0))
 
 
 def evaluate_Q(sol: MopSolution, ws: WeightSystem, x):
@@ -506,14 +493,16 @@ def evaluate_Q(sol: MopSolution, ws: WeightSystem, x):
     return sum(sol.eval_A(k, x) * ws.w1(k, x) for k in range(ws.p))
 
 
-def check_orthogonality(sol: MopSolution, ws: WeightSystem, idx: MultiIndexPair):
+def check_orthogonality(sol: MopSolution, tables: dict):
     """Max relative residual |sum of terms| / max |term| of the
-    vanishing-moment conditions (0 if none).  The terms c * M^{kl}_{i+j},
+    vanishing-moment conditions of ``sol`` (0 if none), the moments read
+    from ``tables`` (see moment_tables).  The terms c * M^{kl}_{i+j},
     their sum and their max are exact; the ratio is rounded once."""
     worst, by_value = mpf(0), cmp_to_key(mpf_cmp)
-    for l in range(ws.q):
-        for j in range(idx.m[l]):
-            terms = [mpf_mul(c._mpf_, v._mpf_) for c, v in _q_moment_factors(sol, ws, l, j)]
+    for l, ml in enumerate(sol.idx.m):
+        for j in range(ml):
+            factors = _q_moment_factors(sol, tables, l, j)
+            terms = [mpf_mul(c._mpf_, v._mpf_) for c, v in factors]
             scale = max((mpf_abs(t) for t in terms), key=by_value, default=fzero)
             if scale != fzero:
                 ratio = mpf_div(mpf_abs(mpf_sum(terms)), scale, mp.prec, round_nearest)
@@ -550,8 +539,9 @@ def transition_number(
     return tau
 
 
-def shifted_solutions(ws: WeightSystem, idx: MultiIndexPair) -> list:
-    """The p + q solution rows of the RH matrix at |n| = |m|.
+def shifted_solutions(ws: WeightSystem, idx: MultiIndexPair) -> tuple:
+    """The p + q solution rows of the RH matrix at |n| = |m|, and the bits
+    they settled at.
 
     Row k (k < p):  type (II,k) at (n + e_k, m).
     Row p + l:      type (I,l)  at (n, m - e_l), or None when m_l = 0
@@ -563,10 +553,10 @@ def shifted_solutions(ws: WeightSystem, idx: MultiIndexPair) -> list:
         raise InvalidIndex("RH rows need |n| = |m|")
     tags = [("II", k) for k in range(ws.p)]
     tags += [("I", l) for l in range(ws.q) if idx.m[l] > 0]
-    by_tag = dict(zip(tags, _solve_rows(ws, idx, tags)[0]))
-    return [by_tag.get(("II", k)) for k in range(ws.p)] + [
-        by_tag.get(("I", l)) for l in range(ws.q)
-    ]
+    sols, bits = _solve_rows(ws, idx, tags)
+    by_tag = dict(zip(tags, sols))
+    rows = [by_tag.get(("II", k)) for k in range(ws.p)]
+    return rows + [by_tag.get(("I", l)) for l in range(ws.q)], bits
 
 
 def bimoment_inverse(ws: WeightSystem, idx: MultiIndexPair) -> tuple:

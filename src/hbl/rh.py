@@ -29,6 +29,7 @@ from .mop import (
     MultiIndexPair,
     WeightSystem,
     _cached_map,
+    moment_tables,
     q_moment,
     shifted_solutions,
     solve_batch,
@@ -38,7 +39,8 @@ from .mop import (
 @dataclass(frozen=True)
 class RhExpansion:
     """Y1 and Y2 of the large-z expansion, with block views, and the p+q
-    shifted MOP rows they were built from (see shifted_solutions)."""
+    shifted MOP rows they were built from (see shifted_solutions); Y1, Y2
+    are summed at the bits the rows settled at and rounded once."""
 
     ws: WeightSystem
     idx: MultiIndexPair
@@ -79,19 +81,23 @@ def _expansion_uncached(ws: WeightSystem, idx: MultiIndexPair) -> RhExpansion:
     size = ws.p + ws.q
     y1 = matrix(size, size)
     y2 = matrix(size, size)
-    rows = shifted_solutions(ws, idx)
-    for i, sol in enumerate(rows):
-        if sol is None:
-            continue  # degenerate unit row: zero contribution to Y1, Y2
-        d = mpf(1) if i < ws.p else -2j * mp.pi
-        for j in range(ws.p):
-            y1[i, j] = d * sol.coefficient(j, idx.n[j] - 1)
-            y2[i, j] = d * sol.coefficient(j, idx.n[j] - 2)
-        moment_factor = -d / (2j * mp.pi)
-        for l in range(ws.q):
-            ml = idx.m[l]
-            y1[i, ws.p + l] = moment_factor * q_moment(sol, ws, l, ml)
-            y2[i, ws.p + l] = moment_factor * q_moment(sol, ws, l, ml + 1)
+    rows, bits = shifted_solutions(ws, idx)
+    with mp.workprec(bits):
+        tables = moment_tables(ws, idx)
+        for i, sol in enumerate(rows):
+            if sol is None:
+                continue  # degenerate unit row: zero contribution to Y1, Y2
+            d = mpf(1) if i < ws.p else -2j * mp.pi
+            for j in range(ws.p):
+                y1[i, j] = d * sol.coefficient(j, idx.n[j] - 1)
+                y2[i, j] = d * sol.coefficient(j, idx.n[j] - 2)
+            moment_factor = -d / (2j * mp.pi)
+            for l in range(ws.q):
+                ml = idx.m[l]
+                y1[i, ws.p + l] = moment_factor * q_moment(sol, tables, l, ml)
+                y2[i, ws.p + l] = moment_factor * q_moment(sol, tables, l, ml + 1)
+    # each entry rounded once to working precision
+    y1, y2 = (y.apply(lambda v: +v) for y in (y1, y2))
     return RhExpansion(ws=ws, idx=idx, Y1=y1, Y2=y2, rows=tuple(rows))
 
 

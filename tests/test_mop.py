@@ -85,7 +85,7 @@ def test_moment_vs_quadrature_random_configs():
 def test_trivial_index_pair(ws):
     sol = mop.solve_mop(ws, MultiIndexPair((1, 0), (0, 0)), ("II", 0))
     assert sol.coeffs == ((mpf(1),), ())
-    assert mop.check_orthogonality(sol, ws, sol.idx) == 0
+    assert mop.check_orthogonality(sol, mop.moment_tables(ws, sol.idx)) == 0
 
 
 def _fraction_solve(rows, rhs):
@@ -154,14 +154,15 @@ def test_reflection_symmetry_of_symmetric_system(ws_symmetric):
 def test_solve_orthogonality_residual(ws):
     idx = MultiIndexPair((3, 2), (2, 2))
     sol = mop.solve_mop(ws, idx, ("II", 0))
-    assert mop.check_orthogonality(sol, ws, idx) <= mpf(2) ** (-(mp.prec // 4))
+    resid = mop.check_orthogonality(sol, mop.moment_tables(ws, idx))
+    assert resid <= mpf(2) ** (-(mp.prec // 4))
     assert sol.coeffs[0][-1] == 1  # monic normalization is exact
 
 
 def test_type1_normalization_exact(ws):
     idx = MultiIndexPair((2, 2), (2, 1))
     sol = mop.solve_mop(ws, idx, ("I", 1))
-    moment = mop.q_moment(sol, ws, 1, idx.m[1])
+    moment = mop.q_moment(sol, mop.moment_tables(ws, idx), 1, idx.m[1])
     assert abs(moment - 1) < mpf("1e-60")
 
 
@@ -197,7 +198,7 @@ def test_precision_escalation_recovers_conditioning(ws):
     nu.set_precision(128)
     try:
         sol = mop.solve_mop(ws, idx, ("II", 0))
-        resid = mop.check_orthogonality(sol, ws, idx)
+        resid = mop.check_orthogonality(sol, mop.moment_tables(ws, idx))
     finally:
         nu.set_precision(nu.DEFAULT_PRECISION_BITS)
     assert resid <= mpf(2) ** (-32)
@@ -210,14 +211,14 @@ def test_precision_escalation_recovers_conditioning(ws):
 
 def test_shifted_solutions_factor_once(ws, monkeypatch):
     calls = count_solves(monkeypatch)
-    rows = mop.shifted_solutions(ws, MultiIndexPair((8, 8), (8, 8)))
+    rows, _ = mop.shifted_solutions(ws, MultiIndexPair((8, 8), (8, 8)))
     assert calls == [(16, mp.prec)]
     assert all(sol is not None for sol in rows)
 
 
 def test_shifted_solutions_against_exact_rational_oracle(ws):
     idx = MultiIndexPair((2, 1), (1, 2))
-    rows = mop.shifted_solutions(ws, idx)
+    rows, _ = mop.shifted_solutions(ws, idx)
     expected = [(idx.shift_n(k), ("II", k)) for k in range(2)]
     expected += [(idx.shift_m(l, -1), ("I", l)) for l in range(2)]
     for sol, (sol_idx, norm) in zip(rows, expected):
@@ -244,8 +245,10 @@ def test_shifted_solutions_escalate_together(ws, monkeypatch):
     idx = MultiIndexPair((24, 24), (24, 24))
     nu.set_precision(128)
     try:
-        rows = mop.shifted_solutions(ws, idx)
-        resids = [mop.check_orthogonality(sol, ws, sol.idx) for sol in rows]
+        rows, bits = mop.shifted_solutions(ws, idx)
+        with mp.workprec(bits):
+            tables = mop.moment_tables(ws, idx)
+            resids = [mop.check_orthogonality(sol, tables) for sol in rows]
     finally:
         nu.set_precision(nu.DEFAULT_PRECISION_BITS)
     assert len(calls) > 1 and calls[0] == (48, 128)
@@ -277,7 +280,10 @@ def test_solve_batch_one_lu_per_base_pair(ws, monkeypatch):
     nu.set_precision(128)
     try:
         sols = mop.solve_batch(ws, requests + requests[:1])
-        resids = [mop.check_orthogonality(sol, ws, sol.idx) for sol in sols.values()]
+        resids = [
+            mop.check_orthogonality(sol, mop.moment_tables(ws, sol.idx))
+            for sol in sols.values()
+        ]
     finally:
         nu.set_precision(nu.DEFAULT_PRECISION_BITS)
     assert set(sols) == set(requests)
@@ -417,8 +423,9 @@ def test_q_moments_vs_quadrature_oracle(ws):
     # adaptive quadrature of evaluate_Q
     idx = MultiIndexPair((2, 2), (2, 1))
     sol = mop.solve_mop(ws, idx, ("II", 0))
+    tables = mop.moment_tables(ws, idx)
     for l, j in ((0, 2), (1, 1), (1, 3)):
-        rec = mop.q_moment(sol, ws, l, j)
+        rec = mop.q_moment(sol, tables, l, j)
         quad = mp.quad(
             lambda x: mop.evaluate_Q(sol, ws, x) * x**j * ws.w2(l, x),
             [-mp.inf, 0, mp.inf],
@@ -433,7 +440,7 @@ def test_orthogonality_perturbation_sensitivity(ws):
     bad_coeffs = list(list(c) for c in sol.coeffs)
     bad_coeffs[0][0] += mpf("1e-3")
     bad = mop.MopSolution(idx=idx, norm=sol.norm, coeffs=tuple(tuple(c) for c in bad_coeffs))
-    assert mop.check_orthogonality(bad, ws, idx) > mpf("1e-6")
+    assert mop.check_orthogonality(bad, mop.moment_tables(ws, idx)) > mpf("1e-6")
 
 
 # ---------------------------------------------------------------------------

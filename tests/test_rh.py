@@ -75,8 +75,28 @@ def test_y1_cauchy_entry_at_working_precision():
         ws = WeightSystem.from_config(BrownianConfig("1", "-1", "0.7", "-0.7"), mpf(1) / 3, 4)
         idx = MultiIndexPair((2, 2), (2, 2))
         exp = rh.assemble_rh_expansion(ws, idx)
-        want = -mop.q_moment(exp.rows[0], ws, 0, idx.m[0]) / (2j * mp.pi)
+        moment = mop.q_moment(exp.rows[0], mop.moment_tables(ws, idx), 0, idx.m[0])
+        want = -moment / (2j * mp.pi)
         assert abs(exp.Y1[0, 2] - want) <= mpf(2) ** -1080 * abs(want)
+
+
+def test_y1_summed_at_the_bits_the_rows_settled_at(critical_config, monkeypatch):
+    # at 128 bits G(40, 40) of the critical config is singular and the rows
+    # settle at 256 bits; Y1 summed from them at 128 bits missed the
+    # recurrence products by about 1e-10, summed at 256 bits it meets a
+    # 640-bit expansion of the same weights to 2^-100
+    idx = MultiIndexPair((20, 20), (20, 20))
+    calls = count_solves(monkeypatch)
+    with mp.workprec(128):
+        ws = WeightSystem.from_config(critical_config, mpf(1) / 3, 40)
+        exp = rh._expansion_uncached(ws, idx)
+        assert all(+v == v for row in exp.Y1.tolist() for v in row)  # rounded to 128 bits
+    assert calls == [(40, 128), (40, 256)]
+    with mp.workprec(640):
+        ref = rh._expansion_uncached(ws, idx)
+        for i, j in ((1, 3), (1, 4)):
+            want = ref.product(i, j)
+            assert abs(exp.product(i, j) - want) <= mpf(2) ** -100 * abs(want)
 
 
 def test_boundary_other_than_above_or_below_is_rejected(ws, idx22, exp22):
