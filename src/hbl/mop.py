@@ -15,11 +15,10 @@ from __future__ import annotations
 import os
 import threading
 from dataclasses import dataclass
-from functools import cmp_to_key, lru_cache, partial
+from functools import lru_cache, partial
 from typing import Optional
 
 from mpmath import mp, mpf, matrix
-from mpmath.libmp import fzero, mpf_abs, mpf_cmp, mpf_div, mpf_mul, mpf_sum, round_nearest
 
 from . import numerics as nu
 from .errors import InvalidIndex, NormalizationImpossible, SingularMatrix, WorkerFailed
@@ -200,20 +199,13 @@ def _solve_rows(ws: WeightSystem, idx: MultiIndexPair, tags: list) -> tuple:
     Tag ("G^-1", (l, j)) gives column (l, j) of G^{-1}, G x = e_(l, j), as
     coefficient tuples over k.
 
-    Gaussian weights make every index pair normal, so a singular G or a
-    MOP row that misses its orthogonality residual signals precision
-    exhaustion: the whole factorization is redone at doubled precision up
-    to MAX_ESCALATED_PRECISION.  A start above it is still tried once.  The
-    error at the ceiling names the last bits tried and the --precision that
-    would try the next doubling.
-    Columns of G^{-1} escalate only on a singular G; their accuracy is
-    checked by the caller (kernel.correlation_kernel).
-
-    The orthogonality residual has not been seen to fire: LU with partial
-    pivoting is backward stable, so it stays near 2^-125 at 128 bits however
-    inaccurate the row is, and every escalation probed came from
-    SingularMatrix.  ROADMAP item 1 (certified Y1/Y2) replaces it with a
-    forward-error certificate, the scalar-product residual of the expansion.
+    Gaussian weights make every index pair normal, so a singular G
+    (SingularMatrix from the pivot threshold of numerics.solve_linear)
+    signals precision exhaustion: the whole factorization is redone at
+    doubled precision up to MAX_ESCALATED_PRECISION.  A start above it is
+    still tried once.  The error at the ceiling names the last bits tried
+    and the --precision that would try the next doubling.  No accuracy is
+    checked here; kernel.correlation_kernel checks its columns of G^{-1}.
     """
     prec = mp.prec
     ceiling = max(MAX_ESCALATED_PRECISION, prec)
@@ -221,12 +213,7 @@ def _solve_rows(ws: WeightSystem, idx: MultiIndexPair, tags: list) -> tuple:
     while True:
         with mp.workprec(prec):
             try:
-                sols, resid = _factor_and_solve(ws, idx, tags)
-                if resid <= mpf(2) ** (-(prec // 4)):
-                    return sols, prec
-                last_error = NormalizationImpossible(
-                    f"orthogonality residual {resid} at {prec} bits"
-                )
+                return _factor_and_solve(ws, idx, tags), prec
             except SingularMatrix as exc:
                 last_error = exc
         if 2 * prec > ceiling:
@@ -237,10 +224,8 @@ def _solve_rows(ws: WeightSystem, idx: MultiIndexPair, tags: list) -> tuple:
         prec *= 2
 
 
-def _factor_and_solve(ws: WeightSystem, idx: MultiIndexPair, tags: list) -> tuple:
-    """One attempt of _solve_rows at working precision: the solutions and
-    the worst orthogonality residual of the MOP rows among them (0 if
-    none), both from one fetch of the moment tables."""
+def _factor_and_solve(ws: WeightSystem, idx: MultiIndexPair, tags: list) -> list:
+    """One attempt of _solve_rows at working precision: the solutions."""
     offsets = _flat_offsets(idx)
     tables = moment_tables(ws, idx)
     rows, scales, row_keys = [], [], []
@@ -280,11 +265,7 @@ def _factor_and_solve(ws: WeightSystem, idx: MultiIndexPair, tags: list) -> tupl
         else:
             sol_idx = idx.shift_m(pos, -1)
         sols.append(MopSolution(sol_idx, (kind, pos), tuple(coeffs)))
-    resid = max(
-        (check_orthogonality(s, tables) for s in sols if isinstance(s, MopSolution)),
-        default=mpf(0),
-    )
-    return sols, resid
+    return sols
 
 
 def _base_pair(ws: WeightSystem, idx: MultiIndexPair, norm: NormTag) -> MultiIndexPair:
@@ -472,42 +453,18 @@ def solve_mop(ws: WeightSystem, idx: MultiIndexPair, norm: NormTag) -> MopSoluti
     return solve_batch(ws, [(idx, norm)])[idx, norm]
 
 
-def _q_moment_factors(sol: MopSolution, tables: dict, l: int, j: int) -> list:
-    """The pairs (c, M^{kl}_{i+j}) whose products sum to
-    int Q(x) x^j w_{2,l}(x) dx, the moments read from ``tables``."""
-    return [
-        (c, tables[k, l][i + j])
-        for k, cs in enumerate(sol.coeffs)
-        for i, c in enumerate(cs)
-    ]
-
-
 def q_moment(sol: MopSolution, tables: dict, l: int, j: int) -> mpf:
     """int Q(x) x^j w_{2,l}(x) dx from ``tables`` (see moment_tables)."""
-    return sum((c * v for c, v in _q_moment_factors(sol, tables, l, j)), mpf(0))
+    terms = (
+        c * tables[k, l][i + j] for k, cs in enumerate(sol.coeffs) for i, c in enumerate(cs)
+    )
+    return sum(terms, mpf(0))
 
 
 def evaluate_Q(sol: MopSolution, ws: WeightSystem, x):
     """Q(x) = sum_k A_k(x) w_{1,k}(x)."""
     x = mp.mpmathify(x)
     return sum(sol.eval_A(k, x) * ws.w1(k, x) for k in range(ws.p))
-
-
-def check_orthogonality(sol: MopSolution, tables: dict):
-    """Max relative residual |sum of terms| / max |term| of the
-    vanishing-moment conditions of ``sol`` (0 if none), the moments read
-    from ``tables`` (see moment_tables).  The terms c * M^{kl}_{i+j},
-    their sum and their max are exact; the ratio is rounded once."""
-    worst, by_value = mpf(0), cmp_to_key(mpf_cmp)
-    for l, ml in enumerate(sol.idx.m):
-        for j in range(ml):
-            factors = _q_moment_factors(sol, tables, l, j)
-            terms = [mpf_mul(c._mpf_, v._mpf_) for c, v in factors]
-            scale = max((mpf_abs(t) for t in terms), key=by_value, default=fzero)
-            if scale != fzero:
-                ratio = mpf_div(mpf_abs(mpf_sum(terms)), scale, mp.prec, round_nearest)
-                worst = max(worst, mp.make_mpf(ratio))
-    return worst
 
 
 def transition_number(
@@ -566,8 +523,6 @@ def bimoment_inverse(ws: WeightSystem, idx: MultiIndexPair) -> tuple:
     B[(k, l)][i][j] = (G^{-1})[(k, i), (l, j)] for i < n_k, j < m_l.  The
     columns are unit right-hand sides of one factorization, redone at
     doubled precision while G is numerically singular (see _solve_rows).
-    No residual is checked here: LU with partial pivoting keeps the
-    residual of G x = e_(l, j) at rounding level however inaccurate x is.
     """
     _check_shape(ws, idx)
     if idx.size_n != idx.size_m:

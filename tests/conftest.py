@@ -6,10 +6,12 @@ import os
 import tempfile
 import weakref
 from fractions import Fraction
+from functools import cmp_to_key
 
 import pytest
 from mpmath import mp, mpf
 import mpmath.libmp
+from mpmath.libmp import fzero, mpf_abs, mpf_cmp, mpf_div, mpf_mul, mpf_sum, round_nearest
 
 from hbl import numerics as nu
 from hbl.errors import SingularMatrix
@@ -99,6 +101,27 @@ def gaussian_moment(ws, k, l, j):
     from hbl.mop import _moment_table
 
     return _moment_table(ws, k, l, j, mp.prec)[j]
+
+
+def orthogonality_residual(sol, tables):
+    """Max relative residual |sum of terms| / max |term| of the
+    vanishing-moment conditions of a MopSolution (0 if none), the terms
+    c * M^{kl}_{i+j} of mop.q_moment read from ``tables`` (test oracle).
+    The terms, their sum and their max are exact; the ratio is rounded
+    once to working precision."""
+    worst, by_value = mpf(0), cmp_to_key(mpf_cmp)
+    for l, ml in enumerate(sol.idx.m):
+        for j in range(ml):
+            terms = [
+                mpf_mul(c._mpf_, tables[k, l][i + j]._mpf_)
+                for k, cs in enumerate(sol.coeffs)
+                for i, c in enumerate(cs)
+            ]
+            scale = max((mpf_abs(t) for t in terms), key=by_value, default=fzero)
+            if scale != fzero:
+                ratio = mpf_div(mpf_abs(mpf_sum(terms)), scale, mp.prec, round_nearest)
+                worst = max(worst, mp.make_mpf(ratio))
+    return worst
 
 
 def moment_system(ws, idx, norm):

@@ -8,10 +8,16 @@ import pytest
 from mpmath import matrix, mp, mpf
 
 from hbl import mop
-from hbl.errors import InvalidIndex, NormalizationImpossible, WorkerFailed
+from hbl.errors import InvalidIndex, NormalizationImpossible, SingularMatrix, WorkerFailed
 from hbl.mop import MultiIndexPair, WeightSystem
 
-from conftest import count_solves, gaussian_moment, moment_system, mpf_to_fraction
+from conftest import (
+    count_solves,
+    gaussian_moment,
+    moment_system,
+    mpf_to_fraction,
+    orthogonality_residual,
+)
 
 
 @pytest.fixture(scope="module")
@@ -85,7 +91,7 @@ def test_moment_vs_quadrature_random_configs():
 def test_trivial_index_pair(ws):
     sol = mop.solve_mop(ws, MultiIndexPair((1, 0), (0, 0)), ("II", 0))
     assert sol.coeffs == ((mpf(1),), ())
-    assert mop.check_orthogonality(sol, mop.moment_tables(ws, sol.idx)) == 0
+    assert orthogonality_residual(sol, mop.moment_tables(ws, sol.idx)) == 0
 
 
 def _fraction_solve(rows, rhs):
@@ -154,7 +160,7 @@ def test_reflection_symmetry_of_symmetric_system(ws_symmetric):
 def test_solve_orthogonality_residual(ws):
     idx = MultiIndexPair((3, 2), (2, 2))
     sol = mop.solve_mop(ws, idx, ("II", 0))
-    resid = mop.check_orthogonality(sol, mop.moment_tables(ws, idx))
+    resid = orthogonality_residual(sol, mop.moment_tables(ws, idx))
     assert resid <= mpf(2) ** (-(mp.prec // 4))
     assert sol.coeffs[0][-1] == 1  # monic normalization is exact
 
@@ -189,16 +195,15 @@ def test_index_length_must_match_weights(ws):
 
 
 def test_precision_escalation_recovers_conditioning(ws):
-    # at 128 bits the |n| = 48 moment system is too ill-conditioned to
-    # meet the residual contract; the solver must escalate internally and
-    # still return a valid solution
+    # at 128 bits the |n| = 48 moment system is numerically singular; the
+    # solver must escalate internally and still return a valid solution
     from hbl import numerics as nu
 
     idx = MultiIndexPair((24, 24), (24, 23))
     nu.set_precision(128)
     try:
         sol = mop.solve_mop(ws, idx, ("II", 0))
-        resid = mop.check_orthogonality(sol, mop.moment_tables(ws, idx))
+        resid = orthogonality_residual(sol, mop.moment_tables(ws, idx))
     finally:
         nu.set_precision(nu.DEFAULT_PRECISION_BITS)
     assert resid <= mpf(2) ** (-32)
@@ -236,9 +241,9 @@ def test_shifted_solutions_against_exact_rational_oracle(ws):
 
 
 def test_shifted_solutions_escalate_together(ws, monkeypatch):
-    # at 128 bits G(24,24) is too ill-conditioned for the residual
-    # contract; the one factorization is redone at doubled precision and
-    # every row then meets it
+    # at 128 bits G(24,24) is numerically singular; the one factorization
+    # is redone at doubled precision and every row then meets the residual
+    # bound
     from hbl import numerics as nu
 
     calls = count_solves(monkeypatch)
@@ -248,7 +253,7 @@ def test_shifted_solutions_escalate_together(ws, monkeypatch):
         rows, bits = mop.shifted_solutions(ws, idx)
         with mp.workprec(bits):
             tables = mop.moment_tables(ws, idx)
-            resids = [mop.check_orthogonality(sol, tables) for sol in rows]
+            resids = [orthogonality_residual(sol, tables) for sol in rows]
     finally:
         nu.set_precision(nu.DEFAULT_PRECISION_BITS)
     assert len(calls) > 1 and calls[0] == (48, 128)
@@ -258,21 +263,21 @@ def test_shifted_solutions_escalate_together(ws, monkeypatch):
 
 def test_solve_batch_one_lu_per_base_pair(ws, monkeypatch):
     # four requests around the ill-conditioned G(24, 24) share each LU of
-    # it; around G(2, 2) the 128-bit solve of the last request is spoiled,
-    # so only the orthogonality check of that vector can send its group
-    # to doubled precision
+    # it; around the well-conditioned G(2, 2) the 128-bit LU is made to
+    # report a singular matrix, which must send that group alone to
+    # doubled precision
     from hbl import numerics as nu
 
     calls = count_solves(monkeypatch)
     counted = nu.solve_linear
 
-    def spoiling(a, b):
+    def singular_at_128(a, b):
         xs = counted(a, b)
         if a.rows == 4 and mp.prec == 128:
-            xs[-1][0] += max(abs(v) for v in xs[-1]) / 2**10
+            raise SingularMatrix("forced at 128 bits")
         return xs
 
-    monkeypatch.setattr(nu, "solve_linear", spoiling)
+    monkeypatch.setattr(nu, "solve_linear", singular_at_128)
     big, small = MultiIndexPair((24, 24), (24, 24)), MultiIndexPair((2, 2), (2, 2))
     requests = [(big.shift_n(k), ("II", k)) for k in range(2)]
     requests += [(big.shift_m(l, -1), ("I", l)) for l in range(2)]
@@ -281,7 +286,7 @@ def test_solve_batch_one_lu_per_base_pair(ws, monkeypatch):
     try:
         sols = mop.solve_batch(ws, requests + requests[:1])
         resids = [
-            mop.check_orthogonality(sol, mop.moment_tables(ws, sol.idx))
+            orthogonality_residual(sol, mop.moment_tables(ws, sol.idx))
             for sol in sols.values()
         ]
     finally:
@@ -440,7 +445,7 @@ def test_orthogonality_perturbation_sensitivity(ws):
     bad_coeffs = list(list(c) for c in sol.coeffs)
     bad_coeffs[0][0] += mpf("1e-3")
     bad = mop.MopSolution(idx=idx, norm=sol.norm, coeffs=tuple(tuple(c) for c in bad_coeffs))
-    assert mop.check_orthogonality(bad, mop.moment_tables(ws, idx)) > mpf("1e-6")
+    assert orthogonality_residual(bad, mop.moment_tables(ws, idx)) > mpf("1e-6")
 
 
 # ---------------------------------------------------------------------------
