@@ -320,7 +320,7 @@ def cmd_painleve(cfg: Optional[BrownianConfig], ns, out: Path) -> int:
     for i, s in enumerate(sol.grid):
         if i % ns.stride:
             continue
-        u = sol.q_prime[i] ** 2 - s * sol.q[i] ** 2 - sol.q[i] ** 4
+        u = painleve.hamiltonian_u(sol, s)
         rows.append((_fmt(s), _fmt(sol.q[i]), _fmt(sol.q_prime[i]), _fmt(u)))
     meta = {
         "version": __version__,

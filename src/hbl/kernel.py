@@ -1,13 +1,19 @@
 """Full RH matrix Y(z) from the rows of an RH expansion, closed-form Cauchy
 transforms, correlation kernel and particle-density profiles.
 
-Every Cauchy column entry of Y is a finite combination of Faddeeva values:
-for a polynomial-times-Gaussian integrand the substitution
-u = sqrt(gamma)(x-mu) turns (1/2 pi i) int P(x) e^{-gamma(x-mu)^2+c}/(x-z) dx
-into moments I_j(zeta) driven by I_0(zeta) = i pi w(zeta).  The same
-Faddeeva values give Y'(z) exactly, since d/dz C[f] = C[f'] and f' is again
-polynomial-times-Gaussian, and the boundary value from below Y_-(x), the
-branch C(z) = -conj(C(conj z)) taken on the real axis.
+Every Cauchy column entry of Y is a sum of transforms C[P w] of a
+polynomial P times a Gaussian w = exp(-gamma (x - mu)^2 + c).  The
+second-kind identity
+
+    C[P w](z) = P(z) C[w](z) + (1/2 pi i) int (P(x) - P(z))/(x - z) w(x) dx
+
+splits each into a part that needs one Faddeeva value,
+C[w](z) = (e^c/2) w(zeta) with zeta = sqrt(gamma)(z - mu), and a polynomial
+in z whose coefficients are sums of moments of w (mop.gaussian_moments),
+fixed once per Y.  Y'(z) follows exactly from the same Faddeeva values,
+since w'(zeta) = 2i/sqrt(pi) - 2 zeta w(zeta), and so does the boundary
+value from below Y_-(x), the branch C(z) = -conj(C(conj z)) taken on the
+real axis.
 
 The correlation kernel does not go through Y: it is the Eynard-Mehta form
 phi(x)^T G^{-1} psi(y) with the inverse of the bimoment matrix G(n, m).
@@ -20,6 +26,7 @@ from typing import Optional, Sequence
 
 from mpmath import mp, mpf, mpc, matrix
 
+from . import mop
 from . import numerics as nu
 from .errors import NormalizationImpossible, WrongRegime
 from .model import (
@@ -30,12 +37,13 @@ from .model import (
     semicircle_density,
 )
 from .mop import (
-    MAX_ESCALATED_PRECISION,
     MultiIndexPair,
     WeightSystem,
     _cached_map,
     _map_cores,
     bimoment_inverse,
+    gaussian_moments,
+    moment_tables,
 )
 
 
@@ -61,71 +69,45 @@ class PolyGaussian:
         return mp.polyval(self.coeffs[::-1], x) * weight
 
     def mass(self) -> mpf:
-        """int pg(x) dx via central Gaussian moments of the shifted polynomial."""
-        m0 = mp.sqrt(mp.pi / self.gamma) * mp.exp(self.log_scale)
-        shifted = _shift_poly(self.coeffs, self.mu, mpf(1))
-        inv2g = 1 / (2 * self.gamma)
-        central = [m0]
-        for j in range(1, len(shifted)):
-            central.append((j - 1) * inv2g * central[j - 2] if j >= 2 else mpf(0))
-        return sum(c * central[j] for j, c in enumerate(shifted))
-
-    def derivative(self) -> "PolyGaussian":
-        """pg'(x): the polynomial P' - 2 gamma (x - mu) P on the same Gaussian."""
-        out = [mpf(0)] * (len(self.coeffs) + 1)
-        for j, c in enumerate(self.coeffs):
-            out[j] += 2 * self.gamma * self.mu * c
-            out[j + 1] -= 2 * self.gamma * c
-            if j:
-                out[j - 1] += j * c
-        return PolyGaussian(out, self.gamma, self.mu, self.log_scale)
+        """int pg(x) dx from the moments of the Gaussian."""
+        moments = gaussian_moments(self.gamma, self.mu, self.log_scale, len(self.coeffs))
+        return sum((c * m for c, m in zip(self.coeffs, moments)), mpf(0))
 
 
-def _shift_poly(coeffs: Sequence, mu, scale) -> list:
-    """Coefficients of P(mu + scale * u) in powers of u."""
-    out = [mp.mpf(0)] * max(len(coeffs), 1)
-    for c in reversed(coeffs):
-        # out(u) <- out(u) * (mu + scale u) + c
-        new = [mp.mpf(0)] * len(out)
-        for j in range(len(out) - 1, -1, -1):
-            new[j] = out[j] * mu + (out[j - 1] * scale if j >= 1 else 0)
-        new[0] += c
-        out = new
-    return out
+def _second_kind(terms) -> list:
+    """S(z) = sum of int (P(x) - P(z))/(x - z) w(x) dx over the pairs
+    (coefficients P_j of P, moments M_j of w) in ``terms``: the coefficient
+    of z^r is sum_{j>r} P_j M_{j-1-r}.  Descending powers, as mp.polyval
+    takes them, and at least one."""
+    terms = list(terms)
+    width = max([1] + [len(cs) - 1 for cs, _ in terms])
+    return [
+        sum((cs[j] * ms[j - 1 - r] for cs, ms in terms for j in range(r + 1, len(cs))), mpf(0))
+        for r in reversed(range(width))
+    ]
 
 
-def _gauss_moments(jmax: int) -> list:
-    """G_j = int u^j e^{-u^2} du: sqrt(pi) * (j-1)!! / 2^{j/2} for even j."""
-    out = [mp.sqrt(mp.pi)]
-    for j in range(1, jmax + 1):
-        if j % 2 == 1:
-            out.append(mpf(0))
-        else:
-            out.append(out[j - 2] * (j - 1) / 2)
-    return out
+def _gauss_cauchy(sqrt_g, mu, half_scale, z) -> tuple:
+    """C[w](z) and its derivative for w = exp(-gamma (x - mu)^2 + c),
+    half_scale = e^c/2, in the closed upper half-plane: one Faddeeva value
+    w(zeta), zeta = sqrt(gamma)(z - mu)."""
+    zeta = sqrt_g * (z - mu)
+    w = nu.faddeeva(zeta)
+    return half_scale * w, half_scale * sqrt_g * (2j / mp.sqrt(mp.pi) - 2 * zeta * w)
 
 
-def cauchy_transform(pg: PolyGaussian, z, w_value=None):
+def cauchy_transform(pg: PolyGaussian, z):
     """(1/(2 pi i)) int pg(x)/(x - z) dx, continuous up to the real axis
     from above; lower half-plane values via C(z) = -conj(C(conj z)).
-
-    ``w_value`` may pass a precomputed Faddeeva value w(zeta) for reuse
-    across entries.
-    """
+    Computed by the second-kind identity, as the Cauchy columns of Y are."""
     z = mpc(z)
     if z.imag < 0:
         return -mp.conj(cauchy_transform(pg, mp.conj(z)))
     sqrt_g = mp.sqrt(pg.gamma)
-    zeta = sqrt_g * (z - pg.mu)
-    shifted = _shift_poly(pg.coeffs, pg.mu, 1 / sqrt_g)
-    deg = len(shifted) - 1
-    gm = _gauss_moments(max(deg, 1))
-    w = nu.faddeeva(zeta) if w_value is None else w_value
-    i_vals = [1j * mp.pi * w]
-    for j in range(1, deg + 1):
-        i_vals.append(zeta * i_vals[j - 1] + gm[j - 1])
-    scale = mp.exp(pg.log_scale) / (2j * mp.pi)
-    return scale * sum(c * i_vals[j] for j, c in enumerate(shifted))
+    cw, _ = _gauss_cauchy(sqrt_g, pg.mu, mp.exp(pg.log_scale) / 2, z)
+    moments = gaussian_moments(pg.gamma, pg.mu, pg.log_scale, len(pg.coeffs))
+    rest = mp.polyval(_second_kind([(pg.coeffs, moments)]), z)
+    return mp.polyval(pg.coeffs[::-1], z) * cw + rest / (2j * mp.pi)
 
 
 # ---------------------------------------------------------------------------
@@ -136,34 +118,32 @@ class YEvaluator:
     """Evaluates Y(z) and Y'(z) from the p + q rows of an RhExpansion (which
     holds them only at |n| = |m|).
 
-    It makes no solve of its own; each evaluation costs one Faddeeva value
-    per product weight, which Y' shares with Y.
+    It makes no solve of its own.  The entry (i, p+l) is
+    d_i [sum_k A_k(z) C[w_kl](z) + S_il(z)/(2 pi i)], with d_i the D
+    factor of the row and S_il = sum_k int (A_k(x) - A_k(z))/(x - z) w_kl(x) dx
+    summed once here from the moment tables the expansion read; each
+    evaluation then costs one Faddeeva value per product weight w_kl,
+    which Y' shares with Y.
     """
 
     def __init__(self, exp):
         self.ws = ws = exp.ws
         self.rows = exp.rows
         self.size = ws.p + ws.q
-        # Per (row, l): the (k, PolyGaussian) pairs whose transforms sum to
-        # the (row, p+l) entry before the D factor.
-        self._pgs: dict = {}
-        for i, sol in enumerate(self.rows):
-            if sol is None:
-                continue
-            for l in range(ws.q):
-                self._pgs[(i, l)] = [
-                    (
-                        k,
-                        PolyGaussian(
-                            coeffs=sol.coeffs[k],
-                            gamma=ws.gamma,
-                            mu=ws.mu(k, l),
-                            log_scale=ws.log_scale(k, l),
-                        ),
-                    )
-                    for k in range(ws.p)
-                    if sol.coeffs[k]
-                ]
+        self._sqrt_g = mp.sqrt(ws.gamma)
+        # Per (k, l): the centre mu_kl and e^{c_kl}/2 of C[w_kl].
+        self._weights = {
+            (k, l): (ws.mu(k, l), mp.exp(ws.log_scale(k, l)) / 2)
+            for k in range(ws.p)
+            for l in range(ws.q)
+        }
+        tables = moment_tables(ws, exp.idx)
+        self._s_polys = {
+            (i, l): _second_kind((cs, tables[k, l]) for k, cs in enumerate(sol.coeffs))
+            for i, sol in enumerate(self.rows)
+            if sol is not None
+            for l in range(ws.q)
+        }
 
     def value(self, z, boundary: str = "above"):
         """Y(z); for real z the boundary value from 'above' or 'below'."""
@@ -171,52 +151,50 @@ class YEvaluator:
             raise ValueError(f"boundary must be 'above' or 'below', got {boundary!r}")
         z = mpc(z)
         below = z.imag < 0 or (z.imag == 0 and boundary == "below")
-        return self._matrix(z, below, self._faddeeva(z, below), derivative=False)
+        return self._evaluate(z, below, derivative=False)[0]
 
     def jet(self, z):
         """(Y(z), Y'(z)) from one set of Faddeeva values; for real z the
         boundary value from above and its derivative."""
         z = mpc(z)
-        below = z.imag < 0
-        wmap = self._faddeeva(z, below)
-        return (
-            self._matrix(z, below, wmap, derivative=False),
-            self._matrix(z, below, wmap, derivative=True),
-        )
+        return self._evaluate(z, z.imag < 0, derivative=True)
 
-    def _faddeeva(self, z, below: bool) -> dict:
-        """w(sqrt(gamma) (z - mu_kl)) per (k, l), at conj(z) when ``below``."""
+    def _evaluate(self, z, below: bool, derivative: bool) -> tuple:
+        """(Y(z), Y'(z) if ``derivative`` else None).  The transforms
+        C[w_kl] are taken at conj(z) and reflected, -conj(C(conj z)), when
+        ``below``; on the real axis that is the boundary value from below."""
+        p = self.ws.p
         zz = mp.conj(z) if below else z
-        sqrt_g = mp.sqrt(self.ws.gamma)
-        return {
-            (k, l): nu.faddeeva(sqrt_g * (zz - self.ws.mu(k, l)))
-            for k in range(self.ws.p)
-            for l in range(self.ws.q)
-        }
-
-    def _matrix(self, z, below: bool, wmap: dict, derivative: bool):
-        """Y(z), or Y'(z) if ``derivative``: polynomial columns from A_k or
-        A_k', Cauchy columns from C[f] or d/dz C[f] = C[f'] (integration by
-        parts) on the Faddeeva values ``wmap``.  When ``below`` the Cauchy
-        columns take the lower branch -conj(C(conj z)) of real-coefficient
-        data, which on the real axis is the boundary value from below."""
-        p, q = self.ws.p, self.ws.q
-        zz = mp.conj(z) if below else z
+        cw = {}
+        for kl, (mu, half_scale) in self._weights.items():
+            c, dc = _gauss_cauchy(self._sqrt_g, mu, half_scale, zz)
+            cw[kl] = (-mp.conj(c), -mp.conj(dc)) if below else (c, dc)
+        two_pi_i = 2j * mp.pi
         Y = matrix(self.size, self.size)
+        dY = matrix(self.size, self.size) if derivative else None
         for i, sol in enumerate(self.rows):
             if sol is None:
-                Y[i, i] = mpf(0 if derivative else 1)
+                Y[i, i] = 1
                 continue
-            d = mpf(1) if i < p else -2j * mp.pi
-            for j in range(p):
-                Y[i, j] = d * (sol.eval_A_prime(j, z) if derivative else sol.eval_A(j, z))
-            for l in range(q):
-                acc = mpc(0)
-                for k, pg in self._pgs[(i, l)]:
-                    f = pg.derivative() if derivative else pg
-                    acc += cauchy_transform(f, zz, w_value=wmap[(k, l)])
-                Y[i, p + l] = d * (-mp.conj(acc) if below else acc)
-        return Y
+            d = mpf(1) if i < p else -two_pi_i
+            a = [sol.eval_A(k, z) for k in range(p)]
+            for k in range(p):
+                Y[i, k] = d * a[k]
+            if derivative:
+                da = [sol.eval_A_prime(k, z) for k in range(p)]
+                for k in range(p):
+                    dY[i, k] = d * da[k]
+            for l in range(self.ws.q):
+                c = [cw[k, l] for k in range(p)]
+                s = self._s_polys[(i, l)]
+                if derivative:
+                    sv, ds = mp.polyval(s, z, derivative=True)
+                    dacc = sum(da[k] * c[k][0] + a[k] * c[k][1] for k in range(p))
+                    dY[i, p + l] = d * (dacc + ds / two_pi_i)
+                else:
+                    sv = mp.polyval(s, z)
+                Y[i, p + l] = d * (sum(a[k] * c[k][0] for k in range(p)) + sv / two_pi_i)
+        return Y, dY
 
 
 # ---------------------------------------------------------------------------
@@ -291,15 +269,16 @@ def correlation_kernel(ws: WeightSystem, idx: MultiIndexPair, x, y=None):
     the left one).  So each value is checked against the same sum from a
     G^{-1} solved at twice the bits: they must agree to 2^-(prec/4)
     relative.  On a miss both move up one doubling; a miss with the lower
-    one at MAX_ESCALATED_PRECISION (or the working precision, if higher)
-    raises NormalizationImpossible.  The value returned is the lower sum,
+    one at mop.MAX_ESCALATED_PRECISION, read at call time as the solves
+    read it (or the working precision, if higher), raises
+    NormalizationImpossible.  The value returned is the lower sum,
     rounded to working precision.
     """
     x = nu.to_ext(x)
     confluent = y is None or y == x
     y = x if y is None else nu.to_ext(y)
     tol = mpf(2) ** (-(mp.prec // 4))
-    ceiling = max(MAX_ESCALATED_PRECISION, mp.prec)
+    ceiling = max(mop.MAX_ESCALATED_PRECISION, mp.prec)
     (low,) = _kernel_forms(ws, idx, [mp.prec])
     while True:
         (high,) = _kernel_forms(ws, idx, [2 * low[0]])
@@ -319,7 +298,6 @@ def correlation_kernel(ws: WeightSystem, idx: MultiIndexPair, x, y=None):
 class KernelGrid:
     """Sampled one-point density (1/n) K_n(x, x) with support bookkeeping."""
 
-    t: mpf
     xs: list
     values: list
     interval_flags: list  # 0 outside, 1 or 2 inside that group's support
@@ -405,7 +383,6 @@ def density_profile(
         semi1.append(s1)
         semi2.append(s2)
     return KernelGrid(
-        t=t,
         xs=list(grid),
         values=values,
         interval_flags=flags,

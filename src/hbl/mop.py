@@ -77,25 +77,27 @@ class WeightSystem:
         return cls(a=(cfg.a1, cfg.a2), b=(cfg.b1, cfg.b2), t=t, N=cfg.scale_N(n))
 
 
+def gaussian_moments(gamma, mu, log_scale, jmax: int) -> list:
+    """M_j = int x^j exp(-gamma (x - mu)^2 + log_scale) dx for j = 0..jmax:
+    M_0 = sqrt(pi/gamma) e^{log_scale}, M_j = mu M_{j-1} + (j-1)/(2 gamma) M_{j-2}.
+    The e^{log_scale} factor rides on the mpf exponent, which is unbounded,
+    so no separate log-scale bookkeeping is needed."""
+    m0 = mp.sqrt(mp.pi / gamma) * mp.exp(log_scale)
+    if jmax == 0:
+        return [m0]
+    out = [m0, mu * m0]
+    inv2g = 1 / (2 * gamma)
+    for j in range(2, jmax + 1):
+        out.append(mu * out[j - 1] + (j - 1) * inv2g * out[j - 2])
+    return out
+
+
 @lru_cache(maxsize=512)
 def _moment_table(ws: WeightSystem, k: int, l: int, jmax: int, prec: int) -> tuple:
-    """Moments M_j = int x^j w_{1,k} w_{2,l} dx for j = 0..jmax.
-
-    M_0 = sqrt(pi/gamma) e^{c_kl};  M_j = mu M_{j-1} + (j-1)/(2 gamma) M_{j-2}.
-    The e^{c_kl} factor rides on the mpf exponent, which is unbounded, so
-    no separate log-scale bookkeeping is needed.
-    """
+    """Moments M_j = int x^j w_{1,k} w_{2,l} dx for j = 0..jmax at ``prec``
+    bits (see gaussian_moments)."""
     with mp.workprec(prec):
-        gamma = ws.gamma
-        mu = ws.mu(k, l)
-        m0 = mp.sqrt(mp.pi / gamma) * mp.exp(ws.log_scale(k, l))
-        if jmax == 0:
-            return (m0,)
-        out = [m0, mu * m0]
-        inv2g = 1 / (2 * gamma)
-        for j in range(2, jmax + 1):
-            out.append(mu * out[j - 1] + (j - 1) * inv2g * out[j - 2])
-        return tuple(out)
+        return tuple(gaussian_moments(ws.gamma, ws.mu(k, l), ws.log_scale(k, l), jmax))
 
 
 # ---------------------------------------------------------------------------

@@ -154,7 +154,6 @@ class HmlSolution:
     grid: list
     q: list
     q_prime: list
-    order: int
     tol: mpf
     achieved_residual: mpf
 
@@ -308,14 +307,13 @@ def solve_hastings_mcleod(
         grid=grid,
         q=q,
         q_prime=q_prime,
-        order=6,
         tol=tol,
         achieved_residual=res_norm,
     )
 
 
 def evaluate_q(sol: HmlSolution, s):
-    """(q(s), q'(s)) interpolated to the declared order."""
+    """(q(s), q'(s)) from the local interpolant of HmlSolution.evaluate."""
     return sol.evaluate(s, nder=1)
 
 

@@ -171,7 +171,6 @@ class DoubleScalingStudy:
     s: mpf
     q_of_s: mpf
     t: mpf
-    L: mpf
 
 
 def double_scaling_study(
@@ -228,7 +227,7 @@ def double_scaling_study(
     else:
         qs = evaluate_q(hml, consts.s)[0]
         _, rows = _study_rows(cfg, t, n_list, temperature, partial(predictions, qs=qs))
-    return DoubleScalingStudy(rows=rows, K=consts.K, s=consts.s, q_of_s=qs, t=t, L=L)
+    return DoubleScalingStudy(rows=rows, K=consts.K, s=consts.s, q_of_s=qs, t=t)
 
 
 @dataclass(frozen=True)

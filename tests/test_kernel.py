@@ -7,6 +7,7 @@ import pytest
 from mpmath import mp, mpf, mpc
 
 from hbl import kernel as kn
+from hbl import mop
 from hbl import numerics as nu
 from hbl import rh
 from hbl.errors import NormalizationImpossible, WrongRegime
@@ -78,23 +79,51 @@ def test_cauchy_schwarz_reflection():
     assert abs(lower + mp.conj(upper)) < mpf("1e-60") * abs(upper)
 
 
-@pytest.mark.parametrize(
-    "z", [mpc("0.7", "1.3"), mpc("-0.4", "-0.9"), mpf("0.35")], ids=["upper", "lower", "real"]
-)
-def test_cauchy_transform_of_derivative_is_derivative(z):
-    # d/dz C[f] = C[f'] against mp.diff of the transform itself; on the
-    # real axis both are the boundary values from above
-    pg = kn.PolyGaussian(
-        coeffs=("1", "0.25", "-0.5", "2"), gamma="1.7", mu="0.1", log_scale="-0.3"
-    )
-    got = kn.cauchy_transform(pg.derivative(), z)
-    ref = mp.diff(lambda u: kn.cauchy_transform(pg, u), z)
-    assert abs(got - ref) <= mpf(2) ** (-(mp.prec // 2)) * abs(ref)
-
-
 # ---------------------------------------------------------------------------
 # assemble_Y
 # ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize(
+    "z, boundary",
+    [(mpc("0.7", "1.3"), "above"), (mpc("-0.4", "-0.9"), "above"), (mpf("0.35"), "below")],
+    ids=["upper", "lower", "real-below"],
+)
+def test_y_cauchy_entries_vs_quadrature(ws4, idx22, z, boundary):
+    # each Cauchy entry d_i sum_k C[A_k w_kl](z) against quadrature at 128
+    # bits; on the real axis the boundary value from below is -f(x)/2 plus
+    # the principal value int_0^inf (f(x + u) - f(x - u))/u du, over 2 pi i
+    exp = rh.assemble_rh_expansion(ws4, idx22)
+    Y = kn.YEvaluator(exp).value(z, boundary=boundary)
+    for i, sol in enumerate(exp.rows):
+        d = 1 if i < ws4.p else -2j * mp.pi
+        for l in range(ws4.q):
+            def f(x):
+                return sum(sol.eval_A(k, x) * ws4.w1(k, x) for k in range(ws4.p)) * ws4.w2(l, x)
+
+            with mp.workprec(128):
+                if boundary == "below":
+                    pv = mp.quad(lambda u: (f(z + u) - f(z - u)) / u, [0, 1, mp.inf])
+                    ref = d * (-f(z) / 2 + pv / (2j * mp.pi))
+                else:
+                    cut = [-mp.inf, z.real, mp.inf]
+                    ref = d * mp.quad(lambda x: f(x) / (x - z), cut) / (2j * mp.pi)
+            err = abs(Y[i, ws4.p + l] - ref) / abs(ref)
+            assert err <= mpf("1e-18"), (i, l)
+
+
+@pytest.mark.parametrize(
+    "z", [mpc("0.7", "1.3"), mpc("-0.4", "-0.9"), mpf("0.35")], ids=["upper", "lower", "real"]
+)
+def test_y_jet_derivative_is_derivative(ws4, idx22, z):
+    # Y' of jet against mp.diff of Y itself, entry by entry; on the real
+    # axis both are the boundary values from above
+    ev = kn.YEvaluator(rh.assemble_rh_expansion(ws4, idx22))
+    _, dY = ev.jet(z)
+    for i in range(4):
+        for j in range(4):
+            ref = mp.diff(lambda u: ev.value(u)[i, j], z)
+            assert abs(dY[i, j] - ref) <= mpf(2) ** (-(mp.prec // 2)) * abs(ref), (i, j)
+
 
 def test_jump_relation_at_origin(ws4, idx22):
     Yp = rh.assemble_Y(ws4, idx22, mpf(0), boundary="above")
@@ -222,7 +251,7 @@ def test_kernel_raises_at_the_ceiling(cfg_large, monkeypatch):
     # with no room to escalate, a point whose check fails raises
     ws = WeightSystem.from_config(cfg_large, mpf(1) / 2, 40)
     idx = MultiIndexPair((20, 20), (20, 20))
-    monkeypatch.setattr(kn, "MAX_ESCALATED_PRECISION", 128)
+    monkeypatch.setattr(mop, "MAX_ESCALATED_PRECISION", 128)
     with mp.workprec(128):
         with pytest.raises(NormalizationImpossible):
             kn.correlation_kernel(ws, idx, mpf("1.03"))
@@ -344,7 +373,7 @@ def test_density_point_that_misses_in_a_worker(cfg_large, monkeypatch):
     # x = -1.03 and 0 (the left group and the gap) and misses at x = 1.03
     # (the right group; see test_kernel_escalates_where_the_sum_cancels).
     # The worker has x = 1.03, and the parent raises the in-process error.
-    monkeypatch.setattr(kn, "MAX_ESCALATED_PRECISION", 160)
+    monkeypatch.setattr(mop, "MAX_ESCALATED_PRECISION", 160)
     t = mpf(1) / 2
     ws = WeightSystem.from_config(cfg_large, t, 40)
     idx = MultiIndexPair((20, 20), (20, 20))
