@@ -201,11 +201,17 @@ class YEvaluator:
 # Correlation kernel and density
 # ---------------------------------------------------------------------------
 
+def _descending(coeffs) -> tuple:
+    """mpf coefficients in ascending powers as (mantissa, exponent) pairs in
+    descending powers, the form numerics._horner takes."""
+    return tuple(nu._pair(v._mpf_) for v in reversed(coeffs))
+
+
 def _kernel_form_uncached(ws: WeightSystem, idx: MultiIndexPair, start: int) -> tuple:
     """G(n, m)^{-1} from a solve starting at ``start`` bits: the bits it
     settled at, its blocks B^{kl} and, for the diagonal, each block
     collapsed to P_kl(x) = sum_{i+j=d} B^{kl}[i][j] x^d.  Blocks and
-    diagonals are stored in descending powers, as mp.polyval takes them."""
+    diagonals are stored as pairs in descending powers (see _descending)."""
     with mp.workprec(start):
         blocks, bits = bimoment_inverse(ws, idx)
     diagonal = {}
@@ -215,8 +221,8 @@ def _kernel_form_uncached(ws: WeightSystem, idx: MultiIndexPair, start: int) -> 
             for i, row in enumerate(block):
                 for j, v in enumerate(row):
                     coeffs[i + j] += v
-            diagonal[(k, l)] = coeffs[::-1]
-    blocks = {kl: tuple(row[::-1] for row in block[::-1]) for kl, block in blocks.items()}
+            diagonal[(k, l)] = _descending(coeffs)
+    blocks = {kl: tuple(_descending(row) for row in block[::-1]) for kl, block in blocks.items()}
     return bits, blocks, diagonal
 
 
@@ -239,18 +245,20 @@ def _kernel_forms(ws: WeightSystem, idx: MultiIndexPair, starts) -> list:
 
 
 def _kernel_sum(ws: WeightSystem, form: tuple, x, y, confluent: bool):
-    """The Eynard-Mehta sum from one kernel form, at the bits it settled at."""
+    """The Eynard-Mehta sum from one kernel form, at the bits it settled at;
+    each polynomial value is that of mp.polyval (see numerics._horner)."""
     bits, blocks, diagonal = form
+    xp, yp = nu._pair(x._mpf_), nu._pair(y._mpf_)
     with mp.workprec(bits):
         v1 = [ws.w1(k, x) for k in range(ws.p)]
         v2 = [ws.w2(l, y) for l in range(ws.q)]
         acc = mpf(0)
         for (k, l), block in blocks.items():
             if confluent:
-                poly = mp.polyval(diagonal[(k, l)], x)
+                poly = nu._horner(diagonal[(k, l)], xp, bits)
             else:
-                poly = mp.polyval([mp.polyval(row, y) for row in block], x)
-            acc += v1[k] * v2[l] * poly
+                poly = nu._horner([nu._horner(row, yp, bits) for row in block], xp, bits)
+            acc += v1[k] * v2[l] * mpf(poly)
     return acc
 
 

@@ -44,6 +44,11 @@ class WeightSystem:
             raise ValueError("time t must lie in (0, 1)")
         if self.N <= 0:
             raise ValueError("scale N must be positive")
+        # a cache key of the kernel forms and moment tables: hashed once
+        object.__setattr__(self, "_hash", hash((self.a, self.b, self.t, self.N)))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     @property
     def p(self) -> int:

@@ -6,18 +6,18 @@ a different precision for one computation wraps it in ``mp.workprec`` or
 ``mp.extraprec``.  Results carry the precision they were computed at;
 mpmath never downgrades them silently.
 
-The dense LU runs on the integer mantissas and exponents inside each mpf,
-rounded as mpf rounds: bit-identical results without mpf's overhead.
+The dense LU and the kernel sums (the Horner loops of
+kernel.correlation_kernel) run on the integer mantissas and exponents
+inside each mpf, rounded as mpf rounds: bit-identical results without
+mpf's overhead.  _fms is the one statement of that rounding.
 """
 
 from __future__ import annotations
 
-from functools import cmp_to_key
-
 from mpmath import mp, mpf, mpc, matrix
 from mpmath.libmp import (
-    fzero, from_man_exp, mpf_abs, mpf_cmp, mpf_div, mpf_lt, mpf_mul, mpf_pos,
-    mpf_rdiv_int, mpf_shift, round_nearest,
+    fzero, from_man_exp, mpf_div, mpf_lt, mpf_mul, mpf_pos, mpf_rdiv_int, mpf_shift,
+    round_nearest,
 )
 
 from .errors import SingularMatrix
@@ -95,6 +95,28 @@ def _fms(a: tuple, u: tuple, v: tuple, prec: int) -> tuple:
     return am, ae
 
 
+def _horner(coeffs, x: tuple, prec: int) -> tuple:
+    """c_0 x^d + ... + c_d on pairs, the coefficients in descending powers
+    and all but c_0 of at most ``prec`` bits: each step c + x*p is
+    _fms(c, x, -p), so the value is bit-identical to mp.polyval on the
+    same mpf values at ``prec`` bits.  As there, one coefficient comes back
+    unrounded and none gives zero."""
+    if not coeffs:
+        return 0, 0
+    p = coeffs[0]
+    for c in coeffs[1:]:
+        p = _fms(c, x, (-p[0], p[1]), prec)
+    return p
+
+
+def _magnitude(v: tuple, prec: int) -> tuple:
+    """A key that orders pairs of at most prec + 2 mantissa bits (a round-up
+    in _fms leaves prec + 1) by absolute value, exactly; zero is least."""
+    m, e = v
+    b = m.bit_length()
+    return (e + b, abs(m) << (prec + 2 - b)) if m else ()
+
+
 def solve_linear(a: matrix, b) -> list:
     """Solve A x = b by LU with partial pivoting at working precision.
 
@@ -110,7 +132,8 @@ def solve_linear(a: matrix, b) -> list:
     bit-identical to the same elimination in mpf operations on the rounded
     entries.  The first pivot of largest magnitude
     (rounded as ``abs`` rounds) wins.  A must be real; a complex right-hand
-    side is solved by parts, as mpc arithmetic against a real A does.
+    side is solved by parts, as mpc arithmetic against a real A does.  An
+    infinite or NaN entry raises ValueError.
     """
     n = a.rows
     if a.cols != n:
@@ -128,24 +151,25 @@ def solve_linear(a: matrix, b) -> list:
     if any(hasattr(v, "_mpc_") for row in rows for v in row):
         raise TypeError("solve_linear needs a real matrix")
     rows = [[v._mpf_ for v in row] + [p[i] for p in parts] for i, row in enumerate(rows)]
+    if any(v[2] and not v[1] for row in rows for v in row):  # no mantissa, an exponent
+        raise ValueError("solve_linear needs finite entries")
 
-    prec, by_value = mp.prec, cmp_to_key(mpf_cmp)
-    scale = max((mpf_abs(v, prec, round_nearest) for row in rows for v in row[:n]),
-                key=by_value, default=fzero)
-    if scale == fzero:
+    prec = mp.prec
+    rows = [[_pair(mpf_pos(v, prec, round_nearest)) for v in row] for row in rows]
+    scale = max((v for row in rows for v in row[:n]), key=lambda v: _magnitude(v, prec),
+                default=(0, 0))
+    if not scale[0]:
         raise SingularMatrix("zero matrix")
     # Leave 32 bits of slack; anything smaller than this is numerically zero.
-    threshold = mp.make_mpf(mpf_shift(scale, -(prec - 32)))
-    rows = [[_pair(mpf_pos(v, prec, round_nearest)) for v in row] for row in rows]
+    threshold = mp.make_mpf(mpf_shift(from_man_exp(abs(scale[0]), scale[1]), -(prec - 32)))
 
     for col in range(n):
-        mags = [from_man_exp(abs(r[col][0]), r[col][1], prec, round_nearest) for r in rows[col:]]
-        piv_mag = max(mags, key=by_value)
+        piv = max(range(col, n), key=lambda r: _magnitude(rows[r][col], prec))
+        piv_mag = from_man_exp(abs(rows[piv][col][0]), rows[piv][col][1], prec, round_nearest)
         if mpf_lt(piv_mag, threshold._mpf_):
             raise SingularMatrix(
                 f"pivot {mp.make_mpf(piv_mag)} below threshold {threshold} in column {col}"
             )
-        piv = col + mags.index(piv_mag)
         rows[col], rows[piv] = rows[piv], rows[col]
         pivot_row = rows[col]
         inv_p = mpf_rdiv_int(1, from_man_exp(*pivot_row[col]), prec, round_nearest)
@@ -154,7 +178,8 @@ def solve_linear(a: matrix, b) -> list:
             if f == fzero:
                 continue
             f = _pair(f)
-            row[col + 1:] = [_fms(v, f, p, prec)
+            # v - f*0 is v: zero pivot-row entries (unit right-hand sides) are skipped
+            row[col + 1:] = [_fms(v, f, p, prec) if p[0] else v
                              for v, p in zip(row[col + 1:], pivot_row[col + 1:])]
 
     xs = []

@@ -290,6 +290,25 @@ def rh_kernel_oracle(ws, idx, x, y=None, extra_bits=64):
     return +val
 
 
+def polyval_kernel_oracle(ws, idx, x, y):
+    """The off-diagonal Eynard-Mehta sum of kernel.correlation_kernel with
+    mp.polyval on mpf values (test oracle): the blocks of G^{-1} from
+    bimoment_inverse at working precision, each row of B^{kl} evaluated at
+    y and those values at x, summed at the bits the solve settled at and
+    rounded to working precision.  Where correlation_kernel's check passes
+    at once, it must return this value bit for bit."""
+    from hbl.mop import bimoment_inverse
+
+    x, y = nu.to_ext(x), nu.to_ext(y)
+    blocks, bits = bimoment_inverse(ws, idx)
+    with mp.workprec(bits):
+        acc = mpf(0)
+        for (k, l), block in blocks.items():
+            poly = mp.polyval([mp.polyval(row[::-1], y) for row in block[::-1]], x)
+            acc += ws.w1(k, x) * ws.w2(l, y) * poly
+    return +acc
+
+
 def pytest_terminal_summary(terminalreporter, exitstatus, config):
     """Re-print the acceptance criterion lines after every run."""
     try:

@@ -3,6 +3,7 @@
 import os
 import random
 
+import mpmath.ctx_mp_python as ctx_mp_python
 import pytest
 from mpmath import mp, mpf, mpc
 
@@ -14,7 +15,7 @@ from hbl.errors import NormalizationImpossible, WrongRegime
 from hbl.model import BrownianConfig, ellipse_endpoints
 from hbl.mop import MultiIndexPair, WeightSystem
 
-from conftest import count_solves, rh_kernel_oracle
+from conftest import count_solves, polyval_kernel_oracle, rh_kernel_oracle
 
 
 @pytest.fixture(scope="module")
@@ -57,9 +58,10 @@ def test_cauchy_vs_quadrature_20_points_degree_12():
         if z.imag == 0:
             z += mpc(0, "0.5")
         got = kn.cauchy_transform(pg, z)
-        ref = mp.quad(
-            lambda x: pg(x) / (x - z), [-mp.inf, float(z.real), mp.inf]
-        ) / (2j * mp.pi)
+        with mp.workprec(128):
+            ref = mp.quad(
+                lambda x: pg(x) / (x - z), [-mp.inf, float(z.real), mp.inf]
+            ) / (2j * mp.pi)
         assert abs(got - ref) <= mpf("1e-18") * max(abs(ref), mpf("1e-20"))
 
 
@@ -211,6 +213,38 @@ def test_kernel_factors_once(cfg_large, monkeypatch):
         kn.correlation_kernel(ws, idx, x)
         kn.correlation_kernel(ws, idx, x, x / 2)
     assert calls == [(16, mp.prec), (16, 2 * mp.prec)]
+
+
+@pytest.mark.parametrize(
+    "case, bits",
+    [("large_12_12", 256), ("large_12_12", 1088), ("asymmetric_31_22", 128)],
+)
+def test_kernel_off_diagonal_bit_identical_to_polyval(case, bits, cfg_large):
+    # K(x, y) off the diagonal, each block row summed at y and then at x on
+    # pairs, against the same sum with mp.polyval: _mpf_-equal
+    if case == "large_12_12":
+        ws = WeightSystem.from_config(cfg_large, mpf(1) / 2, 24)
+        idx = MultiIndexPair((12, 12), (12, 12))
+    else:
+        ws = WeightSystem(a=("1.1", "-0.4"), b=("0.9", "-0.3"), t=mpf(2) / 5, N=4)
+        idx = MultiIndexPair((3, 1), (2, 2))
+    pairs = (("-0.9", "-0.8"), ("0.8", "0.95"), ("0.6", "-0.7"), ("1.4", "0"), ("0", "-2.5"))
+    with mp.workprec(bits):
+        for x, y in pairs:
+            got = kn.correlation_kernel(ws, idx, mpf(x), mpf(y))
+            assert got._mpf_ == polyval_kernel_oracle(ws, idx, x, y)._mpf_, (x, y)
+
+
+def test_warm_kernel_point_hashes_no_mpf(ws4, idx22, monkeypatch):
+    # a WeightSystem hashes its six mpf fields once, when it is made, so the
+    # kernel-form look-ups of a warm point hash no mpf
+    kn.correlation_kernel(ws4, idx22, mpf("0.3"))
+    calls = []
+    mpf_hash = ctx_mp_python.mpf_hash
+    monkeypatch.setattr(ctx_mp_python, "mpf_hash", lambda v: calls.append(v) or mpf_hash(v))
+    kn.correlation_kernel(ws4, idx22, mpf("0.2"))
+    kn.correlation_kernel(ws4, idx22, mpf("0.2"), mpf("-0.1"))
+    assert calls == []
 
 
 def test_kernel_escalates_with_its_factorization(cfg_large, monkeypatch):

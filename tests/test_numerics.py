@@ -6,6 +6,7 @@ import random
 import pytest
 from conftest import solve_linear_mpf
 from mpmath import mp, mpf, mpc, matrix
+from mpmath.libmp import from_man_exp
 
 from hbl import numerics as nu
 from hbl.errors import SingularMatrix
@@ -170,6 +171,42 @@ def test_bimoment_solve_bit_identical_to_mpf_elimination(monkeypatch):
 def test_solve_rejects_complex_matrix():
     with pytest.raises(TypeError):
         nu.solve_linear(matrix([[mpc(1, 1)]]), [mpf(1)])
+
+
+@pytest.mark.parametrize("entry", [mp.inf, -mp.inf, mp.nan])
+@pytest.mark.parametrize("where", ["matrix", "rhs"])
+def test_solve_rejects_non_finite_entries(entry, where):
+    A = matrix([[1, 2], [3, 4]])
+    b = [mpf(1), mpf(2)]
+    if where == "matrix":
+        A[1, 0] = entry
+    else:
+        b[1] = entry
+    with pytest.raises(ValueError):
+        nu.solve_linear(A, b)
+
+
+# ---------------------------------------------------------------------------
+# Horner on (mantissa, exponent) pairs
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("prec", [128, 256, 512, 1088])
+def test_horner_bit_identical_to_polyval(prec):
+    # the pair Horner against mp.polyval on the same mpf values, lengths 0
+    # to 25: _mpf_-equal values.  The leading coefficient and x keep their
+    # extra bits (polyval returns a lone coefficient unrounded); the other
+    # coefficients are at working precision, as kernel forms hold them.
+    rng = random.Random(f"horner/{prec}")
+    kinds = ("spread", "dyadic", "equal", "zeros", "wide")
+    nu.set_precision(prec)
+    for length in range(26):
+        for _ in range(6):
+            mix = rng.sample(kinds, 2)
+            coeffs = [_entry(rng, rng.choice(mix), prec) for _ in range(length)]
+            coeffs[1:] = [+c for c in coeffs[1:]]
+            x = _entry(rng, rng.choice(mix), prec)
+            got = nu._horner([nu._pair(c._mpf_) for c in coeffs], nu._pair(x._mpf_), prec)
+            assert from_man_exp(*got) == mp.polyval(coeffs, x)._mpf_, (length, mix)
 
 
 # ---------------------------------------------------------------------------
