@@ -61,13 +61,6 @@ class OutOfSupport(HblError):
     exit_code = 2
 
 
-class BranchCutEvaluation(HblError):
-    """Full complex value requested on a branch cut."""
-
-    code = "branch-cut"
-    exit_code = 2
-
-
 class OnContour(HblError):
     """Evaluation point lies on the jump contour."""
 
@@ -92,12 +85,6 @@ class NormalizationImpossible(HblError):
     """Requested MOP normalization does not exist (non-normal index pair)."""
 
     code = "normalization-impossible"
-
-
-class InequalityNotFound(HblError):
-    """Scan failed to locate the expected inequality chain."""
-
-    code = "inequality-not-found"
 
 
 class ZeroDenominator(HblError):

@@ -42,36 +42,8 @@ from .mop import (
     _cached_map,
     _map_cores,
     bimoment_inverse,
-    gaussian_moments,
     moment_tables,
 )
-
-
-@dataclass(frozen=True)
-class PolyGaussian:
-    """P(x) exp(-gamma (x - mu)^2 + c) with real coefficients."""
-
-    coeffs: tuple
-    gamma: mpf
-    mu: mpf
-    log_scale: mpf = mpf(0)
-
-    def __post_init__(self):
-        object.__setattr__(self, "coeffs", tuple(nu.to_ext(v) for v in self.coeffs))
-        object.__setattr__(self, "gamma", nu.to_ext(self.gamma))
-        object.__setattr__(self, "mu", nu.to_ext(self.mu))
-        object.__setattr__(self, "log_scale", nu.to_ext(self.log_scale))
-        if self.gamma <= 0:
-            raise ValueError("gamma must be positive")
-
-    def __call__(self, x):
-        weight = mp.exp(-self.gamma * (x - self.mu) ** 2 + self.log_scale)
-        return mp.polyval(self.coeffs[::-1], x) * weight
-
-    def mass(self) -> mpf:
-        """int pg(x) dx from the moments of the Gaussian."""
-        moments = gaussian_moments(self.gamma, self.mu, self.log_scale, len(self.coeffs))
-        return sum((c * m for c, m in zip(self.coeffs, moments)), mpf(0))
 
 
 def _second_kind(terms) -> list:
@@ -94,20 +66,6 @@ def _gauss_cauchy(sqrt_g, mu, half_scale, z) -> tuple:
     zeta = sqrt_g * (z - mu)
     w = nu.faddeeva(zeta)
     return half_scale * w, half_scale * sqrt_g * (2j / mp.sqrt(mp.pi) - 2 * zeta * w)
-
-
-def cauchy_transform(pg: PolyGaussian, z):
-    """(1/(2 pi i)) int pg(x)/(x - z) dx, continuous up to the real axis
-    from above; lower half-plane values via C(z) = -conj(C(conj z)).
-    Computed by the second-kind identity, as the Cauchy columns of Y are."""
-    z = mpc(z)
-    if z.imag < 0:
-        return -mp.conj(cauchy_transform(pg, mp.conj(z)))
-    sqrt_g = mp.sqrt(pg.gamma)
-    cw, _ = _gauss_cauchy(sqrt_g, pg.mu, mp.exp(pg.log_scale) / 2, z)
-    moments = gaussian_moments(pg.gamma, pg.mu, pg.log_scale, len(pg.coeffs))
-    rest = mp.polyval(_second_kind([(pg.coeffs, moments)]), z)
-    return mp.polyval(pg.coeffs[::-1], z) * cw + rest / (2j * mp.pi)
 
 
 # ---------------------------------------------------------------------------
@@ -280,11 +238,14 @@ def correlation_kernel(ws: WeightSystem, idx: MultiIndexPair, x, y=None):
     one at mop.MAX_ESCALATED_PRECISION, read at call time as the solves
     read it (or the working precision, if higher), raises
     NormalizationImpossible.  The value returned is the lower sum,
-    rounded to working precision.
+    rounded to working precision.  A point that is not finite raises
+    ValueError before any factorization.
     """
     x = nu.to_ext(x)
     confluent = y is None or y == x
     y = x if y is None else nu.to_ext(y)
+    if not (mp.isfinite(x) and mp.isfinite(y)):
+        raise ValueError(f"kernel point ({x}, {y}) is not finite")
     tol = mpf(2) ** (-(mp.prec // 4))
     ceiling = max(mop.MAX_ESCALATED_PRECISION, mp.prec)
     (low,) = _kernel_forms(ws, idx, [mp.prec])

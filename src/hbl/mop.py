@@ -280,7 +280,7 @@ def _base_pair(ws: WeightSystem, idx: MultiIndexPair, norm: NormTag) -> MultiInd
     (n - e_k, m) for type (II,k), (n, m + e_l) for type (I,l)."""
     _check_shape(ws, idx)
     if idx.size_n != idx.size_m + 1:
-        raise InvalidIndex("solve_mop requires |n| = |m| + 1")
+        raise InvalidIndex("solve_batch requires |n| = |m| + 1")
     kind, pos = norm
     if kind not in ("I", "II"):
         raise ValueError(f"unknown normalization kind {kind!r}")
@@ -454,53 +454,12 @@ def solve_batch(ws: WeightSystem, requests) -> dict:
     return {(sol.idx, sol.norm): sol for sols in solved for sol in sols}
 
 
-def solve_mop(ws: WeightSystem, idx: MultiIndexPair, norm: NormTag) -> MopSolution:
-    """The MOP vector at |n| = |m| + 1 under the given tag: the
-    one-request case of solve_batch."""
-    return solve_batch(ws, [(idx, norm)])[idx, norm]
-
-
 def q_moment(sol: MopSolution, tables: dict, l: int, j: int) -> mpf:
     """int Q(x) x^j w_{2,l}(x) dx from ``tables`` (see moment_tables)."""
     terms = (
         c * tables[k, l][i + j] for k, cs in enumerate(sol.coeffs) for i, c in enumerate(cs)
     )
     return sum(terms, mpf(0))
-
-
-def evaluate_Q(sol: MopSolution, ws: WeightSystem, x):
-    """Q(x) = sum_k A_k(x) w_{1,k}(x)."""
-    x = mp.mpmathify(x)
-    return sum(sol.eval_A(k, x) * ws.w1(k, x) for k in range(ws.p))
-
-
-def transition_number(
-    ws: WeightSystem, idx: MultiIndexPair, frm: NormTag, to: NormTag
-):
-    """Constant tau with A^{frm} = tau * A^{to}, verified at 3 points."""
-    if frm == to:
-        return mpf(1)
-    sol_f = solve_mop(ws, idx, frm)
-    sol_t = solve_mop(ws, idx, to)
-    ref_k, ref_i, ref_mag = 0, 0, mpf(-1)
-    for k in range(ws.p):
-        for i, c in enumerate(sol_t.coeffs[k]):
-            if abs(c) > ref_mag:
-                ref_k, ref_i, ref_mag = k, i, abs(c)
-    if ref_mag <= 0:
-        raise NormalizationImpossible("target normalization is the zero vector")
-    tau = sol_f.coeffs[ref_k][ref_i] / sol_t.coeffs[ref_k][ref_i]
-    tol = mpf(2) ** (-(mp.prec // 4))
-    for x in (mpf(0), mpf(3) / 10, mpf(-7) / 10):
-        for k in range(ws.p):
-            lhs = sol_f.eval_A(k, x)
-            rhs = tau * sol_t.eval_A(k, x)
-            scale = max(abs(lhs), abs(rhs), mpf(1) * ref_mag)
-            if abs(lhs - rhs) > tol * scale:
-                raise NormalizationImpossible(
-                    "normalized vectors are not proportional (non-normal pair?)"
-                )
-    return tau
 
 
 def shifted_solutions(ws: WeightSystem, idx: MultiIndexPair) -> tuple:

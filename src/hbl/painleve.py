@@ -323,9 +323,3 @@ def hamiltonian_u(sol: HmlSolution, s) -> mpf:
     qv, qp = sol.evaluate(s, nder=1)
     return qp**2 - s * qv**2 - qv**4
 
-
-def ode_residual(sol: HmlSolution, s) -> mpf:
-    """|q'' - s q - 2 q^3| at an arbitrary point of the domain."""
-    s = nu.to_ext(s)
-    qv, _, qpp = sol.evaluate(s, nder=2)
-    return abs(qpp - s * qv - 2 * qv**3)

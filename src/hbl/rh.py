@@ -127,22 +127,6 @@ def assemble_rh_expansion(ws: WeightSystem, idx: MultiIndexPair) -> RhExpansion:
     return assemble_rh_expansions([(ws, idx)])[0]
 
 
-def assemble_Y(ws: WeightSystem, idx: MultiIndexPair, z, boundary: str = "above"):
-    """The (p+q) x (p+q) RH matrix Y(z), from the rows of the cached expansion."""
-    return YEvaluator(assemble_rh_expansion(ws, idx)).value(z, boundary=boundary)
-
-
-def jump_matrix(ws: WeightSystem, x) -> matrix:
-    """[[I, W(x)], [0, I]] with the rank-one block W = w1 w2^T."""
-    p, q = ws.p, ws.q
-    out = mp.eye(p + q)
-    for k in range(p):
-        w1 = ws.w1(k, x)
-        for l in range(q):
-            out[k, p + l] = w1 * ws.w2(l, x)
-    return out
-
-
 def recurrence_matrix_H(exp: RhExpansion) -> matrix:
     """Strictly upper-triangular table of the products c_{i,j} c_{j,i}."""
     size = exp.p + exp.q
@@ -535,13 +519,9 @@ def involution_matrix(p: int, q: int) -> matrix:
     return out
 
 
-def involution_matrix_inverse(p: int, q: int) -> matrix:
-    """J^{-1} = J^T = [[0, -I_p], [I_q, 0]]; equals -J only when p = q."""
-    return involution_matrix(p, q).T
-
-
 def involution_check(exp: RhExpansion, exp_swapped: RhExpansion) -> mpf:
-    """Residual of Y1_swapped = -J Y1^T J^{-1} (relative, max-entry scale)."""
+    """Residual of Y1_swapped = -J Y1^T J^{-1}, J^{-1} = J^T (relative,
+    max-entry scale)."""
     J = involution_matrix(exp.p, exp.q)
     target = -(J * exp.Y1.T * J.T)
     scale = max(nu.max_abs(exp_swapped.Y1), mpf(1))

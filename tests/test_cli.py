@@ -232,6 +232,15 @@ def test_wrong_regime_maps_to_exit_2(large_sep_config_file, tmp_path, capsys):
     assert json.loads(capsys.readouterr().err)["error"] == "wrong-regime"
 
 
+def test_scaling_past_the_critical_time_exits_wrong_regime(tmp_path, capsys):
+    # the double-scaling predictions need 0 < t < t_crit, here 2/3
+    argv = ["--out", str(tmp_path), "scaling", "--config", str(DATA / "critical_config.json")]
+    assert main(argv + ["--t", "0.8"]) == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err == {"error": "wrong-regime", "message": "need 0 < t < t_crit"}
+    assert not (tmp_path / "scaling.csv").exists()
+
+
 @pytest.mark.parametrize(
     "global_opts, density_opts, code, error",
     [

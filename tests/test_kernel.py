@@ -15,7 +15,15 @@ from hbl.errors import NormalizationImpossible, WrongRegime
 from hbl.model import BrownianConfig, ellipse_endpoints
 from hbl.mop import MultiIndexPair, WeightSystem
 
-from conftest import count_solves, polyval_kernel_oracle, rh_kernel_oracle
+from conftest import (
+    PolyGaussian,
+    assemble_Y,
+    cauchy_transform,
+    count_solves,
+    jump_matrix,
+    polyval_kernel_oracle,
+    rh_kernel_oracle,
+)
 
 
 @pytest.fixture(scope="module")
@@ -38,16 +46,16 @@ def idx22():
 # ---------------------------------------------------------------------------
 
 def test_cauchy_gaussian_at_i_vs_quadrature():
-    pg = kn.PolyGaussian(coeffs=(1,), gamma=1, mu=0)
+    pg = PolyGaussian(coeffs=(1,), gamma=1, mu=0)
     z = mpc(0, 1)
-    got = kn.cauchy_transform(pg, z)
+    got = cauchy_transform(pg, z)
     ref = mp.quad(lambda x: pg(x) / (x - z), [-mp.inf, 0, mp.inf]) / (2j * mp.pi)
     assert abs(got - ref) <= mpf("1e-18") * abs(ref)
 
 
 def test_cauchy_vs_quadrature_20_points_degree_12():
     rng = random.Random(41)
-    pg = kn.PolyGaussian(
+    pg = PolyGaussian(
         coeffs=tuple(mpf(repr(rng.uniform(-2, 2))) for _ in range(13)),
         gamma="1.4",
         mu="-0.3",
@@ -57,7 +65,7 @@ def test_cauchy_vs_quadrature_20_points_degree_12():
         z = mpc(rng.uniform(-4, 4), rng.uniform(0, 4))
         if z.imag == 0:
             z += mpc(0, "0.5")
-        got = kn.cauchy_transform(pg, z)
+        got = cauchy_transform(pg, z)
         with mp.workprec(128):
             ref = mp.quad(
                 lambda x: pg(x) / (x - z), [-mp.inf, float(z.real), mp.inf]
@@ -66,18 +74,18 @@ def test_cauchy_vs_quadrature_20_points_degree_12():
 
 
 def test_cauchy_large_z_mass_law():
-    pg = kn.PolyGaussian(coeffs=("2", "0.5", "-1", "0", "3"), gamma="1.7", mu="-0.4")
+    pg = PolyGaussian(coeffs=("2", "0.5", "-1", "0", "3"), gamma="1.7", mu="-0.4")
     z = mpc("1e4", "1")
-    got = kn.cauchy_transform(pg, z)
+    got = cauchy_transform(pg, z)
     lead = -pg.mass() / (2j * mp.pi * z)
     assert abs(got - lead) <= mpf("2e-4") * abs(got)
 
 
 def test_cauchy_schwarz_reflection():
-    pg = kn.PolyGaussian(coeffs=("1", "0.25", "0.5"), gamma=2, mu="0.1")
+    pg = PolyGaussian(coeffs=("1", "0.25", "0.5"), gamma=2, mu="0.1")
     z = mpc("0.7", "1.3")
-    upper = kn.cauchy_transform(pg, z)
-    lower = kn.cauchy_transform(pg, mp.conj(z))
+    upper = cauchy_transform(pg, z)
+    lower = cauchy_transform(pg, mp.conj(z))
     assert abs(lower + mp.conj(upper)) < mpf("1e-60") * abs(upper)
 
 
@@ -128,9 +136,9 @@ def test_y_jet_derivative_is_derivative(ws4, idx22, z):
 
 
 def test_jump_relation_at_origin(ws4, idx22):
-    Yp = rh.assemble_Y(ws4, idx22, mpf(0), boundary="above")
-    Ym = rh.assemble_Y(ws4, idx22, mpf(0), boundary="below")
-    J = rh.jump_matrix(ws4, mpf(0))
+    Yp = assemble_Y(ws4, idx22, mpf(0), boundary="above")
+    Ym = assemble_Y(ws4, idx22, mpf(0), boundary="below")
+    J = jump_matrix(ws4, mpf(0))
     resid = Yp * mp.inverse(J) * mp.inverse(Ym) - mp.eye(4)
     assert nu.max_abs(resid) < mpf("1e-15")
 
@@ -138,9 +146,9 @@ def test_jump_relation_at_origin(ws4, idx22):
 def test_jump_relation_five_real_points(ws4, idx22):
     for x in ("-1.5", "-0.4", "0.1", "0.8", "1.6"):
         x = mpf(x)
-        Yp = rh.assemble_Y(ws4, idx22, x, boundary="above")
-        Ym = rh.assemble_Y(ws4, idx22, x, boundary="below")
-        J = rh.jump_matrix(ws4, x)
+        Yp = assemble_Y(ws4, idx22, x, boundary="above")
+        Ym = assemble_Y(ws4, idx22, x, boundary="below")
+        J = jump_matrix(ws4, x)
         resid = Yp * mp.inverse(J) * mp.inverse(Ym) - mp.eye(4)
         assert nu.max_abs(resid) < mpf("1e-15")
 
@@ -149,7 +157,7 @@ def test_det_y_is_one(ws4, idx22):
     rng = random.Random(13)
     for _ in range(10):
         z = mpc(rng.uniform(-2, 2), rng.choice([-1, 1]) * rng.uniform(0.2, 2))
-        d = mp.det(rh.assemble_Y(ws4, idx22, z))
+        d = mp.det(assemble_Y(ws4, idx22, z))
         assert abs(d - 1) < mpf("1e-20")
 
 
@@ -165,7 +173,7 @@ def test_det_y_cross_checked_at_doubled_precision(ws4, idx22):
 
 def test_y_asymptotic_normalization(ws4, idx22):
     z = mpc("1e6", "1e6")
-    Y = rh.assemble_Y(ws4, idx22, z)
+    Y = assemble_Y(ws4, idx22, z)
     scaled = mp.matrix(4, 4)
     powers = [-2, -2, 2, 2]
     for i in range(4):
@@ -289,6 +297,21 @@ def test_kernel_raises_at_the_ceiling(cfg_large, monkeypatch):
     with mp.workprec(128):
         with pytest.raises(NormalizationImpossible):
             kn.correlation_kernel(ws, idx, mpf("1.03"))
+
+
+@pytest.mark.parametrize(
+    "x, y", [("inf", None), ("-inf", None), ("nan", None), ("0.3", "inf"), ("0.3", "nan")]
+)
+def test_kernel_rejects_a_point_that_is_not_finite(cfg_large, monkeypatch, x, y):
+    # a weight that is not finite fails the doubled-precision check at every
+    # step; the point is refused before G^{-1} is factored at all
+    ws = WeightSystem.from_config(cfg_large, mpf(1) / 2, 8)
+    idx = MultiIndexPair((4, 4), (4, 4))
+    kn._KERNEL_FORMS.clear()
+    calls = count_solves(monkeypatch)
+    with pytest.raises(ValueError, match="not finite"):
+        kn.correlation_kernel(ws, idx, mpf(x), None if y is None else mpf(y))
+    assert calls == []
 
 
 def test_kernel_confluence_step_halving(ws4, idx22):

@@ -17,6 +17,7 @@ from conftest import (
     moment_system,
     mpf_to_fraction,
     orthogonality_residual,
+    transition_number,
 )
 
 
@@ -89,7 +90,8 @@ def test_moment_vs_quadrature_random_configs():
 # ---------------------------------------------------------------------------
 
 def test_trivial_index_pair(ws):
-    sol = mop.solve_mop(ws, MultiIndexPair((1, 0), (0, 0)), ("II", 0))
+    idx = MultiIndexPair((1, 0), (0, 0))
+    sol = mop.solve_batch(ws, [(idx, ("II", 0))])[idx, ("II", 0)]
     assert sol.coeffs == ((mpf(1),), ())
     assert orthogonality_residual(sol, mop.moment_tables(ws, sol.idx)) == 0
 
@@ -114,7 +116,7 @@ def test_solve_against_exact_rational_oracle(ws):
     # n=(2,1), m=(1,1), type (II,1): re-solve the same 3-unknown moment
     # system in exact rational arithmetic and compare coefficient vectors.
     idx = MultiIndexPair((2, 1), (1, 1))
-    sol = mop.solve_mop(ws, idx, ("II", 0))
+    sol = mop.solve_batch(ws, [(idx, ("II", 0))])[idx, ("II", 0)]
     tabs = {
         (k, l): [mpf_to_fraction(gaussian_moment(ws, k, l, j)) for j in range(4)]
         for k in range(2)
@@ -140,8 +142,8 @@ def test_reflection_symmetry_of_symmetric_system(ws_symmetric):
     # mirror images up to parity signs.
     idx = MultiIndexPair((2, 1), (1, 1))
     idx_sw = MultiIndexPair((1, 2), (1, 1))
-    sol1 = mop.solve_mop(ws_symmetric, idx, ("II", 0))
-    sol2 = mop.solve_mop(ws_symmetric, idx_sw, ("II", 1))
+    sol1 = mop.solve_batch(ws_symmetric, [(idx, ("II", 0))])[idx, ("II", 0)]
+    sol2 = mop.solve_batch(ws_symmetric, [(idx_sw, ("II", 1))])[idx_sw, ("II", 1)]
     for x in (mpf("0.3"), mpf("-0.8"), mpf("1.1")):
         lhs1 = sol1.eval_A(0, x)
         rhs1 = sol2.eval_A(1, -x)
@@ -159,7 +161,7 @@ def test_reflection_symmetry_of_symmetric_system(ws_symmetric):
 
 def test_solve_orthogonality_residual(ws):
     idx = MultiIndexPair((3, 2), (2, 2))
-    sol = mop.solve_mop(ws, idx, ("II", 0))
+    sol = mop.solve_batch(ws, [(idx, ("II", 0))])[idx, ("II", 0)]
     resid = orthogonality_residual(sol, mop.moment_tables(ws, idx))
     assert resid <= mpf(2) ** (-(mp.prec // 4))
     assert sol.coeffs[0][-1] == 1  # monic normalization is exact
@@ -167,14 +169,14 @@ def test_solve_orthogonality_residual(ws):
 
 def test_type1_normalization_exact(ws):
     idx = MultiIndexPair((2, 2), (2, 1))
-    sol = mop.solve_mop(ws, idx, ("I", 1))
+    sol = mop.solve_batch(ws, [(idx, ("I", 1))])[idx, ("I", 1)]
     moment = mop.q_moment(sol, mop.moment_tables(ws, idx), 1, idx.m[1])
     assert abs(moment - 1) < mpf("1e-60")
 
 
 def test_normalization_impossible_for_empty_polynomial(ws):
     with pytest.raises(NormalizationImpossible):
-        mop.solve_mop(ws, MultiIndexPair((1, 0), (0, 0)), ("II", 1))
+        mop.solve_batch(ws, [(MultiIndexPair((1, 0), (0, 0)), ("II", 1))])
 
 
 def test_negative_shift_rejected():
@@ -191,7 +193,7 @@ def test_index_length_must_match_weights(ws):
         with pytest.raises(InvalidIndex):
             mop.bimoment_inverse(ws, idx)
     with pytest.raises(InvalidIndex):
-        mop.solve_mop(ws, wide.shift_n(0), ("II", 0))
+        mop.solve_batch(ws, [(wide.shift_n(0), ("II", 0))])
 
 
 def test_precision_escalation_recovers_conditioning(ws):
@@ -202,7 +204,7 @@ def test_precision_escalation_recovers_conditioning(ws):
     idx = MultiIndexPair((24, 24), (24, 23))
     nu.set_precision(128)
     try:
-        sol = mop.solve_mop(ws, idx, ("II", 0))
+        sol = mop.solve_batch(ws, [(idx, ("II", 0))])[idx, ("II", 0)]
         resid = orthogonality_residual(sol, mop.moment_tables(ws, idx))
     finally:
         nu.set_precision(nu.DEFAULT_PRECISION_BITS)
@@ -398,41 +400,48 @@ def test_one_cpu_forks_nothing(ws, monkeypatch):
 # evaluate_Q and orthogonality reporting
 # ---------------------------------------------------------------------------
 
+def evaluate_Q(sol, ws, x):
+    """Q(x) = sum_k A_k(x) w_{1,k}(x) (test oracle)."""
+    x = mp.mpmathify(x)
+    return sum(sol.eval_A(k, x) * ws.w1(k, x) for k in range(ws.p))
+
+
 def test_evaluate_q_trivial(ws):
-    sol = mop.solve_mop(ws, MultiIndexPair((1, 0), (0, 0)), ("II", 0))
+    idx = MultiIndexPair((1, 0), (0, 0))
+    sol = mop.solve_batch(ws, [(idx, ("II", 0))])[idx, ("II", 0)]
     for x in (mpf(0), mpf("0.7"), mpf("-1.3")):
-        assert abs(mop.evaluate_Q(sol, ws, x) - ws.w1(0, x)) < mpf("1e-70")
+        assert abs(evaluate_Q(sol, ws, x) - ws.w1(0, x)) < mpf("1e-70")
 
 
 def test_evaluate_q_at_zero_is_coefficient_sum(ws):
     idx = MultiIndexPair((2, 2), (2, 1))
-    sol = mop.solve_mop(ws, idx, ("II", 0))
+    sol = mop.solve_batch(ws, [(idx, ("II", 0))])[idx, ("II", 0)]
     expect = sol.coeffs[0][0] + sol.coeffs[1][0]  # w_{1,k}(0) = 1
-    assert abs(mop.evaluate_Q(sol, ws, 0) - expect) < mpf("1e-60") * max(1, abs(expect))
+    assert abs(evaluate_Q(sol, ws, 0) - expect) < mpf("1e-60") * max(1, abs(expect))
 
 
 def test_q_gaussian_tail_decay(ws):
     # |Q(x)| <= C exp(-gamma' x^2 / 2) for large |x|: fit C on moderate x
     # and check the bound further out
     idx = MultiIndexPair((2, 2), (2, 1))
-    sol = mop.solve_mop(ws, idx, ("II", 0))
+    sol = mop.solve_batch(ws, [(idx, ("II", 0))])[idx, ("II", 0)]
     gamma_prime = ws.N / (2 * ws.t)  # the w1 width
     xs = [mpf(3), mpf(4)]
-    C = max(abs(mop.evaluate_Q(sol, ws, x)) * mp.exp(gamma_prime * x**2 / 2) for x in xs)
+    C = max(abs(evaluate_Q(sol, ws, x)) * mp.exp(gamma_prime * x**2 / 2) for x in xs)
     for x in (mpf(5), mpf(6), mpf(-5)):
-        assert abs(mop.evaluate_Q(sol, ws, x)) <= 2 * C * mp.exp(-gamma_prime * x**2 / 2)
+        assert abs(evaluate_Q(sol, ws, x)) <= 2 * C * mp.exp(-gamma_prime * x**2 / 2)
 
 
 def test_q_moments_vs_quadrature_oracle(ws):
     # the recursion-based moments of Q against w_{2,l} agree with direct
     # adaptive quadrature of evaluate_Q
     idx = MultiIndexPair((2, 2), (2, 1))
-    sol = mop.solve_mop(ws, idx, ("II", 0))
+    sol = mop.solve_batch(ws, [(idx, ("II", 0))])[idx, ("II", 0)]
     tables = mop.moment_tables(ws, idx)
     for l, j in ((0, 2), (1, 1), (1, 3)):
         rec = mop.q_moment(sol, tables, l, j)
         quad = mp.quad(
-            lambda x: mop.evaluate_Q(sol, ws, x) * x**j * ws.w2(l, x),
+            lambda x: evaluate_Q(sol, ws, x) * x**j * ws.w2(l, x),
             [-mp.inf, 0, mp.inf],
         )
         scale = max(abs(rec), abs(quad), mpf("1e-30"))
@@ -441,7 +450,7 @@ def test_q_moments_vs_quadrature_oracle(ws):
 
 def test_orthogonality_perturbation_sensitivity(ws):
     idx = MultiIndexPair((3, 2), (2, 2))
-    sol = mop.solve_mop(ws, idx, ("II", 0))
+    sol = mop.solve_batch(ws, [(idx, ("II", 0))])[idx, ("II", 0)]
     bad_coeffs = list(list(c) for c in sol.coeffs)
     bad_coeffs[0][0] += mpf("1e-3")
     bad = mop.MopSolution(idx=idx, norm=sol.norm, coeffs=tuple(tuple(c) for c in bad_coeffs))
@@ -454,22 +463,22 @@ def test_orthogonality_perturbation_sensitivity(ws):
 
 def test_transition_identity(ws):
     idx = MultiIndexPair((2, 1), (1, 1))
-    assert mop.transition_number(ws, idx, ("II", 0), ("II", 0)) == 1
+    assert transition_number(ws, idx, ("II", 0), ("II", 0)) == 1
 
 
 def test_transition_reciprocal(ws):
     idx = MultiIndexPair((2, 1), (1, 1))
-    tau = mop.transition_number(ws, idx, ("II", 0), ("I", 0))
-    tau_inv = mop.transition_number(ws, idx, ("I", 0), ("II", 0))
+    tau = transition_number(ws, idx, ("II", 0), ("I", 0))
+    tau_inv = transition_number(ws, idx, ("I", 0), ("II", 0))
     assert abs(tau * tau_inv - 1) < mpf("1e-60")
 
 
 def test_transition_matches_rational_oracle(ws):
     # tau as the ratio of the leading coefficients of the two exact solves
     idx = MultiIndexPair((2, 1), (1, 1))
-    tau = mop.transition_number(ws, idx, ("II", 0), ("I", 0))
-    sol2 = mop.solve_mop(ws, idx, ("II", 0))
-    sol1 = mop.solve_mop(ws, idx, ("I", 0))
+    tau = transition_number(ws, idx, ("II", 0), ("I", 0))
+    sol2 = mop.solve_batch(ws, [(idx, ("II", 0))])[idx, ("II", 0)]
+    sol1 = mop.solve_batch(ws, [(idx, ("I", 0))])[idx, ("I", 0)]
     ratio = sol2.coeffs[0][1] / sol1.coeffs[0][1]
     assert abs(tau - ratio) < mpf("1e-60") * abs(ratio)
 
@@ -477,9 +486,9 @@ def test_transition_matches_rational_oracle(ws):
 def test_proportionality_across_points(ws):
     rng = random.Random(3)
     idx = MultiIndexPair((3, 2), (2, 2))
-    tau = mop.transition_number(ws, idx, ("II", 0), ("I", 1))
-    a = mop.solve_mop(ws, idx, ("II", 0))
-    b = mop.solve_mop(ws, idx, ("I", 1))
+    tau = transition_number(ws, idx, ("II", 0), ("I", 1))
+    a = mop.solve_batch(ws, [(idx, ("II", 0))])[idx, ("II", 0)]
+    b = mop.solve_batch(ws, [(idx, ("I", 1))])[idx, ("I", 1)]
     for _ in range(5):
         x = mpf(repr(rng.uniform(-2, 2)))
         for k in range(2):
@@ -494,7 +503,7 @@ def test_type2_normalization_scale_free(ws):
     from hbl import numerics as nu
 
     idx = MultiIndexPair((3, 2), (2, 2))
-    sol = mop.solve_mop(ws, idx, ("II", 0))
+    sol = mop.solve_batch(ws, [(idx, ("II", 0))])[idx, ("II", 0)]
     rows, rhs = moment_system(ws, idx, ("II", 0))
     scale = mpf(17) / 5
     for row in rows[:-1]:  # last row is the normalization constraint
@@ -506,6 +515,6 @@ def test_type2_normalization_scale_free(ws):
 
 def test_solutions_bit_identical(ws):
     idx = MultiIndexPair((2, 1), (1, 1))
-    sol = mop.solve_mop(ws, idx, ("II", 0))
-    again = mop.solve_mop(ws, idx, ("II", 0))
+    sol = mop.solve_batch(ws, [(idx, ("II", 0))])[idx, ("II", 0)]
+    again = mop.solve_batch(ws, [(idx, ("II", 0))])[idx, ("II", 0)]
     assert sol.coeffs == again.coeffs

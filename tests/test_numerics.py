@@ -260,19 +260,19 @@ def test_faddeeva_against_cf_oracle_2i():
     "z",
     [mpc(3, 4), mpc(0, 7), mpc(6, "0.5"), mpc(2, 9)],
 )
-def test_faddeeva_series_vs_cf_oracle(z):
+def test_faddeeva_vs_cf_oracle_off_axis(z):
     got = nu.faddeeva(z)
     ref = _continued_fraction_oracle(z)
     assert abs(got - ref) <= mpf("1e-60") * abs(ref)
 
 
-def test_faddeeva_branch_seam_agreement():
-    # w is entire: values just inside and outside |z| = 9 agree smoothly
+def test_faddeeva_smooth_across_radius_9():
+    # w is entire: values at |z| = 8.999 and 9.001 on one ray agree smoothly
     for arg_deg in (20, 45, 80):
         theta = mpf(arg_deg) * mp.pi / 180
         inner = nu.faddeeva(mpf("8.999") * mp.expjpi(theta / mp.pi))
         outer = nu.faddeeva(mpf("9.001") * mp.expjpi(theta / mp.pi))
-        # smoothness across |z| = 9: values differ by O(|dz| * |w'|)
+        # values differ by O(|dz| * |w'|)
         assert abs(inner - outer) < mpf("0.01") * abs(inner)
         ref = _continued_fraction_oracle(mpf("9.001") * mp.expjpi(theta / mp.pi))
         assert abs(outer - ref) <= mpf("1e-30") * abs(ref)

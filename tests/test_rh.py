@@ -14,9 +14,16 @@ from hbl import numerics as nu
 from hbl import rh
 from hbl.errors import BranchCollision, HblError, InvalidIndex, NoConvergence
 from hbl.model import BrownianConfig
-from hbl.mop import MultiIndexPair, WeightSystem, transition_number
+from hbl.mop import MultiIndexPair, WeightSystem
 
-from conftest import count_solves, moment_system, mpf_to_fraction, orthogonality_residual
+from conftest import (
+    assemble_Y,
+    count_solves,
+    moment_system,
+    mpf_to_fraction,
+    orthogonality_residual,
+    transition_number,
+)
 
 TWO_PI_I = 2j * mp.pi
 
@@ -130,10 +137,10 @@ def test_orthogonality_residual_blind_to_the_n80_defect(critical_config):
 def test_boundary_other_than_above_or_below_is_rejected(ws, idx22, exp22):
     # a misspelt boundary used to give the value from above
     with pytest.raises(ValueError, match="'lower'"):
-        rh.assemble_Y(ws, idx22, 0, boundary="lower")
+        assemble_Y(ws, idx22, 0, boundary="lower")
     with pytest.raises(ValueError, match="'lower'"):
         kn.YEvaluator(exp22).value(0, boundary="lower")
-    above, below = (rh.assemble_Y(ws, idx22, 0, boundary=b) for b in ("above", "below"))
+    above, below = (assemble_Y(ws, idx22, 0, boundary=b) for b in ("above", "below"))
     assert nu.max_abs(above - below) > mpf("0.1")
 
 
@@ -237,8 +244,8 @@ def test_transfer_maps_y_to_shifted_y(ws, idx22, exp22):
     for _ in range(5):
         z = mpc(rng.uniform(-2, 2), rng.choice([-1, 1]) * rng.uniform(0.3, 2))
         U = rh.forward_transfer(exp22, exp_sh, 1, 0, z)
-        Y = rh.assemble_Y(ws, idx22, z)
-        Ysh = rh.assemble_Y(ws, sh, z)
+        Y = assemble_Y(ws, idx22, z)
+        Ysh = assemble_Y(ws, sh, z)
         assert nu.max_abs(U * Y - Ysh) <= mpf("1e-20") * nu.max_abs(Ysh)
         Ub = rh.backward_transfer(exp22, exp_sh, 1, 0, z)
         assert nu.max_abs(Ub * Ysh - Y) <= mpf("1e-20") * nu.max_abs(Ysh)
@@ -271,13 +278,13 @@ def test_recurrence_batch_matches_independent_route(ws, idx22, monkeypatch):
     batch = rh.verify_recurrences(ws, idx22, ZS)
     assert sorted(batch) == [(0, 0), (0, 1), (1, 0), (1, 1)]
     # independent route: no expansion row reused, every vector from its own
-    # solve_mop; the residuals must not move by a bit
-    expansion = rh.assemble_rh_expansion
+    # solve_batch call; the residuals must not move by a bit
+    expansions = rh.assemble_rh_expansions
     monkeypatch.setattr(
-        rh, "assemble_rh_expansion", lambda ws, idx: replace(expansion(ws, idx), rows=())
+        rh, "assemble_rh_expansions", lambda pairs: [replace(e, rows=()) for e in expansions(pairs)]
     )
     monkeypatch.setattr(
-        rh, "solve_batch", lambda ws, reqs: {r: mop.solve_mop(ws, *r) for r in reqs}
+        rh, "solve_batch", lambda ws, reqs: {r: mop.solve_batch(ws, [r])[r] for r in reqs}
     )
     assert rh.verify_recurrences(ws, idx22, ZS) == batch
 
@@ -698,10 +705,10 @@ def test_involution_full_matrix_identity(ws, idx22):
     # not only at the level of the expansion coefficients
     ws_sw, idx_sw = rh.swapped_system(ws, idx22)
     J = rh.involution_matrix(2, 2)
-    Jinv = rh.involution_matrix_inverse(2, 2)
+    Jinv = J.T
     for z in (mpc("0.7", "1.1"), mpc("-1.2", "0.6")):
-        Y = rh.assemble_Y(ws, idx22, z)
-        Ysw = rh.assemble_Y(ws_sw, idx_sw, z)
+        Y = assemble_Y(ws, idx22, z)
+        Ysw = assemble_Y(ws_sw, idx_sw, z)
         Yinv = mp.inverse(Y)
         YinvT = mp.matrix(4, 4)
         for i in range(4):
@@ -759,8 +766,8 @@ def test_general_pq_transfer_and_recurrence(ws_32):
     U = rh.forward_transfer(exp, exp_sh, 2, 0, z)
     Ub = rh.backward_transfer(exp, exp_sh, 2, 0, z)
     assert nu.max_abs(U * Ub - mp.eye(5)) < mpf("1e-20")
-    Y = rh.assemble_Y(ws_32, idx, z)
-    Ysh = rh.assemble_Y(ws_32, sh, z)
+    Y = assemble_Y(ws_32, idx, z)
+    Ysh = assemble_Y(ws_32, sh, z)
     assert nu.max_abs(U * Y - Ysh) <= mpf("1e-20") * nu.max_abs(Ysh)
     # the six-term (p+q+1) recurrence
     assert rh.verify_recurrences(ws_32, idx, ZS)[0, 1][0] < mpf("1e-20")
