@@ -311,10 +311,11 @@ def cmd_density(cfg: BrownianConfig, ns, out: Path) -> int:
 
 
 def cmd_painleve(cfg: Optional[BrownianConfig], ns, out: Path) -> int:
+    tol = _decimal("--tol", ns.tol)
+    if tol < nu.to_ext(painleve.MIN_TOL):
+        raise UsageError(f"--tol must be at least {painleve.MIN_TOL}, got {ns.tol}")
     sol = painleve.solve_hastings_mcleod(
-        s_lo=_decimal("--s-lo", ns.s_lo),
-        s_hi=_decimal("--s-hi", ns.s_hi),
-        tol=_decimal("--tol", ns.tol),
+        s_lo=_decimal("--s-lo", ns.s_lo), s_hi=_decimal("--s-hi", ns.s_hi), tol=tol
     )
     rows = []
     for i, s in enumerate(sol.grid):
@@ -509,9 +510,6 @@ def _check_options(ns) -> None:
             raise UsageError(f"--{option} must be at least {least}, got {value}")
     if getattr(ns, "tol_exponent", -1) >= 0:
         raise UsageError(f"--tol-exponent must be negative, got {ns.tol_exponent}")
-    tol = getattr(ns, "tol", None)
-    if tol is not None and not _decimal("--tol", tol) >= painleve.MIN_TOL:
-        raise UsageError(f"--tol must be at least {_fmt(painleve.MIN_TOL)}, got {tol}")
 
 
 def _report_error(exc: HblError) -> None:

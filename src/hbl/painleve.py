@@ -2,16 +2,16 @@
 q(s) ~ Ai(s) as s -> +infinity and q(s) ~ sqrt(-s/2) as s -> -infinity.
 
 Shipped method: 6th-order finite-difference collocation on a uniform grid
-with a damped Newton iteration in two phases.  A float64 Newton on the
-banded Jacobian (``solve_banded``: pure-Python elimination over each row's
-stencil span) runs until its residual stops halving; a polish then holds
-the grid values as integers scaled by 2^P, P = prec + GUARD_BITS, and
-evaluates the collocation residual exactly up to rounding at 2^-P, each
-step still a float64 banded solve, until the residual reaches 1e-40 or the
-floor that rounding the values to working precision leaves.  ``achieved_residual`` is
-the residual of the rounded values returned.  Shooting is deliberately not
-the shipped method; the connection problem is exponentially unstable
-leftward and shooting survives only as a test oracle.
+with one damped Newton iteration from a float64 seed.  It holds the grid
+values as integers scaled by 2^P, P = prec + GUARD_BITS, and evaluates the
+collocation residual exactly up to rounding at 2^-P; each step is a
+float64 solve with the banded Jacobian (``solve_banded``: pure-Python
+elimination over each row's stencil span).  It stops when the residual
+reaches 1e-40 or the floor that rounding the values to working precision
+leaves.  ``achieved_residual`` is the residual of the rounded values
+returned.  Shooting is deliberately not the shipped method; the connection
+problem is exponentially unstable leftward and shooting survives only as a
+test oracle.
 """
 
 from __future__ import annotations
@@ -28,10 +28,10 @@ from . import numerics as nu
 from .errors import DomainTooNarrow, NoConvergence, OutOfDomain
 
 DEFAULT_TOL = mpf("1e-12")
-MIN_TOL = mpf("1e-14")
-GUARD_BITS = 64  # fixed-point bits of the polish beyond working precision
+MIN_TOL = "1e-14"  # a decimal string: compared at the working precision
+GUARD_BITS = 64  # fixed-point bits of the Newton values beyond working precision
 _NEWTON_TARGET = 1e-40  # far below any allowed tol, above the 256-bit floor
-MAX_NEWTON = 60  # steps of each Newton phase
+MAX_NEWTON = 60  # Newton steps at most
 _INTERP_POINTS = 9
 
 
@@ -78,8 +78,8 @@ def solve_banded(rows, rhs):
 
     Gaussian elimination without pivoting over each row's span.  The
     Hastings-McLeod Jacobian allows it: its interior is symmetric negative
-    definite along the Newton path, and the polish recomputes the exact
-    residual of every step, so a poor one shows.  A zero pivot raises.
+    definite along the Newton path, and the Newton loop recomputes the
+    exact residual of every step, so a poor one shows.  A zero pivot raises.
     """
     pivots, upper, y = [], [], []  # U's diagonal and the rest of its rows; L^-1 rhs
     for i, (a, row) in enumerate(rows):
@@ -122,20 +122,6 @@ def _ai_float(x: float) -> float:
     zeta = 2 / 3 * x**1.5
     series = 1 - 5 / 72 / zeta + 385 / 10368 / zeta**2
     return math.exp(-zeta) / (2 * math.sqrt(math.pi) * x**0.25) * series
-
-
-def _damped_step(x, rhs, norm, jac, residual, scaled):
-    """One damped Newton step from x: the banded float64 solve J d = rhs, then
-    x - d with d halved up to 12 times until the residual norm drops; None if
-    none does.  ``scaled`` takes each float d_i to the representation of x."""
-    delta = solve_banded(jac, rhs)
-    for _ in range(12):
-        trial = [v - scaled(d) for v, d in zip(x, delta)]
-        res, trial_norm = residual(trial)
-        if trial_norm < norm:
-            return trial, res, trial_norm
-        delta = [d / 2 for d in delta]
-    return None
 
 
 def left_asymptote(s) -> mpf:
@@ -204,7 +190,7 @@ def solve_hastings_mcleod(
     """
     s_lo, s_hi = nu.to_ext(s_lo), nu.to_ext(s_hi)
     tol = nu.to_ext(tol)
-    if tol < MIN_TOL:
+    if tol < nu.to_ext(MIN_TOL):
         raise ValueError(f"tolerance below the supported minimum {MIN_TOL}")
     if s_hi < 6:
         raise DomainTooNarrow("right endpoint must satisfy s_hi >= 6")
@@ -238,27 +224,14 @@ def solve_hastings_mcleod(
             w[i - a] -= s_float[i] + 6.0 * qf[i] * qf[i]
         return rows
 
-    # (a) float64 Newton while each step at least halves the residual
-    def float_residual(qf):
-        res = [qf[0] - float(bc_left)]
-        res += [sum(map(mul, w, qf[a : a + len(w)])) - (s * v + 2.0 * v**3)
-                for (a, w), s, v in zip(band[1:-1], s_float[1:-1], qf[1:-1])]
-        res.append(qf[-1] - float(bc_right))
-        return res, max(map(abs, res))
-
-    res, norm = float_residual(q)
-    for _ in range(MAX_NEWTON):
-        step = _damped_step(q, res, norm, jacobian(q), float_residual, float)
-        if step is None or step[2] > norm / 2:
-            break
-        q, res, norm = step
     # rounding the returned values to working precision moves row i of the
-    # residual by up to 2^-prec (|J| |q|)_i: no step gets below that floor
+    # residual by up to 2^-prec (|J| |q|)_i: no step gets below that floor.
+    # On the default domain the seed gives it within 1e-4 of the solution's.
     rounding = max(sum(map(abs, map(mul, w, q[a : a + len(w)]))) for a, w in jacobian(q))
     floor = max(_NEWTON_TARGET, rounding * 2.0**-mp.prec)
 
-    # (b) polish on scaled integers Q_i = q_i 2^P: products are exact, and
-    # only the data and the shifts back to scale 2^P round, at 2^-P
+    # Newton on scaled integers Q_i = q_i 2^P: products are exact, and only
+    # the data and the shifts back to scale 2^P round, at 2^-P
     P = mp.prec + GUARD_BITS
     one = 1 << P
     man, exp = h.man_exp
@@ -284,12 +257,18 @@ def solve_hastings_mcleod(
     for _ in range(MAX_NEWTON):
         if norm / one <= floor:
             break
-        qf = [v / one for v in Q]
-        rhs = [v / one for v in res]
-        step = _damped_step(Q, rhs, norm, jacobian(qf), residual, to_scaled)
-        if step is None:
+        # the float64 banded solve J d = res, then Q - d with d halved up to
+        # 12 times until the residual norm drops; stop if none does
+        delta = solve_banded(jacobian([v / one for v in Q]), [v / one for v in res])
+        for _ in range(12):
+            trial = [v - to_scaled(d) for v, d in zip(Q, delta)]
+            trial_res, trial_norm = residual(trial)
+            if trial_norm < norm:
+                break
+            delta = [d / 2 for d in delta]
+        else:
             break
-        Q, res, norm = step
+        Q, res, norm = trial, trial_res, trial_norm
 
     q = [mp.ldexp(mpf(v), -P) for v in Q]
     Q = [int(mp.ldexp(v, P)) for v in q]
@@ -310,11 +289,6 @@ def solve_hastings_mcleod(
         tol=tol,
         achieved_residual=res_norm,
     )
-
-
-def evaluate_q(sol: HmlSolution, s):
-    """(q(s), q'(s)) from the local interpolant of HmlSolution.evaluate."""
-    return sol.evaluate(s, nder=1)
 
 
 def hamiltonian_u(sol: HmlSolution, s) -> mpf:

@@ -9,8 +9,7 @@ large-separation regime (exponential decay of the cross coefficients).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
-from typing import Optional, Sequence
+from typing import Sequence
 
 from mpmath import mp, mpf
 
@@ -18,15 +17,16 @@ from . import numerics as nu
 from .errors import DegenerateData, WrongRegime
 from .model import BrownianConfig, Regime, classify_separation, scaling_constants
 from .mop import MultiIndexPair, WeightSystem
-from .painleve import HmlSolution, evaluate_q, solve_hastings_mcleod
+from .painleve import solve_hastings_mcleod
 from .rh import assemble_rh_expansions
 
 DEFAULT_N_LIST = (8, 12, 16, 24, 32, 48, 64)
 # The Hastings-McLeod solve on the size**3 cost scale of the expansion jobs
 # it runs beside (rh.assemble_rh_expansions): warm and in one process, the
-# solve took 0.82, 0.74 and 0.79 times one n = 64 expansion of the critical
-# config at t = 0.333, at 256, 512 and 1024 bits (medians of three calls on
-# a 2-vCPU x86-64 host, Python 3.11, mpmath 1.3 pure-Python backend).
+# solve took 0.67, 0.84 and 0.94 times one n = 64 expansion of the critical
+# config at t = 0.333, at 256, 512 and 1024 bits (the middle of three runs,
+# each the median of three calls; single runs read 0.67 to 1.11, on a 2-vCPU
+# x86-64 host, Python 3.11, mpmath 1.3 pure-Python backend).
 HML_SOLVE_COST = 64**3
 
 
@@ -178,18 +178,16 @@ def double_scaling_study(
     L,
     t,
     n_list: Sequence[int] = DEFAULT_N_LIST,
-    hml: Optional[HmlSolution] = None,
 ) -> DoubleScalingStudy:
     """Sample the recurrence coefficients along T_n = 1 + L n^{-2/3} at a
     critical-separation configuration and tabulate the Painleve II
     predictions next to them.  The predictions hold for 0 < t < t_crit
     only; any other t raises WrongRegime.
 
-    Without ``hml`` the Hastings-McLeod solve is the first job of the
-    expansion batch, at cost HML_SOLVE_COST, so it runs on one CPU while
-    the expansions run on the others; the job returns q(s) alone, and its
-    error comes before any expansion's, as if it ran first.  A given
-    ``hml`` is evaluated in this process and adds no job.
+    The Hastings-McLeod solve is the first job of the expansion batch, at
+    cost HML_SOLVE_COST, so it runs on one CPU while the expansions run on
+    the others; the job returns q(s) alone, and its error comes before any
+    expansion's, as if it ran first.
     """
     unit = BrownianConfig(cfg.a1, cfg.a2, cfg.b1, cfg.b2, cfg.p1, cfg.p2, T=1)
     rep = classify_separation(unit)
@@ -221,12 +219,8 @@ def double_scaling_study(
     def temperature(n: int):
         return 1 + L * mpf(n) ** (mpf(-2) / 3)
 
-    if hml is None:
-        solve = (lambda: evaluate_q(solve_hastings_mcleod(), consts.s)[0], HML_SOLVE_COST)
-        (qs,), rows = _study_rows(cfg, t, n_list, temperature, predictions, [solve])
-    else:
-        qs = evaluate_q(hml, consts.s)[0]
-        _, rows = _study_rows(cfg, t, n_list, temperature, partial(predictions, qs=qs))
+    solve = (lambda: solve_hastings_mcleod().evaluate(consts.s)[0], HML_SOLVE_COST)
+    (qs,), rows = _study_rows(cfg, t, n_list, temperature, predictions, [solve])
     return DoubleScalingStudy(rows=rows, K=consts.K, s=consts.s, q_of_s=qs, t=t)
 
 

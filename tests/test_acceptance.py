@@ -189,7 +189,7 @@ def test_criterion_07_painleve():
         rtol=1e-13,
         atol=1e-30,
     )
-    q0_err = abs(pv.evaluate_q(sol, 0)[0] - mpf(float(shoot.y[0][-1])))
+    q0_err = abs(sol.evaluate(0)[0] - mpf(float(shoot.y[0][-1])))
     airy_err = max(
         abs(sol.evaluate(mpf(6) + mpf(i) / 10)[0] - mp.airyai(mpf(6) + mpf(i) / 10))
         for i in range(0, 41, 4)
@@ -199,7 +199,7 @@ def test_criterion_07_painleve():
     for i in range(25):
         s = mpf(-9) + i * mpf(18) / 24
         du = (pv.hamiltonian_u(sol, s + h) - pv.hamiltonian_u(sol, s - h)) / (2 * h)
-        ham_err = max(ham_err, abs(du + pv.evaluate_q(sol, s)[0] ** 2))
+        ham_err = max(ham_err, abs(du + sol.evaluate(s)[0] ** 2))
     elapsed = time.monotonic() - t0
     ok = (
         resid_grid <= mpf("1e-12")
@@ -219,13 +219,13 @@ def test_criterion_07_painleve():
 # 8. double scaling
 # ---------------------------------------------------------------------------
 
-def test_criterion_08_double_scaling(hml_solution):
+def test_criterion_08_double_scaling(hml_solution, monkeypatch):
     t0 = time.monotonic()
     cfg = BrownianConfig("1", "-1", "0.5", "-0.5", L="0")
+    monkeypatch.setattr(sc, "solve_hastings_mcleod", lambda: hml_solution)
     with mp.workprec(512):
         study = sc.double_scaling_study(
-            cfg, L=0, t=mpf(1) / 3, n_list=(8, 12, 16, 24, 32, 48, 64),
-            hml=hml_solution,
+            cfg, L=0, t=mpf(1) / 3, n_list=(8, 12, 16, 24, 32, 48, 64)
         )
     signs_ok = all(r.c12c21 < 0 < r.c14c41 for r in study.rows)
     da, db = cfg.a1 - cfg.a2, cfg.b1 - cfg.b2

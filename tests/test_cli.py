@@ -506,6 +506,16 @@ def test_identities_failure_exit(large_sep_config_file, tmp_path):
     assert code == 3
 
 
+@pytest.mark.parametrize("bits", [128, 192, 256, 1088])
+def test_painleve_least_tol_at_every_precision(tmp_path, capsys, bits):
+    # --tol is compared with the least tolerance at the working precision
+    argv = ["--precision", str(bits), "--out", str(tmp_path), "painleve", "--stride", "500"]
+    assert main(argv + ["--tol", "1e-14"]) == 0
+    capsys.readouterr()
+    assert main(argv + ["--tol", "0.99e-14"]) == 64
+    assert json.loads(capsys.readouterr().err)["error"] == "usage"
+
+
 def test_painleve_domain_error_exit(tmp_path, capsys):
     code = main(["--out", str(tmp_path), "painleve", "--s-hi", "5"])
     assert code == 2

@@ -46,7 +46,7 @@ def test_airy_agreement_on_right_tail(hml_solution):
 
 
 def test_q0_matches_shooting_oracle(hml_solution):
-    q0 = pv.evaluate_q(hml_solution, 0)[0]
+    q0 = hml_solution.evaluate(0)[0]
     assert abs(q0 - _shooting_oracle_q0()) < mpf("1e-10")
 
 
@@ -66,7 +66,7 @@ def test_profile_matches_shooting_oracle_multipoint(hml_solution):
     )
     # the oracle's own error envelope ~ 1e-13 * exp((2 sqrt2/3)|s|^{3/2})
     for s, tol in ((5, "1e-11"), (2, "1e-11"), (-1, "1e-10"), (-4, "2e-9"), (-8, "5e-4")):
-        mine = pv.evaluate_q(hml_solution, mpf(s))[0]
+        mine = hml_solution.evaluate(mpf(s))[0]
         oracle = mpf(float(sol.sol(float(s))[0]))
         assert abs(mine - oracle) < mpf(tol)
 
@@ -130,6 +130,15 @@ def test_default_grid_independent_of_precision(bits):
         assert len(sol.grid) == 2001 and sol.h == mpf(20) / 2000
 
 
+@pytest.mark.parametrize("s_lo, s_hi", [(-6, 6), (-20, 15)])
+def test_newton_converges_from_the_seed_on_other_domains(hml_solution, s_lo, s_hi):
+    # the one Newton loop starts from the blended float seed on any domain;
+    # q(0) moves only by the truncation of the boundary asymptotes
+    sol = pv.solve_hastings_mcleod(s_lo=mpf(s_lo), s_hi=mpf(s_hi))
+    assert sol.achieved_residual <= mpf("1e-40")
+    assert abs(sol.evaluate(0)[0] - hml_solution.evaluate(0)[0]) <= mpf("1e-9")
+
+
 def test_grid_values_agree_across_precisions(hml_solution):
     with mp.workprec(512):
         fine = pv.solve_hastings_mcleod()
@@ -152,7 +161,7 @@ def test_ode_residual_off_grid(hml_solution):
 def test_on_grid_evaluation_is_exact(hml_solution):
     i = len(hml_solution.grid) // 3
     s = hml_solution.grid[i]
-    q, qp = pv.evaluate_q(hml_solution, s)
+    q, qp = hml_solution.evaluate(s)
     assert q == hml_solution.q[i]
     assert qp == hml_solution.q_prime[i]
 
@@ -161,8 +170,8 @@ def test_continuity(hml_solution):
     h = mpf("1e-4")
     for s in ("-4.3217", "0.7221", "5.05"):
         s = mpf(s)
-        a = pv.evaluate_q(hml_solution, s)[0]
-        b = pv.evaluate_q(hml_solution, s + h)[0]
+        a = hml_solution.evaluate(s)[0]
+        b = hml_solution.evaluate(s + h)[0]
         assert abs(a - b) <= 3 * h  # |q'| < 3 throughout the domain
 
 
@@ -170,7 +179,7 @@ def test_interpolation_matches_refined_grid(hml_solution):
     fine = pv.solve_hastings_mcleod(spacing=mpf("0.005"))
     s = mpf("1.5")
     assert abs(
-        pv.evaluate_q(hml_solution, s)[0] - pv.evaluate_q(fine, s)[0]
+        hml_solution.evaluate(s)[0] - fine.evaluate(s)[0]
     ) < mpf("1e-9")
 
 
@@ -178,11 +187,11 @@ def test_grid_halving_reduces_error_by_declared_order(hml_solution):
     # error against a fine reference must drop by ~2^6 when h halves
     ref = pv.solve_hastings_mcleod(spacing=mpf("0.0025"))
     s = mpf("0.3333")
-    target = pv.evaluate_q(ref, s)[0]
+    target = ref.evaluate(s)[0]
     coarse = pv.solve_hastings_mcleod(spacing=mpf("0.04"))
     half = pv.solve_hastings_mcleod(spacing=mpf("0.02"))
-    e_coarse = abs(pv.evaluate_q(coarse, s)[0] - target)
-    e_half = abs(pv.evaluate_q(half, s)[0] - target)
+    e_coarse = abs(coarse.evaluate(s)[0] - target)
+    e_half = abs(half.evaluate(s)[0] - target)
     assert e_half < e_coarse / 30  # order 6 nominal (2^6 = 64), with slack
 
 
@@ -193,7 +202,7 @@ def test_hamiltonian_identities(hml_solution):
     for i in range(50):
         s = mpf(-9) + i * mpf(18) / 49
         du = (pv.hamiltonian_u(sol, s + h) - pv.hamiltonian_u(sol, s - h)) / (2 * h)
-        q = pv.evaluate_q(sol, s)[0]
+        q = sol.evaluate(s)[0]
         assert abs(du + q * q) < mpf("1e-8")
 
 
@@ -220,7 +229,7 @@ def test_domain_validation():
 
 def test_out_of_domain(hml_solution):
     with pytest.raises(OutOfDomain):
-        pv.evaluate_q(hml_solution, mpf(11))
+        hml_solution.evaluate(mpf(11))
 
 
 def _recorded_jacobians(monkeypatch, bits):

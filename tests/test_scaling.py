@@ -76,11 +76,17 @@ def test_split_count_rounding():
 # double scaling (critical separation)
 # ---------------------------------------------------------------------------
 
+@pytest.fixture()
+def shared_solve(hml_solution, monkeypatch):
+    """The studies take the shared hml_solution as their Hastings-McLeod solve."""
+    monkeypatch.setattr(sc, "solve_hastings_mcleod", lambda: hml_solution)
+
+
 @pytest.fixture(scope="module")
 def ds_study(critical_config, hml_solution):
-    return sc.double_scaling_study(
-        critical_config, L=0, t=mpf(1) / 3, n_list=(8, 12, 16, 24), hml=hml_solution
-    )
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(sc, "solve_hastings_mcleod", lambda: hml_solution)
+        return sc.double_scaling_study(critical_config, L=0, t=mpf(1) / 3, n_list=(8, 12, 16, 24))
 
 
 def test_double_scaling_sign_pattern(ds_study):
@@ -122,28 +128,25 @@ def test_double_scaling_wrong_regime(large_sep_config):
         sc.double_scaling_study(large_sep_config, L=0, t=mpf(1) / 3, n_list=(8,))
 
 
-def test_double_scaling_rejects_critical_time(critical_config, hml_solution):
+def test_double_scaling_rejects_critical_time(critical_config):
     with pytest.raises(WrongRegime):
-        sc.double_scaling_study(
-            critical_config, L=0, t=mpf(2) / 3, n_list=(8,), hml=hml_solution
-        )
+        sc.double_scaling_study(critical_config, L=0, t=mpf(2) / 3, n_list=(8,))
 
 
-def test_temperature_rule_is_exact(critical_config, hml_solution):
+def test_temperature_rule_is_exact(critical_config, shared_solve):
     study = sc.double_scaling_study(
-        critical_config, L="0.5", t=mpf(1) / 3, n_list=(8, 12, 16, 24), hml=hml_solution
+        critical_config, L="0.5", t=mpf(1) / 3, n_list=(8, 12, 16, 24)
     )
     for row in study.rows:
         assert row.T_n == 1 + mpf("0.5") * mpf(row.n) ** (mpf(-2) / 3)
         assert row.N == mpf(row.n) / row.T_n
 
 
-def test_double_scaling_nonzero_L(critical_config, hml_solution):
+def test_double_scaling_nonzero_L(critical_config, shared_solve):
     # L = 1 maps to s = -1 for p = (1/2, 1/2); the same leading-order laws
     # must kick in with q(-1) in place of q(0)
     study = sc.double_scaling_study(
-        critical_config, L=1, t=mpf(1) / 3, n_list=(8, 12, 16, 24, 32),
-        hml=hml_solution,
+        critical_config, L=1, t=mpf(1) / 3, n_list=(8, 12, 16, 24, 32)
     )
     assert abs(study.s + 1) < mpf("1e-60")
     assert study.q_of_s > mpf("0.5")  # q grows toward the left
@@ -160,11 +163,9 @@ def test_double_scaling_nonzero_L(critical_config, hml_solution):
     assert devs[-1] < mpf("0.2")
 
 
-def test_double_scaling_second_time(critical_config, hml_solution):
+def test_double_scaling_second_time(critical_config, shared_solve):
     # the prediction structure is uniform in t (a second non-critical time)
-    study = sc.double_scaling_study(
-        critical_config, L=0, t=mpf(1) / 2, n_list=(8, 16, 32), hml=hml_solution
-    )
+    study = sc.double_scaling_study(critical_config, L=0, t=mpf(1) / 2, n_list=(8, 16, 32))
     devs = []
     for row in study.rows:
         assert row.c12c21 < 0 < row.c14c41
@@ -174,25 +175,20 @@ def test_double_scaling_second_time(critical_config, hml_solution):
     assert devs[-1] < devs[0]
 
 
-def test_double_scaling_extreme_L_smoke(critical_config, hml_solution):
+def test_double_scaling_extreme_L_smoke(critical_config, shared_solve):
     # |L| up to 8 stays inside the Hastings-McLeod sampling domain; the
     # finite-n identities remain exact even far from the asymptotic regime
-    study = sc.double_scaling_study(
-        critical_config, L=8, t=mpf(1) / 3, n_list=(8, 12), hml=hml_solution
-    )
+    study = sc.double_scaling_study(critical_config, L=8, t=mpf(1) / 3, n_list=(8, 12))
     assert abs(study.s + 8) < mpf("1e-60")
     for row in study.rows:
         assert max(row.relation_residuals) < mpf("1e-20")
 
 
-def test_double_scaling_q_against_interpolant(critical_config, hml_solution):
-    from hbl.painleve import evaluate_q
-
+def test_double_scaling_q_against_interpolant(critical_config, hml_solution, shared_solve):
     study = sc.double_scaling_study(
-        critical_config, L="0.5", t=mpf(1) / 3, n_list=(8, 12, 16, 24),
-        hml=hml_solution,
+        critical_config, L="0.5", t=mpf(1) / 3, n_list=(8, 12, 16, 24)
     )
-    assert abs(study.q_of_s - evaluate_q(hml_solution, study.s)[0]) == 0
+    assert abs(study.q_of_s - hml_solution.evaluate(study.s)[0]) == 0
 
 
 # ---------------------------------------------------------------------------
@@ -227,25 +223,6 @@ def test_scaling_batch_puts_the_solve_in_the_parent(critical_config, monkeypatch
         os.waitpid(-1, os.WNOHANG)
 
 
-def test_scaling_batch_passes_a_given_solution_through(critical_config, hml_solution, monkeypatch):
-    # with hml given there is no solve job: the batch is the expansions alone
-    def no_solve():
-        raise AssertionError("solved although hml was given")
-
-    jobs = []
-    map_cores = mop._map_cores
-
-    def counting(fn, batch, cost):
-        jobs.append(len(batch))
-        return map_cores(fn, batch, cost)
-
-    monkeypatch.setattr(sc, "solve_hastings_mcleod", no_solve)
-    monkeypatch.setattr(mop, "_map_cores", counting)
-    rh._EXPANSIONS.clear()
-    sc.double_scaling_study(critical_config, L=0, t=mpf(1) / 3, n_list=(8, 12), hml=hml_solution)
-    assert jobs == [2]
-
-
 @pytest.mark.parametrize(
     "n_list",
     [
@@ -257,17 +234,20 @@ def test_scaling_batch_passes_a_given_solution_through(critical_config, hml_solu
     ids=["solve-in-parent", "solve-in-worker"],
 )
 def test_scaling_batch_raises_the_solve_error(critical_config, hml_solution, monkeypatch, n_list):
-    # at 128 bits with no room to escalate, n >= 48 fails too; the solve's
-    # error wins, as when the solve ran before the batch, and no child is left
+    # at 128 bits with no room to escalate, n >= 48 fails too: its error
+    # surfaces when the solve succeeds; when the solve fails too, the
+    # solve's error wins, as when the solve ran before the batch, and no
+    # child is left
     def failing_solve():
         raise NoConvergence("Newton stalled")
 
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
     monkeypatch.setattr(mop, "MAX_ESCALATED_PRECISION", 128)
-    monkeypatch.setattr(sc, "solve_hastings_mcleod", failing_solve)
+    monkeypatch.setattr(sc, "solve_hastings_mcleod", lambda: hml_solution)
     with mp.workprec(128):
         with pytest.raises(NormalizationImpossible):
-            sc.double_scaling_study(critical_config, L=0, t=mpf(1) / 3, n_list=n_list, hml=hml_solution)
+            sc.double_scaling_study(critical_config, L=0, t=mpf(1) / 3, n_list=n_list)
+        monkeypatch.setattr(sc, "solve_hastings_mcleod", failing_solve)
         with pytest.raises(NoConvergence, match="^Newton stalled$"):
             sc.double_scaling_study(critical_config, L=0, t=mpf(1) / 3, n_list=n_list)
     with pytest.raises(ChildProcessError):
