@@ -228,7 +228,10 @@ def cmd_identities(cfg: BrownianConfig, ns, out: Path) -> int:
     ws = WeightSystem.from_config(cfg, t, idx.size_n)
     ws_sw, idx_sw = rh.swapped_system(ws, idx)
     shifts = [(k, l) for k in range(ws.p) for l in range(ws.q)]
-    # every expansion the checks read, in one batch
+    # every expansion and MOP vector the checks read, in one batch; the
+    # expansions come back from the cache
+    zs = [mpf(0), mpf(1), mpc(-1, 1)]
+    residuals = rh.verify_recurrences(ws, idx, zs, also=[(ws_sw, idx_sw)]).values()
     exp, exp_sw, *exp_shifted = rh.assemble_rh_expansions(
         [(ws, idx), (ws_sw, idx_sw)] + [(ws, idx.shift_n(k).shift_m(l)) for k, l in shifts]
     )
@@ -246,8 +249,6 @@ def cmd_identities(cfg: BrownianConfig, ns, out: Path) -> int:
 
     rep = rh.scalar_product_report(exp)
     record("scalar_products", rep.max_residual)
-    zs = [mpf(0), mpf(1), mpc(-1, 1)]
-    residuals = rh.verify_recurrences(ws, idx, zs).values()
     record("five_term_recurrence", max(fw for fw, _ in residuals))
     record("backward_recurrence", max(bw for _, bw in residuals))
     worst_inv = mpf(0)

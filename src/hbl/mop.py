@@ -19,6 +19,7 @@ from functools import lru_cache, partial
 from typing import Optional
 
 from mpmath import mp, mpf, matrix
+from mpmath.libmp import fzero, mpf_abs, mpf_div, mpf_neg, mpf_rdiv_int, round_nearest
 
 from . import numerics as nu
 from .errors import InvalidIndex, NormalizationImpossible, SingularMatrix, WorkerFailed
@@ -207,7 +208,7 @@ def _solve_rows(ws: WeightSystem, idx: MultiIndexPair, tags: list) -> tuple:
     coefficient tuples over k.
 
     Gaussian weights make every index pair normal, so a singular G
-    (SingularMatrix from the pivot threshold of numerics.solve_linear)
+    (SingularMatrix from the pivot threshold of numerics.solve_pairs)
     signals precision exhaustion: the whole factorization is redone at
     doubled precision up to MAX_ESCALATED_PRECISION.  A start above it is
     still tried once.  The error at the ceiling names the last bits tried
@@ -232,34 +233,48 @@ def _solve_rows(ws: WeightSystem, idx: MultiIndexPair, tags: list) -> tuple:
 
 
 def _factor_and_solve(ws: WeightSystem, idx: MultiIndexPair, tags: list) -> list:
-    """One attempt of _solve_rows at working precision: the solutions."""
+    """One attempt of _solve_rows at working precision: the solutions.
+
+    G and its right-hand sides are built on (mantissa, exponent) pairs of
+    the moment tables, each quotient by a row's scale rounded as mpf
+    division rounds it, and go to numerics.solve_pairs as they are.
+    """
+    prec = mp.prec
     offsets = _flat_offsets(idx)
-    tables = moment_tables(ws, idx)
+    tables = {kl: [v._mpf_ for v in col] for kl, col in moment_tables(ws, idx).items()}
+    # each moment with its magnitude first, so that max picks a row's scale
+    keyed = {kl: [(nu._magnitude(nu._pair(v), prec), v) for v in col]
+             for kl, col in tables.items()}
+
+    def quotient(v, scale):
+        return nu._pair(mpf_div(v, scale, prec, round_nearest))
+
     rows, scales, row_keys = [], [], []
     for l in range(ws.q):
         for j in range(idx.m[l]):
             row = [tables[k, l][i + j] for k in range(ws.p) for i in range(idx.n[k])]
-            scale = max((abs(v) for v in row), default=mpf(0))
-            if scale == 0:
+            scale = mpf_abs(max((max(keyed[k, l][j : j + idx.n[k]])
+                                 for k in range(ws.p) if idx.n[k]), default=((), fzero))[1])
+            if scale == fzero:
                 raise NormalizationImpossible("empty orthogonality row")
-            rows.append([v / scale for v in row])
+            rows.append([quotient(v, scale) for v in row])
             scales.append(scale)
             row_keys.append((l, j))
     rhs = []
     for kind, pos in tags:
         if kind == "II":
             top = idx.n[pos]
-            rhs.append(
-                [-tables[pos, l][top + j] / s for (l, j), s in zip(row_keys, scales)]
-            )
+            rhs.append([quotient(mpf_neg(tables[pos, l][top + j]), s)
+                        for (l, j), s in zip(row_keys, scales)])
         else:
             r = row_keys.index((pos, idx.m[pos] - 1) if kind == "I" else pos)
-            col = [mpf(0)] * len(rows)
-            col[r] = 1 / scales[r]
+            col = [(0, 0)] * len(rows)
+            col[r] = nu._pair(mpf_rdiv_int(1, scales[r], prec, round_nearest))
             rhs.append(col)
-    xs = nu.solve_linear(matrix(rows), rhs) if rows else [[] for _ in tags]
+    xs = nu.solve_pairs(rows, rhs) if rows else [[] for _ in tags]
     sols = []
-    for (kind, pos), x in zip(tags, xs):
+    for (kind, pos), raws in zip(tags, xs):
+        x = [mp.make_mpf(v) for v in raws]
         coeffs = [
             tuple(x[offsets[k] + i] for i in range(idx.n[k])) for k in range(ws.p)
         ]
@@ -280,7 +295,7 @@ def _base_pair(ws: WeightSystem, idx: MultiIndexPair, norm: NormTag) -> MultiInd
     (n - e_k, m) for type (II,k), (n, m + e_l) for type (I,l)."""
     _check_shape(ws, idx)
     if idx.size_n != idx.size_m + 1:
-        raise InvalidIndex("solve_batch requires |n| = |m| + 1")
+        raise InvalidIndex("a MOP vector needs |n| = |m| + 1")
     kind, pos = norm
     if kind not in ("I", "II"):
         raise ValueError(f"unknown normalization kind {kind!r}")
@@ -303,20 +318,25 @@ def _matrix(rows: list) -> matrix:
     return matrix(rows)
 
 
-def _run_share(fn, jobs: list, share: list) -> tuple:
-    """(share, results of its jobs in order up to the first that raises,
-    (index, exception) of that job or None)."""
-    done = []
-    for i in share:
+def _run_queue(fn, jobs: list, take) -> tuple:
+    """(the indices ``take`` gave until it gave None, {index: result} of
+    the jobs run, (index, exception) of the earliest failed job or None).
+    After a job fails only jobs of smaller index run, so the error kept is
+    the first one an in-order loop over the taken jobs meets."""
+    taken, done, failed = [], {}, None
+    for i in iter(take, None):
+        taken.append(i)
+        if failed and failed[0] < i:
+            continue
         try:
-            done.append(fn(jobs[i]))
+            done[i] = fn(jobs[i])
         except Exception as exc:
-            return share, done, (i, exc)
-    return share, done, None
+            failed = i, exc
+    return taken, done, failed
 
 
-def _send_share(sink, fn, jobs: list, share: list) -> None:
-    """Run a share in a forked child and pickle its outcome into ``sink``.
+def _send_outcome(sink, outcome: tuple) -> None:
+    """Pickle a forked child's outcome (see _run_queue) into ``sink``.
 
     An exception that would not load again in the parent (one whose
     __init__ does not take its args, say) is sent as WorkerFailed with its
@@ -325,14 +345,14 @@ def _send_share(sink, fn, jobs: list, share: list) -> None:
     """
     import pickle
 
-    outcome = _run_share(fn, jobs, share)
-    if outcome[2]:
-        i, exc = outcome[2]
+    taken, done, failed = outcome
+    if failed:
+        i, exc = failed
         try:
             pickle.loads(pickle.dumps(exc, pickle.HIGHEST_PROTOCOL))
         except Exception:
             exc = WorkerFailed(f"job {i} raised {type(exc).__name__}: {exc}")
-            outcome = share, outcome[1], (i, exc)
+            outcome = taken, done, (i, exc)
     pickler = pickle.Pickler(sink, pickle.HIGHEST_PROTOCOL)
     pickler.dispatch_table = {matrix: lambda a: (_matrix, (a.tolist(),))}
     pickler.dump(outcome)
@@ -343,15 +363,19 @@ def _map_cores(fn, jobs, cost) -> list:
     """[fn(job) for job in jobs], the jobs spread over the CPUs this
     process may run on.
 
-    A largest-first partition by ``cost`` gives each CPU one share.  The
-    parent runs the first share; every other share runs in a forked child,
-    which sends its results back as one pickle through a pipe.  One CPU,
-    one job, no os.fork or other live threads give no child.  Each share
-    stops at its first exception; once every child is reaped, the
-    exception of the earliest failed job is raised, so results and errors
-    are those of the in-order loop whatever the split.  A child that exits
-    non-zero (it could not send its results, or was killed) raises
-    WorkerFailed naming its jobs and exit status.
+    A forked child per CPU, up to one per job, runs the jobs; this process
+    only feeds them and gathers their results, so what it runs does not
+    depend on timing.  The job indices wait in a pipe, largest ``cost``
+    first, and a child reads the next one whenever it is free, so a cost
+    only sets a job's place in the queue.  Each child sends its results
+    back as one pickle through a pipe of its own.  A child that failed at
+    job i runs only the jobs below i that it still reads; once every child
+    is reaped, the exception of the earliest failed job is raised, so
+    results and errors are those of the in-order loop whichever child ran
+    what.  A child that exits non-zero (it could not send its results, or
+    was killed) raises WorkerFailed naming the jobs that sent no result
+    and its exit status.  One CPU, one job, no os.fork or other live
+    threads: the in-order loop here, with no child and no pipe.
     """
     jobs = list(jobs)
     try:
@@ -360,57 +384,79 @@ def _map_cores(fn, jobs, cost) -> list:
         cpus = os.cpu_count() or 1
     if not hasattr(os, "fork") or threading.active_count() > 1:
         cpus = 1
+    workers = min(cpus, len(jobs))
+    if workers < 2:
+        return [fn(job) for job in jobs]
+    import pickle  # only when forking: `import hbl.cli` does not load it
+    import select
+
     costs = [cost(job) for job in jobs]
-    shares = [[] for _ in range(max(1, min(cpus, len(jobs))))]
-    loads = [0] * len(shares)
-    for i in sorted(range(len(jobs)), key=lambda i: -costs[i]):
-        s = loads.index(min(loads))
-        shares[s].append(i)
-        loads[s] += costs[i]
-    shares = [sorted(share) for share in shares]
+    queue = b"".join(i.to_bytes(4, "little")
+                     for i in sorted(range(len(jobs)), key=lambda i: -costs[i]))
+    read, write = os.pipe()
+
+    def next_index():
+        data = os.read(read, 4)
+        return int.from_bytes(data, "little") if data else None
+
     children = []  # [pid, read end of its pipe]; pid is None until forked
     statuses = []
     try:
-        if len(shares) > 1:
-            import pickle  # only when forking: `import hbl.cli` does not load it
-        for share in shares[1:]:
-            read, write = os.pipe()
-            children.append([None, open(read, "rb")])
-            with open(write, "wb") as sink:
+        for _ in range(workers):
+            result_read, result_write = os.pipe()
+            children.append([None, open(result_read, "rb")])
+            with open(result_write, "wb") as sink:
                 children[-1][0] = os.fork()
                 if children[-1][0] == 0:
                     status = 1
                     try:
+                        os.close(write)
                         for _, source in children:
                             source.close()
-                        _send_share(sink, fn, jobs, share)
+                        _send_outcome(sink, _run_queue(fn, jobs, next_index))
                         status = 0
                     finally:
                         os._exit(status)
-        results = [_run_share(fn, jobs, shares[0])]
+        os.close(read)
+        read = None
+        try:
+            # a write of at most PIPE_BUF bytes is whole: no child reads
+            # part of an index
+            for start in range(0, len(queue), select.PIPE_BUF):
+                os.write(write, queue[start : start + select.PIPE_BUF])
+        except BrokenPipeError:
+            pass  # every child is gone; their statuses tell why
+        os.close(write)
+        write = None
+        results = []
         for _, source in children:
             try:
                 results.append(pickle.load(source))
             except (EOFError, pickle.UnpicklingError):
                 pass  # a child that sent no whole pickle exits non-zero
     finally:
-        # a child blocked on a full pipe sees it closed and exits
+        # the queue ends for the children, and one blocked on a full pipe of
+        # its own sees it closed and exits
+        for fd in (read, write):
+            if fd is not None:
+                os.close(fd)
         for pid, source in children:
             source.close()
             if pid:
                 statuses.append(os.waitpid(pid, 0)[1])
-    for share, status in zip(shares[1:], statuses):
-        if status:
-            raise WorkerFailed(
-                f"the worker for jobs {share} exited with status "
-                f"{os.waitstatus_to_exitcode(status)}"
-            )
+    status = next((status for status in statuses if status), 0)
+    if status:
+        reported = {i for taken, _, _ in results for i in taken}
+        raise WorkerFailed(
+            f"jobs {[i for i in range(len(jobs)) if i not in reported]} sent no "
+            f"result: a worker exited with status {os.waitstatus_to_exitcode(status)}"
+        )
     failed = [err for _, _, err in results if err]
     if failed:
         raise min(failed, key=lambda err: err[0])[1]
     out = [None] * len(jobs)
-    for share, done, _ in results:
-        for i, value in zip(share, done):
+    for _, done, _ in results:
+        for i, value in done.items():
             out[i] = value
     return out
 
@@ -435,23 +481,20 @@ def _cached_map(cache: dict, limit: int, fn, keys, cost, first=()) -> list:
     return out
 
 
-def solve_batch(ws: WeightSystem, requests) -> dict:
-    """{(idx, norm): MopSolution} for MOP vectors at |n| = |m| + 1.
-
-    Requests that share a base pair (see _base_pair) are right-hand sides
-    of one LU of its G and escalate together (see _solve_rows); no factors
-    outlive their group.  Every request is checked before any solve, and
-    the groups are factored concurrently (see _map_cores).
-    """
+def batch_jobs(ws: WeightSystem, requests) -> dict:
+    """{base pair: (job, cost)} for MOP vectors at |n| = |m| + 1: a job
+    is a function of no argument that gives the MopSolutions of the
+    requests around its base pair (see _base_pair), all right-hand sides
+    of one LU of its G that escalate together (see _solve_rows).  Every
+    request is checked here, before any solve."""
     groups: dict = {}
     for idx, norm in requests:
         groups.setdefault(_base_pair(ws, idx, norm), {})[norm] = None
-    solved = _map_cores(
-        lambda group: _solve_rows(ws, group[0], list(group[1]))[0],
-        groups.items(),
-        cost=lambda group: group[0].size_n ** 3,
-    )
-    return {(sol.idx, sol.norm): sol for sols in solved for sol in sols}
+    return {
+        base: (lambda base=base, tags=list(tags): _solve_rows(ws, base, tags)[0],
+               base.size_n ** 3)
+        for base, tags in groups.items()
+    }
 
 
 def q_moment(sol: MopSolution, tables: dict, l: int, j: int) -> mpf:

@@ -122,18 +122,11 @@ def solve_linear(a: matrix, b) -> list:
 
     ``b`` is one right-hand side, or a list of right-hand sides that share
     the one elimination; the result is x, or the list of solutions in the
-    same order.  Each solution is bit-identical to a solve of its own.
-    Raises SingularMatrix when the best available pivot falls below a
-    precision-scaled threshold relative to the largest initial entry.
-
-    Each entry of A and b is rounded to working precision once, on entry.
-    The elimination then runs on int pairs from each ``_mpf_`` with mpf's
-    roundings in mpf's order (_fms, mpf_rdiv_int, mpf_div): x is
-    bit-identical to the same elimination in mpf operations on the rounded
-    entries.  The first pivot of largest magnitude
-    (rounded as ``abs`` rounds) wins.  A must be real; a complex right-hand
-    side is solved by parts, as mpc arithmetic against a real A does.  An
-    infinite or NaN entry raises ValueError.
+    same order.  Each entry of A and b is rounded to working precision
+    once, on entry, and the elimination is solve_pairs on their pairs (its
+    pivoting, SingularMatrix threshold and ValueError on an infinite or NaN
+    entry).  A must be real; a complex right-hand side is solved by parts,
+    as mpc arithmetic against a real A does.
     """
     n = a.rows
     if a.cols != n:
@@ -150,12 +143,40 @@ def solve_linear(a: matrix, b) -> list:
     rows = [[a[i, j] for j in range(n)] for i in range(n)]
     if any(hasattr(v, "_mpc_") for row in rows for v in row):
         raise TypeError("solve_linear needs a real matrix")
-    rows = [[v._mpf_ for v in row] + [p[i] for p in parts] for i, row in enumerate(rows)]
-    if any(v[2] and not v[1] for row in rows for v in row):  # no mantissa, an exponent
-        raise ValueError("solve_linear needs finite entries")
+    prec = mp.prec
+
+    def pairs(raws):
+        return [_pair(mpf_pos(v, prec, round_nearest)) for v in raws]
+
+    xs = iter(solve_pairs([pairs(v._mpf_ for v in row) for row in rows],
+                          [pairs(p) for p in parts]))
+    # each complex solution takes its real and imaginary parts
+    out = [[mp.make_mpc(v) for v in zip(re, next(xs))] if z else [mp.make_mpf(v) for v in re]
+           for z, re in zip(cplx, xs)]
+    return out if several else out[0]
+
+
+def solve_pairs(rows: list, cols: list) -> list:
+    """Solve A x = b for each b in ``cols`` by one LU with partial pivoting
+    at working precision, on (signed mantissa, exponent) pairs: ``rows``
+    are the rows of A and each b a list, all pairs of at most working
+    precision bits.  Returns each x as a list of raw mpf values, each
+    bit-identical to a solve of its own.
+
+    The elimination runs with mpf's roundings in mpf's order (_fms,
+    mpf_rdiv_int, mpf_div): x is bit-identical to the same elimination in
+    mpf operations.  The first pivot of largest magnitude (rounded as
+    ``abs`` rounds) wins.  Raises SingularMatrix when the best available
+    pivot falls below a precision-scaled threshold relative to the largest
+    entry of A.  A pair with no mantissa but an exponent, which only an
+    infinite or NaN mpf gives, raises ValueError.
+    """
+    n = len(rows)
+    rows = [row + [b[i] for b in cols] for i, row in enumerate(rows)]
+    if any(e and not m for row in rows for m, e in row):
+        raise ValueError("the solve needs finite entries")
 
     prec = mp.prec
-    rows = [[_pair(mpf_pos(v, prec, round_nearest)) for v in row] for row in rows]
     scale = max((v for row in rows for v in row[:n]), key=lambda v: _magnitude(v, prec),
                 default=(0, 0))
     if not scale[0]:
@@ -183,7 +204,7 @@ def solve_linear(a: matrix, b) -> list:
                              for v, p in zip(row[col + 1:], pivot_row[col + 1:])]
 
     xs = []
-    for s in range(n, n + len(parts)):
+    for s in range(n, n + len(cols)):
         x = [None] * n
         for r in range(n - 1, -1, -1):
             row, acc = rows[r], rows[r][s]
@@ -191,10 +212,7 @@ def solve_linear(a: matrix, b) -> list:
                 acc = _fms(acc, row[c], x[c], prec)
             x[r] = _pair(mpf_div(from_man_exp(*acc), from_man_exp(*row[r]), prec, round_nearest))
         xs.append([from_man_exp(*v) for v in x])
-    xs = iter(xs)  # each complex solution takes its real and imaginary parts
-    out = [[mp.make_mpc(v) for v in zip(re, next(xs))] if z else [mp.make_mpf(v) for v in re]
-           for z, re in zip(cplx, xs)]
-    return out if several else out[0]
+    return xs
 
 
 def max_abs(a: matrix) -> mpf:

@@ -29,10 +29,10 @@ from .mop import (
     MultiIndexPair,
     WeightSystem,
     _cached_map,
+    batch_jobs,
     moment_tables,
     q_moment,
     shifted_solutions,
-    solve_batch,
 )
 
 
@@ -278,14 +278,17 @@ def _recurrence_residual(lhs_sol, main_sol, shift, terms, zs) -> mpf:
     return worst
 
 
-def verify_recurrences(ws: WeightSystem, idx: MultiIndexPair, zs: Sequence) -> dict:
+def verify_recurrences(
+    ws: WeightSystem, idx: MultiIndexPair, zs: Sequence, also=()
+) -> dict:
     """{(k, l): (forward, backward)} residuals of every recurrence at idx
     and the points zs: the forward p+q+1 term recurrence in the type (II,k)
     normalization, the backward one in the type (I,l) normalization.
 
-    The expansions at idx and idx + e_k + e_l come from one batch, and the
-    rows they hold (main and left-side vectors) are reused; every other
-    vector comes from one solve_batch, one LU per base pair.  The
+    The expansions at idx and idx + e_k + e_l, and those of the ``also``
+    pairs (ws, idx), come from one batch, and so does every vector the
+    expansions' rows do not hold, one LU per base pair (see
+    mop.batch_jobs); the expansions are cached for the caller.  The
     recurrences shift n - e_k and m - e_l, so every component of idx must
     be at least 1; otherwise InvalidIndex is raised.
     """
@@ -297,24 +300,24 @@ def verify_recurrences(ws: WeightSystem, idx: MultiIndexPair, zs: Sequence) -> d
         (k, l): (_forward_requests(ws, idx, k, l), _backward_requests(ws, idx, k, l))
         for k, l in pairs
     }
-    exp, *exp_shifted = assemble_rh_expansions(
-        [(ws, idx)] + [(ws, idx.shift_n(k).shift_m(l)) for k, l in pairs]
-    )
-    shifted = dict(zip(pairs, exp_shifted))
-    held = {
-        (sol.idx, sol.norm): sol
-        for e in (exp, *shifted.values())
-        for sol in e.rows
-        if sol is not None
-    }
-    wanted = [
+    bases = [idx] + [idx.shift_n(k).shift_m(l) for k, l in pairs]
+    requests = [
         req
         for spec in specs.values()
         for lhs, main, off in spec
         for req in (lhs, main, *(r for _, r in off))
-        if req not in held
     ]
-    sols = {**held, **solve_batch(ws, wanted)}
+    # an expansion holds every vector around its own base pair
+    jobs = [job for base, job in batch_jobs(ws, requests).items() if base not in bases]
+    done = assemble_rh_expansions([(ws, base) for base in bases] + list(also), first=jobs)
+    exp, *exp_shifted = done[len(jobs) : len(jobs) + len(bases)]
+    shifted = dict(zip(pairs, exp_shifted))
+    sols = {
+        (sol.idx, sol.norm): sol
+        for group in [e.rows for e in (exp, *exp_shifted)] + done[: len(jobs)]
+        for sol in group
+        if sol is not None
+    }
     out = {}
     for k, l in pairs:
         (f_lhs, f_main, f_off), (b_lhs, b_main, b_off) = specs[k, l]

@@ -22,11 +22,14 @@ from .rh import assemble_rh_expansions
 
 DEFAULT_N_LIST = (8, 12, 16, 24, 32, 48, 64)
 # The Hastings-McLeod solve on the size**3 cost scale of the expansion jobs
-# it runs beside (rh.assemble_rh_expansions): warm and in one process, the
-# solve took 0.67, 0.84 and 0.94 times one n = 64 expansion of the critical
-# config at t = 0.333, at 256, 512 and 1024 bits (the middle of three runs,
-# each the median of three calls; single runs read 0.67 to 1.11, on a 2-vCPU
-# x86-64 host, Python 3.11, mpmath 1.3 pure-Python backend).
+# it runs beside (rh.assemble_rh_expansions).  A cost only sets a job's
+# place in the queue of mop._map_cores, so this one puts the solve at the
+# head, with the n = 64 expansion next, whatever the solve takes.  Warm and
+# in one process, the solve took 0.95, 0.89 and 0.93 times one n = 64
+# expansion of the critical config at t = 0.333, at 256, 512 and 1024 bits
+# (the middle of three runs, each the median of three calls; single runs
+# read 0.83 to 1.05, on a 2-vCPU x86-64 host, Python 3.11, mpmath 1.3
+# pure-Python backend).
 HML_SOLVE_COST = 64**3
 
 
@@ -185,9 +188,9 @@ def double_scaling_study(
     only; any other t raises WrongRegime.
 
     The Hastings-McLeod solve is the first job of the expansion batch, at
-    cost HML_SOLVE_COST, so it runs on one CPU while the expansions run on
-    the others; the job returns q(s) alone, and its error comes before any
-    expansion's, as if it ran first.
+    cost HML_SOLVE_COST, so the first free worker takes it while the others
+    take the expansions; the job returns q(s) alone, and its error comes
+    before any expansion's, as if it ran first.
     """
     unit = BrownianConfig(cfg.a1, cfg.a2, cfg.b1, cfg.b2, cfg.p1, cfg.p2, T=1)
     rep = classify_separation(unit)

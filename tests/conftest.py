@@ -14,11 +14,11 @@ from mpmath import mp, mpf, mpc
 import mpmath.libmp
 from mpmath.libmp import fzero, mpf_abs, mpf_cmp, mpf_div, mpf_mul, mpf_sum, round_nearest
 
-from hbl import numerics as nu
+from hbl import mop, numerics as nu
 from hbl.errors import NormalizationImpossible, SingularMatrix
 from hbl.kernel import YEvaluator, _gauss_cauchy, _second_kind
 from hbl.model import BrownianConfig
-from hbl.mop import gaussian_moments, solve_batch
+from hbl.mop import gaussian_moments
 from hbl.rh import assemble_rh_expansion
 
 
@@ -153,6 +153,15 @@ def moment_system(ws, idx, norm):
         rows.append(moment_row(pos, idx.m[pos]))
     rhs = [mpf(0)] * (len(rows) - 1) + [mpf(1)]
     return rows, rhs
+
+
+def solve_batch(ws, requests) -> dict:
+    """{(idx, norm): MopSolution} for MOP vectors at |n| = |m| + 1: the
+    jobs of mop.batch_jobs, one LU per base pair, run concurrently by
+    mop._map_cores, as a batch of hbl runs them."""
+    solved = mop._map_cores(lambda job: job[0](), mop.batch_jobs(ws, requests).values(),
+                            cost=lambda job: job[1])
+    return {(sol.idx, sol.norm): sol for sols in solved for sol in sols}
 
 
 def transition_number(ws, idx, frm, to):
@@ -334,16 +343,17 @@ for _name in ("__eq__", "__getitem__", "__iter__", "__len__", "__repr__", "count
 
 
 def count_solves(monkeypatch) -> list:
-    """Record (size, working bits) of every numerics.solve_linear call,
-    in this process and in the workers it forks (see SolveLog)."""
+    """Record (size, working bits) of every LU, a numerics.solve_pairs call
+    whether or not numerics.solve_linear made it, in this process and in
+    the workers it forks (see SolveLog)."""
     calls = SolveLog()
-    solve = nu.solve_linear
+    solve = nu.solve_pairs
 
-    def counting(a, b):
-        calls.record(a.rows, mp.prec)
-        return solve(a, b)
+    def counting(rows, cols):
+        calls.record(len(rows), mp.prec)
+        return solve(rows, cols)
 
-    monkeypatch.setattr(nu, "solve_linear", counting)
+    monkeypatch.setattr(nu, "solve_pairs", counting)
     return calls
 
 

@@ -346,16 +346,22 @@ def test_identities_factors_each_base_pair_once(
 ):
     # 21 base pairs of the weight system (the expansion at n, the four at
     # n + e_k, m + e_l, and 16 for the recurrence vectors they do not hold)
-    # plus the swapped system's expansion
-    from hbl import rh
+    # plus the swapped system's expansion, all in one batch
+    from hbl import mop, rh
 
     rh._EXPANSIONS.clear()
     calls = count_solves(monkeypatch)
+    batches = []
+    map_cores = mop._map_cores
+    monkeypatch.setattr(
+        mop, "_map_cores", lambda fn, jobs, cost: batches.append(jobs) or map_cores(fn, jobs, cost)
+    )
     argv = ["--out", str(tmp_path / "art"), "identities"]
     argv += ["--config", str(large_sep_config_file)]
     argv += ["--n", "3,3", "--m", "3,3", "--t", "0.4"]
     assert main(argv) == 0
     assert len(calls) == 22
+    assert len(batches) == 1
 
 
 def test_scaling_dispatches_by_regime(critical_config_file, tmp_path):

@@ -2,6 +2,9 @@
 
 import os
 import random
+import select
+import signal
+import time
 from fractions import Fraction
 
 import pytest
@@ -12,11 +15,13 @@ from hbl.errors import InvalidIndex, NormalizationImpossible, SingularMatrix, Wo
 from hbl.mop import MultiIndexPair, WeightSystem
 
 from conftest import (
+    SolveLog,
     count_solves,
     gaussian_moment,
     moment_system,
     mpf_to_fraction,
     orthogonality_residual,
+    solve_batch,
     transition_number,
 )
 
@@ -91,7 +96,7 @@ def test_moment_vs_quadrature_random_configs():
 
 def test_trivial_index_pair(ws):
     idx = MultiIndexPair((1, 0), (0, 0))
-    sol = mop.solve_batch(ws, [(idx, ("II", 0))])[idx, ("II", 0)]
+    sol = solve_batch(ws, [(idx, ("II", 0))])[idx, ("II", 0)]
     assert sol.coeffs == ((mpf(1),), ())
     assert orthogonality_residual(sol, mop.moment_tables(ws, sol.idx)) == 0
 
@@ -116,7 +121,7 @@ def test_solve_against_exact_rational_oracle(ws):
     # n=(2,1), m=(1,1), type (II,1): re-solve the same 3-unknown moment
     # system in exact rational arithmetic and compare coefficient vectors.
     idx = MultiIndexPair((2, 1), (1, 1))
-    sol = mop.solve_batch(ws, [(idx, ("II", 0))])[idx, ("II", 0)]
+    sol = solve_batch(ws, [(idx, ("II", 0))])[idx, ("II", 0)]
     tabs = {
         (k, l): [mpf_to_fraction(gaussian_moment(ws, k, l, j)) for j in range(4)]
         for k in range(2)
@@ -142,8 +147,8 @@ def test_reflection_symmetry_of_symmetric_system(ws_symmetric):
     # mirror images up to parity signs.
     idx = MultiIndexPair((2, 1), (1, 1))
     idx_sw = MultiIndexPair((1, 2), (1, 1))
-    sol1 = mop.solve_batch(ws_symmetric, [(idx, ("II", 0))])[idx, ("II", 0)]
-    sol2 = mop.solve_batch(ws_symmetric, [(idx_sw, ("II", 1))])[idx_sw, ("II", 1)]
+    sol1 = solve_batch(ws_symmetric, [(idx, ("II", 0))])[idx, ("II", 0)]
+    sol2 = solve_batch(ws_symmetric, [(idx_sw, ("II", 1))])[idx_sw, ("II", 1)]
     for x in (mpf("0.3"), mpf("-0.8"), mpf("1.1")):
         lhs1 = sol1.eval_A(0, x)
         rhs1 = sol2.eval_A(1, -x)
@@ -161,7 +166,7 @@ def test_reflection_symmetry_of_symmetric_system(ws_symmetric):
 
 def test_solve_orthogonality_residual(ws):
     idx = MultiIndexPair((3, 2), (2, 2))
-    sol = mop.solve_batch(ws, [(idx, ("II", 0))])[idx, ("II", 0)]
+    sol = solve_batch(ws, [(idx, ("II", 0))])[idx, ("II", 0)]
     resid = orthogonality_residual(sol, mop.moment_tables(ws, idx))
     assert resid <= mpf(2) ** (-(mp.prec // 4))
     assert sol.coeffs[0][-1] == 1  # monic normalization is exact
@@ -169,14 +174,14 @@ def test_solve_orthogonality_residual(ws):
 
 def test_type1_normalization_exact(ws):
     idx = MultiIndexPair((2, 2), (2, 1))
-    sol = mop.solve_batch(ws, [(idx, ("I", 1))])[idx, ("I", 1)]
+    sol = solve_batch(ws, [(idx, ("I", 1))])[idx, ("I", 1)]
     moment = mop.q_moment(sol, mop.moment_tables(ws, idx), 1, idx.m[1])
     assert abs(moment - 1) < mpf("1e-60")
 
 
 def test_normalization_impossible_for_empty_polynomial(ws):
     with pytest.raises(NormalizationImpossible):
-        mop.solve_batch(ws, [(MultiIndexPair((1, 0), (0, 0)), ("II", 1))])
+        solve_batch(ws, [(MultiIndexPair((1, 0), (0, 0)), ("II", 1))])
 
 
 def test_negative_shift_rejected():
@@ -193,7 +198,7 @@ def test_index_length_must_match_weights(ws):
         with pytest.raises(InvalidIndex):
             mop.bimoment_inverse(ws, idx)
     with pytest.raises(InvalidIndex):
-        mop.solve_batch(ws, [(wide.shift_n(0), ("II", 0))])
+        solve_batch(ws, [(wide.shift_n(0), ("II", 0))])
 
 
 def test_precision_escalation_recovers_conditioning(ws):
@@ -204,7 +209,7 @@ def test_precision_escalation_recovers_conditioning(ws):
     idx = MultiIndexPair((24, 24), (24, 23))
     nu.set_precision(128)
     try:
-        sol = mop.solve_batch(ws, [(idx, ("II", 0))])[idx, ("II", 0)]
+        sol = solve_batch(ws, [(idx, ("II", 0))])[idx, ("II", 0)]
         resid = orthogonality_residual(sol, mop.moment_tables(ws, idx))
     finally:
         nu.set_precision(nu.DEFAULT_PRECISION_BITS)
@@ -271,22 +276,22 @@ def test_solve_batch_one_lu_per_base_pair(ws, monkeypatch):
     from hbl import numerics as nu
 
     calls = count_solves(monkeypatch)
-    counted = nu.solve_linear
+    counted = nu.solve_pairs
 
-    def singular_at_128(a, b):
-        xs = counted(a, b)
-        if a.rows == 4 and mp.prec == 128:
+    def singular_at_128(rows, cols):
+        xs = counted(rows, cols)
+        if len(rows) == 4 and mp.prec == 128:
             raise SingularMatrix("forced at 128 bits")
         return xs
 
-    monkeypatch.setattr(nu, "solve_linear", singular_at_128)
+    monkeypatch.setattr(nu, "solve_pairs", singular_at_128)
     big, small = MultiIndexPair((24, 24), (24, 24)), MultiIndexPair((2, 2), (2, 2))
     requests = [(big.shift_n(k), ("II", k)) for k in range(2)]
     requests += [(big.shift_m(l, -1), ("I", l)) for l in range(2)]
     requests += [(small.shift_n(0), ("II", 0)), (small.shift_m(1, -1), ("I", 1))]
     nu.set_precision(128)
     try:
-        sols = mop.solve_batch(ws, requests + requests[:1])
+        sols = solve_batch(ws, requests + requests[:1])
         resids = [
             orthogonality_residual(sol, mop.moment_tables(ws, sol.idx))
             for sol in sols.values()
@@ -316,28 +321,39 @@ def test_solve_batch_matches_in_process_groups(ws, monkeypatch):
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
     bases = [MultiIndexPair((6, 6), (6, 6)), MultiIndexPair((6, 5), (5, 6)),
              MultiIndexPair((5, 6), (6, 5)), MultiIndexPair((5, 5), (5, 5))]
-    sols = mop.solve_batch(ws, [r for base in bases for r in _rows_requests(base)])
+    sols = solve_batch(ws, [r for base in bases for r in _rows_requests(base)])
     for base in bases:
         tags = [norm for _, norm in _rows_requests(base)]
         want = mop._solve_rows(ws, base, tags)[0]
         assert _bits(sols[s.idx, s.norm] for s in want) == _bits(want)
 
 
-def test_map_cores_splits_largest_first(monkeypatch):
-    # costs 5, 4, 3, 3 over two CPUs: shares {0, 3} (the parent's) and {1, 2}
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
-    pids = mop._map_cores(lambda job: (job, os.getpid()), [5, 4, 3, 3], cost=lambda job: job)
-    assert [job for job, _ in pids] == [5, 4, 3, 3]
-    assert pids[0][1] == pids[3][1] == os.getpid() != pids[1][1] == pids[2][1]
+def _no_child_left():
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
 
 
+def test_map_cores_runs_each_job_once_in_job_order(monkeypatch):
+    # ten jobs over two CPUs, each run logged by the worker that pulled it:
+    # every job runs exactly once, and the results come back in job order
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    log = SolveLog()
+
+    def fn(job):
+        log.record(job, os.getpid())
+        time.sleep(0.01)
+        return job * job
+
+    jobs = [3, 1, 4, 1, 5, 9, 2, 6, 5, 3]
+    assert mop._map_cores(fn, jobs, cost=lambda job: job) == [job * job for job in jobs]
+    assert sorted(job for job, _ in log) == sorted(jobs)
+    _no_child_left()
+
+
 def test_map_cores_reaps_children_and_reraises(ws, monkeypatch):
     # at 128 bits with no room to escalate, G(20, 20) and G(24, 24) are
-    # singular; G(24, 24) is the parent's share, so the error of the earlier
-    # job G(20, 20) comes from a worker, with the type and message of the
-    # in-process solve
+    # singular; whichever worker pulls G(20, 20), the earlier job, its
+    # error is raised with the type and message of the in-process solve
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
     monkeypatch.setattr(mop, "MAX_ESCALATED_PRECISION", 128)
     small, big = MultiIndexPair((20, 20), (20, 20)), MultiIndexPair((24, 24), (24, 24))
@@ -345,10 +361,68 @@ def test_map_cores_reaps_children_and_reraises(ws, monkeypatch):
         with pytest.raises(NormalizationImpossible) as want:
             mop._solve_rows(ws, small, [("II", 0)])
         with pytest.raises(NormalizationImpossible) as got:
-            mop.solve_batch(ws, [(small.shift_n(0), ("II", 0)), (big.shift_n(0), ("II", 0))])
+            solve_batch(ws, [(small.shift_n(0), ("II", 0)), (big.shift_n(0), ("II", 0))])
     assert str(got.value) == str(want.value)
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
+    _no_child_left()
+
+
+@pytest.mark.parametrize("failing", [{0, 1, 2, 3}, {2, 3}], ids=["all", "late"])
+def test_map_cores_raises_the_earliest_failed_job(failing, monkeypatch):
+    # job 0 is cheap, so it is pulled last, after the expensive jobs have
+    # failed on both workers; the error raised is still the in-order loop's
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+
+    def fn(job):
+        time.sleep(0.02)
+        if job in failing:
+            raise ValueError(f"job {job}")
+        return job
+
+    with pytest.raises(ValueError) as got:
+        mop._map_cores(fn, range(4), cost=lambda job: 10 * (job > 0))
+    assert str(got.value) == f"job {min(failing)}"
+    _no_child_left()
+
+
+@pytest.mark.parametrize("cpus", [2, 8])
+def test_map_cores_queue_outgrows_its_pipe(cpus, monkeypatch):
+    # 20 000 indices take 80 000 bytes, more than a 64 KiB pipe holds: this
+    # process goes on writing the queue as the workers drain it.  On two
+    # CPUs, and with more workers than cores, every job runs once within a
+    # minute, and nothing stays open
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+    log = SolveLog()
+    fds = set(os.listdir("/proc/self/fd"))
+
+    def fn(job):
+        log.record(job, 0)
+        return -job
+
+    def stalled(signum, frame):
+        raise TimeoutError("the queue stalled")
+
+    jobs = range(20000)
+    previous = signal.signal(signal.SIGALRM, stalled)
+    signal.alarm(60)
+    try:
+        got = mop._map_cores(fn, jobs, cost=lambda job: job % 7)
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+    assert got == [-job for job in jobs]
+    assert sorted(job for job, _ in log) == list(jobs)
+    _no_child_left()
+    assert set(os.listdir("/proc/self/fd")) == fds
+
+
+def test_map_cores_one_job_forks_nothing(monkeypatch):
+    def fork():
+        raise AssertionError("forked for one job")
+
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    monkeypatch.setattr(os, "fork", fork)
+    monkeypatch.setattr(os, "pipe", fork)
+    assert mop._map_cores(lambda job: job + 1, [1], cost=lambda job: 1) == [2]
 
 
 class TwoArgumentError(Exception):
@@ -369,20 +443,33 @@ def _raise_two_argument_error(job):
     [
         # the worker's result cannot be pickled
         (lambda job: (lambda: job) if job == 2 else job,
-         "the worker for jobs [1] exited with status 1"),
+         "jobs [1] sent no result: a worker exited with status 1"),
         # the worker's exception cannot be unpickled
         (_raise_two_argument_error, "job 1 raised TwoArgumentError: job 2: no such value"),
     ],
     ids=["unpicklable-result", "unloadable-exception"],
 )
 def test_map_cores_names_a_worker_that_cannot_send(fn, message, monkeypatch):
-    # jobs 1 and 2 of equal cost over two CPUs: the worker runs job 2
+    # jobs 1 and 2 over two CPUs: job 1 waits until the other worker has
+    # taken job 2, whose outcome that worker cannot send
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
-    with pytest.raises(WorkerFailed) as got:
-        mop._map_cores(fn, [1, 2], cost=lambda job: 1)
+    ready, taken = os.pipe()
+
+    def run(job):
+        if job == 1:
+            select.select([ready], [], [], 60)
+        else:
+            os.write(taken, b"x")
+        return fn(job)
+
+    try:
+        with pytest.raises(WorkerFailed) as got:
+            mop._map_cores(run, [1, 2], cost=lambda job: 1)
+    finally:
+        os.close(ready)
+        os.close(taken)
     assert str(got.value) == message
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
+    _no_child_left()
 
 
 def test_one_cpu_forks_nothing(ws, monkeypatch):
@@ -392,7 +479,7 @@ def test_one_cpu_forks_nothing(ws, monkeypatch):
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
     monkeypatch.setattr(os, "fork", fork)
     bases = [MultiIndexPair((3, 3), (3, 3)), MultiIndexPair((3, 2), (2, 3))]
-    sols = mop.solve_batch(ws, [r for base in bases for r in _rows_requests(base)])
+    sols = solve_batch(ws, [r for base in bases for r in _rows_requests(base)])
     assert len(sols) == 8
 
 
@@ -408,14 +495,14 @@ def evaluate_Q(sol, ws, x):
 
 def test_evaluate_q_trivial(ws):
     idx = MultiIndexPair((1, 0), (0, 0))
-    sol = mop.solve_batch(ws, [(idx, ("II", 0))])[idx, ("II", 0)]
+    sol = solve_batch(ws, [(idx, ("II", 0))])[idx, ("II", 0)]
     for x in (mpf(0), mpf("0.7"), mpf("-1.3")):
         assert abs(evaluate_Q(sol, ws, x) - ws.w1(0, x)) < mpf("1e-70")
 
 
 def test_evaluate_q_at_zero_is_coefficient_sum(ws):
     idx = MultiIndexPair((2, 2), (2, 1))
-    sol = mop.solve_batch(ws, [(idx, ("II", 0))])[idx, ("II", 0)]
+    sol = solve_batch(ws, [(idx, ("II", 0))])[idx, ("II", 0)]
     expect = sol.coeffs[0][0] + sol.coeffs[1][0]  # w_{1,k}(0) = 1
     assert abs(evaluate_Q(sol, ws, 0) - expect) < mpf("1e-60") * max(1, abs(expect))
 
@@ -424,7 +511,7 @@ def test_q_gaussian_tail_decay(ws):
     # |Q(x)| <= C exp(-gamma' x^2 / 2) for large |x|: fit C on moderate x
     # and check the bound further out
     idx = MultiIndexPair((2, 2), (2, 1))
-    sol = mop.solve_batch(ws, [(idx, ("II", 0))])[idx, ("II", 0)]
+    sol = solve_batch(ws, [(idx, ("II", 0))])[idx, ("II", 0)]
     gamma_prime = ws.N / (2 * ws.t)  # the w1 width
     xs = [mpf(3), mpf(4)]
     C = max(abs(evaluate_Q(sol, ws, x)) * mp.exp(gamma_prime * x**2 / 2) for x in xs)
@@ -436,7 +523,7 @@ def test_q_moments_vs_quadrature_oracle(ws):
     # the recursion-based moments of Q against w_{2,l} agree with direct
     # adaptive quadrature of evaluate_Q
     idx = MultiIndexPair((2, 2), (2, 1))
-    sol = mop.solve_batch(ws, [(idx, ("II", 0))])[idx, ("II", 0)]
+    sol = solve_batch(ws, [(idx, ("II", 0))])[idx, ("II", 0)]
     tables = mop.moment_tables(ws, idx)
     for l, j in ((0, 2), (1, 1), (1, 3)):
         rec = mop.q_moment(sol, tables, l, j)
@@ -450,7 +537,7 @@ def test_q_moments_vs_quadrature_oracle(ws):
 
 def test_orthogonality_perturbation_sensitivity(ws):
     idx = MultiIndexPair((3, 2), (2, 2))
-    sol = mop.solve_batch(ws, [(idx, ("II", 0))])[idx, ("II", 0)]
+    sol = solve_batch(ws, [(idx, ("II", 0))])[idx, ("II", 0)]
     bad_coeffs = list(list(c) for c in sol.coeffs)
     bad_coeffs[0][0] += mpf("1e-3")
     bad = mop.MopSolution(idx=idx, norm=sol.norm, coeffs=tuple(tuple(c) for c in bad_coeffs))
@@ -477,8 +564,8 @@ def test_transition_matches_rational_oracle(ws):
     # tau as the ratio of the leading coefficients of the two exact solves
     idx = MultiIndexPair((2, 1), (1, 1))
     tau = transition_number(ws, idx, ("II", 0), ("I", 0))
-    sol2 = mop.solve_batch(ws, [(idx, ("II", 0))])[idx, ("II", 0)]
-    sol1 = mop.solve_batch(ws, [(idx, ("I", 0))])[idx, ("I", 0)]
+    sol2 = solve_batch(ws, [(idx, ("II", 0))])[idx, ("II", 0)]
+    sol1 = solve_batch(ws, [(idx, ("I", 0))])[idx, ("I", 0)]
     ratio = sol2.coeffs[0][1] / sol1.coeffs[0][1]
     assert abs(tau - ratio) < mpf("1e-60") * abs(ratio)
 
@@ -487,8 +574,8 @@ def test_proportionality_across_points(ws):
     rng = random.Random(3)
     idx = MultiIndexPair((3, 2), (2, 2))
     tau = transition_number(ws, idx, ("II", 0), ("I", 1))
-    a = mop.solve_batch(ws, [(idx, ("II", 0))])[idx, ("II", 0)]
-    b = mop.solve_batch(ws, [(idx, ("I", 1))])[idx, ("I", 1)]
+    a = solve_batch(ws, [(idx, ("II", 0))])[idx, ("II", 0)]
+    b = solve_batch(ws, [(idx, ("I", 1))])[idx, ("I", 1)]
     for _ in range(5):
         x = mpf(repr(rng.uniform(-2, 2)))
         for k in range(2):
@@ -503,7 +590,7 @@ def test_type2_normalization_scale_free(ws):
     from hbl import numerics as nu
 
     idx = MultiIndexPair((3, 2), (2, 2))
-    sol = mop.solve_batch(ws, [(idx, ("II", 0))])[idx, ("II", 0)]
+    sol = solve_batch(ws, [(idx, ("II", 0))])[idx, ("II", 0)]
     rows, rhs = moment_system(ws, idx, ("II", 0))
     scale = mpf(17) / 5
     for row in rows[:-1]:  # last row is the normalization constraint
@@ -515,6 +602,6 @@ def test_type2_normalization_scale_free(ws):
 
 def test_solutions_bit_identical(ws):
     idx = MultiIndexPair((2, 1), (1, 1))
-    sol = mop.solve_batch(ws, [(idx, ("II", 0))])[idx, ("II", 0)]
-    again = mop.solve_batch(ws, [(idx, ("II", 0))])[idx, ("II", 0)]
+    sol = solve_batch(ws, [(idx, ("II", 0))])[idx, ("II", 0)]
+    again = solve_batch(ws, [(idx, ("II", 0))])[idx, ("II", 0)]
     assert sol.coeffs == again.coeffs

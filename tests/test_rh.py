@@ -22,6 +22,7 @@ from conftest import (
     moment_system,
     mpf_to_fraction,
     orthogonality_residual,
+    solve_batch,
     transition_number,
 )
 
@@ -277,15 +278,22 @@ def test_backward_recurrence(ws, idx22):
 def test_recurrence_batch_matches_independent_route(ws, idx22, monkeypatch):
     batch = rh.verify_recurrences(ws, idx22, ZS)
     assert sorted(batch) == [(0, 0), (0, 1), (1, 0), (1, 1)]
-    # independent route: no expansion row reused, every vector from its own
-    # solve_batch call; the residuals must not move by a bit
+    # independent route: every vector, whether an expansion row or from a
+    # group of the batch, replaced by its own solve_batch call; the
+    # residuals must not move by a bit
     expansions = rh.assemble_rh_expansions
-    monkeypatch.setattr(
-        rh, "assemble_rh_expansions", lambda pairs: [replace(e, rows=()) for e in expansions(pairs)]
-    )
-    monkeypatch.setattr(
-        rh, "solve_batch", lambda ws, reqs: {r: mop.solve_batch(ws, [r])[r] for r in reqs}
-    )
+
+    def alone(sol):
+        key = (sol.idx, sol.norm)
+        return solve_batch(ws, [key])[key]
+
+    def independent(pairs, first=()):
+        groups = [[alone(sol) for sol in job()] for job, _ in first]
+        return groups + [
+            replace(e, rows=tuple(sol and alone(sol) for sol in e.rows)) for e in expansions(pairs)
+        ]
+
+    monkeypatch.setattr(rh, "assemble_rh_expansions", independent)
     assert rh.verify_recurrences(ws, idx22, ZS) == batch
 
 
