@@ -49,28 +49,31 @@ class _Parser(argparse.ArgumentParser):
 
 
 def load_config(path: str) -> BrownianConfig:
-    with open(path, "r", encoding="utf-8") as fh:
-        raw = json.load(fh, parse_float=str, parse_int=str)
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            raw = json.load(fh, parse_float=str, parse_int=str)
+    except (OSError, ValueError) as exc:
+        raise InvalidConfig(f"cannot read config {path!r}: {exc}") from None
+    if not isinstance(raw, dict):
+        raise InvalidConfig("config must be a JSON object")
     if raw.get("schema") != CONFIG_SCHEMA:
         raise InvalidConfig(
             f"config schema must be {CONFIG_SCHEMA!r}, got {raw.get('schema')!r}"
         )
-    for key in ("a", "b"):
-        if key not in raw or len(raw[key]) != 2:
-            raise InvalidConfig(f"config field {key!r} must list two positions")
-    p = raw.get("p", ["0.5", "0.5"])
-    if len(p) != 2:
-        raise InvalidConfig("config field 'p' must list two fractions")
-    kwargs = {}
+    values = []
+    for key, default in (("a", None), ("b", None), ("p", ["0.5", "0.5"])):
+        pair = raw.get(key, default)
+        if not (isinstance(pair, list) and len(pair) == 2):
+            raise InvalidConfig(f"config field {key!r} must list two numbers")
+        values += pair
     if "L" in raw and "T" in raw:
         raise InvalidConfig("config must set either 'T' or 'L', not both")
-    if "L" in raw:
-        kwargs["L"] = raw["L"]
-    else:
-        kwargs["T"] = raw.get("T", "1")
-    return BrownianConfig(
-        raw["a"][0], raw["a"][1], raw["b"][0], raw["b"][1], p[0], p[1], **kwargs
-    )
+    rule = "L" if "L" in raw else "T"
+    rule_value = raw.get(rule, "1")
+    # the parse hooks turn every JSON number into its decimal string
+    if not all(isinstance(v, str) for v in values + [rule_value]):
+        raise InvalidConfig("config fields a, b, p and T or L must hold numbers")
+    return BrownianConfig(*values, **{rule: rule_value})
 
 
 def config_echo(cfg: BrownianConfig) -> dict:
@@ -157,6 +160,17 @@ def _parse_t(ns) -> mpf:
     return t
 
 
+def _indexed(cfg: BrownianConfig, ns) -> tuple:
+    """(weight system, index pair, artifact header) of --n, --m and --t:
+    N = n / T_n at n = |n| by the config's rule, and the header is the
+    metadata with t, n and m."""
+    idx = _parse_index(ns)
+    t = _parse_t(ns)
+    ws = WeightSystem.from_config(cfg, t, idx.size_n)
+    header = {**_metadata(cfg), "t": _fmt(t), "n": list(idx.n), "m": list(idx.m)}
+    return ws, idx, header
+
+
 def cmd_classify(cfg: BrownianConfig, ns, out: Path) -> int:
     rep = classify_separation(cfg)
     payload = {
@@ -192,18 +206,12 @@ def cmd_geometry(cfg: BrownianConfig, ns, out: Path) -> int:
 
 
 def cmd_coefficients(cfg: BrownianConfig, ns, out: Path) -> int:
-    idx = _parse_index(ns)
-    t = _parse_t(ns)
-    ws = WeightSystem.from_config(cfg, t, idx.size_n)
+    ws, idx, payload = _indexed(cfg, ns)
     exp = rh.assemble_rh_expansion(ws, idx)
     H = rh.recurrence_matrix_H(exp)
     size = exp.p + exp.q
-    payload = _metadata(cfg)
     payload.update(
         {
-            "t": _fmt(t),
-            "n": list(idx.n),
-            "m": list(idx.m),
             "N": _fmt(ws.N),
             "Y1": [[_fmt(exp.Y1[i, j]) for j in range(size)] for i in range(size)],
             "Y2": [[_fmt(exp.Y2[i, j]) for j in range(size)] for i in range(size)],
@@ -223,9 +231,7 @@ def cmd_coefficients(cfg: BrownianConfig, ns, out: Path) -> int:
 
 
 def cmd_identities(cfg: BrownianConfig, ns, out: Path) -> int:
-    idx = _parse_index(ns)
-    t = _parse_t(ns)
-    ws = WeightSystem.from_config(cfg, t, idx.size_n)
+    ws, idx, payload = _indexed(cfg, ns)
     ws_sw, idx_sw = rh.swapped_system(ws, idx)
     shifts = [(k, l) for k in range(ws.p) for l in range(ws.q)]
     # every expansion and MOP vector the checks read, in one batch; the
@@ -264,12 +270,8 @@ def cmd_identities(cfg: BrownianConfig, ns, out: Path) -> int:
         for l in range(exp.q):
             worst_diag = max(worst_diag, rh.diagonal_recurrence(exp, k, l).disagreement)
     record("diagonal_coefficient_cross_check", worst_diag)
-    payload = _metadata(cfg)
     payload.update(
         {
-            "t": _fmt(t),
-            "n": list(idx.n),
-            "m": list(idx.m),
             "tolerance": _fmt(tol),
             "checks": checks,
             "all_pass": all(c["pass"] for c in checks),
@@ -281,11 +283,9 @@ def cmd_identities(cfg: BrownianConfig, ns, out: Path) -> int:
 
 
 def cmd_density(cfg: BrownianConfig, ns, out: Path) -> int:
-    idx = _parse_index(ns)
-    t = _parse_t(ns)
-    ws = WeightSystem.from_config(cfg, t, idx.size_n)
-    grid = kernel.default_grid(cfg, t, points=ns.points)
-    prof = kernel.density_profile(ws, idx, cfg, t, grid=grid)
+    ws, idx, payload = _indexed(cfg, ns)
+    grid = kernel.default_grid(cfg, ws.t, points=ns.points)
+    prof = kernel.density_profile(ws, idx, cfg, ws.t, grid=grid)
     rows = [
         (_fmt(x), _fmt(v), _fmt(s1), _fmt(s2), flag)
         for (x, v, s1, s2, flag) in prof.rows()
@@ -296,12 +296,8 @@ def cmd_density(cfg: BrownianConfig, ns, out: Path) -> int:
         rows,
         _metadata(cfg),
     )
-    payload = _metadata(cfg)
     payload.update(
         {
-            "t": _fmt(t),
-            "n": list(idx.n),
-            "m": list(idx.m),
             "sup_distance_interval_1": _fmt(prof.sup_distance_1),
             "sup_distance_interval_2": _fmt(prof.sup_distance_2),
         }
@@ -384,17 +380,11 @@ def cmd_scaling(cfg: BrownianConfig, ns, out: Path) -> int:
 
 
 def cmd_spectral(cfg: BrownianConfig, ns, out: Path) -> int:
-    idx = _parse_index(ns)
-    t = _parse_t(ns)
-    ws = WeightSystem.from_config(cfg, t, idx.size_n)
+    ws, idx, payload = _indexed(cfg, ns)
     exp = rh.assemble_rh_expansion(ws, idx)
     report = rh.spectral_curve(exp)
-    payload = _metadata(cfg)
     payload.update(
         {
-            "t": _fmt(t),
-            "n": list(idx.n),
-            "m": list(idx.m),
             "polynomial": {
                 f"xi^{i} z^{j}": _fmt(c) for (i, j), c in sorted(report.polynomial.items())
             },
@@ -475,7 +465,7 @@ def build_parser() -> _Parser:
     sp.add_argument("--stride", type=int, default=10)
     sp = add("scaling", needs_t=True)
     sp.add_argument("--L", default=None, help="double-scaling constant")
-    sp.add_argument("--n-list", default="8,12,16,24,32,48,64")
+    sp.add_argument("--n-list", default=",".join(map(str, scaling.DEFAULT_N_LIST)))
     add("spectral", needs_index=True, needs_t=True)
     sp = add("phase-diagram")
     sp.add_argument("--samples", type=int, default=200)

@@ -319,7 +319,7 @@ def density_profile(
     n = idx.size_n
     if grid is None:
         grid = default_grid(cfg, t)
-    sup1, sup2 = ellipse_endpoints(cfg, t, 1), ellipse_endpoints(cfg, t, 2)
+    supports = [ellipse_endpoints(cfg, t, j) for j in (1, 2)]
     margin = (1 - INTERIOR_FRACTION) / 2
     # The two forms every point reads, factored at once.  If the first
     # escalated, its check form is factored too before the points are
@@ -327,36 +327,28 @@ def density_profile(
     low, _ = _kernel_forms(ws, idx, [mp.prec, 2 * mp.prec])
     _kernel_forms(ws, idx, [2 * low[0]])
     diag = _map_cores(lambda x: correlation_kernel(ws, idx, x), grid, cost=lambda x: 1)
-    values, flags, semi1, semi2 = [], [], [], []
-    d1 = d2 = mpf(0)
+    values, flags, semi = [], [], ([], [])
+    sup = [mpf(0), mpf(0)]
     for x, k in zip(grid, diag):
         val = k / n
         values.append(val)
         flag = 0
-        s1 = s2 = mpf(0)
-        if sup1[0] <= x <= sup1[1]:
-            flag = 1
-            s1 = semicircle_density(cfg, t, 1, x)
-            lo = sup1[0] + margin * (sup1[1] - sup1[0])
-            hi = sup1[1] - margin * (sup1[1] - sup1[0])
-            if lo <= x <= hi:
-                d1 = max(d1, abs(val - s1))
-        elif sup2[0] <= x <= sup2[1]:
-            flag = 2
-            s2 = semicircle_density(cfg, t, 2, x)
-            lo = sup2[0] + margin * (sup2[1] - sup2[0])
-            hi = sup2[1] - margin * (sup2[1] - sup2[0])
-            if lo <= x <= hi:
-                d2 = max(d2, abs(val - s2))
+        for j, (alpha, beta) in enumerate(supports):
+            s = mpf(0)
+            if not flag and alpha <= x <= beta:  # the first support wins
+                flag = j + 1
+                s = semicircle_density(cfg, t, flag, x)
+                width = beta - alpha
+                if alpha + margin * width <= x <= beta - margin * width:
+                    sup[j] = max(sup[j], abs(val - s))
+            semi[j].append(s)
         flags.append(flag)
-        semi1.append(s1)
-        semi2.append(s2)
     return KernelGrid(
         xs=list(grid),
         values=values,
         interval_flags=flags,
-        semicircle_1=semi1,
-        semicircle_2=semi2,
-        sup_distance_1=d1,
-        sup_distance_2=d2,
+        semicircle_1=semi[0],
+        semicircle_2=semi[1],
+        sup_distance_1=sup[0],
+        sup_distance_2=sup[1],
     )

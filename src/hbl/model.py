@@ -47,19 +47,23 @@ class BrownianConfig:
     L: Optional[mpf] = None
 
     def __post_init__(self):
-        conv = nu.to_ext
-        for name in ("a1", "a2", "b1", "b2", "p1", "p2"):
-            object.__setattr__(self, name, conv(getattr(self, name)))
         if self.T is not None and self.L is not None:
             raise InvalidConfig("give either a fixed T or a scaling constant L")
         if self.T is None and self.L is None:
             object.__setattr__(self, "T", mpf(1))
-        if self.T is not None:
-            object.__setattr__(self, "T", conv(self.T))
-            if self.T <= 0:
-                raise InvalidConfig("temperature T must be positive")
-        if self.L is not None:
-            object.__setattr__(self, "L", conv(self.L))
+        for name in ("a1", "a2", "b1", "b2", "p1", "p2", "T", "L"):
+            value = getattr(self, name)
+            if value is None:
+                continue
+            try:
+                value = nu.to_ext(value)
+            except (TypeError, ValueError):
+                raise InvalidConfig(f"{name} must be a decimal number, got {value!r}") from None
+            if not mp.isfinite(value):
+                raise InvalidConfig(f"{name} must be finite, got {value}")
+            object.__setattr__(self, name, value)
+        if self.T is not None and self.T <= 0:
+            raise InvalidConfig("temperature T must be positive")
         if not self.a1 > self.a2:
             raise InvalidConfig("starting points must satisfy a1 > a2")
         if not self.b1 > self.b2:
@@ -77,7 +81,14 @@ class BrownianConfig:
             return self.T
         if n is None:
             return mpf(1)
-        return 1 + self.L * mpf(n) ** (mpf(-2) / 3)
+        L = self.L
+        T_n = 1 + L * mpf(n) ** (mpf(-2) / 3)
+        # T_n <= 0 exactly when n^2 <= (-L)^3, with the cube taken exactly:
+        # the rounded T_n can be a tiny positive number where the exact one
+        # is zero, or zero where the exact one is tiny and positive
+        if T_n <= 0 or L < 0 and n**2 <= mp.fmul(mp.fmul(L, L, exact=True), -L, exact=True):
+            raise InvalidConfig(f"T_n = 1 + L n^(-2/3) is not positive at L = {L}, n = {n}")
+        return T_n
 
     def scale_N(self, n: int) -> mpf:
         """Inverse-variance scale N = n / T_n."""

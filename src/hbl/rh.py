@@ -442,6 +442,16 @@ def _rel(diff, *participants) -> mpf:
     return abs(diff) / scale
 
 
+def _fourth_relation(exp: RhExpansion) -> mpf:
+    """Residual of t^2 (b1-b2)^2 c34c43 = (1-t)^2 (a1-a2)^2 c12c21, the
+    fourth derived relation (p = q = 2, n = m)."""
+    ws = exp.ws
+    t = ws.t
+    lhs = t**2 * (ws.b[0] - ws.b[1]) ** 2 * exp.product(3, 4)
+    rhs = (1 - t) ** 2 * (ws.a[0] - ws.a[1]) ** 2 * exp.product(1, 2)
+    return _rel(lhs - rhs, lhs, rhs, (t * (1 - t) / ws.N) ** 2)
+
+
 def scalar_product_report(exp: RhExpansion) -> ScalarProductReport:
     ws, p, q = exp.ws, exp.p, exp.q
     idx = exp.idx
@@ -474,10 +484,8 @@ def scalar_product_report(exp: RhExpansion) -> ScalarProductReport:
             skew_bottom.append(_rel(bottom[l, ll] - target, bottom[l, ll], target))
     fourth = det_top = det_bottom = None
     if p == 2 and q == 2:
-        if idx.n[0] == idx.m[0] and idx.n[1] == idx.m[1]:
-            lhs = t**2 * (ws.b[0] - ws.b[1]) ** 2 * exp.product(3, 4)
-            rhs = (1 - t) ** 2 * (ws.a[0] - ws.a[1]) ** 2 * exp.product(1, 2)
-            fourth = _rel(lhs - rhs, lhs, rhs, base**2)
+        if idx.n == idx.m:
+            fourth = _fourth_relation(exp)
         det_t = top[0, 0] * top[1, 1] - top[0, 1] * top[1, 0]
         tgt_t = base**2 * idx.n[0] * idx.n[1] + (1 - t) ** 2 * (
             ws.a[0] - ws.a[1]

@@ -1,9 +1,11 @@
 """Finite-n recurrence coefficients against their large-n laws.
 
 Three study harnesses: the double-scaling regime at critical separation
-(temperature T_n = 1 + L n^{-2/3}, Painleve II predictions), the fixed
-small-separation regime (algebraic limits), and the fixed
-large-separation regime (exponential decay of the cross coefficients).
+(temperature T_n = 1 + L n^{-2/3}, Painleve II predictions), the
+small-separation regime (algebraic limits), and the large-separation
+regime (exponential decay of the cross coefficients).  Each row at n is
+the system of WeightSystem.from_config(cfg, t, n), at N = n / T_n with
+T_n = cfg.temperature(n), as every other command reads it.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from .errors import DegenerateData, WrongRegime
 from .model import BrownianConfig, Regime, classify_separation, scaling_constants
 from .mop import MultiIndexPair, WeightSystem
 from .painleve import solve_hastings_mcleod
-from .rh import assemble_rh_expansions
+from .rh import _fourth_relation, _rel, assemble_rh_expansions
 
 DEFAULT_N_LIST = (8, 12, 16, 24, 32, 48, 64)
 # The Hastings-McLeod solve on the size**3 cost scale of the expansion jobs
@@ -102,59 +104,41 @@ def _diag_ratios(exp) -> tuple:
     )
 
 
-def _relation_residuals(exp, idx, ws) -> tuple:
-    prods = _row_products(exp)
+def _relation_residuals(exp, prods: dict) -> tuple:
+    idx, ws = exp.idx, exp.ws
     base = ws.t * (1 - ws.t) / ws.N
-    da = ws.a[0] - ws.a[1]
-    db = ws.b[0] - ws.b[1]
-
-    def rel(diff, *parts):
-        scale = max((abs(v) for v in parts), default=mpf(0))
-        return abs(diff) / scale if scale > 0 else abs(diff)
-
-    r1 = rel(prods["c23c32"] - prods["c14c41"], prods["c23c32"], prods["c14c41"], base)
-    r2 = rel(
-        prods["c13c31"] - (base * idx.n[0] - prods["c14c41"]),
-        prods["c13c31"], base * idx.n[0], prods["c14c41"],
+    c14c41 = prods["c14c41"]
+    r1 = _rel(prods["c23c32"] - c14c41, prods["c23c32"], c14c41, base)
+    r2 = _rel(
+        prods["c13c31"] - (base * idx.n[0] - c14c41),
+        prods["c13c31"], base * idx.n[0], c14c41,
     )
-    r3 = rel(
-        prods["c24c42"] - (base * idx.n[1] - prods["c14c41"]),
-        prods["c24c42"], base * idx.n[1], prods["c14c41"],
+    r3 = _rel(
+        prods["c24c42"] - (base * idx.n[1] - c14c41),
+        prods["c24c42"], base * idx.n[1], c14c41,
     )
-    lhs = ws.t**2 * db**2 * prods["c34c43"]
-    rhs = (1 - ws.t) ** 2 * da**2 * prods["c12c21"]
-    r4 = rel(lhs - rhs, lhs, rhs, base**2)
-    return (r1, r2, r3, r4)
+    return (r1, r2, r3, _fourth_relation(exp))
 
 
-def _study_rows(cfg, t, n_list, temperature, predictions, first=()) -> tuple:
-    """(the results of the ``first`` jobs, one ScalingRow per n of n_list in
-    ascending order at T_n = temperature(n) and N = n / T_n).  The
-    expansions come from one batch after those jobs (see
-    rh.assemble_rh_expansions); ``predictions`` is a dict, or a function of
-    n and the results of the jobs."""
+def _study_rows(cfg, t, n_list, first=()) -> tuple:
+    """(the results of the ``first`` jobs, one RH expansion per n of n_list
+    in ascending order, at n1 + n2 = n and N = n / T_n with T_n =
+    cfg.temperature(n)).  The expansions come from one batch after those
+    jobs (see rh.assemble_rh_expansions); each study turns them into its
+    ScalingRows with _study_row."""
     systems = []
     for n in sorted(n_list):
-        n1, n2 = split_count(cfg.p1, n)
-        T_n = temperature(n)
-        ws = WeightSystem(a=(cfg.a1, cfg.a2), b=(cfg.b1, cfg.b2), t=t, N=mpf(n) / T_n)
-        systems.append((n, T_n, ws, MultiIndexPair((n1, n2), (n1, n2))))
-    done = assemble_rh_expansions([(ws, idx) for _, _, ws, idx in systems], first)
-    side = done[: len(first)]
-    return side, tuple(
-        _study_row(
-            *system,
-            exp,
-            predictions(system[0], *side) if callable(predictions) else dict(predictions),
-        )
-        for system, exp in zip(systems, done[len(first) :])
-    )
+        split = split_count(cfg.p1, n)
+        systems.append((WeightSystem.from_config(cfg, t, n), MultiIndexPair(split, split)))
+    done = assemble_rh_expansions(systems, first)
+    return done[: len(first)], done[len(first) :]
 
 
-def _study_row(n: int, T_n, ws, idx, exp, predictions: dict) -> ScalingRow:
+def _study_row(cfg, exp, predictions: dict) -> ScalingRow:
     prods = _row_products(exp)
+    n, (n1, n2) = exp.idx.size_n, exp.idx.n
     return ScalingRow(
-        n=n, n1=idx.n[0], n2=idx.n[1], T_n=T_n, N=ws.N,
+        n=n, n1=n1, n2=n2, T_n=cfg.temperature(n), N=exp.ws.N,
         c12c21=prods["c12c21"],
         c14c41=prods["c14c41"],
         c13c31=prods["c13c31"],
@@ -163,7 +147,7 @@ def _study_row(n: int, T_n, ws, idx, exp, predictions: dict) -> ScalingRow:
         c34c43=prods["c34c43"],
         diag_ratios=_diag_ratios(exp),
         predictions=predictions,
-        relation_residuals=_relation_residuals(exp, idx, ws),
+        relation_residuals=_relation_residuals(exp, prods),
     )
 
 
@@ -184,27 +168,27 @@ def double_scaling_study(
 ) -> DoubleScalingStudy:
     """Sample the recurrence coefficients along T_n = 1 + L n^{-2/3} at a
     critical-separation configuration and tabulate the Painleve II
-    predictions next to them.  The predictions hold for 0 < t < t_crit
-    only; any other t raises WrongRegime.
+    predictions next to them.  The rows take the endpoints and fractions
+    of ``cfg`` with that rule in place of its own.  The predictions hold
+    for 0 < t < t_crit only; any other t raises WrongRegime.
 
     The Hastings-McLeod solve is the first job of the expansion batch, at
     cost HML_SOLVE_COST, so the first free worker takes it while the others
     take the expansions; the job returns q(s) alone, and its error comes
     before any expansion's, as if it ran first.
     """
-    unit = BrownianConfig(cfg.a1, cfg.a2, cfg.b1, cfg.b2, cfg.p1, cfg.p2, T=1)
-    rep = classify_separation(unit)
+    cfg = BrownianConfig(cfg.a1, cfg.a2, cfg.b1, cfg.b2, cfg.p1, cfg.p2, L=L)
+    rep = classify_separation(cfg)
     if rep.regime is not Regime.CRITICAL:
         raise WrongRegime(
             "double scaling requires (a1-a2)(b1-b2) = (sqrt p1 + sqrt p2)^2"
         )
     t = nu.to_ext(t)
-    L = nu.to_ext(L)
     if abs(t - rep.t_crit) < mpf("1e-9"):
         raise WrongRegime("the multi-critical time t = t_crit is out of scope")
     if not 0 < t < rep.t_crit:
         raise WrongRegime("need 0 < t < t_crit")
-    consts = scaling_constants(unit, L)
+    consts = scaling_constants(cfg, cfg.L)
     da, db = cfg.a1 - cfg.a2, cfg.b1 - cfg.b2
 
     def predictions(n: int, qs) -> dict:
@@ -219,11 +203,9 @@ def double_scaling_study(
             "c21c14_c24": K2q2 * t * db * mp.sqrt(da * db / cfg.p2) * fac,
         }
 
-    def temperature(n: int):
-        return 1 + L * mpf(n) ** (mpf(-2) / 3)
-
     solve = (lambda: solve_hastings_mcleod().evaluate(consts.s)[0], HML_SOLVE_COST)
-    (qs,), rows = _study_rows(cfg, t, n_list, temperature, predictions, [solve])
+    (qs,), exps = _study_rows(cfg, t, n_list, [solve])
+    rows = tuple(_study_row(cfg, exp, predictions(exp.idx.size_n, qs)) for exp in exps)
     return DoubleScalingStudy(rows=rows, K=consts.K, s=consts.s, q_of_s=qs, t=t)
 
 
@@ -255,9 +237,8 @@ def small_separation_study(
     da, db = cfg.a1 - cfg.a2, cfg.b1 - cfg.b2
     lim12 = -(t**2 / (16 * da**2)) * (4 - da**2 * db**2)
     lim14 = t * (1 - t) / 8 * (2 - da * db)
-    T = cfg.temperature()
     preds = {"c12c21": lim12, "c14c41": lim14}
-    _, rows = _study_rows(cfg, t, n_list, lambda n: T, preds)
+    rows = tuple(_study_row(cfg, exp, preds) for exp in _study_rows(cfg, t, n_list)[1])
     fit12 = convergence_rate_fit([r.c12c21 for r in rows], [r.n for r in rows], lim12)
     fit14 = convergence_rate_fit([r.c14c41 for r in rows], [r.n for r in rows], lim14)
     return SmallSeparationStudy(
@@ -298,9 +279,8 @@ def large_separation_decay(
     if rep.regime is not Regime.LARGE:
         raise WrongRegime("decay study requires the large regime")
     t = nu.to_ext(t)
-    T = cfg.temperature()
     with mp.workprec(max(512, mp.prec)):
-        _, rows = _study_rows(cfg, t, n_list, lambda n: T, {})
+        rows = tuple(_study_row(cfg, exp, {}) for exp in _study_rows(cfg, t, n_list)[1])
 
     def fit(values):
         ns = [r.n for r in rows]

@@ -201,6 +201,64 @@ def test_bad_schema_rejected(tmp_path, capsys):
     assert json.loads(err)["error"] == "invalid-config"
 
 
+_COEFFICIENTS = ["coefficients", "--n", "2,2", "--m", "2,2", "--t", "0.3"]
+
+
+@pytest.mark.parametrize(
+    "config, argv",
+    [
+        (None, ["classify"]),
+        ("{", ["classify"]),
+        ("[]", ["classify"]),
+        ({"a": "31"}, ["classify"]),
+        ({"a": ["1", "x"]}, ["classify"]),
+        ({"T": None}, ["classify"]),
+        ({"T": "inf"}, ["classify"]),
+        ({"T": "nan"}, _COEFFICIENTS),
+        ({"L": "inf"}, ["scaling", "--t", "0.3"]),
+        ({"L": "-10"}, _COEFFICIENTS),
+        ({"L": "0"}, ["scaling", "--t", "0.3", "--L", "-10", "--n-list", "8,16"]),
+        ({"L": "0"}, ["scaling", "--t", "0.3", "--L", "-4", "--n-list", "8,16"]),
+    ],
+    ids=[
+        "missing-file", "malformed-json", "top-level-array", "a-string", "a-not-a-number",
+        "T-null", "T-inf", "T-nan", "L-inf", "L-10-coefficients", "L-10-scaling",
+        "L-4-scaling",
+    ],
+)
+def test_bad_config_exits_invalid_config(tmp_path, capsys, config, argv):
+    # a critical config with the given fields replaced, or the given text
+    path = tmp_path / "config.json"
+    if isinstance(config, dict):
+        raw = {"schema": "hbl-config/1", "a": ["1", "-1"], "b": ["0.5", "-0.5"]}
+        path.write_text(json.dumps({**raw, **config}))
+    elif config is not None:
+        path.write_text(config)
+    out = tmp_path / "art"
+    argv = ["--out", str(out), argv[0], "--config", str(path)] + argv[1:]
+    assert main(argv) == 2
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and json.loads(lines[0])["error"] == "invalid-config"
+    assert not any(out.iterdir())
+
+
+def test_scaling_and_coefficients_agree_on_an_L_config(tmp_path):
+    # T_n = 1 + L n^{-2/3} in the large regime too: the n = 8 row of the
+    # decay study is the n = (4, 4) system of `coefficients`
+    path = tmp_path / "large_L.json"
+    path.write_text(json.dumps(
+        {"schema": "hbl-config/1", "a": ["1", "-1"], "b": ["0.7", "-0.7"], "L": "0.5"}
+    ))
+    common = ["--config", str(path), "--t", "0.5"]
+    assert main(["--out", str(tmp_path / "sc"), "scaling", *common, "--n-list", "8,16"]) == 0
+    argv = ["--out", str(tmp_path / "co"), "coefficients", *common, "--n", "4,4", "--m", "4,4"]
+    assert main(argv) == 0
+    row = json.loads((tmp_path / "sc" / "scaling.json").read_text())["rows"][0]
+    products = (tmp_path / "co" / "recurrence_products.csv").read_text().splitlines()
+    assert row["n"] == 8
+    assert f"1,4,{row['c14c41']}" in products
+
+
 def test_wrong_regime_maps_to_exit_2(large_sep_config_file, tmp_path, capsys):
     # scaling on a large-separation config with an L flag is fine (decay
     # study), but a small-separation study on it is impossible; exercise

@@ -337,6 +337,19 @@ def test_classify_validates_config():
         BrownianConfig("1", "-1", "0.5", "-0.5", T="-2")
 
 
+def test_double_scaling_temperature_must_be_positive():
+    cfg = BrownianConfig("1", "-1", "0.5", "-0.5", L="-4")
+    assert cfg.temperature(16) > 0  # 1 - 4 / 16^(2/3)
+    with pytest.raises(InvalidConfig):
+        cfg.temperature(8)  # exactly 0, though the rounded T_8 is not
+    with pytest.raises(InvalidConfig):
+        cfg.scale_N(7)
+    # here the exact T_9 is positive, but it rounds to 0 at 256 bits
+    cfg = BrownianConfig("1", "-1", "0.5", "-0.5", L=-(mpf(9) ** (mpf(2) / 3)))
+    with pytest.raises(InvalidConfig):
+        cfg.temperature(9)
+
+
 def test_classify_tolerance_band_flips(critical_config):
     T_crit = md.classify_separation(critical_config).T_crit
     for eps, expected in (

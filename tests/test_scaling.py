@@ -9,7 +9,15 @@ from mpmath import mp, mpf
 from hbl import mop, rh
 from hbl import scaling as sc
 from hbl.cli import main
-from hbl.errors import DegenerateData, NoConvergence, NormalizationImpossible, WrongRegime
+from hbl.errors import (
+    DegenerateData,
+    InvalidConfig,
+    NoConvergence,
+    NormalizationImpossible,
+    WrongRegime,
+)
+from hbl.model import BrownianConfig
+from hbl.mop import MultiIndexPair, WeightSystem
 
 from conftest import SolveLog
 
@@ -220,6 +228,43 @@ def test_scaling_batch_queues_the_solve_first(critical_config, monkeypatch):
     assert set(started[:2]) == {0, 64}
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
+
+
+def test_fourth_relation_has_one_formula(critical_config, shared_solve):
+    # the study's fourth residual is the one in the scalar-product report
+    t = mpf(1) / 3
+    for row in sc.double_scaling_study(critical_config, L=0, t=t).rows:
+        split = (row.n1, row.n2)
+        ws = WeightSystem.from_config(critical_config, t, row.n)
+        exp = rh.assemble_rh_expansion(ws, MultiIndexPair(split, split))
+        assert row.relation_residuals[3]._mpf_ == rh.scalar_product_report(exp).fourth_relation._mpf_
+
+
+@pytest.mark.parametrize("regime", ["critical", "small", "large"])
+def test_every_study_reads_T_n_and_N_from_the_config(regime, request, shared_solve):
+    # an "L" config in every regime: the rows sample T_n = 1 + L n^{-2/3}
+    base = request.getfixturevalue(regime + ("_config" if regime == "critical" else "_sep_config"))
+    cfg = BrownianConfig(base.a1, base.a2, base.b1, base.b2, base.p1, base.p2, L="0.5")
+    t = mpf(1) / 3
+    if regime == "critical":
+        study = sc.double_scaling_study(base, L="0.5", t=t, n_list=(8, 12, 16, 24))
+    elif regime == "small":
+        study = sc.small_separation_study(cfg, t, n_list=(8, 12, 16, 24))
+    else:
+        study = sc.large_separation_decay(cfg, t, n_list=(8, 16))
+    with mp.workprec(512 if regime == "large" else mp.prec):  # the decay study's bits
+        for row in study.rows:
+            assert row.T_n._mpf_ == cfg.temperature(row.n)._mpf_
+            assert row.N._mpf_ == WeightSystem.from_config(cfg, t, row.n).N._mpf_
+
+
+def test_double_scaling_accepts_a_negative_L_past_its_bound(critical_config, shared_solve):
+    # T_n = 1 - 4 n^{-2/3} vanishes at n = 8 and is positive beyond
+    study = sc.double_scaling_study(critical_config, L=-4, t=mpf(1) / 3, n_list=(16, 24))
+    assert [row.n for row in study.rows] == [16, 24]
+    assert all(0 < row.T_n < 1 for row in study.rows)
+    with pytest.raises(InvalidConfig):
+        sc.double_scaling_study(critical_config, L=-4, t=mpf(1) / 3, n_list=(8, 16))
 
 
 @pytest.mark.parametrize(
