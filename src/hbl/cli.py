@@ -60,6 +60,11 @@ def load_config(path: str) -> BrownianConfig:
         raise InvalidConfig(
             f"config schema must be {CONFIG_SCHEMA!r}, got {raw.get('schema')!r}"
         )
+    unknown = sorted(set(raw) - {"schema", "a", "b", "p", "T", "L"})
+    if unknown:
+        raise InvalidConfig(
+            f"unknown config fields {unknown}: a config takes schema, a, b, p and T or L"
+        )
     values = []
     for key, default in (("a", None), ("b", None), ("p", ["0.5", "0.5"])):
         pair = raw.get(key, default)

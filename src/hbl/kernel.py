@@ -28,7 +28,7 @@ from mpmath import mp, mpf, mpc, matrix
 
 from . import mop
 from . import numerics as nu
-from .errors import NormalizationImpossible, WrongRegime
+from .errors import NormalizationImpossible, SingularMatrix, WrongRegime
 from .model import (
     BrownianConfig,
     Regime,
@@ -165,15 +165,17 @@ def _descending(coeffs) -> tuple:
     return tuple(nu._pair(v._mpf_) for v in reversed(coeffs))
 
 
-def _kernel_form_uncached(ws: WeightSystem, idx: MultiIndexPair, start: int) -> tuple:
-    """G(n, m)^{-1} from a solve starting at ``start`` bits: the bits it
-    settled at, its blocks B^{kl} and, for the diagonal, each block
-    collapsed to P_kl(x) = sum_{i+j=d} B^{kl}[i][j] x^d.  Blocks and
+def _kernel_form_uncached(ws: WeightSystem, idx: MultiIndexPair, bits: int):
+    """G(n, m)^{-1} factored at ``bits``, or None where G is numerically
+    singular there: the bits, its blocks B^{kl} and, for the diagonal, each
+    block collapsed to P_kl(x) = sum_{i+j=d} B^{kl}[i][j] x^d.  Blocks and
     diagonals are stored as pairs in descending powers (see _descending)."""
-    with mp.workprec(start):
-        blocks, bits = bimoment_inverse(ws, idx)
-    diagonal = {}
     with mp.workprec(bits):
+        try:
+            blocks = bimoment_inverse(ws, idx)
+        except SingularMatrix:
+            return None
+        diagonal = {}
         for (k, l), block in blocks.items():
             coeffs = [mpf(0)] * max(idx.n[k] + idx.m[l] - 1, 0)
             for i, row in enumerate(block):
@@ -184,26 +186,13 @@ def _kernel_form_uncached(ws: WeightSystem, idx: MultiIndexPair, start: int) -> 
     return bits, blocks, diagonal
 
 
-# (ws, idx, starting bits) -> kernel form, least recently used first
+# (ws, idx, bits) -> kernel form or None, least recently used first
 _KERNEL_FORMS: dict = {}
 _KERNEL_FORMS_MAX = 64
 
 
-def _kernel_forms(ws: WeightSystem, idx: MultiIndexPair, starts) -> list:
-    """The kernel forms of G(n, m)^{-1} from solves starting at each of
-    ``starts`` bits (see _kernel_form_uncached), cached; the missing ones
-    are factored concurrently (see mop._map_cores)."""
-    return _cached_map(
-        _KERNEL_FORMS,
-        _KERNEL_FORMS_MAX,
-        lambda key: _kernel_form_uncached(*key),
-        [(ws, idx, start) for start in starts],
-        cost=lambda key: key[2],
-    )
-
-
 def _kernel_sum(ws: WeightSystem, form: tuple, x, y, confluent: bool):
-    """The Eynard-Mehta sum from one kernel form, at the bits it settled at;
+    """The Eynard-Mehta sum from one kernel form, at the bits it was factored at;
     each polynomial value is that of mp.polyval (see numerics._horner)."""
     bits, blocks, diagonal = form
     xp, yp = nu._pair(x._mpf_), nu._pair(y._mpf_)
@@ -226,20 +215,23 @@ def correlation_kernel(ws: WeightSystem, idx: MultiIndexPair, x, y=None):
         K(x, y) = sum_{k,l} w_{1,k}(x) w_{2,l}(y) sum_{i,j} x^i B^{kl}[i][j] y^j
 
     with B^{kl}[i][j] = (G^{-1})[(k, i), (l, j)] for the bimoment matrix
-    G(n, m) (|n| = |m|).  G^{-1} is cached per (ws, idx, starting bits); a
-    point then costs real polynomial evaluations and exponentials.
+    G(n, m) (|n| = |m|).  G^{-1} is cached per (ws, idx, bits); a point
+    then costs real polynomial evaluations and exponentials.
 
     The sum cancels about as many bits as the solve loses, and how many
     depends on the point (at n = m = (20, 20) on the large-separation
     config at t = 1/2, about 40 bits more inside the right group than in
     the left one).  So each value is checked against the same sum from a
-    G^{-1} solved at twice the bits: they must agree to 2^-(prec/4)
-    relative.  On a miss both move up one doubling; a miss with the lower
-    one at mop.MAX_ESCALATED_PRECISION, read at call time as the solves
-    read it (or the working precision, if higher), raises
-    NormalizationImpossible.  The value returned is the lower sum,
-    rounded to working precision.  A point that is not finite raises
-    ValueError before any factorization.
+    G^{-1} factored at twice the bits: at b = prec, 2 prec, ... the two
+    factorizations at b and 2b (concurrently, when neither is cached) must
+    both exist, G not being numerically singular at either, and their sums
+    must agree to 2^-(prec/4) relative.  This is the kernel's one
+    escalation loop: b doubles until they do, and a miss at b =
+    mop.MAX_ESCALATED_PRECISION, read at call time as the MOP solves read
+    it (or the working precision, if higher), raises
+    NormalizationImpossible naming b and the --precision to retry with.
+    The value returned is the sum at b, rounded to working precision.  A
+    point that is not finite raises ValueError before any factorization.
     """
     x = nu.to_ext(x)
     confluent = y is None or y == x
@@ -248,19 +240,30 @@ def correlation_kernel(ws: WeightSystem, idx: MultiIndexPair, x, y=None):
         raise ValueError(f"kernel point ({x}, {y}) is not finite")
     tol = mpf(2) ** (-(mp.prec // 4))
     ceiling = max(mop.MAX_ESCALATED_PRECISION, mp.prec)
-    (low,) = _kernel_forms(ws, idx, [mp.prec])
+    bits = mp.prec
     while True:
-        (high,) = _kernel_forms(ws, idx, [2 * low[0]])
-        value = _kernel_sum(ws, low, x, y, confluent)
-        ref = _kernel_sum(ws, high, x, y, confluent)
-        if abs(value - ref) <= tol * abs(ref):
-            return +value
-        if high[0] > ceiling:
+        low, high = _cached_map(
+            _KERNEL_FORMS,
+            _KERNEL_FORMS_MAX,
+            lambda key: _kernel_form_uncached(*key),
+            [(ws, idx, bits), (ws, idx, 2 * bits)],
+            cost=lambda key: key[2],
+        )
+        if low and high:
+            value = _kernel_sum(ws, low, x, y, confluent)
+            ref = _kernel_sum(ws, high, x, y, confluent)
+            if abs(value - ref) <= tol * abs(ref):
+                return +value
+            miss = f"{value} at {bits} bits against {ref} at {2 * bits} bits"
+        else:
+            miss = f"G(n, m) is numerically singular at {2 * bits if low else bits} bits"
+        if 2 * bits > ceiling:
             raise NormalizationImpossible(
-                f"kernel at ({x}, {y}): {value} at {low[0]} bits "
-                f"against {ref} at {high[0]} bits"
+                f"kernel at ({x}, {y}): {miss}; gave up at {bits} bits, the last "
+                f"step under the escalation ceiling of {ceiling}: retry with "
+                f"--precision {2 * bits}"
             )
-        low = high
+        bits *= 2
 
 
 @dataclass
@@ -321,12 +324,12 @@ def density_profile(
         grid = default_grid(cfg, t)
     supports = [ellipse_endpoints(cfg, t, j) for j in (1, 2)]
     margin = (1 - INTERIOR_FRACTION) / 2
-    # The two forms every point reads, factored at once.  If the first
-    # escalated, its check form is factored too before the points are
-    # forked, so a worker factors only for a point that escalates.
-    low, _ = _kernel_forms(ws, idx, [mp.prec, 2 * mp.prec])
-    _kernel_forms(ws, idx, [2 * low[0]])
-    diag = _map_cores(lambda x: correlation_kernel(ws, idx, x), grid, cost=lambda x: 1)
+    # The first point factors, in this process, the forms it settles at;
+    # the forked points inherit them, so a worker factors only for a point
+    # that escalates further.
+    grid = list(grid)
+    diag = [correlation_kernel(ws, idx, x) for x in grid[:1]]
+    diag += _map_cores(lambda x: correlation_kernel(ws, idx, x), grid[1:], cost=lambda x: 1)
     values, flags, semi = [], [], ([], [])
     sup = [mpf(0), mpf(0)]
     for x, k in zip(grid, diag):
@@ -344,7 +347,7 @@ def density_profile(
             semi[j].append(s)
         flags.append(flag)
     return KernelGrid(
-        xs=list(grid),
+        xs=grid,
         values=values,
         interval_flags=flags,
         semicircle_1=semi[0],

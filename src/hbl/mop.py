@@ -196,16 +196,8 @@ def _check_shape(ws: WeightSystem, idx: MultiIndexPair) -> None:
 
 
 def _solve_rows(ws: WeightSystem, idx: MultiIndexPair, tags: list) -> tuple:
-    """MOP rows and columns of G^{-1} around a pair with |n| = |m|, all
-    from one LU of G(n, m); returns them with the bits they settled at.
-
-    G has rows (l, j), j < m_l, and columns (k, i), i < n_k, with entries
-    M^{kl}_{i+j}; each row is scaled by its largest entry.  Tag ("II", k)
-    gives the type (II,k) solution at (n + e_k, m): its leading coefficient
-    is 1 and G x = -[M^{kl}_{n_k+j}].  Tag ("I", l) gives the type (I,l)
-    solution at (n, m - e_l): G x = e_(l, m_l - 1), the normalization row.
-    Tag ("G^-1", (l, j)) gives column (l, j) of G^{-1}, G x = e_(l, j), as
-    coefficient tuples over k.
+    """MOP rows around a pair with |n| = |m|, all from one LU of G(n, m)
+    (see _factor_and_solve); returns them with the bits they settled at.
 
     Gaussian weights make every index pair normal, so a singular G
     (SingularMatrix from the pivot threshold of numerics.solve_pairs)
@@ -213,7 +205,7 @@ def _solve_rows(ws: WeightSystem, idx: MultiIndexPair, tags: list) -> tuple:
     doubled precision up to MAX_ESCALATED_PRECISION.  A start above it is
     still tried once.  The error at the ceiling names the last bits tried
     and the --precision that would try the next doubling.  No accuracy is
-    checked here; kernel.correlation_kernel checks its columns of G^{-1}.
+    checked here.
     """
     prec = mp.prec
     ceiling = max(MAX_ESCALATED_PRECISION, prec)
@@ -233,7 +225,16 @@ def _solve_rows(ws: WeightSystem, idx: MultiIndexPair, tags: list) -> tuple:
 
 
 def _factor_and_solve(ws: WeightSystem, idx: MultiIndexPair, tags: list) -> list:
-    """One attempt of _solve_rows at working precision: the solutions.
+    """The solutions for ``tags`` from one LU of G(n, m) at working
+    precision.
+
+    G has rows (l, j), j < m_l, and columns (k, i), i < n_k, with entries
+    M^{kl}_{i+j}; each row is scaled by its largest entry.  Tag ("II", k)
+    gives the type (II,k) solution at (n + e_k, m): its leading coefficient
+    is 1 and G x = -[M^{kl}_{n_k+j}].  Tag ("I", l) gives the type (I,l)
+    solution at (n, m - e_l): G x = e_(l, m_l - 1), the normalization row.
+    Tag ("G^-1", (l, j)) gives column (l, j) of G^{-1}, G x = e_(l, j), as
+    coefficient tuples over k.
 
     G and its right-hand sides are built on (mantissa, exponent) pairs of
     the moment tables, each quotient by a row's scale rounded as mpf
@@ -525,26 +526,24 @@ def shifted_solutions(ws: WeightSystem, idx: MultiIndexPair) -> tuple:
     return rows + [by_tag.get(("I", l)) for l in range(ws.q)], bits
 
 
-def bimoment_inverse(ws: WeightSystem, idx: MultiIndexPair) -> tuple:
-    """The blocks of G(n, m)^{-1} at |n| = |m|, by (k, l), and the bits
-    they settled at.
+def bimoment_inverse(ws: WeightSystem, idx: MultiIndexPair) -> dict:
+    """The blocks of G(n, m)^{-1} at |n| = |m|, by (k, l), from one
+    factorization at working precision.
 
-    B[(k, l)][i][j] = (G^{-1})[(k, i), (l, j)] for i < n_k, j < m_l.  The
-    columns are unit right-hand sides of one factorization, redone at
-    doubled precision while G is numerically singular (see _solve_rows).
+    B[(k, l)][i][j] = (G^{-1})[(k, i), (l, j)] for i < n_k, j < m_l: the
+    columns are unit right-hand sides of the LU of _factor_and_solve.
+    SingularMatrix propagates; the caller escalates (see
+    kernel.correlation_kernel).
     """
     _check_shape(ws, idx)
     if idx.size_n != idx.size_m:
         raise InvalidIndex("G(n, m) is square only at |n| = |m|")
     keys = [(l, j) for l in range(ws.q) for j in range(idx.m[l])]
-    tags = [("G^-1", key) for key in keys]
-    sols, bits = _solve_rows(ws, idx, tags)
-    cols = dict(zip(keys, sols))
-    blocks = {
+    cols = dict(zip(keys, _factor_and_solve(ws, idx, [("G^-1", key) for key in keys])))
+    return {
         (k, l): tuple(
             tuple(cols[l, j][k][i] for j in range(idx.m[l])) for i in range(idx.n[k])
         )
         for k in range(ws.p)
         for l in range(ws.q)
     }
-    return blocks, bits

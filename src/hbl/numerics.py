@@ -6,17 +6,18 @@ a different precision for one computation wraps it in ``mp.workprec`` or
 ``mp.extraprec``.  Results carry the precision they were computed at;
 mpmath never downgrades them silently.
 
-The dense LU and the kernel sums (the Horner loops of
-kernel.correlation_kernel) run on the integer mantissas and exponents
-inside each mpf, rounded as mpf rounds: bit-identical results without
-mpf's overhead.  _fms is the one statement of that rounding.
+The dense LU (solve_pairs, which every factorization of hbl enters) and
+the kernel sums (the Horner loops of kernel.correlation_kernel) run on the
+integer mantissas and exponents inside each mpf, rounded as mpf rounds:
+bit-identical results without mpf's overhead.  _fms is the one statement
+of that rounding.
 """
 
 from __future__ import annotations
 
 from mpmath import mp, mpf, mpc, matrix
 from mpmath.libmp import (
-    fzero, from_man_exp, mpf_div, mpf_lt, mpf_mul, mpf_pos, mpf_rdiv_int, mpf_shift,
+    fzero, from_man_exp, mpf_div, mpf_lt, mpf_mul, mpf_rdiv_int, mpf_shift,
     round_nearest,
 )
 
@@ -115,45 +116,6 @@ def _magnitude(v: tuple, prec: int) -> tuple:
     m, e = v
     b = m.bit_length()
     return (e + b, abs(m) << (prec + 2 - b)) if m else ()
-
-
-def solve_linear(a: matrix, b) -> list:
-    """Solve A x = b by LU with partial pivoting at working precision.
-
-    ``b`` is one right-hand side, or a list of right-hand sides that share
-    the one elimination; the result is x, or the list of solutions in the
-    same order.  Each entry of A and b is rounded to working precision
-    once, on entry, and the elimination is solve_pairs on their pairs (its
-    pivoting, SingularMatrix threshold and ValueError on an infinite or NaN
-    entry).  A must be real; a complex right-hand side is solved by parts,
-    as mpc arithmetic against a real A does.
-    """
-    n = a.rows
-    if a.cols != n:
-        raise ValueError("matrix must be square")
-    several = isinstance(b, list) and bool(b) and isinstance(b[0], (list, tuple))
-    cols = [list(v) for v in b] if several else [[b[i] for i in range(len(b))]]
-    if any(len(v) != n for v in cols):
-        raise ValueError("right-hand side length mismatch")
-    parts, cplx = [], []  # raw real columns: a complex column gives two
-    for col in ([mp.convert(v) for v in col] for col in cols):
-        cplx.append(any(hasattr(v, "_mpc_") for v in col))
-        zs = [getattr(v, "_mpc_", None) or (v._mpf_, fzero) for v in col]
-        parts += [[re for re, _ in zs], [im for _, im in zs]][: 1 + cplx[-1]]
-    rows = [[a[i, j] for j in range(n)] for i in range(n)]
-    if any(hasattr(v, "_mpc_") for row in rows for v in row):
-        raise TypeError("solve_linear needs a real matrix")
-    prec = mp.prec
-
-    def pairs(raws):
-        return [_pair(mpf_pos(v, prec, round_nearest)) for v in raws]
-
-    xs = iter(solve_pairs([pairs(v._mpf_ for v in row) for row in rows],
-                          [pairs(p) for p in parts]))
-    # each complex solution takes its real and imaginary parts
-    out = [[mp.make_mpc(v) for v in zip(re, next(xs))] if z else [mp.make_mpf(v) for v in re]
-           for z, re in zip(cplx, xs)]
-    return out if several else out[0]
 
 
 def solve_pairs(rows: list, cols: list) -> list:

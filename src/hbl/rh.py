@@ -658,10 +658,8 @@ def spectral_curve(exp: RhExpansion) -> SpectralCurveReport:
         slope_part = sorted(ordered[:p], key=lambda v: v.real)
         const_part = sorted(ordered[p:], key=lambda v: -v.real)
         samples[r] = slope_part + const_part
-    rows = [[r, mpf(1), 1 / r, 1 / r**2, 1 / r**3] for r in _PROBE_RADII]
-    fits = nu.solve_linear(
-        matrix(rows), [[samples[r][b] for r in _PROBE_RADII] for b in range(p + q)]
-    )
+    fit = matrix([[r, mpf(1), 1 / r, 1 / r**2, 1 / r**3] for r in _PROBE_RADII])
+    fits = [mp.lu_solve(fit, [samples[r][b] for r in _PROBE_RADII]) for b in range(p + q)]
     branches = []
     for b, sol in enumerate(fits):
         pred = sum(

@@ -251,10 +251,25 @@ def jump_matrix(ws, x):
     return out
 
 
+def solve_real(a, b):
+    """numerics.solve_pairs on a real mp.matrix and one right-hand side, or
+    a list of them, of real values: each entry is rounded to working
+    precision on entry, and the solutions come back as lists of mpf."""
+    def pairs(values):
+        return [nu._pair((+mpf(v))._mpf_) for v in values]
+
+    several = isinstance(b, list) and bool(b) and isinstance(b[0], (list, tuple))
+    rows = [pairs(a[i, j] for j in range(a.cols)) for i in range(a.rows)]
+    xs = nu.solve_pairs(rows, [pairs(col) for col in (b if several else [b])])
+    out = [[mp.make_mpf(v) for v in x] for x in xs]
+    return out if several else out[0]
+
+
 def solve_linear_mpf(a, b):
-    """numerics.solve_linear written with mpf operations (test oracle): the
-    same pivoted elimination, each product and difference an mpf operation
-    at working precision.  solve_linear must match it bit for bit."""
+    """The elimination of solve_real written with mpf operations (test
+    oracle): the same pivoted elimination, each product and difference an
+    mpf operation at working precision.  solve_real must match it bit for
+    bit."""
     n = a.rows
     rows = [[a[i, j] for j in range(n)] for i in range(n)]
     several = isinstance(b, list) and bool(b) and isinstance(b[0], (list, tuple))
@@ -343,9 +358,8 @@ for _name in ("__eq__", "__getitem__", "__iter__", "__len__", "__repr__", "count
 
 
 def count_solves(monkeypatch) -> list:
-    """Record (size, working bits) of every LU, a numerics.solve_pairs call
-    whether or not numerics.solve_linear made it, in this process and in
-    the workers it forks (see SolveLog)."""
+    """Record (size, working bits) of every LU, a numerics.solve_pairs call,
+    in this process and in the workers it forks (see SolveLog)."""
     calls = SolveLog()
     solve = nu.solve_pairs
 
@@ -392,19 +406,17 @@ def polyval_kernel_oracle(ws, idx, x, y):
     """The off-diagonal Eynard-Mehta sum of kernel.correlation_kernel with
     mp.polyval on mpf values (test oracle): the blocks of G^{-1} from
     bimoment_inverse at working precision, each row of B^{kl} evaluated at
-    y and those values at x, summed at the bits the solve settled at and
-    rounded to working precision.  Where correlation_kernel's check passes
-    at once, it must return this value bit for bit."""
+    y and those values at x, summed at working precision.  Where
+    correlation_kernel's check passes at once, it must return this value
+    bit for bit."""
     from hbl.mop import bimoment_inverse
 
     x, y = nu.to_ext(x), nu.to_ext(y)
-    blocks, bits = bimoment_inverse(ws, idx)
-    with mp.workprec(bits):
-        acc = mpf(0)
-        for (k, l), block in blocks.items():
-            poly = mp.polyval([mp.polyval(row[::-1], y) for row in block[::-1]], x)
-            acc += ws.w1(k, x) * ws.w2(l, y) * poly
-    return +acc
+    acc = mpf(0)
+    for (k, l), block in bimoment_inverse(ws, idx).items():
+        poly = mp.polyval([mp.polyval(row[::-1], y) for row in block[::-1]], x)
+        acc += ws.w1(k, x) * ws.w2(l, y) * poly
+    return acc
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):

@@ -219,11 +219,12 @@ _COEFFICIENTS = ["coefficients", "--n", "2,2", "--m", "2,2", "--t", "0.3"]
         ({"L": "-10"}, _COEFFICIENTS),
         ({"L": "0"}, ["scaling", "--t", "0.3", "--L", "-10", "--n-list", "8,16"]),
         ({"L": "0"}, ["scaling", "--t", "0.3", "--L", "-4", "--n-list", "8,16"]),
+        ({"l": "0.5", "P": ["0.3", "0.7"]}, _COEFFICIENTS),
     ],
     ids=[
         "missing-file", "malformed-json", "top-level-array", "a-string", "a-not-a-number",
         "T-null", "T-inf", "T-nan", "L-inf", "L-10-coefficients", "L-10-scaling",
-        "L-4-scaling",
+        "L-4-scaling", "misspelled-keys",
     ],
 )
 def test_bad_config_exits_invalid_config(tmp_path, capsys, config, argv):

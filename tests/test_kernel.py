@@ -220,7 +220,8 @@ def test_kernel_factors_once(cfg_large, monkeypatch):
     for x in grid:
         kn.correlation_kernel(ws, idx, x)
         kn.correlation_kernel(ws, idx, x, x / 2)
-    assert calls == [(16, mp.prec), (16, 2 * mp.prec)]
+    # the two are factored concurrently, in either order
+    assert sorted(calls) == [(16, mp.prec), (16, 2 * mp.prec)]
 
 
 @pytest.mark.parametrize(
@@ -257,15 +258,16 @@ def test_warm_kernel_point_hashes_no_mpf(ws4, idx22, monkeypatch):
 
 def test_kernel_escalates_with_its_factorization(cfg_large, monkeypatch):
     # at 128 bits the 48x48 G(24,24) is numerically singular; the kernel's
-    # one factorization is redone at doubled precision and then agrees
-    # with the 512-bit kernel
+    # loop moves on to the 256-bit form and its 512-bit check, each
+    # factored once, and then agrees with the 512-bit kernel
     ws = WeightSystem.from_config(cfg_large, mpf(1) / 2, 48)
     idx = MultiIndexPair((24, 24), (24, 24))
     xs = (mpf("-0.9"), mpf("0.1"), mpf("0.8"))
+    kn._KERNEL_FORMS.clear()
     calls = count_solves(monkeypatch)
     with mp.workprec(128):
         got = [kn.correlation_kernel(ws, idx, x) for x in xs]
-    assert len(calls) > 1 and calls[0] == (48, 128)
+    assert sorted(calls) == [(48, 128), (48, 256), (48, 512)]
     with mp.workprec(512):
         ref = [kn.correlation_kernel(ws, idx, x) for x in xs]
     for g, r in zip(got, ref):
@@ -290,13 +292,26 @@ def test_kernel_escalates_where_the_sum_cancels(cfg_large):
 
 
 def test_kernel_raises_at_the_ceiling(cfg_large, monkeypatch):
-    # with no room to escalate, a point whose check fails raises
-    ws = WeightSystem.from_config(cfg_large, mpf(1) / 2, 40)
-    idx = MultiIndexPair((20, 20), (20, 20))
+    # with no room to escalate, a point whose check fails raises, and so
+    # does one where G is numerically singular; each error names the bits
+    # it gave up at and the --precision of the next doubling
     monkeypatch.setattr(mop, "MAX_ESCALATED_PRECISION", 128)
-    with mp.workprec(128):
-        with pytest.raises(NormalizationImpossible):
-            kn.correlation_kernel(ws, idx, mpf("1.03"))
+    cases = [
+        # the check fails inside the right group (see the test above)
+        (20, "1.03", "at 128 bits against"),
+        (24, "0.1", "G(n, m) is numerically singular at 128 bits"),
+    ]
+    for n_k, x, miss in cases:
+        ws = WeightSystem.from_config(cfg_large, mpf(1) / 2, 2 * n_k)
+        idx = MultiIndexPair((n_k, n_k), (n_k, n_k))
+        with mp.workprec(128):
+            with pytest.raises(NormalizationImpossible) as err:
+                kn.correlation_kernel(ws, idx, mpf(x))
+        assert miss in str(err.value)
+        assert str(err.value).endswith(
+            "; gave up at 128 bits, the last step under the escalation ceiling of 128: "
+            "retry with --precision 256"
+        )
 
 
 @pytest.mark.parametrize(
@@ -405,10 +420,9 @@ def test_density_profile_matches_the_point_loop(cfg_large, monkeypatch):
     "n_k, bits, lus",
     [
         (12, 256, [(24, 256), (24, 512)]),
-        # G(24, 24) is singular at 128 bits: the first form escalates to
-        # the 256-bit solve of the second, and its 512-bit check is
-        # factored before the points
-        (24, 128, [(48, 128), (48, 256), (48, 256), (48, 512)]),
+        # G(24, 24) is singular at 128 bits: the first point moves on to
+        # the 256-bit form and its 512-bit check before the points fork
+        (24, 128, [(48, 128), (48, 256), (48, 512)]),
     ],
 )
 def test_density_factors_each_form_once(cfg_large, monkeypatch, n_k, bits, lus):

@@ -1,5 +1,6 @@
 """Moment systems, MOP solves, normalizations and transition numbers."""
 
+import gc
 import os
 import random
 import select
@@ -392,6 +393,9 @@ def test_map_cores_queue_outgrows_its_pipe(cpus, monkeypatch):
     # minute, and nothing stays open
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
     log = SolveLog()
+    # an earlier test's SolveLog, closed by a collection during the map,
+    # would free a lower fd for the listing's own directory handle
+    gc.collect()
     fds = set(os.listdir("/proc/self/fd"))
 
     def fn(job):
@@ -587,15 +591,13 @@ def test_proportionality_across_points(ws):
 def test_type2_normalization_scale_free(ws):
     # scaling every weight by a positive constant scales all orthogonality
     # rows uniformly and leaves the (II,k) solution untouched
-    from hbl import numerics as nu
-
     idx = MultiIndexPair((3, 2), (2, 2))
     sol = solve_batch(ws, [(idx, ("II", 0))])[idx, ("II", 0)]
     rows, rhs = moment_system(ws, idx, ("II", 0))
     scale = mpf(17) / 5
     for row in rows[:-1]:  # last row is the normalization constraint
         row[:] = [v * scale for v in row]
-    x = nu.solve_linear(matrix(rows), rhs)
+    x = mp.lu_solve(matrix(rows), rhs)
     flat = [c for block in sol.coeffs for c in block]
     assert max(abs(a - b) for a, b in zip(x, flat)) < mpf("1e-65")
 

@@ -4,7 +4,7 @@ from fractions import Fraction
 import random
 
 import pytest
-from conftest import solve_linear_mpf
+from conftest import solve_linear_mpf, solve_real
 from mpmath import mp, mpf, mpc, matrix
 from mpmath.libmp import from_man_exp
 
@@ -13,18 +13,18 @@ from hbl.errors import SingularMatrix
 
 
 # ---------------------------------------------------------------------------
-# solve_linear
+# solve_pairs
 # ---------------------------------------------------------------------------
 
 def test_solve_identity():
     A = mp.eye(3)
-    x = nu.solve_linear(A, [mpf(1), mpf(2), mpf(3)])
+    x = solve_real(A, [mpf(1), mpf(2), mpf(3)])
     assert x == [mpf(1), mpf(2), mpf(3)]
 
 
 def test_solve_1x1():
     A = matrix([[mpf(2)]])
-    assert nu.solve_linear(A, [mpf(4)])[0] == mpf(2)
+    assert solve_real(A, [mpf(4)])[0] == mpf(2)
 
 
 def test_solve_hilbert_6x6_rational_oracle():
@@ -39,7 +39,7 @@ def test_solve_hilbert_6x6_rational_oracle():
         for j in range(n):
             A[i, j] = mpf(H_frac[i][j].numerator) / H_frac[i][j].denominator
         b.append(mpf(b_frac[i].numerator) / b_frac[i].denominator)
-    x = nu.solve_linear(A, b)
+    x = solve_real(A, b)
     # cond(H_6) ~ 1.5e7 eats ~24 bits of the 256 available
     assert max(abs(v - 1) for v in x) < mpf("1e-60")
 
@@ -53,7 +53,7 @@ def test_solve_residual_contract_random_8x8():
                 A[i, j] = mpf(rng.uniform(-1, 1)) + (4 if i == j else 0)
         xs = [mpf(rng.uniform(-2, 2)) for _ in range(8)]
         b = [sum(A[i, j] * xs[j] for j in range(8)) for i in range(8)]
-        got = nu.solve_linear(A, b)
+        got = solve_real(A, b)
         resid = max(
             abs(sum(A[i, j] * got[j] for j in range(8)) - b[i]) for i in range(8)
         )
@@ -68,28 +68,27 @@ def test_solve_residual_contract_random_8x8():
 def test_solve_singular_raises():
     A = matrix([[mpf(1), mpf(2)], [mpf(2), mpf(4)]])
     with pytest.raises(SingularMatrix):
-        nu.solve_linear(A, [mpf(1), mpf(2)])
+        solve_real(A, [mpf(1), mpf(2)])
 
 
 def test_several_right_hand_sides_bit_identical():
     # one elimination for several right-hand sides gives exactly the
-    # single-solve answers, pivoting and complex columns included
+    # single-solve answers, pivoting included
     rng = random.Random(7)
     A = matrix(7, 7)
     for i in range(7):
         for j in range(7):
             A[i, j] = mpf(rng.uniform(-1, 1))
-    cols = [[mpf(rng.uniform(-2, 2)) for _ in range(7)] for _ in range(3)]
-    cols.append([mpc(rng.uniform(-1, 1), rng.uniform(-1, 1)) for _ in range(7)])
-    together = nu.solve_linear(A, cols)
-    assert together == [nu.solve_linear(A, b) for b in cols]
+    cols = [[mpf(rng.uniform(-2, 2)) for _ in range(7)] for _ in range(4)]
+    together = solve_real(A, cols)
+    assert together == [solve_real(A, b) for b in cols]
 
 
 def test_solutions_are_deterministic():
     A = matrix([[mpf(3), mpf(1)], [mpf(1), mpf(2)]])
     b = [mpf(1), mpf(7)]
-    first = nu.solve_linear(A, b)
-    second = nu.solve_linear(A, b)
+    first = solve_real(A, b)
+    second = solve_real(A, b)
     assert all(u == v for u, v in zip(first, second))
 
 
@@ -99,7 +98,7 @@ def _raw(values):
         return values
     if isinstance(values[0], list):
         return [_raw(v) for v in values]
-    return [getattr(v, "_mpc_", None) or v._mpf_ for v in values]
+    return [v._mpf_ for v in values]
 
 
 def _outcome(solve, a, b):
@@ -140,13 +139,11 @@ def test_solve_bit_identical_to_mpf_elimination(prec):
         for i in range(size):
             for j in range(size):
                 A[i, j] = _entry(rng, rng.choice(mix), prec)
-        cols = [[_entry(rng, rng.choice(mix), prec) for _ in range(size)] for _ in range(2)]
-        cols.append([mpc(_entry(rng, mix[0], prec), _entry(rng, mix[1], prec))
-                     for _ in range(size)])
+        cols = [[_entry(rng, rng.choice(mix), prec) for _ in range(size)] for _ in range(3)]
         A_rounded, rounded = A.apply(lambda v: +v), [[+v for v in col] for col in cols]
         want = _outcome(solve_linear_mpf, A_rounded, rounded)
-        assert _outcome(nu.solve_linear, A, cols) == want, (size, mix)
-        assert _outcome(nu.solve_linear, A, cols[-1]) == _outcome(
+        assert _outcome(solve_real, A, cols) == want, (size, mix)
+        assert _outcome(solve_real, A, cols[-1]) == _outcome(
             solve_linear_mpf, A_rounded, rounded[-1])
         singular += isinstance(want, str)
     assert 0 < singular < len(sizes)
@@ -172,12 +169,7 @@ def test_bimoment_solve_bit_identical_to_mpf_elimination(monkeypatch):
     A = matrix([mpfs(row) for row in rows])
     want = _raw(solve_linear_mpf(A, [mpfs(b) for b in cols]))
     assert [list(x) for x in solve(rows, cols)] == want
-    assert _raw(nu.solve_linear(A, [mpfs(b) for b in cols])) == want
-
-
-def test_solve_rejects_complex_matrix():
-    with pytest.raises(TypeError):
-        nu.solve_linear(matrix([[mpc(1, 1)]]), [mpf(1)])
+    assert _raw(solve_real(A, [mpfs(b) for b in cols])) == want
 
 
 @pytest.mark.parametrize("entry", [mp.inf, -mp.inf, mp.nan])
@@ -190,7 +182,7 @@ def test_solve_rejects_non_finite_entries(entry, where):
     else:
         b[1] = entry
     with pytest.raises(ValueError):
-        nu.solve_linear(A, b)
+        solve_real(A, b)
 
 
 # ---------------------------------------------------------------------------

@@ -879,7 +879,7 @@ def test_spectral_fit_error_decreases_with_extra_term(ws, idx22, exp22):
         slope_part = sorted(ordered[:2], key=lambda v: v.real)
         samples.append(slope_part[0])
     rows = [[r, mpf(1), 1 / r] for r in radii]
-    sol3 = nu.solve_linear(matrix(rows), samples)
+    sol3 = mp.lu_solve(matrix(rows), samples)
     err3 = abs(sol3[2].real + mpf(idx22.n[0]) / n)
     report = rh.spectral_curve(exp22)
     err5 = abs(report.branches[0].inverse_z + mpf(idx22.n[0]) / n)
