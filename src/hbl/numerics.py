@@ -8,17 +8,20 @@ mpmath never downgrades them silently.
 
 The dense LU (solve_pairs, which every factorization of hbl enters) and
 the kernel sums (the Horner loops of kernel.correlation_kernel) run on the
-integer mantissas and exponents inside each mpf, rounded as mpf rounds:
-bit-identical results without mpf's overhead.  _fms is the one statement
-of that rounding.
+integer mantissas and exponents inside each mpf, rounded to nearest-even
+as mpf rounds, without mpf's overhead.  The LU rounds each entry once, from
+an exact integer dot product of its whole update (_update); the kernel
+sums round each product and sum as mp.polyval does (_fms), bit for bit.
+_round is the one statement of that rounding.
 """
 
 from __future__ import annotations
 
+from operator import mul
+
 from mpmath import mp, mpf, mpc, matrix
 from mpmath.libmp import (
-    fzero, from_man_exp, mpf_div, mpf_lt, mpf_mul, mpf_rdiv_int, mpf_shift,
-    round_nearest,
+    from_man_exp, mpf_div, mpf_lt, mpf_mul, mpf_rdiv_int, mpf_shift, round_nearest,
 )
 
 from .errors import SingularMatrix
@@ -68,16 +71,23 @@ def _pair(raw: tuple) -> tuple:
     return (-man if sign else man), exp
 
 
+def _round(m: int, e: int, prec: int) -> tuple:
+    """The pair m * 2^e rounded to nearest-even at ``prec`` bits as mpf
+    rounds it (a round-up may leave prec + 1 bits); the one rounding of
+    every pair operation here."""
+    k = m.bit_length() - prec
+    if k > 0:
+        t = m >> (k - 1)
+        m = (t >> 1) + 1 if t & 1 and (t & 2 or m & ((1 << (k - 1)) - 1)) else t >> 1
+        e += k
+    return m, e
+
+
 def _fms(a: tuple, u: tuple, v: tuple, prec: int) -> tuple:
     """a - u*v on (signed mantissa, exponent) pairs, the product and then the
     difference rounded to nearest-even at ``prec`` bits as mpf rounds them.
     Exponents over 2 prec + 8 apart: the larger term is the rounded result."""
-    bm, be = u[0] * v[0], u[1] + v[1]
-    k = bm.bit_length() - prec
-    if k > 0:
-        t = bm >> (k - 1)
-        bm = (t >> 1) + 1 if t & 1 and (t & 2 or bm & ((1 << (k - 1)) - 1)) else t >> 1
-        be += k
+    bm, be = _round(u[0] * v[0], u[1] + v[1], prec)
     am, ae = a
     d = ae - be
     if d >= 0:
@@ -88,12 +98,7 @@ def _fms(a: tuple, u: tuple, v: tuple, prec: int) -> tuple:
         if d < -2 * prec - 8:
             return (-bm, be) if bm else a
         am -= bm << -d
-    k = am.bit_length() - prec
-    if k > 0:
-        t = am >> (k - 1)
-        am = (t >> 1) + 1 if t & 1 and (t & 2 or am & ((1 << (k - 1)) - 1)) else t >> 1
-        ae += k
-    return am, ae
+    return _round(am, ae, prec)
 
 
 def _horner(coeffs, x: tuple, prec: int) -> tuple:
@@ -112,10 +117,50 @@ def _horner(coeffs, x: tuple, prec: int) -> tuple:
 
 def _magnitude(v: tuple, prec: int) -> tuple:
     """A key that orders pairs of at most prec + 2 mantissa bits (a round-up
-    in _fms leaves prec + 1) by absolute value, exactly; zero is least."""
+    in _round leaves prec + 1) by absolute value, exactly; zero is least."""
     m, e = v
     b = m.bit_length()
     return (e + b, abs(m) << (prec + 2 - b)) if m else ()
+
+
+class _Fixed(list):
+    """The exact values of pairs, appended in order, as integers at one
+    shared exponent ``exp``: a pair below it rescales those before."""
+
+    __slots__ = ("exp",)
+
+    def __init__(self, pairs=()):
+        super().__init__()
+        self.exp = None
+        for v in pairs:
+            self.push(v)
+
+    def push(self, v: tuple) -> None:
+        m, e = v
+        if not m:
+            self.append(0)
+        elif self.exp is None:
+            self.exp = e
+            self.append(m)
+        elif e >= self.exp:
+            self.append(m << (e - self.exp))
+        else:
+            d, self.exp = self.exp - e, e
+            self[:] = [w << d for w in self]
+            self.append(m)
+
+
+def _update(a: tuple, us: _Fixed, vs: _Fixed, prec: int) -> tuple:
+    """a - sum(u*v) over two equally long _Fixed, summed exactly in one
+    integer and rounded once, by _round."""
+    am, ae = a
+    s = sum(map(mul, us, vs))
+    if not s:
+        return _round(am, ae, prec)
+    e = us.exp + vs.exp
+    if ae >= e:
+        return _round((am << (ae - e)) - s, e, prec)
+    return _round(am - (s << (e - ae)), ae, prec)
 
 
 def solve_pairs(rows: list, cols: list) -> list:
@@ -125,13 +170,18 @@ def solve_pairs(rows: list, cols: list) -> list:
     precision bits.  Returns each x as a list of raw mpf values, each
     bit-identical to a solve of its own.
 
-    The elimination runs with mpf's roundings in mpf's order (_fms,
-    mpf_rdiv_int, mpf_div): x is bit-identical to the same elimination in
-    mpf operations.  The first pivot of largest magnitude (rounded as
-    ``abs`` rounds) wins.  Raises SingularMatrix when the best available
-    pivot falls below a precision-scaled threshold relative to the largest
-    entry of A.  A pair with no mantissa but an exponent, which only an
-    infinite or NaN mpf gives, raises ValueError.
+    Crout order: step k forms column k of the working matrix from row k
+    down, picks the pivot among those entries, and then forms row k of U,
+    the right-hand sides included.  Each entry, and each sum of the back
+    substitution, is its whole update a - sum l*u as one exact integer dot
+    product rounded once to nearest-even (_update).  The first pivot of
+    largest magnitude wins.  The multipliers are the entry times the
+    rounded reciprocal of the pivot (mpf_rdiv_int, mpf_mul), and each x_r
+    is its rounded sum divided by the pivot (mpf_div).  Raises
+    SingularMatrix when the best available pivot falls below a
+    precision-scaled threshold relative to the largest entry of A.  A pair
+    with no mantissa but an exponent, which only an infinite or NaN mpf
+    gives, raises ValueError.
     """
     n = len(rows)
     rows = [row + [b[i] for b in cols] for i, row in enumerate(rows)]
@@ -146,34 +196,44 @@ def solve_pairs(rows: list, cols: list) -> list:
     # Leave 32 bits of slack; anything smaller than this is numerically zero.
     threshold = mp.make_mpf(mpf_shift(from_man_exp(abs(scale[0]), scale[1]), -(prec - 32)))
 
+    width = n + len(cols)
+    lower = [_Fixed() for _ in range(n)]  # row r's multipliers, one per step
+    upper = [_Fixed() for _ in range(width)]  # column c of U, one entry per step
+    urows = []  # the rows of U as pairs, each from its diagonal on
     for col in range(n):
-        piv = max(range(col, n), key=lambda r: _magnitude(rows[r][col], prec))
-        piv_mag = from_man_exp(abs(rows[piv][col][0]), rows[piv][col][1], prec, round_nearest)
+        cands = [_update(rows[r][col], lower[r], upper[col], prec) for r in range(col, n)]
+        best = max(range(n - col), key=lambda i: _magnitude(cands[i], prec))
+        piv_mag = from_man_exp(abs(cands[best][0]), cands[best][1], prec, round_nearest)
         if mpf_lt(piv_mag, threshold._mpf_):
             raise SingularMatrix(
                 f"pivot {mp.make_mpf(piv_mag)} below threshold {threshold} in column {col}"
             )
+        piv = col + best
         rows[col], rows[piv] = rows[piv], rows[col]
-        pivot_row = rows[col]
-        inv_p = mpf_rdiv_int(1, from_man_exp(*pivot_row[col]), prec, round_nearest)
-        for row in rows[col + 1:]:
-            f = mpf_mul(from_man_exp(*row[col]), inv_p, prec, round_nearest)
-            if f == fzero:
-                continue
-            f = _pair(f)
-            # v - f*0 is v: zero pivot-row entries (unit right-hand sides) are skipped
-            row[col + 1:] = [_fms(v, f, p, prec) if p[0] else v
-                             for v, p in zip(row[col + 1:], pivot_row[col + 1:])]
+        lower[col], lower[piv] = lower[piv], lower[col]
+        cands[0], cands[best] = cands[best], cands[0]
+        inv_p = mpf_rdiv_int(1, from_man_exp(*cands[0]), prec, round_nearest)
+        for low, c in zip(lower[col + 1:], cands[1:]):
+            low.push(_pair(mpf_mul(from_man_exp(*c), inv_p, prec, round_nearest)))
+        urow = [cands[0]]
+        upper[col].push(cands[0])
+        for c in range(col + 1, width):
+            v = _update(rows[col][c], lower[col], upper[c], prec)
+            upper[c].push(v)
+            urow.append(v)
+        urows.append(urow)
 
+    # row r of U right of its diagonal, from column n - 1 down, the order
+    # in which back substitution finds x
+    tails = [_Fixed(reversed(urow[1:n - r])) for r, urow in enumerate(urows)]
     xs = []
-    for s in range(n, n + len(cols)):
-        x = [None] * n
+    for s in range(n, width):
+        x, done = [None] * n, _Fixed()
         for r in range(n - 1, -1, -1):
-            row, acc = rows[r], rows[r][s]
-            for c in range(r + 1, n):
-                acc = _fms(acc, row[c], x[c], prec)
-            x[r] = _pair(mpf_div(from_man_exp(*acc), from_man_exp(*row[r]), prec, round_nearest))
-        xs.append([from_man_exp(*v) for v in x])
+            acc = _update(urows[r][s - r], tails[r], done, prec)
+            x[r] = mpf_div(from_man_exp(*acc), from_man_exp(*urows[r][0]), prec, round_nearest)
+            done.push(_pair(x[r]))
+        xs.append(x)
     return xs
 
 

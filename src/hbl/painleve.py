@@ -23,6 +23,7 @@ import math
 from math import factorial, lcm
 from operator import mul
 from mpmath import mp, mpf
+from mpmath.libmp import from_int, from_man_exp, mpf_div, mpf_shift, round_nearest
 
 from . import numerics as nu
 from .errors import DomainTooNarrow, NoConvergence, OutOfDomain
@@ -72,25 +73,36 @@ def _int_rows(rows, npts: int, order: int, half: int, edge: int):
     return den, [(i + o[0], ints[o]) for i, o in zip(rows, offs)]
 
 
-def solve_banded(rows, rhs):
-    """x with A x = rhs, A given by its rows as (first column, values over the
-    row's span, diagonal included); the rows are overwritten.
+def _fill_in(rows) -> list:
+    """The rows (first column, values) of a banded matrix, each padded with
+    zeros to the last column that elimination without pivoting fills in,
+    so that solve_banded never grows a row."""
+    ends = []
+    for i, (a, w) in enumerate(rows):
+        ends.append(max([a + len(w)] + ends[a:i]))
+    return [(a, w + [0.0] * (end - a - len(w))) for (a, w), end in zip(rows, ends)]
 
-    Gaussian elimination without pivoting over each row's span.  The
-    Hastings-McLeod Jacobian allows it: its interior is symmetric negative
-    definite along the Newton path, and the Newton loop recomputes the
-    exact residual of every step, so a poor one shows.  A zero pivot raises.
+
+def solve_banded(rows, shift, rhs):
+    """x with (A - diag(shift)) x = rhs, A given by its rows as (first
+    column, values over the row's span, diagonal included) and padded by
+    _fill_in; neither is changed.
+
+    Gaussian elimination without pivoting over each row's span, each row
+    copied once as it is reached.  The Hastings-McLeod Jacobian allows it:
+    its interior is symmetric negative definite along the Newton path, and
+    the Newton loop recomputes the exact residual of every step, so a poor
+    one shows.  A zero pivot raises.
     """
     pivots, upper, y = [], [], []  # U's diagonal and the rest of its rows; L^-1 rhs
-    for i, (a, row) in enumerate(rows):
+    for i, (a, w) in enumerate(rows):
+        row = w[:]
+        row[i - a] -= shift[i]
         b = rhs[i]
         for k in range(a, i):
-            u = upper[k]
             f = row[k - a] / pivots[k]
             j = k - a
-            if j + len(u) >= len(row):  # fill-in beyond the row's span
-                row += [0.0] * (j + 1 + len(u) - len(row))
-            for v in u:
+            for v in upper[k]:
                 j += 1
                 row[j] -= f * v
             b -= f * y[k]
@@ -104,6 +116,13 @@ def solve_banded(rows, rhs):
         u = upper[i]
         x[i] = (y[i] - sum(map(mul, u, x[i + 1 : i + 1 + len(u)]))) / pivots[i]
     return x
+
+
+def _scaled(raw: tuple, P: int) -> int:
+    """int(v 2^P), truncated toward zero, of a raw finite mpf v."""
+    sign, man, exp, _ = raw
+    man = man << (exp + P) if exp + P >= 0 else man >> -(exp + P)
+    return -man if sign else man
 
 
 def _ai_float(x: float) -> float:
@@ -211,23 +230,24 @@ def solve_hastings_mcleod(
     bc_left = left_asymptote(s_lo)
     bc_right = mp.airyai(s_hi)
 
-    # constant part of the Jacobian, row i as (first column, values): the
-    # stencils over h^2 between identity rows
+    # the Jacobian is band - diag(shift(q)): the band holds the stencils
+    # over h^2 between identity rows, row i as (first column, values)
     den, stencils = _int_rows(range(1, npts - 1), npts, 2, 3, 8)
     scale = 1.0 / (den * float(h) ** 2)
     band = [(0, [1.0])] + [(a, [c * scale for c in w]) for a, w in stencils]
-    band.append((npts - 1, [1.0]))
+    band = _fill_in(band + [(npts - 1, [1.0])])
 
-    def jacobian(qf):
-        rows = [(a, w[:]) for a, w in band]
-        for i, (a, w) in enumerate(rows[1:-1], 1):
-            w[i - a] -= s_float[i] + 6.0 * qf[i] * qf[i]
-        return rows
+    def shift(qf):
+        return [0.0] + [s + 6.0 * v * v for s, v in zip(s_float[1:-1], qf[1:-1])] + [0.0]
 
     # rounding the returned values to working precision moves row i of the
     # residual by up to 2^-prec (|J| |q|)_i: no step gets below that floor.
     # On the default domain the seed gives it within 1e-4 of the solution's.
-    rounding = max(sum(map(abs, map(mul, w, q[a : a + len(w)]))) for a, w in jacobian(q))
+    rounding = 0.0
+    for i, ((a, w), d) in enumerate(zip(band, shift(q))):
+        row = w[:]
+        row[i - a] -= d
+        rounding = max(rounding, sum(map(abs, map(mul, row, q[a : a + len(row)]))))
     floor = max(_NEWTON_TARGET, rounding * 2.0**-mp.prec)
 
     # Newton on scaled integers Q_i = q_i 2^P: products are exact, and only
@@ -236,8 +256,8 @@ def solve_hastings_mcleod(
     one = 1 << P
     man, exp = h.man_exp
     inv_dh2 = (1 << (P - 2 * exp)) // (den * man * man)  # 2^P / (D h^2)
-    S = [int(mp.ldexp(v, P)) for v in grid]
-    BL, BR = int(mp.ldexp(bc_left, P)), int(mp.ldexp(bc_right, P))
+    S = [_scaled(v._mpf_, P) for v in grid]
+    BL, BR = _scaled(bc_left._mpf_, P), _scaled(bc_right._mpf_, P)
 
     def residual(Q):
         out = [Q[0] - BL]
@@ -259,7 +279,7 @@ def solve_hastings_mcleod(
             break
         # the float64 banded solve J d = res, then Q - d with d halved up to
         # 12 times until the residual norm drops; stop if none does
-        delta = solve_banded(jacobian([v / one for v in Q]), [v / one for v in res])
+        delta = solve_banded(band, shift([v / one for v in Q]), [v / one for v in res])
         for _ in range(12):
             trial = [v - to_scaled(d) for v, d in zip(Q, delta)]
             trial_res, trial_norm = residual(trial)
@@ -270,21 +290,24 @@ def solve_hastings_mcleod(
             break
         Q, res, norm = trial, trial_res, trial_norm
 
-    q = [mp.ldexp(mpf(v), -P) for v in Q]
-    Q = [int(mp.ldexp(v, P)) for v in q]
-    res_norm = mp.ldexp(mpf(residual(Q)[1]), -P)
+    # the values rounded to working precision, and back on the 2^P scale
+    prec = mp.prec
+    raws = [from_man_exp(v, -P, prec, round_nearest) for v in Q]
+    Q = [_scaled(v, P) for v in raws]
+    res_norm = mp.make_mpf(from_man_exp(residual(Q)[1], -P, prec, round_nearest))
     if res_norm > tol:
         raise NoConvergence(f"collocation stalled at residual {res_norm}")
 
     den1, first = _int_rows(range(npts), npts, 1, 4, 9)
-    dh = mp.ldexp(den1 * h, P)
-    q_prime = [sum(map(mul, w, Q[a : a + len(w)])) / dh for a, w in first]
+    dh = mpf_shift((den1 * h)._mpf_, P)
+    q_prime = [mp.make_mpf(mpf_div(from_int(sum(map(mul, w, Q[a : a + len(w)]))), dh,
+                                   prec, round_nearest)) for a, w in first]
     return HmlSolution(
         s_lo=s_lo,
         s_hi=s_hi,
         h=h,
         grid=grid,
-        q=q,
+        q=[mp.make_mpf(v) for v in raws],
         q_prime=q_prime,
         tol=tol,
         achieved_residual=res_norm,

@@ -26,13 +26,13 @@ DEFAULT_N_LIST = (8, 12, 16, 24, 32, 48, 64)
 # The Hastings-McLeod solve on the size**3 cost scale of the expansion jobs
 # it runs beside (rh.assemble_rh_expansions).  A cost only sets a job's
 # place in the queue of mop._map_cores, so this one puts the solve at the
-# head, with the n = 64 expansion next, whatever the solve takes.  Warm and
-# in one process, the solve took 0.95, 0.89 and 0.93 times one n = 64
-# expansion of the critical config at t = 0.333, at 256, 512 and 1024 bits
-# (the middle of three runs, each the median of three calls; single runs
-# read 0.83 to 1.05, on a 2-vCPU x86-64 host, Python 3.11, mpmath 1.3
-# pure-Python backend).
-HML_SOLVE_COST = 64**3
+# head, with the n = 64 expansion next.  In one process, alternating with
+# the expansion (moment tables rebuilt each time), the solve took 2.18,
+# 1.86 and 1.46 times one n = 64 expansion of the critical config at
+# t = 0.333, at 256, 512 and 1024 bits (the middle of three runs, each the
+# median of 7 or 9 pairs; single pairs read 0.86 to 2.86, on a 2-vCPU
+# x86-64 host, Python 3.11, mpmath 1.3 pure-Python backend, one CPU).
+HML_SOLVE_COST = 2 * 64**3
 
 
 def split_count(p1, n: int) -> tuple[int, int]:

@@ -12,7 +12,9 @@ from functools import cmp_to_key
 import pytest
 from mpmath import mp, mpf, mpc
 import mpmath.libmp
-from mpmath.libmp import fzero, mpf_abs, mpf_cmp, mpf_div, mpf_mul, mpf_sum, round_nearest
+from mpmath.libmp import (
+    fzero, mpf_abs, mpf_cmp, mpf_div, mpf_mul, mpf_neg, mpf_pos, mpf_sum, round_nearest,
+)
 
 from hbl import mop, numerics as nu
 from hbl.errors import NormalizationImpossible, SingularMatrix
@@ -265,55 +267,61 @@ def solve_real(a, b):
     return out if several else out[0]
 
 
-def solve_linear_mpf(a, b):
-    """The elimination of solve_real written with mpf operations (test
-    oracle): the same pivoted elimination, each product and difference an
-    mpf operation at working precision.  solve_real must match it bit for
-    bit."""
+def exact_once(a, terms):
+    """a - sum(l*u) over the mpf pairs in ``terms``, summed exactly (libmp
+    at prec=0) and rounded once to nearest-even at working precision."""
+    prods = [mpf_neg(mpf_mul(l._mpf_, u._mpf_)) for l, u in terms]
+    return mp.make_mpf(mpf_pos(mpf_sum([a._mpf_] + prods), mp.prec, round_nearest))
+
+
+def fdot_once(a, terms):
+    """exact_once by mp.fdot, whose sum is exact while no two terms are
+    more than 2 prec bits apart."""
+    return mp.fdot([(a, 1)] + [(l, -u) for l, u in terms])
+
+
+def solve_once_mpf(a, b, once=exact_once):
+    """The elimination of solve_real in mpf values (test oracle): the same
+    pivoted elimination, right-looking, each entry of the working matrix
+    kept as its input value and the products l*u subtracted from it, and
+    rounded by ``once`` whenever it is read, so that each entry and each
+    sum of the back substitution is its whole update rounded once.
+    solve_real must match it bit for bit."""
     n = a.rows
-    rows = [[a[i, j] for j in range(n)] for i in range(n)]
     several = isinstance(b, list) and bool(b) and isinstance(b[0], (list, tuple))
     cols = [list(v) for v in b] if several else [[b[i] for i in range(len(b))]]
-    rhs = [list(v) for v in zip(*cols)]  # rhs[i][s]: row i of right-hand side s
+    rows = [[(a[i, j], []) for j in range(n)] + [(col[i], []) for col in cols]
+            for i in range(n)]
 
-    scale = max((abs(rows[i][j]) for i in range(n) for j in range(n)), default=mpf(0))
+    scale = max((abs(a[i, j]) for i in range(n) for j in range(n)), default=mpf(0))
     if scale == 0:
         raise SingularMatrix("zero matrix")
     threshold = scale * mpf(2) ** (-(mp.prec - 32))
     for col in range(n):
-        piv, piv_mag = col, abs(rows[col][col])
-        for r in range(col + 1, n):
-            m = abs(rows[r][col])
-            if m > piv_mag:
-                piv, piv_mag = r, m
+        cands = [once(*rows[r][col]) for r in range(col, n)]
+        piv, piv_mag = 0, abs(cands[0])
+        for i, v in enumerate(cands):
+            if abs(v) > piv_mag:
+                piv, piv_mag = i, abs(v)
         if piv_mag < threshold:
             raise SingularMatrix(
                 f"pivot {piv_mag} below threshold {threshold} in column {col}"
             )
-        if piv != col:
-            rows[col], rows[piv] = rows[piv], rows[col]
-            rhs[col], rhs[piv] = rhs[piv], rhs[col]
-        pivot_row, pivot_rhs = rows[col], rhs[col]
-        inv_p = 1 / pivot_row[col]
-        for r in range(col + 1, n):
-            row = rows[r]
-            f = row[col] * inv_p
-            if f == 0:
-                continue
-            row[col] = mpf(0)
-            for c in range(col + 1, n):
-                row[c] -= f * pivot_row[c]
-            row_rhs = rhs[r]
-            for s, v in enumerate(pivot_rhs):
-                row_rhs[s] -= f * v
+        rows[col], rows[col + piv] = rows[col + piv], rows[col]
+        cands[0], cands[piv] = cands[piv], cands[0]
+        rows[col] = pivot_row = [cands[0] if c == col else once(*v) if c > col else None
+                                 for c, v in enumerate(rows[col])]
+        inv_p = 1 / cands[0]
+        for r, v in zip(range(col + 1, n), cands[1:]):
+            f = v * inv_p
+            for c in range(col + 1, len(pivot_row)):
+                rows[r][c][1].append((f, pivot_row[c]))
 
     xs = []
-    for s in range(len(cols)):
+    for s in range(n, n + len(cols)):
         x = [mpf(0)] * n
         for r in range(n - 1, -1, -1):
-            acc = rhs[r][s]
-            for c in range(r + 1, n):
-                acc -= rows[r][c] * x[c]
+            acc = once(rows[r][s], [(rows[r][c], x[c]) for c in range(r + 1, n)])
             x[r] = acc / rows[r][r]
         xs.append(x)
     return xs if several else xs[0]

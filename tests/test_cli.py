@@ -525,9 +525,10 @@ def test_critical_separation_artifacts_match_golden(tmp_path):
 
 
 def test_identities_match_golden(tmp_path):
-    # golden file written by the mpf-operation LU that preceded the
-    # integer-pair elimination; its 30-digit residuals move with any change
-    # in how the LU rounds.  The config sits at a fixed path
+    # golden file written by the LU that rounds each entry once; its
+    # 30-digit residuals move with any change in how the LU rounds, as they
+    # did when each entry stopped being rounded once per step.  The config
+    # sits at a fixed path
     out = tmp_path / "art"
     argv = ["--out", str(out), "identities", "--config", str(DATA / "large_config.json")]
     assert main(argv + ["--n", "6,6", "--m", "6,6", "--t", "0.4"]) == 0

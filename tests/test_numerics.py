@@ -4,7 +4,7 @@ from fractions import Fraction
 import random
 
 import pytest
-from conftest import solve_linear_mpf, solve_real
+from conftest import fdot_once, solve_once_mpf, solve_real
 from mpmath import mp, mpf, mpc, matrix
 from mpmath.libmp import from_man_exp
 
@@ -124,10 +124,11 @@ def _entry(rng, kind, prec):
 
 
 @pytest.mark.parametrize("prec", [128, 256, 512, 1088])
-def test_solve_bit_identical_to_mpf_elimination(prec):
-    # the integer-pair elimination against the same elimination in mpf
-    # operations on the inputs rounded to working precision: _mpf_-equal
-    # solutions, or the same SingularMatrix message
+def test_solve_bit_identical_to_exact_once_elimination(prec):
+    # the integer-pair elimination against the same elimination on the
+    # inputs rounded to working precision, each entry an exact sum rounded
+    # once: _mpf_-equal solutions, or the same SingularMatrix message.  The
+    # "spread" entries put terms about 6 prec bits apart in one sum.
     rng = random.Random(f"solve/{prec}")
     kinds = ("spread", "dyadic", "equal", "zeros", "wide")
     nu.set_precision(prec)
@@ -141,17 +142,17 @@ def test_solve_bit_identical_to_mpf_elimination(prec):
                 A[i, j] = _entry(rng, rng.choice(mix), prec)
         cols = [[_entry(rng, rng.choice(mix), prec) for _ in range(size)] for _ in range(3)]
         A_rounded, rounded = A.apply(lambda v: +v), [[+v for v in col] for col in cols]
-        want = _outcome(solve_linear_mpf, A_rounded, rounded)
+        want = _outcome(solve_once_mpf, A_rounded, rounded)
         assert _outcome(solve_real, A, cols) == want, (size, mix)
         assert _outcome(solve_real, A, cols[-1]) == _outcome(
-            solve_linear_mpf, A_rounded, rounded[-1])
+            solve_once_mpf, A_rounded, rounded[-1])
         singular += isinstance(want, str)
     assert 0 < singular < len(sizes)
 
 
-def test_bimoment_solve_bit_identical_to_mpf_elimination(monkeypatch):
-    # the real G(16, 16) of the large-separation weights with its four
-    # MOP right-hand sides
+def _bimoment_system(monkeypatch):
+    """The real G(16, 16) of the large-separation weights with its four MOP
+    right-hand sides, as the pairs numerics.solve_pairs receives."""
     from hbl import mop
 
     seen = []
@@ -162,14 +163,28 @@ def test_bimoment_solve_bit_identical_to_mpf_elimination(monkeypatch):
     mop._factor_and_solve(ws, idx, [("II", 0), ("II", 1), ("I", 0), ("I", 1)])
     ((rows, cols),) = seen
     assert len(rows) == 32 and len(cols) == 4
+    return rows, cols, solve
 
-    def mpfs(pairs):
-        return [mp.make_mpf(from_man_exp(*v)) for v in pairs]
 
-    A = matrix([mpfs(row) for row in rows])
-    want = _raw(solve_linear_mpf(A, [mpfs(b) for b in cols]))
+def _mpfs(pairs):
+    return [mp.make_mpf(from_man_exp(*v)) for v in pairs]
+
+
+def test_bimoment_solve_bit_identical_to_exact_once_elimination(monkeypatch):
+    rows, cols, solve = _bimoment_system(monkeypatch)
+    A = matrix([_mpfs(row) for row in rows])
+    want = _raw(solve_once_mpf(A, [_mpfs(b) for b in cols]))
     assert [list(x) for x in solve(rows, cols)] == want
-    assert _raw(solve_real(A, [mpfs(b) for b in cols])) == want
+    assert _raw(solve_real(A, [_mpfs(b) for b in cols])) == want
+
+
+def test_bimoment_exact_once_matches_fdot(monkeypatch):
+    # mp.fdot (exact products, one rounding of their sum) in place of the
+    # prec=0 libmp sum: no two terms of these sums are 2 prec bits apart,
+    # where mpf_sum at working precision stops being exact
+    rows, cols, _ = _bimoment_system(monkeypatch)
+    A, bs = matrix([_mpfs(row) for row in rows]), [_mpfs(b) for b in cols]
+    assert _raw(solve_once_mpf(A, bs, once=fdot_once)) == _raw(solve_once_mpf(A, bs))
 
 
 @pytest.mark.parametrize("entry", [mp.inf, -mp.inf, mp.nan])

@@ -233,14 +233,17 @@ def test_out_of_domain(hml_solution):
 
 
 def _recorded_jacobians(monkeypatch, bits):
-    """(rows, rhs) of every banded solve in one solve at ``bits``, copied
-    before the elimination overwrites them: the first is at the seed."""
+    """(rows, rhs) of the Jacobian of every banded solve in one solve at
+    ``bits``, the shift applied to the diagonal: the first is at the seed."""
     calls = []
     solve = pv.solve_banded
 
-    def record(rows, rhs):
-        calls.append(([(a, list(w)) for a, w in rows], list(rhs)))
-        return solve(rows, rhs)
+    def record(rows, shift, rhs):
+        jacobian = [(a, list(w)) for a, w in rows]
+        for i, (a, w) in enumerate(jacobian):
+            w[i - a] -= shift[i]
+        calls.append((jacobian, list(rhs)))
+        return solve(rows, shift, rhs)
 
     monkeypatch.setattr(pv, "solve_banded", record)
     with mp.workprec(bits):
@@ -263,7 +266,7 @@ def test_solve_banded_matches_lapack(monkeypatch):
             for j, v in enumerate(w, a):
                 ab[reach + i - j, j] = v
         want = lapack_banded((reach, reach), ab, np.array(rhs))
-        got = np.array(pv.solve_banded([(a, list(w)) for a, w in rows], rhs))
+        got = np.array(pv.solve_banded(rows, [0.0] * n, rhs))
         assert np.abs(got - want).max() <= 1e-10 * np.abs(want).max()
 
 
@@ -273,7 +276,36 @@ def test_solve_banded_matches_lapack(monkeypatch):
 )
 def test_solve_banded_zero_pivot_raises(rows):
     with pytest.raises(NoConvergence):
-        pv.solve_banded(rows, [1.0, 1.0])
+        pv.solve_banded(pv._fill_in(rows), [0.0, 0.0], [1.0, 1.0])
+
+
+def test_fill_in_pads_to_the_eliminated_span():
+    # row 2 is eliminated by row 1, whose span reaches column 4, and so
+    # reaches it too; row 3 starts at its diagonal and stays as it is
+    rows = [(0, [1.0, 2.0]), (0, [3.0, 4.0, 0.5, 0.25, 0.125]), (1, [5.0, 6.0]), (3, [7.0])]
+    assert pv._fill_in(rows) == [
+        (0, [1.0, 2.0]),
+        (0, [3.0, 4.0, 0.5, 0.25, 0.125]),
+        (1, [5.0, 6.0, 0.0, 0.0]),
+        (3, [7.0]),
+    ]
+
+
+@pytest.mark.parametrize(
+    "bits, digest",
+    [(128, "6a30c0b656c9ed47"), (256, "179f4ca46d52922c"), (1088, "37da5dfb11e95593")],
+)
+def test_solve_bits_pinned(bits, digest):
+    # the raw q, q' and achieved residual of the default solve, hashed; the
+    # digests were taken before the banded solve stopped growing rows and
+    # the final conversions moved to libmp, and must not move
+    import hashlib
+
+    with mp.workprec(bits):
+        sol = pv.solve_hastings_mcleod()
+    raw = (tuple(v._mpf_ for v in sol.q), tuple(v._mpf_ for v in sol.q_prime),
+           sol.achieved_residual._mpf_)
+    assert hashlib.sha256(repr(raw).encode()).hexdigest()[:16] == digest
 
 
 def test_float_airy_seed():

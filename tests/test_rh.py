@@ -109,7 +109,8 @@ def test_y1_summed_at_the_bits_the_rows_settled_at(critical_config, monkeypatch)
 
 def _critical_n80(critical_config):
     # n = 80 at t = 0.2 and 256 bits: G(80, 80) is not singular, nothing
-    # escalates, and c14c41 is off by a factor of about 18 against 1600 bits
+    # escalates, and c14c41 has a relative error of 0.21 against 1600 bits
+    # (the scalar-product residual is 1.17)
     ws = WeightSystem.from_config(critical_config, mpf("0.2"), 80)
     return ws, MultiIndexPair((40, 40), (40, 40))
 
@@ -125,8 +126,8 @@ def test_expansion_certified_or_raises_n80(critical_config):
 
 
 def test_orthogonality_residual_blind_to_the_n80_defect(critical_config):
-    # the same rows that give c14c41 off by a factor of about 18 meet their
-    # orthogonality conditions to about 1e-76: LU with partial pivoting
+    # the same rows that give c14c41 off by 21% meet their orthogonality
+    # conditions to about 1e-76: LU with partial pivoting
     # keeps that residual at rounding level, so it certifies nothing
     ws, idx = _critical_n80(critical_config)
     exp = rh.assemble_rh_expansion(ws, idx)
