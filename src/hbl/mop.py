@@ -12,14 +12,14 @@ two-term recursion; quadrature only ever appears as a test oracle.
 
 from __future__ import annotations
 
+import math
 import os
 import threading
 from dataclasses import dataclass
-from functools import lru_cache, partial
+from functools import partial
 from typing import Optional
 
-from mpmath import mp, mpf, matrix
-from mpmath.libmp import fzero, mpf_abs, mpf_div, mpf_neg, mpf_rdiv_int, round_nearest
+from mpmath import mp, mpc, mpf, matrix
 
 from . import numerics as nu
 from .errors import InvalidIndex, NormalizationImpossible, SingularMatrix, WorkerFailed
@@ -89,21 +89,39 @@ def gaussian_moments(gamma, mu, log_scale, jmax: int) -> list:
     The e^{log_scale} factor rides on the mpf exponent, which is unbounded,
     so no separate log-scale bookkeeping is needed."""
     m0 = mp.sqrt(mp.pi / gamma) * mp.exp(log_scale)
-    if jmax == 0:
-        return [m0]
-    out = [m0, mu * m0]
+    return _lengthen([m0, mu * m0], gamma, mu, jmax)[: jmax + 1]
+
+
+def _lengthen(moments: list, gamma, mu, jmax: int) -> list:
+    """``moments``, M_0.. of gamma and mu with at least M_0 and M_1, carried
+    on in place to M_jmax by the recursion of gaussian_moments."""
     inv2g = 1 / (2 * gamma)
-    for j in range(2, jmax + 1):
-        out.append(mu * out[j - 1] + (j - 1) * inv2g * out[j - 2])
-    return out
+    for j in range(len(moments), jmax + 1):
+        moments.append(mu * moments[j - 1] + (j - 1) * inv2g * moments[j - 2])
+    return moments
 
 
-@lru_cache(maxsize=512)
+# (ws, k, l, prec) -> [M_0, M_1, ...], least recently used first
+_TABLES: dict = {}
+_TABLES_MAX = 256
+
+
 def _moment_table(ws: WeightSystem, k: int, l: int, jmax: int, prec: int) -> tuple:
     """Moments M_j = int x^j w_{1,k} w_{2,l} dx for j = 0..jmax at ``prec``
-    bits (see gaussian_moments)."""
+    bits (see gaussian_moments).  One table per (ws, k, l, prec) is kept
+    and carried on when a longer one is asked for: the recursion runs
+    forward, so every entry is that of a table built to jmax at once."""
+    key = (ws, k, l, prec)
+    table = _TABLES.pop(key, None)
     with mp.workprec(prec):
-        return tuple(gaussian_moments(ws.gamma, ws.mu(k, l), ws.log_scale(k, l), jmax))
+        if table is None:
+            table = gaussian_moments(ws.gamma, ws.mu(k, l), ws.log_scale(k, l), max(jmax, 1))
+        elif len(table) <= jmax:
+            _lengthen(table, ws.gamma, ws.mu(k, l), jmax)
+    _TABLES[key] = table
+    if len(_TABLES) > _TABLES_MAX:
+        del _TABLES[next(iter(_TABLES))]
+    return tuple(table[: jmax + 1])
 
 
 # ---------------------------------------------------------------------------
@@ -229,48 +247,45 @@ def _factor_and_solve(ws: WeightSystem, idx: MultiIndexPair, tags: list) -> list
     precision.
 
     G has rows (l, j), j < m_l, and columns (k, i), i < n_k, with entries
-    M^{kl}_{i+j}; each row is scaled by its largest entry.  Tag ("II", k)
-    gives the type (II,k) solution at (n + e_k, m): its leading coefficient
-    is 1 and G x = -[M^{kl}_{n_k+j}].  Tag ("I", l) gives the type (I,l)
-    solution at (n, m - e_l): G x = e_(l, m_l - 1), the normalization row.
-    Tag ("G^-1", (l, j)) gives column (l, j) of G^{-1}, G x = e_(l, j), as
-    coefficient tuples over k.
+    M^{kl}_{i+j}.  Tag ("II", k) gives the type (II,k) solution at
+    (n + e_k, m): its leading coefficient is 1 and G x = -[M^{kl}_{n_k+j}].
+    Tag ("I", l) gives the type (I,l) solution at (n, m - e_l):
+    G x = e_(l, m_l - 1), the normalization row.  Tag ("G^-1", (l, j))
+    gives column (l, j) of G^{-1}, G x = e_(l, j), as coefficient tuples
+    over k.
 
-    G and its right-hand sides are built on (mantissa, exponent) pairs of
-    the moment tables, each quotient by a row's scale rounded as mpf
-    division rounds it, and go to numerics.solve_pairs as they are.
+    G and its right-hand sides go to numerics.solve_pairs as the
+    (mantissa, exponent) pairs of the moment tables, each row and its
+    right-hand side entries scaled by the power of two 2^-s that puts the
+    row's largest entry in [1/2, 1): the scaling is exact, and the unit
+    right-hand side of a row is (1, -s).
     """
-    prec = mp.prec
     offsets = _flat_offsets(idx)
-    tables = {kl: [v._mpf_ for v in col] for kl, col in moment_tables(ws, idx).items()}
-    # each moment with its magnitude first, so that max picks a row's scale
-    keyed = {kl: [(nu._magnitude(nu._pair(v), prec), v) for v in col]
-             for kl, col in tables.items()}
-
-    def quotient(v, scale):
-        return nu._pair(mpf_div(v, scale, prec, round_nearest))
-
-    rows, scales, row_keys = [], [], []
+    tables = {kl: [nu._pair(v._mpf_) for v in col]
+              for kl, col in moment_tables(ws, idx).items()}
+    # the exponent just above each moment's top bit; zero is below them all
+    tops = {kl: [e + m.bit_length() if m else -math.inf for m, e in col]
+            for kl, col in tables.items()}
+    ks = [k for k in range(ws.p) if idx.n[k]]
+    rows, shifts, row_keys = [], [], []
     for l in range(ws.q):
         for j in range(idx.m[l]):
-            row = [tables[k, l][i + j] for k in range(ws.p) for i in range(idx.n[k])]
-            scale = mpf_abs(max((max(keyed[k, l][j : j + idx.n[k]])
-                                 for k in range(ws.p) if idx.n[k]), default=((), fzero))[1])
-            if scale == fzero:
+            s = max((max(tops[k, l][j : j + idx.n[k]]) for k in ks), default=-math.inf)
+            if s == -math.inf:
                 raise NormalizationImpossible("empty orthogonality row")
-            rows.append([quotient(v, scale) for v in row])
-            scales.append(scale)
+            rows.append([(m, e - s if m else 0) for k in ks
+                         for m, e in tables[k, l][j : j + idx.n[k]]])
+            shifts.append(s)
             row_keys.append((l, j))
     rhs = []
     for kind, pos in tags:
         if kind == "II":
-            top = idx.n[pos]
-            rhs.append([quotient(mpf_neg(tables[pos, l][top + j]), s)
-                        for (l, j), s in zip(row_keys, scales)])
+            col = [tables[pos, l][idx.n[pos] + j] for l, j in row_keys]
+            rhs.append([(-m, e - s if m else 0) for (m, e), s in zip(col, shifts)])
         else:
             r = row_keys.index((pos, idx.m[pos] - 1) if kind == "I" else pos)
             col = [(0, 0)] * len(rows)
-            col[r] = nu._pair(mpf_rdiv_int(1, scales[r], prec, round_nearest))
+            col[r] = (1, -shifts[r])
             rhs.append(col)
     xs = nu.solve_pairs(rows, rhs) if rows else [[] for _ in tags]
     sols = []
@@ -319,6 +334,17 @@ def _matrix(rows: list) -> matrix:
     return matrix(rows)
 
 
+def _mpf(raw: tuple) -> mpf:
+    """An mpf from its raw _mpf_ tuple, as a pickle rebuilds one (see
+    _send_outcome)."""
+    return mp.make_mpf(raw)
+
+
+def _mpc(raw: tuple) -> mpc:
+    """An mpc from its raw _mpc_ pair of tuples, as _mpf."""
+    return mp.make_mpc(raw)
+
+
 def _run_queue(fn, jobs: list, take) -> tuple:
     """(the indices ``take`` gave until it gave None, {index: result} of
     the jobs run, (index, exception) of the earliest failed job or None).
@@ -342,7 +368,9 @@ def _send_outcome(sink, outcome: tuple) -> None:
     An exception that would not load again in the parent (one whose
     __init__ does not take its args, say) is sent as WorkerFailed with its
     type and message.  A result that cannot be pickled propagates, and the
-    child then exits non-zero.
+    child then exits non-zero.  Matrices, mpf and mpc values go as their
+    entries and raw tuples, which _matrix, _mpf and _mpc rebuild bit for
+    bit, without mpf's own pickling through hex strings.
     """
     import pickle
 
@@ -355,7 +383,11 @@ def _send_outcome(sink, outcome: tuple) -> None:
             exc = WorkerFailed(f"job {i} raised {type(exc).__name__}: {exc}")
             outcome = taken, done, (i, exc)
     pickler = pickle.Pickler(sink, pickle.HIGHEST_PROTOCOL)
-    pickler.dispatch_table = {matrix: lambda a: (_matrix, (a.tolist(),))}
+    pickler.dispatch_table = {
+        matrix: lambda a: (_matrix, (a.tolist(),)),
+        mpf: lambda v: (_mpf, (v._mpf_,)),
+        mpc: lambda v: (_mpc, (v._mpc_,)),
+    }
     pickler.dump(outcome)
     sink.flush()
 

@@ -10,9 +10,10 @@ The dense LU (solve_pairs, which every factorization of hbl enters) and
 the kernel sums (the Horner loops of kernel.correlation_kernel) run on the
 integer mantissas and exponents inside each mpf, rounded to nearest-even
 as mpf rounds, without mpf's overhead.  The LU rounds each entry once, from
-an exact integer dot product of its whole update (_update); the kernel
-sums round each product and sum as mp.polyval does (_fms), bit for bit.
-_round is the one statement of that rounding.
+an exact integer dot product of its whole update (_update), and each
+multiplier from the integer product of the entry and the pivot's rounded
+reciprocal; the kernel sums round each product and sum as mp.polyval does
+(_horner), bit for bit.  _round is the one statement of that rounding.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from operator import mul
 
 from mpmath import mp, mpf, mpc, matrix
 from mpmath.libmp import (
-    from_man_exp, mpf_div, mpf_lt, mpf_mul, mpf_rdiv_int, mpf_shift, round_nearest,
+    from_man_exp, mpf_div, mpf_lt, mpf_rdiv_int, mpf_shift, round_nearest,
 )
 
 from .errors import SingularMatrix
@@ -83,36 +84,32 @@ def _round(m: int, e: int, prec: int) -> tuple:
     return m, e
 
 
-def _fms(a: tuple, u: tuple, v: tuple, prec: int) -> tuple:
-    """a - u*v on (signed mantissa, exponent) pairs, the product and then the
-    difference rounded to nearest-even at ``prec`` bits as mpf rounds them.
-    Exponents over 2 prec + 8 apart: the larger term is the rounded result."""
-    bm, be = _round(u[0] * v[0], u[1] + v[1], prec)
-    am, ae = a
-    d = ae - be
-    if d >= 0:
-        if d > 2 * prec + 8:
-            return a if am else (-bm, be)
-        am, ae = (am << d) - bm, be
-    else:
-        if d < -2 * prec - 8:
-            return (-bm, be) if bm else a
-        am -= bm << -d
-    return _round(am, ae, prec)
-
-
 def _horner(coeffs, x: tuple, prec: int) -> tuple:
     """c_0 x^d + ... + c_d on pairs, the coefficients in descending powers
-    and all but c_0 of at most ``prec`` bits: each step c + x*p is
-    _fms(c, x, -p), so the value is bit-identical to mp.polyval on the
-    same mpf values at ``prec`` bits.  As there, one coefficient comes back
-    unrounded and none gives zero."""
+    and all but c_0 of at most ``prec`` bits.  Each step c + x*p rounds the
+    product and then the sum to nearest-even at ``prec`` bits, so the value
+    is bit-identical to mp.polyval on the same mpf values at ``prec`` bits.
+    As there, one coefficient comes back unrounded and none gives zero.
+    Exponents over 2 prec + 8 apart: the larger term is the rounded sum."""
     if not coeffs:
         return 0, 0
-    p = coeffs[0]
-    for c in coeffs[1:]:
-        p = _fms(c, x, (-p[0], p[1]), prec)
-    return p
+    xm, xe = x
+    pm, pe = coeffs[0]
+    for cm, ce in coeffs[1:]:
+        pm, pe = _round(xm * pm, xe + pe, prec)
+        d = ce - pe
+        if d >= 0:
+            if d > 2 * prec + 8:
+                if cm:
+                    pm, pe = cm, ce
+            else:
+                pm, pe = _round((cm << d) + pm, pe, prec)
+        elif d < -2 * prec - 8:
+            if not pm:
+                pm, pe = cm, ce
+        else:
+            pm, pe = _round(cm + (pm << -d), ce, prec)
+    return pm, pe
 
 
 def _magnitude(v: tuple, prec: int) -> tuple:
@@ -175,9 +172,10 @@ def solve_pairs(rows: list, cols: list) -> list:
     the right-hand sides included.  Each entry, and each sum of the back
     substitution, is its whole update a - sum l*u as one exact integer dot
     product rounded once to nearest-even (_update).  The first pivot of
-    largest magnitude wins.  The multipliers are the entry times the
-    rounded reciprocal of the pivot (mpf_rdiv_int, mpf_mul), and each x_r
-    is its rounded sum divided by the pivot (mpf_div).  Raises
+    largest magnitude wins.  Each multiplier is the entry times the
+    rounded reciprocal of the pivot (mpf_rdiv_int), the integer product
+    rounded by _round as mpf_mul rounds it, and each x_r is its rounded sum
+    divided by the pivot (mpf_div).  Raises
     SingularMatrix when the best available pivot falls below a
     precision-scaled threshold relative to the largest entry of A.  A pair
     with no mantissa but an exponent, which only an infinite or NaN mpf
@@ -212,9 +210,9 @@ def solve_pairs(rows: list, cols: list) -> list:
         rows[col], rows[piv] = rows[piv], rows[col]
         lower[col], lower[piv] = lower[piv], lower[col]
         cands[0], cands[best] = cands[best], cands[0]
-        inv_p = mpf_rdiv_int(1, from_man_exp(*cands[0]), prec, round_nearest)
-        for low, c in zip(lower[col + 1:], cands[1:]):
-            low.push(_pair(mpf_mul(from_man_exp(*c), inv_p, prec, round_nearest)))
+        im, ie = _pair(mpf_rdiv_int(1, from_man_exp(*cands[0]), prec, round_nearest))
+        for low, (cm, ce) in zip(lower[col + 1:], cands[1:]):
+            low.push(_round(cm * im, ce + ie, prec))
         urow = [cands[0]]
         upper[col].push(cands[0])
         for c in range(col + 1, width):

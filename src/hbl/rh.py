@@ -229,8 +229,9 @@ def diagonal_recurrence(exp: RhExpansion, k: int, l: int) -> DiagonalCoefficient
 # Five-term (p+q+1 term) recurrences
 # ---------------------------------------------------------------------------
 
-def _vector_values(sol: MopSolution, z) -> list:
-    return [sol.eval_A(k, z) for k in range(len(sol.coeffs))]
+def _vector_values(sol: MopSolution, zs) -> list:
+    """[[A_k(z) for each k] for z in zs]."""
+    return [[sol.eval_A(k, mpc(z)) for k in range(len(sol.coeffs))] for z in zs]
 
 
 def _forward_requests(ws: WeightSystem, idx: MultiIndexPair, k: int, l: int):
@@ -260,15 +261,15 @@ def _backward_requests(ws: WeightSystem, idx: MultiIndexPair, k: int, l: int):
     return lhs, main, off
 
 
-def _recurrence_residual(lhs_sol, main_sol, shift, terms, zs) -> mpf:
+def _recurrence_residual(lhs_at, main_at, shift, terms, zs) -> mpf:
     """Max over zs and components of the relative residual of
-    lhs(z) = (z + shift) main(z) - sum coef * vec(z) over (coef, vec) in terms."""
+    lhs(z) = (z + shift) main(z) - sum coef * vec(z) over (coef, vec) in terms,
+    each vector given by its values at zs (see _vector_values)."""
     worst = mpf(0)
-    for z in zs:
-        z = mpc(z)
-        lhs = _vector_values(lhs_sol, z)
-        rows = [[(z + shift) * v for v in _vector_values(main_sol, z)]]
-        rows += [[-coef * v for v in _vector_values(sol, z)] for coef, sol in terms]
+    for i, z in enumerate(zs):
+        z, lhs = mpc(z), lhs_at[i]
+        rows = [[(z + shift) * v for v in main_at[i]]]
+        rows += [[-coef * v for v in vec_at[i]] for coef, vec_at in terms]
         for comp in range(len(lhs)):
             rhs = sum(row[comp] for row in rows)
             scale = max([abs(lhs[comp])] + [abs(row[comp]) for row in rows])
@@ -318,22 +319,29 @@ def verify_recurrences(
         for sol in group
         if sol is not None
     }
+    values = {}  # request -> its vector's values at zs, each evaluated once
+
+    def at(req):
+        if req not in values:
+            values[req] = _vector_values(sols[req], zs)
+        return values[req]
+
     out = {}
     for k, l in pairs:
         (f_lhs, f_main, f_off), (b_lhs, b_main, b_off) = specs[k, l]
         exp_sh = shifted[k, l]
         forward = _recurrence_residual(
-            sols[f_lhs],
-            sols[f_main],
+            at(f_lhs),
+            at(f_main),
             -diagonal_recurrence(exp, k, l).via_lax,
-            [(exp.product(k + 1, j + 1), sols[r]) for j, r in f_off],
+            [(exp.product(k + 1, j + 1), at(r)) for j, r in f_off],
             zs,
         )
         backward = _recurrence_residual(
-            sols[b_lhs],
-            sols[b_main],
+            at(b_lhs),
+            at(b_main),
             exp.Y1[p + l, p + l] - exp_sh.Y1[p + l, p + l],
-            [(exp_sh.Y1[p + l, j] * exp_sh.Y1[j, p + l], sols[r]) for j, r in b_off],
+            [(exp_sh.Y1[p + l, j] * exp_sh.Y1[j, p + l], at(r)) for j, r in b_off],
             zs,
         )
         out[k, l] = (forward, backward)

@@ -27,10 +27,10 @@ DEFAULT_N_LIST = (8, 12, 16, 24, 32, 48, 64)
 # it runs beside (rh.assemble_rh_expansions).  A cost only sets a job's
 # place in the queue of mop._map_cores, so this one puts the solve at the
 # head, with the n = 64 expansion next.  In one process, alternating with
-# the expansion (moment tables rebuilt each time), the solve took 2.18,
-# 1.86 and 1.46 times one n = 64 expansion of the critical config at
+# the expansion (moment tables rebuilt each time), the solve took 2.73,
+# 2.21 and 1.67 times one n = 64 expansion of the critical config at
 # t = 0.333, at 256, 512 and 1024 bits (the middle of three runs, each the
-# median of 7 or 9 pairs; single pairs read 0.86 to 2.86, on a 2-vCPU
+# median of 7 pairs; single pairs read 1.26 to 4.96, on a 2-vCPU
 # x86-64 host, Python 3.11, mpmath 1.3 pure-Python backend, one CPU).
 HML_SOLVE_COST = 2 * 64**3
 

@@ -441,15 +441,15 @@ def test_density_factors_each_form_once(cfg_large, monkeypatch, n_k, bits, lus):
 
 def test_density_point_that_misses_in_a_worker(cfg_large, monkeypatch):
     # at 152 bits with no room to escalate, G(20, 20) passes its check at
-    # x = -1.03 and 0 (the left group and the gap) and misses at x = 1.03
+    # x = -1.03 and 0 (the left group and the gap) and misses at x = 1
     # (the right group; see test_kernel_escalates_where_the_sum_cancels).
-    # 144 bits behave the same; at 160 all three pass, at 136 all miss.
-    # The worker has x = 1.03, and the parent raises the in-process error.
+    # At 160 all three pass; at 144 x = -1.03 misses too, at 136 all miss.
+    # The worker has x = 1, and the parent raises the in-process error.
     monkeypatch.setattr(mop, "MAX_ESCALATED_PRECISION", 152)
     t = mpf(1) / 2
     ws = WeightSystem.from_config(cfg_large, t, 40)
     idx = MultiIndexPair((20, 20), (20, 20))
-    grid = [mpf("-1.03"), mpf("1.03"), mpf("0")]
+    grid = [mpf("-1.03"), mpf("1"), mpf("0")]
     with mp.workprec(152):
         with pytest.raises(NormalizationImpossible) as want:
             kn.correlation_kernel(ws, idx, grid[1])

@@ -9,7 +9,7 @@ import time
 from fractions import Fraction
 
 import pytest
-from mpmath import matrix, mp, mpf
+from mpmath import matrix, mp, mpc, mpf
 
 from hbl import mop
 from hbl.errors import InvalidIndex, NormalizationImpossible, SingularMatrix, WorkerFailed
@@ -91,9 +91,55 @@ def test_moment_vs_quadrature_random_configs():
         assert abs(rec - quad) <= mpf("1e-20") * abs(rec)
 
 
+def test_lengthened_moment_table_matches_a_fresh_one(ws, monkeypatch):
+    # a table asked for at jmax 5 and then at 40 is carried on, not rebuilt:
+    # the same _mpf_ values as one built to 40 at once, and its prefixes
+    monkeypatch.setattr(mop, "_TABLES", {})
+    short = mop._moment_table(ws, 1, 0, 5, 256)
+    longer = mop._moment_table(ws, 1, 0, 40, 256)
+    with mp.workprec(256):
+        fresh = mop.gaussian_moments(ws.gamma, ws.mu(1, 0), ws.log_scale(1, 0), 40)
+    assert [v._mpf_ for v in longer] == [v._mpf_ for v in fresh]
+    assert [v._mpf_ for v in short] == [v._mpf_ for v in fresh[:6]]
+    assert mop._moment_table(ws, 1, 0, 12, 256) == longer[:13]
+    assert list(mop._TABLES) == [(ws, 1, 0, 256)]
+
+
 # ---------------------------------------------------------------------------
 # solves
 # ---------------------------------------------------------------------------
+
+def test_bimoment_rows_are_table_pairs_scaled_by_powers_of_two(monkeypatch):
+    # each row of G and its entries of the right-hand sides are the moment
+    # table's own pairs, every exponent shifted by one s per row, and the
+    # row's largest entry lies in [1/2, 1); unit columns are (1, -s)
+    from hbl import numerics as nu
+
+    seen = []
+    solve = nu.solve_pairs
+    monkeypatch.setattr(nu, "solve_pairs", lambda a, b: seen.append((a, b)) or solve(a, b))
+    ws = WeightSystem(a=("1", "-1"), b=("0.7", "-0.7"), t="0.4", N=14)
+    idx = MultiIndexPair((4, 3), (2, 5))
+    tags = [("II", 0), ("II", 1), ("I", 0), ("I", 1), ("G^-1", (1, 2))]
+    mop._factor_and_solve(ws, idx, tags)
+    ((rows, cols),) = seen
+    tables = {kl: [nu._pair(v._mpf_) for v in col]
+              for kl, col in mop.moment_tables(ws, idx).items()}
+    row_keys = [(l, j) for l in range(2) for j in range(idx.m[l])]
+    assert len(rows) == len(row_keys) == 7
+    for r, ((l, j), row) in enumerate(zip(row_keys, rows)):
+        want = [tables[k, l][i + j] for k in range(2) for i in range(idx.n[k])]
+        assert [m for m, _ in row] == [m for m, _ in want]
+        (s,) = {e0 - e for (_, e), (_, e0) in zip(row, want)}
+        top = max(Fraction(abs(m)) * Fraction(2) ** e for m, e in row)
+        assert Fraction(1, 2) <= top < 1
+        assert cols[0][r] == (-tables[0, l][4 + j][0], tables[0, l][4 + j][1] - s)
+        assert cols[1][r] == (-tables[1, l][3 + j][0], tables[1, l][3 + j][1] - s)
+        unit = (1, -s)
+        assert cols[2][r] == (unit if (l, j) == (0, 1) else (0, 0))
+        assert cols[3][r] == (unit if (l, j) == (1, 4) else (0, 0))
+        assert cols[4][r] == (unit if (l, j) == (1, 2) else (0, 0))
+
 
 def test_trivial_index_pair(ws):
     idx = MultiIndexPair((1, 0), (0, 0))
@@ -474,6 +520,37 @@ def test_map_cores_names_a_worker_that_cannot_send(fn, message, monkeypatch):
         os.close(taken)
     assert str(got.value) == message
     _no_child_left()
+
+
+def test_outcome_pickle_loads_raw_values_back(ws):
+    # an expansion (mpc matrices, MopSolution rows) and a batch's
+    # MopSolutions go through the pipe as raw tuples and load back equal
+    import io
+    import pickle
+
+    from hbl import rh
+
+    idx = MultiIndexPair((2, 2), (2, 2))
+    exp = rh.assemble_rh_expansion(ws, idx)
+    sols = solve_batch(ws, [(idx.shift_n(0), ("II", 1)), (idx.shift_m(1, -1), ("I", 0))])
+    sink = io.BytesIO()
+    mop._send_outcome(sink, ([0, 1], {0: exp, 1: list(sols.values())}, None))
+    assert b"_mpf_" not in sink.getvalue() and b"_mpc" in sink.getvalue()
+    taken, done, failed = pickle.loads(sink.getvalue())
+    assert (taken, failed) == ([0, 1], None)
+
+    def raw(sol):
+        return sol.idx, sol.norm, [[c._mpf_ for c in cs] for cs in sol.coeffs]
+
+    def entries(y):
+        return [(type(v), getattr(v, "_mpc_", None) or v._mpf_) for v in y]
+
+    got = done[0]
+    assert (got.ws, got.idx) == (exp.ws, exp.idx)
+    for y, want in ((got.Y1, exp.Y1), (got.Y2, exp.Y2)):
+        assert entries(y) == entries(want)
+    assert [raw(sol) for sol in got.rows] == [raw(sol) for sol in exp.rows]
+    assert [raw(sol) for sol in done[1]] == [raw(sol) for sol in sols.values()]
 
 
 def test_one_cpu_forks_nothing(ws, monkeypatch):

@@ -108,10 +108,11 @@ def test_y1_summed_at_the_bits_the_rows_settled_at(critical_config, monkeypatch)
 
 
 def _critical_n80(critical_config):
-    # n = 80 at t = 0.2 and 256 bits: G(80, 80) is not singular, nothing
-    # escalates, and c14c41 has a relative error of 0.21 against 1600 bits
-    # (the scalar-product residual is 1.17)
-    ws = WeightSystem.from_config(critical_config, mpf("0.2"), 80)
+    # n = 80 at t = 0.25 and 256 bits: G(80, 80) is not singular, nothing
+    # escalates, and c14c41 has a relative error of 0.081 against 1600 bits
+    # (the scalar-product residual is 0.20).  At t = 0.2 the 256-bit LU
+    # raises SingularMatrix and the expansion settles at 512 bits
+    ws = WeightSystem.from_config(critical_config, mpf("0.25"), 80)
     return ws, MultiIndexPair((40, 40), (40, 40))
 
 
@@ -126,14 +127,36 @@ def test_expansion_certified_or_raises_n80(critical_config):
 
 
 def test_orthogonality_residual_blind_to_the_n80_defect(critical_config):
-    # the same rows that give c14c41 off by 21% meet their orthogonality
-    # conditions to about 1e-76: LU with partial pivoting
+    # the same rows that give c14c41 off by 8% meet their orthogonality
+    # conditions to about 2e-76: LU with partial pivoting
     # keeps that residual at rounding level, so it certifies nothing
     ws, idx = _critical_n80(critical_config)
     exp = rh.assemble_rh_expansion(ws, idx)
     tables = mop.moment_tables(ws, idx)
     for sol in exp.rows:
         assert orthogonality_residual(sol, tables) <= mpf(2) ** -(mp.prec // 4)
+
+
+def test_identities_batch_builds_one_moment_table_per_weight_pair(monkeypatch):
+    # the batch of `hbl identities` at n = m = (6, 6): its base pairs ask
+    # for moment tables of 5 lengths, and the swapped system for one more.
+    # Each of the 4 weight pairs of either system gets one table, carried
+    # on when a longer one is asked for (a table per length made 24)
+    built = []
+    moments = mop.gaussian_moments
+    monkeypatch.setattr(mop, "gaussian_moments", lambda *a: built.append(a[-1]) or moments(*a))
+    monkeypatch.setattr(mop, "_TABLES", {})
+    monkeypatch.setattr(rh, "_EXPANSIONS", {})
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+    cfg = BrownianConfig("1", "-1", "0.7", "-0.7")
+    ws = WeightSystem.from_config(cfg, mpf("0.4"), 12)
+    idx = MultiIndexPair((6, 6), (6, 6))
+    swapped = rh.swapped_system(ws, idx)
+    rh.verify_recurrences(ws, idx, [mpf(0), mpc(-1, 1)], also=[swapped])
+    assert len(built) == 8
+    pairs = [(k, l, 256) for k in (0, 1) for l in (0, 1)]
+    assert sorted(mop._TABLES, key=lambda key: (key[0] is ws, key[1:])) == (
+        [(swapped[0], *kl) for kl in pairs] + [(ws, *kl) for kl in pairs])
 
 
 def test_boundary_other_than_above_or_below_is_rejected(ws, idx22, exp22):
