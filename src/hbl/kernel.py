@@ -26,9 +26,8 @@ from typing import Optional, Sequence
 
 from mpmath import mp, mpf, mpc, matrix
 
-from . import mop
 from . import numerics as nu
-from .errors import NormalizationImpossible, SingularMatrix, WrongRegime
+from .errors import NoConvergence, SingularMatrix, WrongRegime
 from .model import (
     BrownianConfig,
     Regime,
@@ -42,6 +41,7 @@ from .mop import (
     _cached_map,
     _map_cores,
     bimoment_inverse,
+    escalate,
     moment_tables,
 )
 
@@ -222,16 +222,14 @@ def correlation_kernel(ws: WeightSystem, idx: MultiIndexPair, x, y=None):
     depends on the point (at n = m = (20, 20) on the large-separation
     config at t = 1/2, about 40 bits more inside the right group than in
     the left one).  So each value is checked against the same sum from a
-    G^{-1} factored at twice the bits: at b = prec, 2 prec, ... the two
-    factorizations at b and 2b (concurrently, when neither is cached) must
-    both exist, G not being numerically singular at either, and their sums
-    must agree to 2^-(prec/4) relative.  This is the kernel's one
-    escalation loop: b doubles until they do, and a miss at b =
-    mop.MAX_ESCALATED_PRECISION, read at call time as the MOP solves read
-    it (or the working precision, if higher), raises
-    NormalizationImpossible naming b and the --precision to retry with.
-    The value returned is the sum at b, rounded to working precision.  A
-    point that is not finite raises ValueError before any factorization.
+    G^{-1} factored at twice the bits: at each rung b of mop.escalate the
+    two factorizations at b and 2b (concurrently, when neither is cached)
+    must both exist, G not being numerically singular at either
+    (SingularMatrix otherwise), and their sums must agree to 2^-(prec/4)
+    relative (NoConvergence otherwise).  Each miss names the point, and
+    the sums at working precision.  The value returned is the sum at the
+    rung that passed, rounded to working precision.  A point that is not
+    finite raises ValueError before any factorization.
     """
     x = nu.to_ext(x)
     confluent = y is None or y == x
@@ -239,31 +237,29 @@ def correlation_kernel(ws: WeightSystem, idx: MultiIndexPair, x, y=None):
     if not (mp.isfinite(x) and mp.isfinite(y)):
         raise ValueError(f"kernel point ({x}, {y}) is not finite")
     tol = mpf(2) ** (-(mp.prec // 4))
-    ceiling = max(mop.MAX_ESCALATED_PRECISION, mp.prec)
-    bits = mp.prec
-    while True:
+
+    def attempt(bits):
         low, high = _cached_map(
             _KERNEL_FORMS,
             _KERNEL_FORMS_MAX,
             lambda key: _kernel_form_uncached(*key),
             [(ws, idx, bits), (ws, idx, 2 * bits)],
-            cost=lambda key: key[2],
         )
-        if low and high:
-            value = _kernel_sum(ws, low, x, y, confluent)
-            ref = _kernel_sum(ws, high, x, y, confluent)
-            if abs(value - ref) <= tol * abs(ref):
-                return +value
-            miss = f"{value} at {bits} bits against {ref} at {2 * bits} bits"
-        else:
-            miss = f"G(n, m) is numerically singular at {2 * bits if low else bits} bits"
-        if 2 * bits > ceiling:
-            raise NormalizationImpossible(
-                f"kernel at ({x}, {y}): {miss}; gave up at {bits} bits, the last "
-                f"step under the escalation ceiling of {ceiling}: retry with "
-                f"--precision {2 * bits}"
+        if not (low and high):
+            raise SingularMatrix(
+                f"kernel at ({x}, {y}): G(n, m) is numerically singular at "
+                f"{2 * bits if low else bits} bits"
             )
-        bits *= 2
+        value = _kernel_sum(ws, low, x, y, confluent)
+        ref = _kernel_sum(ws, high, x, y, confluent)
+        if not abs(value - ref) <= tol * abs(ref):
+            raise NoConvergence(
+                f"kernel at ({x}, {y}): {value} at {bits} bits against {ref} at "
+                f"{2 * bits} bits"
+            )
+        return value
+
+    return +escalate(attempt)[0]
 
 
 @dataclass
@@ -329,7 +325,7 @@ def density_profile(
     # that escalates further.
     grid = list(grid)
     diag = [correlation_kernel(ws, idx, x) for x in grid[:1]]
-    diag += _map_cores(lambda x: correlation_kernel(ws, idx, x), grid[1:], cost=lambda x: 1)
+    diag += _map_cores(lambda x: correlation_kernel(ws, idx, x), grid[1:])
     values, flags, semi = [], [], ([], [])
     sup = [mpf(0), mpf(0)]
     for x, k in zip(grid, diag):

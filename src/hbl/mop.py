@@ -17,12 +17,13 @@ import os
 import threading
 from dataclasses import dataclass
 from functools import partial
-from typing import Optional
 
 from mpmath import mp, mpc, mpf, matrix
 
 from . import numerics as nu
-from .errors import InvalidIndex, NormalizationImpossible, SingularMatrix, WorkerFailed
+from .errors import (
+    InvalidIndex, NoConvergence, NormalizationImpossible, SingularMatrix, WorkerFailed
+)
 
 MAX_ESCALATED_PRECISION = 1024
 
@@ -170,7 +171,7 @@ NormTag = tuple  # ("II", k) or ("I", l) with 0-based position index
 @dataclass(frozen=True)
 class MopSolution:
     """Coefficient arrays of A_1..A_p (ascending powers) plus its tag; the
-    coefficients keep the bits their solve settled at (see shifted_solutions)."""
+    coefficients keep the bits their solve settled at (see escalate)."""
 
     idx: MultiIndexPair
     norm: NormTag
@@ -213,33 +214,31 @@ def _check_shape(ws: WeightSystem, idx: MultiIndexPair) -> None:
         raise InvalidIndex(f"{idx} does not have {ws.p} + {ws.q} components")
 
 
-def _solve_rows(ws: WeightSystem, idx: MultiIndexPair, tags: list) -> tuple:
-    """MOP rows around a pair with |n| = |m|, all from one LU of G(n, m)
-    (see _factor_and_solve); returns them with the bits they settled at.
+def escalate(attempt) -> tuple:
+    """(attempt(bits), bits) at the first bits = mp.prec, 2 mp.prec, ...
+    where the attempt neither raises SingularMatrix nor NoConvergence: the
+    one precision ladder of hbl.  The attempt enters mp.workprec(bits)
+    itself where it needs to.
 
-    Gaussian weights make every index pair normal, so a singular G
-    (SingularMatrix from the pivot threshold of numerics.solve_pairs)
-    signals precision exhaustion: the whole factorization is redone at
-    doubled precision up to MAX_ESCALATED_PRECISION.  A start above it is
-    still tried once.  The error at the ceiling names the last bits tried
-    and the --precision that would try the next doubling.  No accuracy is
-    checked here.
+    Gaussian weights make every index pair normal, so a miss signals
+    precision exhaustion, and the ladder climbs up to
+    MAX_ESCALATED_PRECISION, read at call time.  A start above it is still
+    tried once.  The error at the ceiling names the last bits tried and
+    the --precision that would try the next doubling.
     """
-    prec = mp.prec
-    ceiling = max(MAX_ESCALATED_PRECISION, prec)
-    last_error: Optional[Exception] = None
+    bits = mp.prec
+    ceiling = max(MAX_ESCALATED_PRECISION, bits)
     while True:
-        with mp.workprec(prec):
-            try:
-                return _factor_and_solve(ws, idx, tags), prec
-            except SingularMatrix as exc:
-                last_error = exc
-        if 2 * prec > ceiling:
+        try:
+            return attempt(bits), bits
+        except (SingularMatrix, NoConvergence) as exc:
+            miss = exc
+        if 2 * bits > ceiling:
             raise NormalizationImpossible(
-                f"{last_error}; gave up at {prec} bits, the last step under the "
-                f"escalation ceiling of {ceiling}: retry with --precision {2 * prec}"
+                f"{miss}; gave up at {bits} bits, the last step under the "
+                f"escalation ceiling of {ceiling}: retry with --precision {2 * bits}"
             )
-        prec *= 2
+        bits *= 2
 
 
 def _factor_and_solve(ws: WeightSystem, idx: MultiIndexPair, tags: list) -> list:
@@ -392,15 +391,15 @@ def _send_outcome(sink, outcome: tuple) -> None:
     sink.flush()
 
 
-def _map_cores(fn, jobs, cost) -> list:
+def _map_cores(fn, jobs) -> list:
     """[fn(job) for job in jobs], the jobs spread over the CPUs this
     process may run on.
 
     A forked child per CPU, up to one per job, runs the jobs; this process
     only feeds them and gathers their results, so what it runs does not
-    depend on timing.  The job indices wait in a pipe, largest ``cost``
-    first, and a child reads the next one whenever it is free, so a cost
-    only sets a job's place in the queue.  Each child sends its results
+    depend on timing.  The job indices wait in a pipe in list order, so a
+    caller lists its longest jobs first, and a child reads the next one
+    whenever it is free.  Each child sends its results
     back as one pickle through a pipe of its own.  A child that failed at
     job i runs only the jobs below i that it still reads; once every child
     is reaped, the exception of the earliest failed job is raised, so
@@ -423,9 +422,7 @@ def _map_cores(fn, jobs, cost) -> list:
     import pickle  # only when forking: `import hbl.cli` does not load it
     import select
 
-    costs = [cost(job) for job in jobs]
-    queue = b"".join(i.to_bytes(4, "little")
-                     for i in sorted(range(len(jobs)), key=lambda i: -costs[i]))
+    queue = b"".join(i.to_bytes(4, "little") for i in range(len(jobs)))
     read, write = os.pipe()
 
     def next_index():
@@ -494,16 +491,16 @@ def _map_cores(fn, jobs, cost) -> list:
     return out
 
 
-def _cached_map(cache: dict, limit: int, fn, keys, cost, first=()) -> list:
-    """[job() for job, _ in first] + [fn(key) for key in keys], the keys
+def _cached_map(cache: dict, limit: int, fn, keys, first=()) -> list:
+    """[job() for job in first] + [fn(key) for key in keys], the keys
     through ``cache``, a dict in least recently used order: keys it misses
-    are computed once each, after the ``first`` jobs (functions of no
-    argument, each with its cost) in one _map_cores call, and the cache is
+    are computed once each, in their order, after the ``first`` jobs
+    (functions of no argument) in one _map_cores call, and the cache is
     then cut to ``limit`` entries."""
     keys, first = list(keys), list(first)
     missing = [key for key in dict.fromkeys(keys) if key not in cache]
-    jobs = first + [(partial(fn, key), cost(key)) for key in missing]
-    done = _map_cores(lambda job: job[0](), jobs, lambda job: job[1]) if jobs else []
+    jobs = first + [partial(fn, key) for key in missing]
+    done = _map_cores(lambda job: job(), jobs) if jobs else []
     out = done[: len(first)]
     cache.update(zip(missing, done[len(first) :]))
     for key in keys:
@@ -515,19 +512,23 @@ def _cached_map(cache: dict, limit: int, fn, keys, cost, first=()) -> list:
 
 
 def batch_jobs(ws: WeightSystem, requests) -> dict:
-    """{base pair: (job, cost)} for MOP vectors at |n| = |m| + 1: a job
-    is a function of no argument that gives the MopSolutions of the
-    requests around its base pair (see _base_pair), all right-hand sides
-    of one LU of its G that escalate together (see _solve_rows).  Every
-    request is checked here, before any solve."""
+    """{base pair: job} for MOP vectors at |n| = |m| + 1: a job is a
+    function of no argument that gives the MopSolutions of the requests
+    around its base pair (see _base_pair), all right-hand sides of one LU
+    of its G, redone together up the ladder of escalate.  Every request is
+    checked here, before any solve."""
     groups: dict = {}
     for idx, norm in requests:
         groups.setdefault(_base_pair(ws, idx, norm), {})[norm] = None
-    return {
-        base: (lambda base=base, tags=list(tags): _solve_rows(ws, base, tags)[0],
-               base.size_n ** 3)
-        for base, tags in groups.items()
-    }
+
+    def job(base, tags):
+        def attempt(bits):
+            with mp.workprec(bits):
+                return _factor_and_solve(ws, base, tags)
+
+        return escalate(attempt)[0]
+
+    return {base: partial(job, base, list(tags)) for base, tags in groups.items()}
 
 
 def q_moment(sol: MopSolution, tables: dict, l: int, j: int) -> mpf:
@@ -538,24 +539,24 @@ def q_moment(sol: MopSolution, tables: dict, l: int, j: int) -> mpf:
     return sum(terms, mpf(0))
 
 
-def shifted_solutions(ws: WeightSystem, idx: MultiIndexPair) -> tuple:
-    """The p + q solution rows of the RH matrix at |n| = |m|, and the bits
-    they settled at.
+def shifted_solutions(ws: WeightSystem, idx: MultiIndexPair) -> list:
+    """The p + q solution rows of the RH matrix at |n| = |m|, from one
+    factorization of G(n, m) at working precision (see _factor_and_solve).
 
     Row k (k < p):  type (II,k) at (n + e_k, m).
     Row p + l:      type (I,l)  at (n, m - e_l), or None when m_l = 0
                     (that row of Y degenerates to the unit row e_{p+l}).
-    All rows come from one factorization of G(n, m); see _solve_rows.
+    SingularMatrix propagates; the caller escalates (see
+    rh._expansion_uncached).
     """
     _check_shape(ws, idx)
     if idx.size_n != idx.size_m:
         raise InvalidIndex("RH rows need |n| = |m|")
     tags = [("II", k) for k in range(ws.p)]
     tags += [("I", l) for l in range(ws.q) if idx.m[l] > 0]
-    sols, bits = _solve_rows(ws, idx, tags)
-    by_tag = dict(zip(tags, sols))
+    by_tag = dict(zip(tags, _factor_and_solve(ws, idx, tags)))
     rows = [by_tag.get(("II", k)) for k in range(ws.p)]
-    return rows + [by_tag.get(("I", l)) for l in range(ws.q)], bits
+    return rows + [by_tag.get(("I", l)) for l in range(ws.q)]
 
 
 def bimoment_inverse(ws: WeightSystem, idx: MultiIndexPair) -> dict:

@@ -30,6 +30,7 @@ from .mop import (
     WeightSystem,
     _cached_map,
     batch_jobs,
+    escalate,
     moment_tables,
     q_moment,
     shifted_solutions,
@@ -39,8 +40,7 @@ from .mop import (
 @dataclass(frozen=True)
 class RhExpansion:
     """Y1 and Y2 of the large-z expansion, with block views, and the p+q
-    shifted MOP rows they were built from (see shifted_solutions); Y1, Y2
-    are summed at the bits the rows settled at and rounded once."""
+    shifted MOP rows they were built from (see _expansion_uncached)."""
 
     ws: WeightSystem
     idx: MultiIndexPair
@@ -78,25 +78,32 @@ class RhExpansion:
 
 
 def _expansion_uncached(ws: WeightSystem, idx: MultiIndexPair) -> RhExpansion:
+    """Y1 and Y2 at idx: one factorization of G(n, m) and the sums from its
+    rows make one attempt on the ladder of mop.escalate, and each entry is
+    then rounded once to working precision; the rows keep their bits."""
     size = ws.p + ws.q
-    y1 = matrix(size, size)
-    y2 = matrix(size, size)
-    rows, bits = shifted_solutions(ws, idx)
-    with mp.workprec(bits):
-        tables = moment_tables(ws, idx)
-        for i, sol in enumerate(rows):
-            if sol is None:
-                continue  # degenerate unit row: zero contribution to Y1, Y2
-            d = mpf(1) if i < ws.p else -2j * mp.pi
-            for j in range(ws.p):
-                y1[i, j] = d * sol.coefficient(j, idx.n[j] - 1)
-                y2[i, j] = d * sol.coefficient(j, idx.n[j] - 2)
-            moment_factor = -d / (2j * mp.pi)
-            for l in range(ws.q):
-                ml = idx.m[l]
-                y1[i, ws.p + l] = moment_factor * q_moment(sol, tables, l, ml)
-                y2[i, ws.p + l] = moment_factor * q_moment(sol, tables, l, ml + 1)
-    # each entry rounded once to working precision
+
+    def attempt(bits):
+        y1 = matrix(size, size)
+        y2 = matrix(size, size)
+        with mp.workprec(bits):
+            rows = shifted_solutions(ws, idx)
+            tables = moment_tables(ws, idx)
+            for i, sol in enumerate(rows):
+                if sol is None:
+                    continue  # degenerate unit row: zero contribution to Y1, Y2
+                d = mpf(1) if i < ws.p else -2j * mp.pi
+                for j in range(ws.p):
+                    y1[i, j] = d * sol.coefficient(j, idx.n[j] - 1)
+                    y2[i, j] = d * sol.coefficient(j, idx.n[j] - 2)
+                moment_factor = -d / (2j * mp.pi)
+                for l in range(ws.q):
+                    ml = idx.m[l]
+                    y1[i, ws.p + l] = moment_factor * q_moment(sol, tables, l, ml)
+                    y2[i, ws.p + l] = moment_factor * q_moment(sol, tables, l, ml + 1)
+        return rows, y1, y2
+
+    (rows, y1, y2), _ = escalate(attempt)
     y1, y2 = (y.apply(lambda v: +v) for y in (y1, y2))
     return RhExpansion(ws=ws, idx=idx, Y1=y1, Y2=y2, rows=tuple(rows))
 
@@ -109,15 +116,14 @@ _EXPANSIONS_MAX = 256
 def assemble_rh_expansions(pairs, first=()) -> list:
     """[Y1 and Y2 at idx for (ws, idx) in pairs]: each from the p+q shifted
     MOP rows of one factorization, cached per precision.  The missing
-    expansions are assembled concurrently, after the ``first`` jobs, whose
-    results lead the list (see mop._cached_map); a job's cost is on the
-    size**3 scale of an expansion of that size."""
+    expansions are assembled concurrently, in the order of ``pairs``,
+    after the ``first`` jobs, whose results lead the list (see
+    mop._cached_map)."""
     return _cached_map(
         _EXPANSIONS,
         _EXPANSIONS_MAX,
         lambda key: _expansion_uncached(key[0], key[1]),
         [(ws, idx, mp.prec) for ws, idx in pairs],
-        cost=lambda key: key[1].size_n ** 3,
         first=first,
     )
 

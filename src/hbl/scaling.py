@@ -23,16 +23,6 @@ from .painleve import solve_hastings_mcleod
 from .rh import _fourth_relation, _rel, assemble_rh_expansions
 
 DEFAULT_N_LIST = (8, 12, 16, 24, 32, 48, 64)
-# The Hastings-McLeod solve on the size**3 cost scale of the expansion jobs
-# it runs beside (rh.assemble_rh_expansions).  A cost only sets a job's
-# place in the queue of mop._map_cores, so this one puts the solve at the
-# head, with the n = 64 expansion next.  In one process, alternating with
-# the expansion (moment tables rebuilt each time), the solve took 2.73,
-# 2.21 and 1.67 times one n = 64 expansion of the critical config at
-# t = 0.333, at 256, 512 and 1024 bits (the middle of three runs, each the
-# median of 7 pairs; single pairs read 1.26 to 4.96, on a 2-vCPU
-# x86-64 host, Python 3.11, mpmath 1.3 pure-Python backend, one CPU).
-HML_SOLVE_COST = 2 * 64**3
 
 
 def split_count(p1, n: int) -> tuple[int, int]:
@@ -124,14 +114,15 @@ def _study_rows(cfg, t, n_list, first=()) -> tuple:
     """(the results of the ``first`` jobs, one RH expansion per n of n_list
     in ascending order, at n1 + n2 = n and N = n / T_n with T_n =
     cfg.temperature(n)).  The expansions come from one batch after those
-    jobs (see rh.assemble_rh_expansions); each study turns them into its
-    ScalingRows with _study_row."""
+    jobs, largest n first, so the longest jobs start first (see
+    rh.assemble_rh_expansions); each study turns them into its ScalingRows
+    with _study_row."""
     systems = []
-    for n in sorted(n_list):
+    for n in sorted(n_list, reverse=True):
         split = split_count(cfg.p1, n)
         systems.append((WeightSystem.from_config(cfg, t, n), MultiIndexPair(split, split)))
     done = assemble_rh_expansions(systems, first)
-    return done[: len(first)], done[len(first) :]
+    return done[: len(first)], done[len(first) :][::-1]
 
 
 def _study_row(cfg, exp, predictions: dict) -> ScalingRow:
@@ -172,10 +163,10 @@ def double_scaling_study(
     of ``cfg`` with that rule in place of its own.  The predictions hold
     for 0 < t < t_crit only; any other t raises WrongRegime.
 
-    The Hastings-McLeod solve is the first job of the expansion batch, at
-    cost HML_SOLVE_COST, so the first free worker takes it while the others
-    take the expansions; the job returns q(s) alone, and its error comes
-    before any expansion's, as if it ran first.
+    The Hastings-McLeod solve is the first job of the expansion batch,
+    ahead of the largest n, so one worker takes it while the others take
+    the expansions; the job returns q(s) alone, and its error comes before
+    any expansion's, as if it ran first.
     """
     cfg = BrownianConfig(cfg.a1, cfg.a2, cfg.b1, cfg.b2, cfg.p1, cfg.p2, L=L)
     rep = classify_separation(cfg)
@@ -203,7 +194,9 @@ def double_scaling_study(
             "c21c14_c24": K2q2 * t * db * mp.sqrt(da * db / cfg.p2) * fac,
         }
 
-    solve = (lambda: solve_hastings_mcleod().evaluate(consts.s)[0], HML_SOLVE_COST)
+    def solve():
+        return solve_hastings_mcleod().evaluate(consts.s)[0]
+
     (qs,), exps = _study_rows(cfg, t, n_list, [solve])
     rows = tuple(_study_row(cfg, exp, predictions(exp.idx.size_n, qs)) for exp in exps)
     return DoubleScalingStudy(rows=rows, K=consts.K, s=consts.s, q_of_s=qs, t=t)

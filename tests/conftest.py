@@ -161,8 +161,7 @@ def solve_batch(ws, requests) -> dict:
     """{(idx, norm): MopSolution} for MOP vectors at |n| = |m| + 1: the
     jobs of mop.batch_jobs, one LU per base pair, run concurrently by
     mop._map_cores, as a batch of hbl runs them."""
-    solved = mop._map_cores(lambda job: job[0](), mop.batch_jobs(ws, requests).values(),
-                            cost=lambda job: job[1])
+    solved = mop._map_cores(lambda job: job(), mop.batch_jobs(ws, requests).values())
     return {(sol.idx, sol.norm): sol for sols in solved for sol in sols}
 
 

@@ -413,7 +413,7 @@ def test_identities_factors_each_base_pair_once(
     batches = []
     map_cores = mop._map_cores
     monkeypatch.setattr(
-        mop, "_map_cores", lambda fn, jobs, cost: batches.append(jobs) or map_cores(fn, jobs, cost)
+        mop, "_map_cores", lambda fn, jobs: batches.append(jobs) or map_cores(fn, jobs)
     )
     argv = ["--out", str(tmp_path / "art"), "identities"]
     argv += ["--config", str(large_sep_config_file)]

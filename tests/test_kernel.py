@@ -314,6 +314,27 @@ def test_kernel_raises_at_the_ceiling(cfg_large, monkeypatch):
         )
 
 
+def test_kernel_miss_above_the_start_prints_at_working_precision(cfg_large, monkeypatch):
+    # at n = m = (36, 36) the sum at x = 1.03 still misses at b = 256; with
+    # the ceiling there the ladder starts at 128 and gives up at 256, and
+    # the message prints the point and both sums at the 128 working bits
+    monkeypatch.setattr(mop, "MAX_ESCALATED_PRECISION", 256)
+    ws = WeightSystem.from_config(cfg_large, mpf(1) / 2, 72)
+    idx = MultiIndexPair((36, 36), (36, 36))
+    with mp.workprec(128):
+        x = mpf("1.03")
+        with pytest.raises(NormalizationImpossible) as err:
+            kn.correlation_kernel(ws, idx, x)
+        value, ref = (kn._kernel_sum(ws, kn._KERNEL_FORMS[ws, idx, b], x, x, True)
+                      for b in (256, 512))
+        want = (
+            f"kernel at ({x}, {x}): {value} at 256 bits against {ref} at 512 bits; "
+            "gave up at 256 bits, the last step under the escalation ceiling of 256: "
+            "retry with --precision 512"
+        )
+    assert str(err.value) == want
+
+
 @pytest.mark.parametrize(
     "x, y", [("inf", None), ("-inf", None), ("nan", None), ("0.3", "inf"), ("0.3", "nan")]
 )

@@ -12,7 +12,9 @@ import pytest
 from mpmath import matrix, mp, mpc, mpf
 
 from hbl import mop
-from hbl.errors import InvalidIndex, NormalizationImpossible, SingularMatrix, WorkerFailed
+from hbl.errors import (
+    InvalidIndex, NoConvergence, NormalizationImpossible, SingularMatrix, WorkerFailed
+)
 from hbl.mop import MultiIndexPair, WeightSystem
 
 from conftest import (
@@ -265,19 +267,81 @@ def test_precision_escalation_recovers_conditioning(ws):
 
 
 # ---------------------------------------------------------------------------
+# escalate: the one precision ladder
+# ---------------------------------------------------------------------------
+
+def _missing_below(bits_needed, signal, tried):
+    """An attempt that logs its bits and raises ``signal`` below bits_needed."""
+    def attempt(bits):
+        tried.append(bits)
+        if bits < bits_needed:
+            raise signal(f"missed at {bits} bits")
+        return f"passed at {bits} bits"
+
+    return attempt
+
+
+@pytest.mark.parametrize("signal", [SingularMatrix, NoConvergence])
+def test_escalate_climbs_on_either_signal(signal):
+    # each miss asks for the next rung; the attempt passes at 1024 bits,
+    # the last rung, and the working precision is left as it was
+    tried = []
+    with mp.workprec(128):
+        got = mop.escalate(_missing_below(1024, signal, tried))
+        assert mp.prec == 128
+    assert got == ("passed at 1024 bits", 1024)
+    assert tried == [128, 256, 512, 1024]
+
+
+def test_escalate_tries_a_start_above_the_ceiling_once():
+    tried = []
+    with mp.workprec(2048):
+        got = mop.escalate(_missing_below(0, SingularMatrix, tried))
+        with pytest.raises(NormalizationImpossible) as err:
+            mop.escalate(_missing_below(4096, SingularMatrix, tried))
+    assert got == ("passed at 2048 bits", 2048)
+    assert tried == [2048, 2048]
+    assert str(err.value) == (
+        "missed at 2048 bits; gave up at 2048 bits, the last step under the "
+        "escalation ceiling of 2048: retry with --precision 4096"
+    )
+
+
+def test_escalate_names_the_ceiling_and_the_next_precision():
+    # from 192 bits under a ceiling of 1024 the rungs are 192, 384 and 768;
+    # the error carries the last miss and names 2 * 768, above the ceiling
+    tried = []
+    with mp.workprec(192):
+        with pytest.raises(NormalizationImpossible) as err:
+            mop.escalate(_missing_below(2048, NoConvergence, tried))
+    assert tried == [192, 384, 768]
+    assert str(err.value) == (
+        "missed at 768 bits; gave up at 768 bits, the last step under the "
+        "escalation ceiling of 1024: retry with --precision 1536"
+    )
+
+
+def test_escalate_passes_other_errors_through():
+    tried = []
+    with pytest.raises(InvalidIndex):
+        mop.escalate(_missing_below(10**6, InvalidIndex, tried))
+    assert tried == [mp.prec]
+
+
+# ---------------------------------------------------------------------------
 # shifted solutions: the p + q rows of Y from one factorization
 # ---------------------------------------------------------------------------
 
 def test_shifted_solutions_factor_once(ws, monkeypatch):
     calls = count_solves(monkeypatch)
-    rows, _ = mop.shifted_solutions(ws, MultiIndexPair((8, 8), (8, 8)))
+    rows = mop.shifted_solutions(ws, MultiIndexPair((8, 8), (8, 8)))
     assert calls == [(16, mp.prec)]
     assert all(sol is not None for sol in rows)
 
 
 def test_shifted_solutions_against_exact_rational_oracle(ws):
     idx = MultiIndexPair((2, 1), (1, 2))
-    rows, _ = mop.shifted_solutions(ws, idx)
+    rows = mop.shifted_solutions(ws, idx)
     expected = [(idx.shift_n(k), ("II", k)) for k in range(2)]
     expected += [(idx.shift_m(l, -1), ("I", l)) for l in range(2)]
     for sol, (sol_idx, norm) in zip(rows, expected):
@@ -295,16 +359,20 @@ def test_shifted_solutions_against_exact_rational_oracle(ws):
 
 
 def test_shifted_solutions_escalate_together(ws, monkeypatch):
-    # at 128 bits G(24,24) is numerically singular; the one factorization
-    # is redone at doubled precision and every row then meets the residual
-    # bound
+    # at 128 bits G(24,24) is numerically singular; on the ladder of
+    # escalate the one factorization is redone at doubled precision and
+    # every row then meets the residual bound
     from hbl import numerics as nu
+
+    def attempt(bits):
+        with mp.workprec(bits):
+            return mop.shifted_solutions(ws, idx)
 
     calls = count_solves(monkeypatch)
     idx = MultiIndexPair((24, 24), (24, 24))
     nu.set_precision(128)
     try:
-        rows, bits = mop.shifted_solutions(ws, idx)
+        rows, bits = mop.escalate(attempt)
         with mp.workprec(bits):
             tables = mop.moment_tables(ws, idx)
             resids = [orthogonality_residual(sol, tables) for sol in rows]
@@ -371,7 +439,7 @@ def test_solve_batch_matches_in_process_groups(ws, monkeypatch):
     sols = solve_batch(ws, [r for base in bases for r in _rows_requests(base)])
     for base in bases:
         tags = [norm for _, norm in _rows_requests(base)]
-        want = mop._solve_rows(ws, base, tags)[0]
+        want = mop._factor_and_solve(ws, base, tags)
         assert _bits(sols[s.idx, s.norm] for s in want) == _bits(want)
 
 
@@ -392,7 +460,7 @@ def test_map_cores_runs_each_job_once_in_job_order(monkeypatch):
         return job * job
 
     jobs = [3, 1, 4, 1, 5, 9, 2, 6, 5, 3]
-    assert mop._map_cores(fn, jobs, cost=lambda job: job) == [job * job for job in jobs]
+    assert mop._map_cores(fn, jobs) == [job * job for job in jobs]
     assert sorted(job for job, _ in log) == sorted(jobs)
     _no_child_left()
 
@@ -406,7 +474,7 @@ def test_map_cores_reaps_children_and_reraises(ws, monkeypatch):
     small, big = MultiIndexPair((20, 20), (20, 20)), MultiIndexPair((24, 24), (24, 24))
     with mp.workprec(128):
         with pytest.raises(NormalizationImpossible) as want:
-            mop._solve_rows(ws, small, [("II", 0)])
+            mop.batch_jobs(ws, [(small.shift_n(0), ("II", 0))])[small]()
         with pytest.raises(NormalizationImpossible) as got:
             solve_batch(ws, [(small.shift_n(0), ("II", 0)), (big.shift_n(0), ("II", 0))])
     assert str(got.value) == str(want.value)
@@ -415,18 +483,18 @@ def test_map_cores_reaps_children_and_reraises(ws, monkeypatch):
 
 @pytest.mark.parametrize("failing", [{0, 1, 2, 3}, {2, 3}], ids=["all", "late"])
 def test_map_cores_raises_the_earliest_failed_job(failing, monkeypatch):
-    # job 0 is cheap, so it is pulled last, after the expensive jobs have
-    # failed on both workers; the error raised is still the in-order loop's
+    # job 0 runs longest, so it fails last, after the other worker has
+    # failed on a later job; the error raised is still the in-order loop's
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
 
     def fn(job):
-        time.sleep(0.02)
+        time.sleep(0.2 if job == 0 else 0.02)
         if job in failing:
             raise ValueError(f"job {job}")
         return job
 
     with pytest.raises(ValueError) as got:
-        mop._map_cores(fn, range(4), cost=lambda job: 10 * (job > 0))
+        mop._map_cores(fn, range(4))
     assert str(got.value) == f"job {min(failing)}"
     _no_child_left()
 
@@ -455,7 +523,7 @@ def test_map_cores_queue_outgrows_its_pipe(cpus, monkeypatch):
     previous = signal.signal(signal.SIGALRM, stalled)
     signal.alarm(60)
     try:
-        got = mop._map_cores(fn, jobs, cost=lambda job: job % 7)
+        got = mop._map_cores(fn, jobs)
     finally:
         signal.alarm(0)
         signal.signal(signal.SIGALRM, previous)
@@ -472,7 +540,7 @@ def test_map_cores_one_job_forks_nothing(monkeypatch):
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
     monkeypatch.setattr(os, "fork", fork)
     monkeypatch.setattr(os, "pipe", fork)
-    assert mop._map_cores(lambda job: job + 1, [1], cost=lambda job: 1) == [2]
+    assert mop._map_cores(lambda job: job + 1, [1]) == [2]
 
 
 class TwoArgumentError(Exception):
@@ -514,7 +582,7 @@ def test_map_cores_names_a_worker_that_cannot_send(fn, message, monkeypatch):
 
     try:
         with pytest.raises(WorkerFailed) as got:
-            mop._map_cores(run, [1, 2], cost=lambda job: 1)
+            mop._map_cores(run, [1, 2])
     finally:
         os.close(ready)
         os.close(taken)

@@ -107,6 +107,35 @@ def test_y1_summed_at_the_bits_the_rows_settled_at(critical_config, monkeypatch)
             assert abs(exp.product(i, j) - want) <= mpf(2) ** -100 * abs(want)
 
 
+def test_a_miss_after_the_factorization_redoes_it(ws, idx22, monkeypatch):
+    # a miss raised in the Y1/Y2 sums, once at 256 bits, sends the whole
+    # attempt up one rung: G is factored again at 512 bits, and Y1 is that
+    # of a fresh 512-bit expansion, rounded once to the working 256 bits
+    q_moment, missed = rh.q_moment, []
+
+    def miss_once(*args):
+        if mp.prec == 256 and not missed:
+            missed.append(True)
+            raise NoConvergence("the sums missed")
+        return q_moment(*args)
+
+    monkeypatch.setattr(rh, "q_moment", miss_once)
+    calls = count_solves(monkeypatch)
+    with mp.workprec(256):
+        exp = rh._expansion_uncached(ws, idx22)
+    assert calls == [(4, 256), (4, 512)]
+    monkeypatch.undo()
+    with mp.workprec(512):
+        fresh = rh._expansion_uncached(ws, idx22)
+    with mp.workprec(256):
+        want = fresh.Y1.apply(lambda v: +v)
+
+    def raw(y):
+        return [(v.real._mpf_, v.imag._mpf_) for row in y.tolist() for v in row]
+
+    assert raw(exp.Y1) == raw(want)
+
+
 def _critical_n80(critical_config):
     # n = 80 at t = 0.25 and 256 bits: G(80, 80) is not singular, nothing
     # escalates, and c14c41 has a relative error of 0.081 against 1600 bits
@@ -312,7 +341,7 @@ def test_recurrence_batch_matches_independent_route(ws, idx22, monkeypatch):
         return solve_batch(ws, [key])[key]
 
     def independent(pairs, first=()):
-        groups = [[alone(sol) for sol in job()] for job, _ in first]
+        groups = [[alone(sol) for sol in job()] for job in first]
         return groups + [
             replace(e, rows=tuple(sol and alone(sol) for sol in e.rows)) for e in expansions(pairs)
         ]

@@ -204,9 +204,9 @@ def test_double_scaling_q_against_interpolant(critical_config, hml_solution, sha
 # ---------------------------------------------------------------------------
 
 def test_scaling_batch_queues_the_solve_first(critical_config, monkeypatch):
-    # default n-list over two CPUs: the solve (first job, cost 64^3) and
-    # n = 64 (the same cost) lead the queue, so they are the first two jobs
-    # the workers start; every job runs once
+    # default n-list over two CPUs: the study queues the solve and then the
+    # expansions largest n first, so the solve and n = 64 are the first two
+    # jobs the workers start; every job runs once
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
     log = SolveLog()  # (n, pid): n = 0 for the solve
     solve, expand = sc.solve_hastings_mcleod, rh._expansion_uncached
@@ -271,9 +271,8 @@ def test_double_scaling_accepts_a_negative_L_past_its_bound(critical_config, sha
     "n_list",
     [
         sc.DEFAULT_N_LIST,
-        # n = 72 outweighs the solve and leads the queue, so the solve is
-        # the second job taken, on two CPUs most often by the worker: its
-        # error then crosses the pipe while this process fails on n = 72
+        # the solve and n = 72 lead the queue, so on two CPUs each runs in
+        # a worker of its own, and both errors cross a pipe
         (8, 72),
     ],
     ids=["solve-in-parent", "solve-in-worker"],
@@ -316,7 +315,7 @@ def test_scaling_batch_artifacts_match_the_loop(argv, tmp_path, monkeypatch):
 
     at = argv.index("scaling") + 1
     argv = argv[:at] + ["--config", str(CRITICAL_CONFIG)] + argv[at:]
-    def loop(fn, jobs, cost):
+    def loop(fn, jobs):
         return [fn(job) for job in jobs]
 
     runs = []
