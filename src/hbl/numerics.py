@@ -187,10 +187,12 @@ def solve_pairs(rows: list, cols: list) -> list:
         raise ValueError("the solve needs finite entries")
 
     prec = mp.prec
-    scale = max((v for row in rows for v in row[:n]), key=lambda v: _magnitude(v, prec),
-                default=(0, 0))
-    if not scale[0]:
+    # the largest entry of A: its top bit first, mantissas only among ties
+    top = max((e + m.bit_length() for row in rows for m, e in row[:n] if m), default=None)
+    if top is None:
         raise SingularMatrix("zero matrix")
+    scale = max((v for row in rows for v in row[:n] if v[0] and v[1] + v[0].bit_length() == top),
+                key=lambda v: _magnitude(v, prec))
     # Leave 32 bits of slack; anything smaller than this is numerically zero.
     threshold = mp.make_mpf(mpf_shift(from_man_exp(abs(scale[0]), scale[1]), -(prec - 32)))
 

@@ -9,21 +9,24 @@ float64 solve with the banded Jacobian (``solve_banded``: pure-Python
 elimination over each row's stencil span).  It stops when the residual
 reaches 1e-40 or the floor that rounding the values to working precision
 leaves.  ``achieved_residual`` is the residual of the rounded values
-returned.  Shooting is deliberately not the shipped method; the connection
-problem is exponentially unstable leftward and shooting survives only as a
-test oracle.
+returned.  ``HmlSolution.q_prime`` is formed on first read, from those
+values at the solve's precision: the double-scaling study reads q alone
+(``evaluate(s, nder=0)``) and never forms it.  Shooting is deliberately
+not the shipped method; the connection problem is exponentially unstable
+leftward and shooting survives only as a test oracle.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 import math
 from math import factorial, lcm
 from operator import mul
 from mpmath import mp, mpf
-from mpmath.libmp import from_int, from_man_exp, mpf_div, mpf_shift, round_nearest
+from mpmath.libmp import (from_int, from_man_exp, mpf_add, mpf_div, mpf_mul_int, mpf_shift,
+                          round_nearest, to_float)
 
 from . import numerics as nu
 from .errors import DomainTooNarrow, NoConvergence, OutOfDomain
@@ -76,11 +79,13 @@ def _int_rows(rows, npts: int, order: int, half: int, edge: int):
 def _fill_in(rows) -> list:
     """The rows (first column, values) of a banded matrix, each padded with
     zeros to the last column that elimination without pivoting fills in,
-    so that solve_banded never grows a row."""
+    so that solve_banded never grows a row.  A row that needs no zeros is
+    passed on as the same list."""
     ends = []
     for i, (a, w) in enumerate(rows):
         ends.append(max([a + len(w)] + ends[a:i]))
-    return [(a, w + [0.0] * (end - a - len(w))) for (a, w), end in zip(rows, ends)]
+    return [(a, w if end == a + len(w) else w + [0.0] * (end - a - len(w)))
+            for (a, w), end in zip(rows, ends)]
 
 
 def solve_banded(rows, shift, rhs):
@@ -158,16 +163,31 @@ class HmlSolution:
     h: mpf
     grid: list
     q: list
-    q_prime: list
     tol: mpf
     achieved_residual: mpf
+    prec: int  # the working precision the solve ran at
+
+    @cached_property
+    def q_prime(self) -> list:
+        """q' at the nodes, formed on first read: the 6th-order 9-point
+        stencils of the returned q, summed exactly on the Newton scale
+        2^(prec + GUARD_BITS) and rounded once at the solve's precision,
+        whatever mp.prec is when it is read."""
+        prec, npts = self.prec, len(self.q)
+        P = prec + GUARD_BITS
+        Q = [_scaled(v._mpf_, P) for v in self.q]
+        den, first = _int_rows(range(npts), npts, 1, 4, 9)
+        dh = mpf_shift(mpf_mul_int(self.h._mpf_, den, prec, round_nearest), P)
+        return [mp.make_mpf(mpf_div(from_int(sum(map(mul, w, Q[a : a + len(w)]))), dh,
+                                    prec, round_nearest)) for a, w in first]
 
     def _locate(self, s) -> int:
         return int((s - self.s_lo) / self.h + mpf(1) / 2)
 
     def evaluate(self, s, nder: int = 1):
         """q and its first ``nder`` derivatives at s via a local 9-point
-        Lagrange polynomial (divided differences at working precision)."""
+        Lagrange polynomial (divided differences at working precision).
+        At a node, q and q' are the stored values; nder=0 reads q alone."""
         s = nu.to_ext(s)
         if not self.s_lo <= s <= self.s_hi:
             raise OutOfDomain(f"s={s} outside [{self.s_lo}, {self.s_hi}]")
@@ -219,8 +239,12 @@ def solve_hastings_mcleod(
     # above 2000 at some precisions, and the grid must not depend on them.
     npts = int(mp.ceil((s_hi - s_lo) / nu.to_ext(spacing) - mpf(2) ** -32)) + 1
     h = (s_hi - s_lo) / (npts - 1)
-    grid = [s_lo + i * h for i in range(npts)]
-    s_float = [float(v) for v in grid]
+    # node i is s_lo + i*h rounded as mpf arithmetic rounds it; its float is
+    # float(mpf), which rounds to nearest where to_float's default does not
+    prec = mp.prec
+    raw_grid = [mpf_add(s_lo._mpf_, mpf_mul_int(h._mpf_, i, prec, round_nearest),
+                        prec, round_nearest) for i in range(npts)]
+    s_float = [to_float(v, rnd=round_nearest) for v in raw_grid]
     q = []
     for s in s_float:
         blend = min(max((s + 1) / 2, 0.0), 1.0)
@@ -231,11 +255,12 @@ def solve_hastings_mcleod(
     bc_right = mp.airyai(s_hi)
 
     # the Jacobian is band - diag(shift(q)): the band holds the stencils
-    # over h^2 between identity rows, row i as (first column, values)
+    # over h^2 between identity rows, row i as (first column, values); rows
+    # with one stencil share one list, which solve_banded copies
     den, stencils = _int_rows(range(1, npts - 1), npts, 2, 3, 8)
     scale = 1.0 / (den * float(h) ** 2)
-    band = [(0, [1.0])] + [(a, [c * scale for c in w]) for a, w in stencils]
-    band = _fill_in(band + [(npts - 1, [1.0])])
+    floats = {w: [c * scale for c in w] for _, w in stencils}
+    band = _fill_in([(0, [1.0])] + [(a, floats[w]) for a, w in stencils] + [(npts - 1, [1.0])])
 
     def shift(qf):
         return [0.0] + [s + 6.0 * v * v for s, v in zip(s_float[1:-1], qf[1:-1])] + [0.0]
@@ -248,31 +273,36 @@ def solve_hastings_mcleod(
         row = w[:]
         row[i - a] -= d
         rounding = max(rounding, sum(map(abs, map(mul, row, q[a : a + len(row)]))))
-    floor = max(_NEWTON_TARGET, rounding * 2.0**-mp.prec)
+    floor = max(_NEWTON_TARGET, rounding * 2.0**-prec)
 
     # Newton on scaled integers Q_i = q_i 2^P: products are exact, and only
     # the data and the shifts back to scale 2^P round, at 2^-P
-    P = mp.prec + GUARD_BITS
+    P = prec + GUARD_BITS
     one = 1 << P
     man, exp = h.man_exp
     inv_dh2 = (1 << (P - 2 * exp)) // (den * man * man)  # 2^P / (D h^2)
-    S = [_scaled(v._mpf_, P) for v in grid]
+    S = [_scaled(v, P) for v in raw_grid[1:-1]]
     BL, BR = _scaled(bc_left._mpf_, P), _scaled(bc_right._mpf_, P)
 
+    # rows lo..hi-1 share the centred stencil, whose weights are symmetric;
+    # the rows nearer the ends keep their own windows
+    centred = tuple(range(-3, 4))
+    inner = [i for i in range(1, npts - 1) if _offsets(i, npts, 3, 8) == centred]
+    lo, hi = inner[0], inner[-1] + 1
+    c0, c1, c2, c3 = stencils[lo - 1][1][:4]
+    edges = stencils[: lo - 1], stencils[hi - 1 :]
+
     def residual(Q):
-        out = [Q[0] - BL]
-        for i, (a, w) in enumerate(stencils, 1):
-            qi = Q[i]
-            acc = sum(map(mul, w, Q[a : a + len(w)]))
-            out.append((acc * inv_dh2 - S[i] * qi - (2 * qi**3 >> P)) >> P)
-        out.append(Q[-1] - BR)
+        left, right = ([sum(map(mul, w, Q[a : a + len(w)])) for a, w in rows] for rows in edges)
+        views = [Q[lo + o : hi + o] for o in centred]
+        middle = [c3 * q3 + c2 * (q2 + q4) + c1 * (q1 + q5) + c0 * (q0 + q6)
+                  for q0, q1, q2, q3, q4, q5, q6 in zip(*views)]
+        out = [(acc * inv_dh2 - s * qi - (2 * qi**3 >> P)) >> P
+               for acc, s, qi in zip(left + middle + right, S, Q[1:-1])]
+        out = [Q[0] - BL] + out + [Q[-1] - BR]
         return out, max(map(abs, out))
 
-    def to_scaled(x: float) -> int:
-        num, d = x.as_integer_ratio()
-        return (num << P) // d
-
-    Q = [to_scaled(v) for v in q]
+    Q = [(n << P) // d for n, d in map(float.as_integer_ratio, q)]
     res, norm = residual(Q)
     for _ in range(MAX_NEWTON):
         if norm / one <= floor:
@@ -281,7 +311,7 @@ def solve_hastings_mcleod(
         # 12 times until the residual norm drops; stop if none does
         delta = solve_banded(band, shift([v / one for v in Q]), [v / one for v in res])
         for _ in range(12):
-            trial = [v - to_scaled(d) for v, d in zip(Q, delta)]
+            trial = [v - (n << P) // d for v, (n, d) in zip(Q, map(float.as_integer_ratio, delta))]
             trial_res, trial_norm = residual(trial)
             if trial_norm < norm:
                 break
@@ -291,26 +321,20 @@ def solve_hastings_mcleod(
         Q, res, norm = trial, trial_res, trial_norm
 
     # the values rounded to working precision, and back on the 2^P scale
-    prec = mp.prec
     raws = [from_man_exp(v, -P, prec, round_nearest) for v in Q]
     Q = [_scaled(v, P) for v in raws]
     res_norm = mp.make_mpf(from_man_exp(residual(Q)[1], -P, prec, round_nearest))
     if res_norm > tol:
         raise NoConvergence(f"collocation stalled at residual {res_norm}")
-
-    den1, first = _int_rows(range(npts), npts, 1, 4, 9)
-    dh = mpf_shift((den1 * h)._mpf_, P)
-    q_prime = [mp.make_mpf(mpf_div(from_int(sum(map(mul, w, Q[a : a + len(w)]))), dh,
-                                   prec, round_nearest)) for a, w in first]
     return HmlSolution(
         s_lo=s_lo,
         s_hi=s_hi,
         h=h,
-        grid=grid,
+        grid=[mp.make_mpf(v) for v in raw_grid],
         q=[mp.make_mpf(v) for v in raws],
-        q_prime=q_prime,
         tol=tol,
         achieved_residual=res_norm,
+        prec=prec,
     )
 
 

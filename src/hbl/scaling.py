@@ -195,7 +195,7 @@ def double_scaling_study(
         }
 
     def solve():
-        return solve_hastings_mcleod().evaluate(consts.s)[0]
+        return solve_hastings_mcleod().evaluate(consts.s, nder=0)[0]
 
     (qs,), exps = _study_rows(cfg, t, n_list, [solve])
     rows = tuple(_study_row(cfg, exp, predictions(exp.idx.size_n, qs)) for exp in exps)

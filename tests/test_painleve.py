@@ -128,6 +128,8 @@ def test_default_grid_independent_of_precision(bits):
     with mp.workprec(bits):
         sol = pv.solve_hastings_mcleod()
         assert len(sol.grid) == 2001 and sol.h == mpf(20) / 2000
+        # each node is s_lo + i*h as mpf arithmetic rounds it
+        assert all(v._mpf_ == (sol.s_lo + i * sol.h)._mpf_ for i, v in enumerate(sol.grid))
 
 
 @pytest.mark.parametrize("s_lo, s_hi", [(-6, 6), (-20, 15)])
@@ -137,6 +139,15 @@ def test_newton_converges_from_the_seed_on_other_domains(hml_solution, s_lo, s_h
     sol = pv.solve_hastings_mcleod(s_lo=mpf(s_lo), s_hi=mpf(s_hi))
     assert sol.achieved_residual <= mpf("1e-40")
     assert abs(sol.evaluate(0)[0] - hml_solution.evaluate(0)[0]) <= mpf("1e-9")
+
+
+def test_coarse_grid_meets_the_residual_oracle():
+    # 25 points on [-6, 6]: the centred rows and the rows at the ends
+    # still give the residual the plain mpf sweep finds
+    sol = pv.solve_hastings_mcleod(s_lo=mpf(-6), s_hi=mpf(6), spacing=mpf("0.5"))
+    oracle = hml_residual_oracle(sol)
+    assert len(sol.grid) == 25 and oracle <= mpf("1e-40")
+    assert oracle / 4 <= sol.achieved_residual <= 4 * oracle
 
 
 def test_grid_values_agree_across_precisions(hml_solution):
@@ -164,6 +175,17 @@ def test_on_grid_evaluation_is_exact(hml_solution):
     q, qp = hml_solution.evaluate(s)
     assert q == hml_solution.q[i]
     assert qp == hml_solution.q_prime[i]
+
+
+def test_values_alone_leave_q_prime_unformed():
+    # q at a node and between nodes is the same with or without q', and
+    # reading q alone forms no q'
+    sol = pv.solve_hastings_mcleod()
+    points = [mpf(0), sol.grid[777], mpf("1.2345"), mpf("-7.777")]
+    values = [sol.evaluate(s, nder=0) for s in points]
+    assert "q_prime" not in vars(sol)
+    assert all(len(v) == 1 for v in values)
+    assert [v[0] for v in values] == [sol.evaluate(s, nder=1)[0] for s in points]
 
 
 def test_continuity(hml_solution):
@@ -304,6 +326,24 @@ def test_solve_bits_pinned(bits, digest):
     with mp.workprec(bits):
         sol = pv.solve_hastings_mcleod()
     raw = (tuple(v._mpf_ for v in sol.q), tuple(v._mpf_ for v in sol.q_prime),
+           sol.achieved_residual._mpf_)
+    assert hashlib.sha256(repr(raw).encode()).hexdigest()[:16] == digest
+
+
+@pytest.mark.parametrize(
+    "bits, digest",
+    [(128, "6a30c0b656c9ed47"), (256, "179f4ca46d52922c"), (1088, "37da5dfb11e95593")],
+)
+def test_q_prime_read_later_keeps_the_solve_bits(bits, digest):
+    # q' is formed on first read, at the precision the solve ran at: read
+    # at another precision, the pinned digest still holds
+    import hashlib
+
+    with mp.workprec(bits):
+        sol = pv.solve_hastings_mcleod()
+    with mp.workprec(96):
+        q_prime = sol.q_prime
+    raw = (tuple(v._mpf_ for v in sol.q), tuple(v._mpf_ for v in q_prime),
            sol.achieved_residual._mpf_)
     assert hashlib.sha256(repr(raw).encode()).hexdigest()[:16] == digest
 
