@@ -21,8 +21,7 @@ phi(x)^T G^{-1} psi(y) with the inverse of the bimoment matrix G(n, m).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from mpmath import mp, mpf, mpc, matrix
 
@@ -262,8 +261,7 @@ def correlation_kernel(ws: WeightSystem, idx: MultiIndexPair, x, y=None):
     return +escalate(attempt)[0]
 
 
-@dataclass
-class KernelGrid:
+class KernelGrid(NamedTuple):
     """Sampled one-point density (1/n) K_n(x, x) with support bookkeeping."""
 
     xs: list

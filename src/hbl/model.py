@@ -10,9 +10,9 @@ ellipses in the time-space plane.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from enum import Enum
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from mpmath import mp, mpf
 
@@ -28,8 +28,7 @@ class Regime(str, Enum):
     CRITICAL = "critical"
 
 
-@dataclass(frozen=True)
-class BrownianConfig:
+class BrownianConfig(namedtuple("BrownianConfig", "a1 a2 b1 b2 p1 p2 T L")):
     """Endpoints, fractions and temperature rule of the two-group model.
 
     Exactly one of ``T`` (fixed temperature) or ``L`` (double-scaling rule
@@ -37,31 +36,24 @@ class BrownianConfig:
     to avoid double-precision contamination.
     """
 
-    a1: mpf
-    a2: mpf
-    b1: mpf
-    b2: mpf
-    p1: mpf = mpf(1) / 2
-    p2: mpf = mpf(1) / 2
-    T: Optional[mpf] = None
-    L: Optional[mpf] = None
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.T is not None and self.L is not None:
+    def __new__(cls, a1, a2, b1, b2, p1=mpf(1) / 2, p2=mpf(1) / 2, T=None, L=None):
+        if T is not None and L is not None:
             raise InvalidConfig("give either a fixed T or a scaling constant L")
-        if self.T is None and self.L is None:
-            object.__setattr__(self, "T", mpf(1))
-        for name in ("a1", "a2", "b1", "b2", "p1", "p2", "T", "L"):
-            value = getattr(self, name)
-            if value is None:
-                continue
-            try:
-                value = nu.to_ext(value)
-            except (TypeError, ValueError):
-                raise InvalidConfig(f"{name} must be a decimal number, got {value!r}") from None
-            if not mp.isfinite(value):
-                raise InvalidConfig(f"{name} must be finite, got {value}")
-            object.__setattr__(self, name, value)
+        if T is None and L is None:
+            T = mpf(1)
+        values = []
+        for name, value in zip(cls._fields, (a1, a2, b1, b2, p1, p2, T, L)):
+            if value is not None:
+                try:
+                    value = nu.to_ext(value)
+                except (TypeError, ValueError):
+                    raise InvalidConfig(f"{name} must be a decimal number, got {value!r}") from None
+                if not mp.isfinite(value):
+                    raise InvalidConfig(f"{name} must be finite, got {value}")
+            values.append(value)
+        self = super().__new__(cls, *values)
         if self.T is not None and self.T <= 0:
             raise InvalidConfig("temperature T must be positive")
         if not self.a1 > self.a2:
@@ -72,6 +64,12 @@ class BrownianConfig:
             raise InvalidConfig("fractions must lie in (0, 1)")
         if abs(self.p1 + self.p2 - 1) > mpf("1e-30"):
             raise InvalidConfig("fractions must satisfy p1 + p2 = 1")
+        return self
+
+    def __reduce__(self):
+        # the fields as they are: __new__ would round them again at the
+        # loading side's precision
+        return tuple.__new__, (type(self), tuple(self))
 
     # -- temperature rule -------------------------------------------------
     def temperature(self, n: Optional[int] = None) -> mpf:
@@ -102,8 +100,7 @@ class BrownianConfig:
         return getattr(self, f"{group}{j}")
 
 
-@dataclass(frozen=True)
-class SeparationReport:
+class SeparationReport(NamedTuple):
     regime: Regime
     t_crit: mpf
     T_crit: mpf
@@ -188,8 +185,7 @@ def phase_boundary(cfg: BrownianConfig, t) -> mpf:
     return (da**2 * (1 - t) ** 2 + db**2 * t**2) / (4 * t * (1 - t))
 
 
-@dataclass(frozen=True)
-class ScalingConstants:
+class ScalingConstants(NamedTuple):
     K: mpf
     s: mpf
 

@@ -12,11 +12,13 @@ two-term recursion; quadrature only ever appears as a test oracle.
 
 from __future__ import annotations
 
+import gc
 import math
 import os
 import threading
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import partial
+from typing import NamedTuple
 
 from mpmath import mp, mpc, mpf, matrix
 
@@ -28,29 +30,27 @@ from .errors import (
 MAX_ESCALATED_PRECISION = 1024
 
 
-@dataclass(frozen=True)
-class WeightSystem:
+class WeightSystem(namedtuple("WeightSystem", "a b t N")):
     """Gaussian weight data for p starting and q ending positions."""
 
-    a: tuple
-    b: tuple
-    t: mpf
-    N: mpf
-
-    def __post_init__(self):
-        object.__setattr__(self, "a", tuple(nu.to_ext(v) for v in self.a))
-        object.__setattr__(self, "b", tuple(nu.to_ext(v) for v in self.b))
-        object.__setattr__(self, "t", nu.to_ext(self.t))
-        object.__setattr__(self, "N", nu.to_ext(self.N))
+    def __new__(cls, a, b, t, N):
+        self = super().__new__(cls, tuple(nu.to_ext(v) for v in a),
+                               tuple(nu.to_ext(v) for v in b), nu.to_ext(t), nu.to_ext(N))
         if not 0 < self.t < 1:
             raise ValueError("time t must lie in (0, 1)")
         if self.N <= 0:
             raise ValueError("scale N must be positive")
         # a cache key of the kernel forms and moment tables: hashed once
-        object.__setattr__(self, "_hash", hash((self.a, self.b, self.t, self.N)))
+        self._hash = tuple.__hash__(self)
+        return self
 
     def __hash__(self) -> int:
         return self._hash
+
+    def __reduce__(self):
+        # the fields as they are: __new__ would round them again at the
+        # loading side's precision
+        return tuple.__new__, (type(self), tuple(self)), self.__dict__
 
     @property
     def p(self) -> int:
@@ -129,22 +129,23 @@ def _moment_table(ws: WeightSystem, k: int, l: int, jmax: int, prec: int) -> tup
 # Multi-indices
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class MultiIndexPair:
+class MultiIndexPair(namedtuple("MultiIndexPair", "n m")):
     """Index pair (n, m); |n| = |m| for RH matrices, |n| = |m| + 1 for MOP."""
 
-    n: tuple
-    m: tuple
+    __slots__ = ()
 
-    def __post_init__(self):
-        object.__setattr__(self, "n", tuple(int(v) for v in self.n))
-        object.__setattr__(self, "m", tuple(int(v) for v in self.m))
+    def __new__(cls, n, m):
+        self = super().__new__(cls, tuple(int(v) for v in n), tuple(int(v) for v in m))
         if any(v < 0 for v in self.n + self.m):
             raise InvalidIndex(f"negative multi-index component in {self}")
         if self.size_n not in (self.size_m, self.size_m + 1):
             raise InvalidIndex(
                 f"|n|={self.size_n} must equal |m|={self.size_m} or |m|+1"
             )
+        return self
+
+    def __reduce__(self):
+        return tuple.__new__, (type(self), tuple(self))
 
     @property
     def size_n(self) -> int:
@@ -168,8 +169,7 @@ class MultiIndexPair:
 NormTag = tuple  # ("II", k) or ("I", l) with 0-based position index
 
 
-@dataclass(frozen=True)
-class MopSolution:
+class MopSolution(NamedTuple):
     """Coefficient arrays of A_1..A_p (ascending powers) plus its tag; the
     coefficients keep the bits their solve settled at (see escalate)."""
 
@@ -431,6 +431,9 @@ def _map_cores(fn, jobs) -> list:
 
     children = []  # [pid, read end of its pipe]; pid is None until forked
     statuses = []
+    # the children inherit this heap: frozen, their collections skip it
+    # (and write none of its pages)
+    gc.freeze()
     try:
         for _ in range(workers):
             result_read, result_write = os.pipe()
@@ -474,6 +477,7 @@ def _map_cores(fn, jobs) -> list:
             source.close()
             if pid:
                 statuses.append(os.waitpid(pid, 0)[1])
+        gc.unfreeze()
     status = next((status for status in statuses if status), 0)
     if status:
         reported = {i for taken, _, _ in results for i in taken}

@@ -18,11 +18,10 @@ leftward and shooting survives only as a test oracle.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from fractions import Fraction
+from collections import namedtuple
 from functools import cached_property, lru_cache
 import math
-from math import factorial, lcm
+from math import factorial, gcd, lcm
 from operator import mul
 from mpmath import mp, mpf
 from mpmath.libmp import (from_int, from_man_exp, mpf_add, mpf_div, mpf_mul_int, mpf_shift,
@@ -41,20 +40,22 @@ _INTERP_POINTS = 9
 
 @lru_cache(maxsize=None)
 def _fd_weights(offsets: tuple, order: int) -> tuple:
-    """Exact finite-difference weights for d^order/ds^order at offset 0.
+    """(D, integer weights) of the exact finite-difference weights for
+    d^order/ds^order at offset 0, over their least common denominator D.
 
     Each weight is the order-th derivative at 0 of a Lagrange basis
     polynomial, built over the integers, so stencils of any one-sided
     shape are exact to polynomial degree len(offsets)-1.
     """
-    weights = []
+    fracs = []  # (numerator, denominator) of each weight
     for j, oj in enumerate(offsets):
         coef, den = [1], 1  # prod_{k != j} (x - o_k), lowest degree first
         for ok in offsets[:j] + offsets[j + 1 :]:
             coef = [a - ok * b for a, b in zip([0] + coef, coef + [0])]
             den *= oj - ok
-        weights.append(Fraction(factorial(order) * coef[order], den))
-    return tuple(weights)
+        fracs.append((factorial(order) * coef[order], den))
+    D = lcm(*(abs(d) // gcd(n, d) for n, d in fracs))
+    return D, tuple(n * D // d for n, d in fracs)
 
 
 def _offsets(i: int, npts: int, half: int, edge: int) -> tuple:
@@ -71,8 +72,8 @@ def _int_rows(rows, npts: int, order: int, half: int, edge: int):
     at each node of ``rows``, the weights over one common denominator D."""
     offs = [_offsets(i, npts, half, edge) for i in rows]
     exact = {o: _fd_weights(o, order) for o in set(offs)}
-    den = lcm(*(w.denominator for ws in exact.values() for w in ws))
-    ints = {o: tuple(int(w * den) for w in ws) for o, ws in exact.items()}
+    den = lcm(*(d for d, _ in exact.values()))
+    ints = {o: tuple(w * (den // d) for w in ws) for o, (d, ws) in exact.items()}
     return den, [(i + o[0], ints[o]) for i, o in zip(rows, offs)]
 
 
@@ -154,18 +155,10 @@ def left_asymptote(s) -> mpf:
     return mp.sqrt(-s / 2) * (1 - mpf(1) / 8 * (-s) ** mpf(-3))
 
 
-@dataclass
-class HmlSolution:
-    """Sampled Hastings-McLeod solution with interpolation metadata."""
-
-    s_lo: mpf
-    s_hi: mpf
-    h: mpf
-    grid: list
-    q: list
-    tol: mpf
-    achieved_residual: mpf
-    prec: int  # the working precision the solve ran at
+class HmlSolution(namedtuple("HmlSolution", "s_lo s_hi h grid q tol achieved_residual prec")):
+    """Sampled Hastings-McLeod solution with interpolation metadata; ``prec``
+    is the working precision the solve ran at.  Instances keep a __dict__,
+    where q_prime is stored once formed."""
 
     @cached_property
     def q_prime(self) -> list:

@@ -10,8 +10,7 @@ c_{i,j} c_{j,i} appearing in a recurrence is real.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from mpmath import mp, mpf, mpc, matrix
 
@@ -37,8 +36,7 @@ from .mop import (
 )
 
 
-@dataclass(frozen=True)
-class RhExpansion:
+class RhExpansion(NamedTuple):
     """Y1 and Y2 of the large-z expansion, with block views, and the p+q
     shifted MOP rows they were built from (see _expansion_uncached)."""
 
@@ -46,7 +44,7 @@ class RhExpansion:
     idx: MultiIndexPair
     Y1: matrix
     Y2: matrix
-    rows: tuple = field(compare=False, repr=False)
+    rows: tuple
 
     @property
     def p(self) -> int:
@@ -189,8 +187,7 @@ def backward_transfer(
 # Diagonal recurrence coefficients
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class DiagonalCoefficient:
+class DiagonalCoefficient(NamedTuple):
     """c_{k,k} - c~_{k,k} via the Lax compatibility formula and via Y2."""
 
     via_lax: mpf
@@ -427,8 +424,7 @@ def verify_lax_ode(ws: WeightSystem, idx: MultiIndexPair, z):
 # Scalar-product relations
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class ScalarProductReport:
+class ScalarProductReport(NamedTuple):
     """Relative residuals of the Lax-compatibility scalar products."""
 
     row_sums: tuple      # (C12 C21)_{kk} = t(1-t) n_k / N
@@ -557,16 +553,14 @@ def involution_check(exp: RhExpansion, exp_swapped: RhExpansion) -> mpf:
 # Spectral curve
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class BranchFit:
+class BranchFit(NamedTuple):
     slope: mpf
     constant: mpf
     inverse_z: mpf
     fit_error: mpf
 
 
-@dataclass(frozen=True)
-class SpectralCurveReport:
+class SpectralCurveReport(NamedTuple):
     #: {(i, j): coefficient of xi^i z^j} of det(xi I + V(z)/n)
     polynomial: dict
     branches: tuple  # BranchFit per sheet, slope sheets first

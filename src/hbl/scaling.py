@@ -10,8 +10,7 @@ T_n = cfg.temperature(n), as every other command reads it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from mpmath import mp, mpf
 
@@ -32,8 +31,7 @@ def split_count(p1, n: int) -> tuple[int, int]:
     return n1, n - n1
 
 
-@dataclass(frozen=True)
-class ScalingRow:
+class ScalingRow(NamedTuple):
     """One finite-n sample of the recurrence data with its predictions."""
 
     n: int
@@ -142,8 +140,7 @@ def _study_row(cfg, exp, predictions: dict) -> ScalingRow:
     )
 
 
-@dataclass(frozen=True)
-class DoubleScalingStudy:
+class DoubleScalingStudy(NamedTuple):
     rows: tuple
     K: mpf
     s: mpf
@@ -202,8 +199,7 @@ def double_scaling_study(
     return DoubleScalingStudy(rows=rows, K=consts.K, s=consts.s, q_of_s=qs, t=t)
 
 
-@dataclass(frozen=True)
-class SmallSeparationStudy:
+class SmallSeparationStudy(NamedTuple):
     rows: tuple
     limit_c12c21: mpf
     limit_c14c41: mpf
@@ -243,14 +239,12 @@ def small_separation_study(
     )
 
 
-@dataclass(frozen=True)
-class DecayFit:
+class DecayFit(NamedTuple):
     slope: float
     r_squared: float
 
 
-@dataclass(frozen=True)
-class LargeSeparationStudy:
+class LargeSeparationStudy(NamedTuple):
     rows: tuple
     fit_c12c21: DecayFit
     fit_c14c41: DecayFit
@@ -303,8 +297,7 @@ def _line_fit(xs, ys) -> tuple:
     return slope, my - slope * mx
 
 
-@dataclass(frozen=True)
-class RateFit:
+class RateFit(NamedTuple):
     order: float
 
 

@@ -88,10 +88,11 @@ def hml_residual_oracle(sol, extra_bits=64):
                 offsets = tuple(range(-i, 8 - i))
             else:
                 offsets = tuple(range(npts - 8 - i, npts - i))
+            den, weights = _fd_weights(offsets, 2)
             acc = mpf(0)
-            for o, w in zip(offsets, _fd_weights(offsets, 2)):
-                acc += mpf(w.numerator) / w.denominator * q[i + o]
-            out.append(abs(acc / sol.h**2 - grid[i] * q[i] - 2 * q[i] ** 3))
+            for o, w in zip(offsets, weights):
+                acc += w * q[i + o]
+            out.append(abs(acc / den / sol.h**2 - grid[i] * q[i] - 2 * q[i] ** 3))
     return max(out)
 
 

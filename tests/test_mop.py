@@ -463,6 +463,15 @@ def test_map_cores_runs_each_job_once_in_job_order(monkeypatch):
     assert mop._map_cores(fn, jobs) == [job * job for job in jobs]
     assert sorted(job for job, _ in log) == sorted(jobs)
     _no_child_left()
+    assert gc.get_freeze_count() == 0
+
+
+def test_map_cores_workers_inherit_a_frozen_heap(monkeypatch):
+    # the heap is frozen for the forks, so a worker's collections skip
+    # what it inherits, and unfrozen again once the workers are reaped
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    assert all(mop._map_cores(lambda job: gc.get_freeze_count() > 0, [0, 1]))
+    assert gc.get_freeze_count() == 0
 
 
 def test_map_cores_reaps_children_and_reraises(ws, monkeypatch):
@@ -479,6 +488,7 @@ def test_map_cores_reaps_children_and_reraises(ws, monkeypatch):
             solve_batch(ws, [(small.shift_n(0), ("II", 0)), (big.shift_n(0), ("II", 0))])
     assert str(got.value) == str(want.value)
     _no_child_left()
+    assert gc.get_freeze_count() == 0
 
 
 @pytest.mark.parametrize("failing", [{0, 1, 2, 3}, {2, 3}], ids=["all", "late"])
@@ -497,6 +507,7 @@ def test_map_cores_raises_the_earliest_failed_job(failing, monkeypatch):
         mop._map_cores(fn, range(4))
     assert str(got.value) == f"job {min(failing)}"
     _no_child_left()
+    assert gc.get_freeze_count() == 0
 
 
 @pytest.mark.parametrize("cpus", [2, 8])
@@ -588,6 +599,7 @@ def test_map_cores_names_a_worker_that_cannot_send(fn, message, monkeypatch):
         os.close(taken)
     assert str(got.value) == message
     _no_child_left()
+    assert gc.get_freeze_count() == 0
 
 
 def test_outcome_pickle_loads_raw_values_back(ws):
@@ -619,6 +631,30 @@ def test_outcome_pickle_loads_raw_values_back(ws):
         assert entries(y) == entries(want)
     assert [raw(sol) for sol in got.rows] == [raw(sol) for sol in exp.rows]
     assert [raw(sol) for sol in done[1]] == [raw(sol) for sol in sols.values()]
+
+    # records whose constructor rounds its fields come back with the bits
+    # sent, not rounded again at the loading side's precision: a weight
+    # system made at 512 bits and loaded at 256 is equal, with one hash
+    from hbl.model import BrownianConfig
+
+    with mp.workprec(512):
+        sent = [WeightSystem(a=("1", "-1"), b=("0.5", "-0.5"), t=mpf(1) / 3, N="6.1"),
+                BrownianConfig("1", "-1", "0.5", "-0.5", L="0.37"),
+                MultiIndexPair((3, 2), (2, 2))]
+        sink = io.BytesIO()
+        mop._send_outcome(sink, ([0], {0: sent}, None))
+    with mp.workprec(256):
+        got = pickle.loads(sink.getvalue())[1][0]
+
+    def bits(v):
+        return tuple(map(bits, v)) if isinstance(v, tuple) else getattr(v, "_mpf_", v)
+
+    names = [("a", "b", "t", "N"), ("a1", "a2", "b1", "b2", "p1", "p2", "T", "L"), ("n", "m")]
+    for g, s, fields in zip(got, sent, names):
+        assert type(g) is type(s)
+        assert [bits(getattr(g, f)) for f in fields] == [bits(getattr(s, f)) for f in fields]
+    assert got == sent
+    assert [hash(r) for r in got] == [hash(r) for r in sent]
 
 
 def test_one_cpu_forks_nothing(ws, monkeypatch):

@@ -2,7 +2,6 @@
 
 import os
 import random
-from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -343,7 +342,7 @@ def test_recurrence_batch_matches_independent_route(ws, idx22, monkeypatch):
     def independent(pairs, first=()):
         groups = [[alone(sol) for sol in job()] for job in first]
         return groups + [
-            replace(e, rows=tuple(sol and alone(sol) for sol in e.rows)) for e in expansions(pairs)
+            e._replace(rows=tuple(sol and alone(sol) for sol in e.rows)) for e in expansions(pairs)
         ]
 
     monkeypatch.setattr(rh, "assemble_rh_expansions", independent)
