@@ -35,10 +35,18 @@ USAGE_EXIT = UsageError.exit_code
 _DIGITS = 30
 
 
-def _fmt(x) -> str:
-    if isinstance(x, mpc):
-        return mp.nstr(x, _DIGITS)
-    return mp.nstr(nu.to_ext(x), _DIGITS)
+def _fmt(x):
+    """An artifact value as it is written: an int as it is, a float by
+    repr (the shortest decimal that reads back to it), an mpf or mpc to
+    _DIGITS significant digits at the precision it holds, and anything
+    else parsed by numerics.to_ext at working precision first."""
+    if isinstance(x, int):
+        return x
+    if isinstance(x, float):
+        return repr(x)
+    if not isinstance(x, (mpf, mpc)):
+        x = nu.to_ext(x)
+    return mp.nstr(x, _DIGITS)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -291,10 +299,9 @@ def cmd_density(cfg: BrownianConfig, ns, out: Path) -> int:
     ws, idx, payload = _indexed(cfg, ns)
     grid = kernel.default_grid(cfg, ws.t, points=ns.points)
     prof = kernel.density_profile(ws, idx, cfg, ws.t, grid=grid)
-    rows = [
-        (_fmt(x), _fmt(v), _fmt(s1), _fmt(s2), flag)
-        for (x, v, s1, s2, flag) in prof.rows()
-    ]
+    columns = (prof.xs, prof.values, prof.semicircle_1, prof.semicircle_2,
+               prof.interval_flags)
+    rows = [tuple(map(_fmt, row)) for row in zip(*columns)]
     write_csv(
         out / "density.csv",
         ("x", "density", "semicircle_1", "semicircle_2", "interval"),
@@ -362,21 +369,16 @@ def cmd_scaling(cfg: BrownianConfig, ns, out: Path) -> int:
             {
                 "limit_c12c21": _fmt(study.limit_c12c21),
                 "limit_c14c41": _fmt(study.limit_c14c41),
-                "order_c12c21": repr(study.order_c12c21),
-                "order_c14c41": repr(study.order_c14c41),
+                "order_c12c21": _fmt(study.order_c12c21),
+                "order_c14c41": _fmt(study.order_c14c41),
             }
         )
     else:
         study = scaling.large_separation_decay(cfg, t, n_list)
-        meta.update(
-            {
-                "slope_c12c21": repr(study.fit_c12c21.slope),
-                "r_squared_c12c21": repr(study.fit_c12c21.r_squared),
-                "slope_c14c41": repr(study.fit_c14c41.slope),
-                "r_squared_c14c41": repr(study.fit_c14c41.r_squared),
-            }
-        )
-    rows = [r.as_dict() for r in study.rows]
+        for name, fit in (("c12c21", study.fit_c12c21), ("c14c41", study.fit_c14c41)):
+            meta["slope_" + name] = _fmt(fit.slope)
+            meta["r_squared_" + name] = _fmt(fit.r_squared)
+    rows = [{key: _fmt(val) for key, val in r.items()} for r in study.rows]
     header = list(rows[0].keys())
     write_csv(out / "scaling.csv", header, ([r[h] for h in header] for r in rows), meta)
     write_json(out / "scaling.json", {**meta, "rows": rows})

@@ -272,16 +272,6 @@ class KernelGrid(NamedTuple):
     sup_distance_1: mpf
     sup_distance_2: mpf
 
-    def rows(self):
-        for i, x in enumerate(self.xs):
-            yield (
-                x,
-                self.values[i],
-                self.semicircle_1[i],
-                self.semicircle_2[i],
-                self.interval_flags[i],
-            )
-
 
 #: share of each support interval, centred, over which density_profile
 #: measures the distance to the semicircle law

@@ -71,6 +71,11 @@ class BrownianConfig(namedtuple("BrownianConfig", "a1 a2 b1 b2 p1 p2 T L")):
         # loading side's precision
         return tuple.__new__, (type(self), tuple(self))
 
+    @classmethod
+    def _make(cls, iterable):
+        # _replace builds through here, so it converts and validates too
+        return cls(*iterable)
+
     # -- temperature rule -------------------------------------------------
     def temperature(self, n: Optional[int] = None) -> mpf:
         """T for a fixed rule, or T_n = 1 + L n^{-2/3}; n=None gives the

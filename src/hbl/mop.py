@@ -52,6 +52,11 @@ class WeightSystem(namedtuple("WeightSystem", "a b t N")):
         # loading side's precision
         return tuple.__new__, (type(self), tuple(self)), self.__dict__
 
+    @classmethod
+    def _make(cls, iterable):
+        # _replace builds through here, so it converts and validates too
+        return cls(*iterable)
+
     @property
     def p(self) -> int:
         return len(self.a)
@@ -146,6 +151,11 @@ class MultiIndexPair(namedtuple("MultiIndexPair", "n m")):
 
     def __reduce__(self):
         return tuple.__new__, (type(self), tuple(self))
+
+    @classmethod
+    def _make(cls, iterable):
+        # _replace builds through here, so it converts and validates too
+        return cls(*iterable)
 
     @property
     def size_n(self) -> int:

@@ -78,8 +78,17 @@ class RhExpansion(NamedTuple):
 def _expansion_uncached(ws: WeightSystem, idx: MultiIndexPair) -> RhExpansion:
     """Y1 and Y2 at idx: one factorization of G(n, m) and the sums from its
     rows make one attempt on the ladder of mop.escalate, and each entry is
-    then rounded once to working precision; the rows keep their bits."""
+    then rounded once to working precision; the rows keep their bits.
+
+    An attempt is certified before it is returned: the largest residual of
+    the scalar-product relations (and, at p = q = 2 and n = m, of the four
+    relation_residuals), which hold exactly at finite n, must be at most
+    2^-(prec/8) at working precision prec, or the attempt raises
+    NoConvergence and the ladder climbs.  A badly conditioned G whose
+    pivots stay above the singularity threshold is caught here.
+    """
     size = ws.p + ws.q
+    tol = mpf(2) ** -(mp.prec // 8)
 
     def attempt(bits):
         y1 = matrix(size, size)
@@ -99,11 +108,19 @@ def _expansion_uncached(ws: WeightSystem, idx: MultiIndexPair) -> RhExpansion:
                     ml = idx.m[l]
                     y1[i, ws.p + l] = moment_factor * q_moment(sol, tables, l, ml)
                     y2[i, ws.p + l] = moment_factor * q_moment(sol, tables, l, ml + 1)
-        return rows, y1, y2
+            exp = RhExpansion(ws=ws, idx=idx, Y1=y1, Y2=y2, rows=tuple(rows))
+            residual = scalar_product_report(exp).max_residual
+            if ws.p == ws.q == 2 and idx.n == idx.m:
+                residual = max(residual, *relation_residuals(exp))
+        if not residual <= tol:
+            raise NoConvergence(
+                f"certificate residual {float(residual):.3g} of the expansion "
+                f"at {idx} exceeds 2^-{mp.prec // 8} at {bits} bits"
+            )
+        return exp
 
-    (rows, y1, y2), _ = escalate(attempt)
-    y1, y2 = (y.apply(lambda v: +v) for y in (y1, y2))
-    return RhExpansion(ws=ws, idx=idx, Y1=y1, Y2=y2, rows=tuple(rows))
+    exp, _ = escalate(attempt)
+    return exp._replace(Y1=exp.Y1.apply(lambda v: +v), Y2=exp.Y2.apply(lambda v: +v))
 
 
 # (ws, idx, precision) -> RhExpansion, least recently used first
@@ -452,14 +469,31 @@ def _rel(diff, *participants) -> mpf:
     return abs(diff) / scale
 
 
-def _fourth_relation(exp: RhExpansion) -> mpf:
-    """Residual of t^2 (b1-b2)^2 c34c43 = (1-t)^2 (a1-a2)^2 c12c21, the
-    fourth derived relation (p = q = 2, n = m)."""
+def relation_residuals(exp: RhExpansion) -> tuple:
+    """Relative residuals of the four relations that the scalar products
+    give among the recurrence products at p = q = 2 and n = m, with
+    b = t(1-t)/N:
+
+    1. c23c32 = c14c41,
+    2. c13c31 = b n1 - c14c41,
+    3. c24c42 = b n2 - c14c41,
+    4. t^2 (b1-b2)^2 c34c43 = (1-t)^2 (a1-a2)^2 c12c21.
+
+    Each holds exactly at finite n; the fourth is also
+    scalar_product_report's fourth_relation.
+    """
     ws = exp.ws
     t = ws.t
+    base = t * (1 - t) / ws.N
+    c14c41, c23c32 = exp.product(1, 4), exp.product(2, 3)
+    out = [_rel(c23c32 - c14c41, c23c32, c14c41, base)]
+    for k, (i, j) in enumerate(((1, 3), (2, 4))):
+        prod, target = exp.product(i, j), base * exp.idx.n[k]
+        out.append(_rel(prod - (target - c14c41), prod, target, c14c41))
     lhs = t**2 * (ws.b[0] - ws.b[1]) ** 2 * exp.product(3, 4)
     rhs = (1 - t) ** 2 * (ws.a[0] - ws.a[1]) ** 2 * exp.product(1, 2)
-    return _rel(lhs - rhs, lhs, rhs, (t * (1 - t) / ws.N) ** 2)
+    out.append(_rel(lhs - rhs, lhs, rhs, base**2))
+    return tuple(out)
 
 
 def scalar_product_report(exp: RhExpansion) -> ScalarProductReport:
@@ -495,7 +529,7 @@ def scalar_product_report(exp: RhExpansion) -> ScalarProductReport:
     fourth = det_top = det_bottom = None
     if p == 2 and q == 2:
         if idx.n == idx.m:
-            fourth = _fourth_relation(exp)
+            fourth = relation_residuals(exp)[3]
         det_t = top[0, 0] * top[1, 1] - top[0, 1] * top[1, 0]
         tgt_t = base**2 * idx.n[0] * idx.n[1] + (1 - t) ** 2 * (
             ws.a[0] - ws.a[1]

@@ -19,7 +19,7 @@ from .errors import DegenerateData, WrongRegime
 from .model import BrownianConfig, Regime, classify_separation, scaling_constants
 from .mop import MultiIndexPair, WeightSystem
 from .painleve import solve_hastings_mcleod
-from .rh import _fourth_relation, _rel, assemble_rh_expansions
+from .rh import assemble_rh_expansions, relation_residuals
 
 DEFAULT_N_LIST = (8, 12, 16, 24, 32, 48, 64)
 
@@ -31,90 +31,13 @@ def split_count(p1, n: int) -> tuple[int, int]:
     return n1, n - n1
 
 
-class ScalingRow(NamedTuple):
-    """One finite-n sample of the recurrence data with its predictions."""
-
-    n: int
-    n1: int
-    n2: int
-    T_n: mpf
-    N: mpf
-    c12c21: mpf
-    c14c41: mpf
-    c13c31: mpf
-    c23c32: mpf
-    c24c42: mpf
-    c34c43: mpf
-    diag_ratios: tuple          # (c12c23/c13, c12c24/c14, c21c13/c23, c21c14/c24)
-    predictions: dict
-    relation_residuals: tuple   # residuals of the four derived relations
-
-    def as_dict(self) -> dict:
-        digits = 30
-        out = {
-            "n": self.n,
-            "n1": self.n1,
-            "n2": self.n2,
-            "T_n": mp.nstr(self.T_n, digits),
-            "N": mp.nstr(self.N, digits),
-        }
-        for name in ("c12c21", "c14c41", "c13c31", "c23c32", "c24c42", "c34c43"):
-            out[name] = mp.nstr(getattr(self, name), digits)
-        for i, name in enumerate(
-            ("c12c23_c13", "c12c24_c14", "c21c13_c23", "c21c14_c24")
-        ):
-            out[name] = mp.nstr(self.diag_ratios[i], digits)
-        for key, val in self.predictions.items():
-            out["pred_" + key] = mp.nstr(val, digits)
-        for i, val in enumerate(self.relation_residuals):
-            out[f"relation_residual_{i + 1}"] = mp.nstr(val, digits)
-        return out
-
-
-def _row_products(exp) -> dict:
-    return {
-        "c12c21": exp.product(1, 2),
-        "c13c31": exp.product(1, 3),
-        "c14c41": exp.product(1, 4),
-        "c23c32": exp.product(2, 3),
-        "c24c42": exp.product(2, 4),
-        "c34c43": exp.product(3, 4),
-    }
-
-
-def _diag_ratios(exp) -> tuple:
-    c = exp.c
-    return (
-        (c(1, 2) * c(2, 3) / c(1, 3)).real,
-        (c(1, 2) * c(2, 4) / c(1, 4)).real,
-        (c(2, 1) * c(1, 3) / c(2, 3)).real,
-        (c(2, 1) * c(1, 4) / c(2, 4)).real,
-    )
-
-
-def _relation_residuals(exp, prods: dict) -> tuple:
-    idx, ws = exp.idx, exp.ws
-    base = ws.t * (1 - ws.t) / ws.N
-    c14c41 = prods["c14c41"]
-    r1 = _rel(prods["c23c32"] - c14c41, prods["c23c32"], c14c41, base)
-    r2 = _rel(
-        prods["c13c31"] - (base * idx.n[0] - c14c41),
-        prods["c13c31"], base * idx.n[0], c14c41,
-    )
-    r3 = _rel(
-        prods["c24c42"] - (base * idx.n[1] - c14c41),
-        prods["c24c42"], base * idx.n[1], c14c41,
-    )
-    return (r1, r2, r3, _fourth_relation(exp))
-
-
 def _study_rows(cfg, t, n_list, first=()) -> tuple:
     """(the results of the ``first`` jobs, one RH expansion per n of n_list
     in ascending order, at n1 + n2 = n and N = n / T_n with T_n =
     cfg.temperature(n)).  The expansions come from one batch after those
     jobs, largest n first, so the longest jobs start first (see
-    rh.assemble_rh_expansions); each study turns them into its ScalingRows
-    with _study_row."""
+    rh.assemble_rh_expansions).  Each study turns every expansion into
+    one row with _study_row, after the batch has returned."""
     systems = []
     for n in sorted(n_list, reverse=True):
         split = split_count(cfg.p1, n)
@@ -123,21 +46,24 @@ def _study_rows(cfg, t, n_list, first=()) -> tuple:
     return done[: len(first)], done[len(first) :][::-1]
 
 
-def _study_row(cfg, exp, predictions: dict) -> ScalingRow:
-    prods = _row_products(exp)
+def _study_row(cfg, exp, predictions: dict) -> dict:
+    """One row of the study at exp, as a dict in artifact column order:
+    n, n1 and n2 (ints); T_n and N; the six products c_ij c_ji; the four
+    diagonal ratios c_ab c_bd / c_ad; the predictions, each key prefixed
+    with pred_; and relation_residual_1..4 (rh.relation_residuals).  The
+    values are unformatted; cli._fmt prints them."""
     n, (n1, n2) = exp.idx.size_n, exp.idx.n
-    return ScalingRow(
-        n=n, n1=n1, n2=n2, T_n=cfg.temperature(n), N=exp.ws.N,
-        c12c21=prods["c12c21"],
-        c14c41=prods["c14c41"],
-        c13c31=prods["c13c31"],
-        c23c32=prods["c23c32"],
-        c24c42=prods["c24c42"],
-        c34c43=prods["c34c43"],
-        diag_ratios=_diag_ratios(exp),
-        predictions=predictions,
-        relation_residuals=_relation_residuals(exp, prods),
-    )
+    row = {"n": n, "n1": n1, "n2": n2, "T_n": cfg.temperature(n), "N": exp.ws.N}
+    for i, j in ((1, 2), (1, 4), (1, 3), (2, 3), (2, 4), (3, 4)):
+        row[f"c{i}{j}c{j}{i}"] = exp.product(i, j)
+    c = exp.c
+    for a, b in ((1, 2), (2, 1)):
+        for d in (3, 4):
+            row[f"c{a}{b}c{b}{d}_c{a}{d}"] = (c(a, b) * c(b, d) / c(a, d)).real
+    row.update(("pred_" + key, val) for key, val in predictions.items())
+    for i, val in enumerate(relation_residuals(exp), 1):
+        row[f"relation_residual_{i}"] = val
+    return row
 
 
 class DoubleScalingStudy(NamedTuple):
@@ -228,14 +154,13 @@ def small_separation_study(
     lim14 = t * (1 - t) / 8 * (2 - da * db)
     preds = {"c12c21": lim12, "c14c41": lim14}
     rows = tuple(_study_row(cfg, exp, preds) for exp in _study_rows(cfg, t, n_list)[1])
-    fit12 = convergence_rate_fit([r.c12c21 for r in rows], [r.n for r in rows], lim12)
-    fit14 = convergence_rate_fit([r.c14c41 for r in rows], [r.n for r in rows], lim14)
+    ns = [r["n"] for r in rows]
     return SmallSeparationStudy(
         rows=rows,
         limit_c12c21=lim12,
         limit_c14c41=lim14,
-        order_c12c21=fit12.order,
-        order_c14c41=fit14.order,
+        order_c12c21=convergence_rate_fit([r["c12c21"] for r in rows], ns, lim12),
+        order_c14c41=convergence_rate_fit([r["c14c41"] for r in rows], ns, lim14),
     )
 
 
@@ -270,7 +195,7 @@ def large_separation_decay(
         rows = tuple(_study_row(cfg, exp, {}) for exp in _study_rows(cfg, t, n_list)[1])
 
     def fit(values):
-        ns = [r.n for r in rows]
+        ns = [r["n"] for r in rows]
         logs = [mp.log(abs(v)) for v in values]
         slope, intercept = _line_fit(ns, logs)
         mean = mp.fsum(logs) / len(logs)
@@ -281,8 +206,8 @@ def large_separation_decay(
 
     return LargeSeparationStudy(
         rows=rows,
-        fit_c12c21=fit([r.c12c21 for r in rows]),
-        fit_c14c41=fit([r.c14c41 for r in rows]),
+        fit_c12c21=fit([r["c12c21"] for r in rows]),
+        fit_c14c41=fit([r["c14c41"] for r in rows]),
     )
 
 
@@ -297,13 +222,9 @@ def _line_fit(xs, ys) -> tuple:
     return slope, my - slope * mx
 
 
-class RateFit(NamedTuple):
-    order: float
-
-
-def convergence_rate_fit(values, n_list, predicted_limit) -> RateFit:
-    """Least-squares slope of log |value - limit| against log n; the
-    estimated convergence order is minus the slope."""
+def convergence_rate_fit(values, n_list, predicted_limit) -> float:
+    """The estimated convergence order of values to predicted_limit:
+    minus the least-squares slope of log |value - limit| against log n."""
     if len(values) != len(n_list) or len(values) < 4:
         raise ValueError("need at least 4 samples")
     limit = nu.to_ext(predicted_limit)
@@ -312,4 +233,4 @@ def convergence_rate_fit(values, n_list, predicted_limit) -> RateFit:
     if any(d < mpf("1e-30") * scale for d in devs):
         raise DegenerateData("deviation below resolution; cannot fit a rate")
     slope, _ = _line_fit([mp.log(n) for n in n_list], [mp.log(d) for d in devs])
-    return RateFit(order=float(-slope))
+    return float(-slope)

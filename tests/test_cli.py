@@ -524,6 +524,24 @@ def test_critical_separation_artifacts_match_golden(tmp_path):
     assert meta_got == meta_want
 
 
+@pytest.mark.parametrize(
+    "config, n_list",
+    [("small_config.json", "8,16,32,64"), ("large_config.json", "8,16,24")],
+    ids=["small", "large"],
+)
+def test_separation_fit_artifacts_match_golden(tmp_path, config, n_list):
+    # golden files written before the scaling rows became plain mappings
+    # printed by cli._fmt; the fit fields are repr of a float.  The
+    # configs sit at fixed paths
+    out = tmp_path / "art"
+    argv = ["--out", str(out), "scaling", "--config", str(DATA / config)]
+    assert main(argv + ["--t", "0.5", "--n-list", n_list]) == 0
+    regime = config.split("_")[0]
+    for suffix in ("json", "csv"):
+        golden = (DATA / f"golden_scaling_{regime}.{suffix}").read_bytes()
+        assert (out / f"scaling.{suffix}").read_bytes() == golden
+
+
 def test_identities_match_golden(tmp_path):
     # golden file written by the LU that rounds each entry once; its
     # 30-digit residuals move with any change in how the LU rounds, as they

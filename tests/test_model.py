@@ -337,6 +337,19 @@ def test_classify_validates_config():
         BrownianConfig("1", "-1", "0.5", "-0.5", T="-2")
 
 
+def test_config_replace_builds_through_the_constructor():
+    # namedtuple's _replace built the tuple without converting or
+    # validating: T = -1 was accepted and "0.4" stayed a string
+    cfg = BrownianConfig("1", "-1", "0.5", "-0.5")
+    got = cfg._replace(b1="0.4")
+    assert got == BrownianConfig("1", "-1", "0.4", "-0.5")
+    assert isinstance(got.b1, type(mpf(0))) and hash(got) == hash(BrownianConfig("1", "-1", "0.4", "-0.5"))
+    with pytest.raises(InvalidConfig, match="temperature T must be positive"):
+        cfg._replace(T=-1)
+    with pytest.raises(InvalidConfig, match="either a fixed T or a scaling constant L"):
+        cfg._replace(L="0.5")
+
+
 def test_double_scaling_temperature_must_be_positive():
     cfg = BrownianConfig("1", "-1", "0.5", "-0.5", L="-4")
     assert cfg.temperature(16) > 0  # 1 - 4 / 16^(2/3)

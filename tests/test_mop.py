@@ -602,6 +602,31 @@ def test_map_cores_names_a_worker_that_cannot_send(fn, message, monkeypatch):
     assert gc.get_freeze_count() == 0
 
 
+def test_weight_system_replace_builds_through_the_constructor(ws):
+    # namedtuple's _replace kept t = "0.4" as a string, and the result had
+    # no cached hash, so hash() raised AttributeError
+    got = ws._replace(t="0.4")
+    want = WeightSystem(a=("1", "-1"), b=("0.5", "-0.5"), t="0.4", N=6)
+    assert got == want and hash(got) == hash(want)
+    assert got.t == mpf("0.4")
+    with pytest.raises(ValueError, match="time t must lie in"):
+        ws._replace(t="1.5")
+    with pytest.raises(ValueError, match="scale N must be positive"):
+        ws._replace(N=0)
+
+
+def test_index_pair_replace_builds_through_the_constructor():
+    # namedtuple's _replace accepted a negative component
+    idx = MultiIndexPair((2, 2), (2, 2))
+    got = idx._replace(m=[3, "1"])
+    assert got == MultiIndexPair((2, 2), (3, 1)) and got.m == (3, 1)
+    assert hash(got) == hash(MultiIndexPair((2, 2), (3, 1)))
+    with pytest.raises(InvalidIndex, match="negative multi-index component"):
+        idx._replace(n=(5, -3))
+    with pytest.raises(InvalidIndex, match="must equal"):
+        idx._replace(n=(5, 3))
+
+
 def test_outcome_pickle_loads_raw_values_back(ws):
     # an expansion (mpc matrices, MopSolution rows) and a batch's
     # MopSolutions go through the pipe as raw tuples and load back equal

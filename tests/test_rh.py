@@ -136,15 +136,15 @@ def test_a_miss_after_the_factorization_redoes_it(ws, idx22, monkeypatch):
 
 
 def _critical_n80(critical_config):
-    # n = 80 at t = 0.25 and 256 bits: G(80, 80) is not singular, nothing
-    # escalates, and c14c41 has a relative error of 0.081 against 1600 bits
-    # (the scalar-product residual is 0.20).  At t = 0.2 the 256-bit LU
-    # raises SingularMatrix and the expansion settles at 512 bits
+    # n = 80 at t = 0.25 and 256 bits: G(80, 80) is not singular, so the LU
+    # raises nothing, but its c14c41 has a relative error of 0.081 against
+    # 1600 bits (the scalar-product residual is 0.20).  The expansion's
+    # certificate rejects that attempt and it settles at 512 bits.  At
+    # t = 0.2 the 256-bit LU raises SingularMatrix instead
     ws = WeightSystem.from_config(critical_config, mpf("0.25"), 80)
     return ws, MultiIndexPair((40, 40), (40, 40))
 
 
-@pytest.mark.xfail(strict=True, reason="ROADMAP item 1 defect 2")
 def test_expansion_certified_or_raises_n80(critical_config):
     ws, idx = _critical_n80(critical_config)
     try:
@@ -155,14 +155,36 @@ def test_expansion_certified_or_raises_n80(critical_config):
 
 
 def test_orthogonality_residual_blind_to_the_n80_defect(critical_config):
-    # the same rows that give c14c41 off by 8% meet their orthogonality
+    # the 256-bit rows that give c14c41 off by 8% meet their orthogonality
     # conditions to about 2e-76: LU with partial pivoting
     # keeps that residual at rounding level, so it certifies nothing
     ws, idx = _critical_n80(critical_config)
-    exp = rh.assemble_rh_expansion(ws, idx)
     tables = mop.moment_tables(ws, idx)
-    for sol in exp.rows:
+    for sol in mop.shifted_solutions(ws, idx):
         assert orthogonality_residual(sol, tables) <= mpf(2) ** -(mp.prec // 4)
+
+
+def _c14c41_n128(critical_config, bits):
+    # n = 128 on the critical config at t = 0.3333333333, where the 384-bit
+    # LU raises nothing and, uncertified, gives c14c41 off by 92%
+    with mp.workprec(bits):
+        ws = WeightSystem.from_config(critical_config, mpf("0.3333333333"), 128)
+        return rh.assemble_rh_expansion(ws, MultiIndexPair((64, 64), (64, 64))).product(1, 4)
+
+
+@pytest.fixture(scope="module")
+def c14c41_n128_reference(critical_config):
+    return _c14c41_n128(critical_config, 1600)
+
+
+@pytest.mark.parametrize("bits", [320, 384])
+def test_expansion_certified_or_raises_n128(critical_config, c14c41_n128_reference, bits):
+    try:
+        got = _c14c41_n128(critical_config, bits)
+    except HblError:
+        return
+    ref = c14c41_n128_reference
+    assert abs(got - ref) <= mpf(2) ** -(bits // 2) * abs(ref)
 
 
 def test_identities_batch_builds_one_moment_table_per_weight_pair(monkeypatch):
