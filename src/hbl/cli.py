@@ -247,8 +247,8 @@ def cmd_identities(cfg: BrownianConfig, ns, out: Path) -> int:
     ws, idx, payload = _indexed(cfg, ns)
     ws_sw, idx_sw = rh.swapped_system(ws, idx)
     shifts = [(k, l) for k in range(ws.p) for l in range(ws.q)]
-    # every expansion and MOP vector the checks read, in one batch; the
-    # expansions come back from the cache
+    # every expansion the checks read, in one batch, whose rows are also
+    # the recurrences' MOP vectors; the expansions come back from the cache
     zs = [mpf(0), mpf(1), mpc(-1, 1)]
     residuals = rh.verify_recurrences(ws, idx, zs, also=[(ws_sw, idx_sw)]).values()
     exp, exp_sw, *exp_shifted = rh.assemble_rh_expansions(

@@ -315,28 +315,6 @@ def _factor_and_solve(ws: WeightSystem, idx: MultiIndexPair, tags: list) -> list
     return sols
 
 
-def _base_pair(ws: WeightSystem, idx: MultiIndexPair, norm: NormTag) -> MultiIndexPair:
-    """The |n| = |m| pair around which the MOP vector (idx, norm) is solved:
-    (n - e_k, m) for type (II,k), (n, m + e_l) for type (I,l)."""
-    _check_shape(ws, idx)
-    if idx.size_n != idx.size_m + 1:
-        raise InvalidIndex("a MOP vector needs |n| = |m| + 1")
-    kind, pos = norm
-    if kind not in ("I", "II"):
-        raise ValueError(f"unknown normalization kind {kind!r}")
-    if kind == "II" and not 0 <= pos < ws.p:
-        raise InvalidIndex("type II position out of range")
-    if kind == "I" and not 0 <= pos < ws.q:
-        raise InvalidIndex("type I position out of range")
-    if kind == "II":
-        if idx.n[pos] == 0:
-            raise NormalizationImpossible(
-                f"type (II,{pos + 1}) needs a free leading coefficient"
-            )
-        return idx.shift_n(pos, -1)
-    return idx.shift_m(pos)
-
-
 def _matrix(rows: list) -> matrix:
     """An mpmath matrix from its rows: mp.matrix is a class made per
     context, so a pickle names this function to rebuild one."""
@@ -525,32 +503,35 @@ def _cached_map(cache: dict, limit: int, fn, keys, first=()) -> list:
     return out
 
 
-def batch_jobs(ws: WeightSystem, requests) -> dict:
-    """{base pair: job} for MOP vectors at |n| = |m| + 1: a job is a
-    function of no argument that gives the MopSolutions of the requests
-    around its base pair (see _base_pair), all right-hand sides of one LU
-    of its G, redone together up the ladder of escalate.  Every request is
-    checked here, before any solve."""
-    groups: dict = {}
-    for idx, norm in requests:
-        groups.setdefault(_base_pair(ws, idx, norm), {})[norm] = None
-
-    def job(base, tags):
-        def attempt(bits):
-            with mp.workprec(bits):
-                return _factor_and_solve(ws, base, tags)
-
-        return escalate(attempt)[0]
-
-    return {base: partial(job, base, list(tags)) for base, tags in groups.items()}
-
-
 def q_moment(sol: MopSolution, tables: dict, l: int, j: int) -> mpf:
     """int Q(x) x^j w_{2,l}(x) dx from ``tables`` (see moment_tables)."""
     terms = (
         c * tables[k, l][i + j] for k, cs in enumerate(sol.coeffs) for i, c in enumerate(cs)
     )
     return sum(terms, mpf(0))
+
+
+def renormalized(sol: MopSolution, tables: dict, norm: NormTag) -> MopSolution:
+    """The MOP vector of sol, a vector at |n| = |m| + 1, in the
+    normalization ``norm``: every normalization at one index pair solves
+    the same orthogonality conditions, so each is a multiple of sol.  Type
+    (II,k) divides sol by its coefficient of x^(n_k - 1) in A_k, type (I,l)
+    by q_moment(sol, tables, l, m_l).  sol itself when it has ``norm``
+    already; a zero scale raises NormalizationImpossible."""
+    if norm == sol.norm:
+        return sol
+    kind, pos = norm
+    if kind == "II":
+        scale = sol.coefficient(pos, sol.idx.n[pos] - 1)
+    else:
+        scale = q_moment(sol, tables, pos, sol.idx.m[pos])
+    if not scale:
+        raise NormalizationImpossible(
+            f"the type ({kind},{pos + 1}) normalization of the MOP vector at "
+            f"{sol.idx} divides by zero"
+        )
+    coeffs = tuple(tuple(c / scale for c in cs) for cs in sol.coeffs)
+    return sol._replace(norm=norm, coeffs=coeffs)
 
 
 def shifted_solutions(ws: WeightSystem, idx: MultiIndexPair) -> list:

@@ -28,10 +28,10 @@ from .mop import (
     MultiIndexPair,
     WeightSystem,
     _cached_map,
-    batch_jobs,
     escalate,
     moment_tables,
     q_moment,
+    renormalized,
     shifted_solutions,
 )
 
@@ -307,9 +307,10 @@ def verify_recurrences(
     normalization, the backward one in the type (I,l) normalization.
 
     The expansions at idx and idx + e_k + e_l, and those of the ``also``
-    pairs (ws, idx), come from one batch, and so does every vector the
-    expansions' rows do not hold, one LU per base pair (see
-    mop.batch_jobs); the expansions are cached for the caller.  The
+    pairs (ws, idx), come from one batch and are cached for the caller.
+    Their rows hold every vector a recurrence reads, each in some
+    normalization, and mop.renormalized rescales it to the one asked for;
+    a recurrence so relates the LUs at idx and idx + e_k + e_l.  The
     recurrences shift n - e_k and m - e_l, so every component of idx must
     be at least 1; otherwise InvalidIndex is raised.
     """
@@ -322,28 +323,23 @@ def verify_recurrences(
         for k, l in pairs
     }
     bases = [idx] + [idx.shift_n(k).shift_m(l) for k, l in pairs]
-    requests = [
-        req
-        for spec in specs.values()
-        for lhs, main, off in spec
-        for req in (lhs, main, *(r for _, r in off))
-    ]
-    # an expansion holds every vector around its own base pair
-    jobs = [job for base, job in batch_jobs(ws, requests).items() if base not in bases]
-    done = assemble_rh_expansions([(ws, base) for base in bases] + list(also), first=jobs)
-    exp, *exp_shifted = done[len(jobs) : len(jobs) + len(bases)]
+    done = assemble_rh_expansions([(ws, base) for base in bases] + list(also))
+    exp, *exp_shifted = done[: len(bases)]
     shifted = dict(zip(pairs, exp_shifted))
-    sols = {
-        (sol.idx, sol.norm): sol
-        for group in [e.rows for e in (exp, *exp_shifted)] + done[: len(jobs)]
-        for sol in group
-        if sol is not None
-    }
+    # every row by (index, tag), and by index the first row that holds it
+    by_tag, by_idx = {}, {}
+    for e in (exp, *exp_shifted):
+        for sol in filter(None, e.rows):
+            by_tag[sol.idx, sol.norm] = sol
+            by_idx.setdefault(sol.idx, sol)
     values = {}  # request -> its vector's values at zs, each evaluated once
 
     def at(req):
         if req not in values:
-            values[req] = _vector_values(sols[req], zs)
+            vec_idx, tag = req
+            sol = by_tag.get(req) or by_idx[vec_idx]
+            sol = renormalized(sol, moment_tables(ws, vec_idx), tag)
+            values[req] = _vector_values(sol, zs)
         return values[req]
 
     out = {}

@@ -158,11 +158,31 @@ def moment_system(ws, idx, norm):
     return rows, rhs
 
 
+def base_pair_job(ws, base, tags):
+    """The MopSolutions for ``tags`` around the |n| = |m| pair ``base``:
+    all right-hand sides of one LU of its G, redone together up the ladder
+    of mop.escalate (test oracle helper)."""
+    def attempt(bits):
+        with mp.workprec(bits):
+            return mop._factor_and_solve(ws, base, tags)
+
+    return mop.escalate(attempt)[0]
+
+
 def solve_batch(ws, requests) -> dict:
-    """{(idx, norm): MopSolution} for MOP vectors at |n| = |m| + 1: the
-    jobs of mop.batch_jobs, one LU per base pair, run concurrently by
-    mop._map_cores, as a batch of hbl runs them."""
-    solved = mop._map_cores(lambda job: job(), mop.batch_jobs(ws, requests).values())
+    """{(idx, norm): MopSolution} for MOP vectors at |n| = |m| + 1, solved
+    apart from any expansion (test oracle): the requests grouped by base
+    pair, (n - e_k, m) for type (II,k) and (n, m + e_l) for type (I,l),
+    one LU per group (see base_pair_job), the groups run concurrently by
+    mop._map_cores.  Every base pair is made before any solve."""
+    groups = {}
+    for idx, norm in requests:
+        kind, pos = norm
+        base = idx.shift_n(pos, -1) if kind == "II" else idx.shift_m(pos)
+        groups.setdefault(base, {})[norm] = None
+    solved = mop._map_cores(
+        lambda job: base_pair_job(ws, *job), [(base, list(tags)) for base, tags in groups.items()]
+    )
     return {(sol.idx, sol.norm): sol for sols in solved for sol in sols}
 
 

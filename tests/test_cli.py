@@ -400,12 +400,11 @@ def test_identities_zero_component_exits_invalid_index(
     assert "at least 1" in error["message"] and "-1" not in error["message"]
 
 
-def test_identities_factors_each_base_pair_once(
+def test_identities_factors_each_expansion_once(
     large_sep_config_file, tmp_path, monkeypatch
 ):
-    # 21 base pairs of the weight system (the expansion at n, the four at
-    # n + e_k, m + e_l, and 16 for the recurrence vectors they do not hold)
-    # plus the swapped system's expansion, all in one batch
+    # the expansion at n, the four at n + e_k, m + e_l, whose rows hold
+    # every recurrence vector, and the swapped system's: 6 LUs in one batch
     from hbl import mop, rh
 
     rh._EXPANSIONS.clear()
@@ -419,7 +418,7 @@ def test_identities_factors_each_base_pair_once(
     argv += ["--config", str(large_sep_config_file)]
     argv += ["--n", "3,3", "--m", "3,3", "--t", "0.4"]
     assert main(argv) == 0
-    assert len(calls) == 22
+    assert len(calls) == 6
     assert len(batches) == 1
 
 
@@ -545,8 +544,10 @@ def test_separation_fit_artifacts_match_golden(tmp_path, config, n_list):
 def test_identities_match_golden(tmp_path):
     # golden file written by the LU that rounds each entry once; its
     # 30-digit residuals move with any change in how the LU rounds, as they
-    # did when each entry stopped being rounded once per step.  The config
-    # sits at a fixed path
+    # did when each entry stopped being rounded once per step, and the two
+    # recurrence residuals with any change in which LU a vector comes from,
+    # as they did when the vectors became rescaled expansion rows.  The
+    # config sits at a fixed path
     out = tmp_path / "art"
     argv = ["--out", str(out), "identities", "--config", str(DATA / "large_config.json")]
     assert main(argv + ["--n", "6,6", "--m", "6,6", "--t", "0.4"]) == 0

@@ -19,6 +19,7 @@ from hbl.mop import MultiIndexPair, WeightSystem
 
 from conftest import (
     SolveLog,
+    base_pair_job,
     count_solves,
     gaussian_moment,
     moment_system,
@@ -229,8 +230,39 @@ def test_type1_normalization_exact(ws):
 
 
 def test_normalization_impossible_for_empty_polynomial(ws):
-    with pytest.raises(NormalizationImpossible):
-        solve_batch(ws, [(MultiIndexPair((1, 0), (0, 0)), ("II", 1))])
+    # A_2 of the vector at n = (1, 0) is empty: no leading coefficient
+    idx = MultiIndexPair((1, 0), (0, 0))
+    sol = solve_batch(ws, [(idx, ("II", 0))])[idx, ("II", 0)]
+    with pytest.raises(NormalizationImpossible, match=r"type \(II,2\)"):
+        mop.renormalized(sol, mop.moment_tables(ws, idx), ("II", 1))
+
+
+def test_renormalized_zero_scale_raises(ws):
+    # a zero coefficient of x^(n_k - 1) in A_k, or a zero moment, is a zero
+    # scale: NormalizationImpossible naming the index and the tag, never a
+    # ZeroDivisionError or an inf or nan vector
+    idx = MultiIndexPair((2, 2), (2, 1))
+    tables = mop.moment_tables(ws, idx)
+    sol = mop.MopSolution(idx, ("I", 0), ((mpf(3), mpf(0)), (mpf(-1), mpf(2))))
+    with pytest.raises(NormalizationImpossible) as err:
+        mop.renormalized(sol, tables, ("II", 0))
+    assert str(err.value) == (
+        f"the type (II,1) normalization of the MOP vector at {idx} divides by zero"
+    )
+    assert err.value.exit_code == 3
+    zero = sol._replace(coeffs=((mpf(0), mpf(0)), (mpf(0), mpf(0))))
+    with pytest.raises(NormalizationImpossible, match=r"type \(I,2\)"):
+        mop.renormalized(zero, tables, ("I", 1))
+    # the other scales are nonzero and divide exactly here
+    got = mop.renormalized(sol, tables, ("II", 1))
+    assert got.idx == idx and got.norm == ("II", 1)
+    assert got.coeffs == ((mpf(3) / 2, mpf(0)), (mpf(-1) / 2, mpf(1)))
+
+
+def test_renormalized_keeps_a_vector_of_its_own_tag(ws):
+    idx = MultiIndexPair((2, 2), (2, 1))
+    sol = solve_batch(ws, [(idx, ("I", 1))])[idx, ("I", 1)]
+    assert mop.renormalized(sol, mop.moment_tables(ws, idx), ("I", 1)) is sol
 
 
 def test_negative_shift_rejected():
@@ -246,8 +278,6 @@ def test_index_length_must_match_weights(ws):
             mop.shifted_solutions(ws, idx)
         with pytest.raises(InvalidIndex):
             mop.bimoment_inverse(ws, idx)
-    with pytest.raises(InvalidIndex):
-        solve_batch(ws, [(wide.shift_n(0), ("II", 0))])
 
 
 def test_precision_escalation_recovers_conditioning(ws):
@@ -483,7 +513,7 @@ def test_map_cores_reaps_children_and_reraises(ws, monkeypatch):
     small, big = MultiIndexPair((20, 20), (20, 20)), MultiIndexPair((24, 24), (24, 24))
     with mp.workprec(128):
         with pytest.raises(NormalizationImpossible) as want:
-            mop.batch_jobs(ws, [(small.shift_n(0), ("II", 0))])[small]()
+            base_pair_job(ws, small, [("II", 0)])
         with pytest.raises(NormalizationImpossible) as got:
             solve_batch(ws, [(small.shift_n(0), ("II", 0)), (big.shift_n(0), ("II", 0))])
     assert str(got.value) == str(want.value)

@@ -164,34 +164,62 @@ def test_orthogonality_residual_blind_to_the_n80_defect(critical_config):
         assert orthogonality_residual(sol, tables) <= mpf(2) ** -(mp.prec // 4)
 
 
-def _c14c41_n128(critical_config, bits):
-    # n = 128 on the critical config at t = 0.3333333333, where the 384-bit
-    # LU raises nothing and, uncertified, gives c14c41 off by 92%
+PRODUCTS = ((1, 2), (1, 3), (1, 4), (2, 3), (2, 4), (3, 4))
+
+
+def _critical_products(critical_config, n, bits):
+    # the six c_ij c_ji on the critical config at t = 0.3333333333, where at
+    # n = 128 the 384-bit LU raises nothing and, uncertified, gives c14c41
+    # off by 92%
     with mp.workprec(bits):
-        ws = WeightSystem.from_config(critical_config, mpf("0.3333333333"), 128)
-        return rh.assemble_rh_expansion(ws, MultiIndexPair((64, 64), (64, 64))).product(1, 4)
+        ws = WeightSystem.from_config(critical_config, mpf("0.3333333333"), n)
+        exp = rh.assemble_rh_expansion(ws, MultiIndexPair((n // 2,) * 2, (n // 2,) * 2))
+        return {ij: exp.product(*ij) for ij in PRODUCTS}
 
 
 @pytest.fixture(scope="module")
-def c14c41_n128_reference(critical_config):
-    return _c14c41_n128(critical_config, 1600)
+def critical_reference(critical_config):
+    """n -> the six products at 1600 bits, each n computed once."""
+    done = {}
+
+    def reference(n):
+        if n not in done:
+            done[n] = _critical_products(critical_config, n, 1600)
+        return done[n]
+
+    return reference
 
 
 @pytest.mark.parametrize("bits", [320, 384])
-def test_expansion_certified_or_raises_n128(critical_config, c14c41_n128_reference, bits):
+def test_expansion_certified_or_raises_n128(critical_config, critical_reference, bits):
     try:
-        got = _c14c41_n128(critical_config, bits)
+        got = _critical_products(critical_config, 128, bits)[1, 4]
     except HblError:
         return
-    ref = c14c41_n128_reference
+    ref = critical_reference(128)[1, 4]
     assert abs(got - ref) <= mpf(2) ** -(bits // 2) * abs(ref)
 
 
+@pytest.mark.parametrize("n", [96, 128])
+def test_expansion_certified_or_raises_at_default_flags(critical_config, critical_reference, n):
+    # at the default 256 bits, n = 96 meets 1600 bits to about 3.5e-69; at
+    # n = 128 the expansion settles at 512 bits and meets it to only about
+    # 7.7e-39, inside the certificate's 2^-(prec/8) but not 2^-(prec/2)
+    try:
+        got = _critical_products(critical_config, n, mp.prec)
+    except HblError:
+        return
+    ref = critical_reference(n)
+    for ij in PRODUCTS:
+        assert abs(got[ij] - ref[ij]) <= mpf(2) ** -(mp.prec // 8) * abs(ref[ij])
+
+
 def test_identities_batch_builds_one_moment_table_per_weight_pair(monkeypatch):
-    # the batch of `hbl identities` at n = m = (6, 6): its base pairs ask
-    # for moment tables of 5 lengths, and the swapped system for one more.
-    # Each of the 4 weight pairs of either system gets one table, carried
-    # on when a longer one is asked for (a table per length made 24)
+    # the checks of `hbl identities` at n = m = (6, 6): its 5 expansions
+    # and the rescales of their rows ask for moment tables of 4 lengths,
+    # and the swapped system for one more.  Each of the 4 weight pairs of
+    # either system gets one table, carried on when a longer one is asked
+    # for (a table per length made 20)
     built = []
     moments = mop.gaussian_moments
     monkeypatch.setattr(mop, "gaussian_moments", lambda *a: built.append(a[-1]) or moments(*a))
@@ -349,26 +377,38 @@ def test_backward_recurrence(ws, idx22):
     assert res[1, 1][1] < mpf("1e-20")
 
 
+def _recurrences_on_both_routes(ws, idx, monkeypatch):
+    # every vector the recurrences read is an expansion row, rescaled by
+    # mop.renormalized to the tag asked for; against its own LU solve from
+    # the test oracle it must agree coefficient by coefficient to
+    # 2^-(prec/2) relative, and the recurrences must hold on either route
+    read = {}
+    renormalized = rh.renormalized
+
+    def recording(sol, tables, norm):
+        read[sol.idx, norm] = renormalized(sol, tables, norm)
+        return read[sol.idx, norm]
+
+    monkeypatch.setattr(rh, "renormalized", recording)
+    batch = rh.verify_recurrences(ws, idx, ZS)
+    own = solve_batch(ws, list(read))
+    tol = mpf(2) ** -(mp.prec // 2)
+    for key, sol in read.items():
+        assert (sol.idx, sol.norm) == key
+        got = [c for cs in sol.coeffs for c in cs]
+        want = [c for cs in own[key].coeffs for c in cs]
+        assert [len(cs) for cs in sol.coeffs] == [len(cs) for cs in own[key].coeffs]
+        assert all(abs(g - w) <= tol * abs(w) for g, w in zip(got, want))
+    monkeypatch.setattr(rh, "renormalized", lambda sol, tables, norm: own[sol.idx, norm])
+    independent = rh.verify_recurrences(ws, idx, ZS)
+    pairs = [(k, l) for k in range(ws.p) for l in range(ws.q)]
+    for residuals in (batch, independent):
+        assert sorted(residuals) == pairs
+        assert max(max(both) for both in residuals.values()) < mpf("1e-20")
+
+
 def test_recurrence_batch_matches_independent_route(ws, idx22, monkeypatch):
-    batch = rh.verify_recurrences(ws, idx22, ZS)
-    assert sorted(batch) == [(0, 0), (0, 1), (1, 0), (1, 1)]
-    # independent route: every vector, whether an expansion row or from a
-    # group of the batch, replaced by its own solve_batch call; the
-    # residuals must not move by a bit
-    expansions = rh.assemble_rh_expansions
-
-    def alone(sol):
-        key = (sol.idx, sol.norm)
-        return solve_batch(ws, [key])[key]
-
-    def independent(pairs, first=()):
-        groups = [[alone(sol) for sol in job()] for job in first]
-        return groups + [
-            e._replace(rows=tuple(sol and alone(sol) for sol in e.rows)) for e in expansions(pairs)
-        ]
-
-    monkeypatch.setattr(rh, "assemble_rh_expansions", independent)
-    assert rh.verify_recurrences(ws, idx22, ZS) == batch
+    _recurrences_on_both_routes(ws, idx22, monkeypatch)
 
 
 def test_five_term_on_rational_oracle_solutions(ws, idx22, exp22):
@@ -853,6 +893,10 @@ def test_general_pq_transfer_and_recurrence(ws_32):
     assert nu.max_abs(U * Y - Ysh) <= mpf("1e-20") * nu.max_abs(Ysh)
     # the six-term (p+q+1) recurrence
     assert rh.verify_recurrences(ws_32, idx, ZS)[0, 1][0] < mpf("1e-20")
+
+
+def test_general_pq_recurrence_matches_independent_route(ws_32, monkeypatch):
+    _recurrences_on_both_routes(ws_32, MultiIndexPair((2, 1, 1), (2, 2)), monkeypatch)
 
 
 def test_general_pq_involution(ws_32):
