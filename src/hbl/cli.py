@@ -18,7 +18,7 @@ from mpmath import mp, mpf, mpc
 
 from . import __version__
 from . import numerics as nu
-from .errors import HblError, InvalidConfig, UsageError
+from .errors import HblError, InvalidConfig, UsageError, WrongRegime
 from .model import (
     BrownianConfig,
     Regime,
@@ -245,15 +245,15 @@ def cmd_coefficients(cfg: BrownianConfig, ns, out: Path) -> int:
 
 def cmd_identities(cfg: BrownianConfig, ns, out: Path) -> int:
     ws, idx, payload = _indexed(cfg, ns)
-    ws_sw, idx_sw = rh.swapped_system(ws, idx)
     shifts = [(k, l) for k in range(ws.p) for l in range(ws.q)]
-    # every expansion the checks read, in one batch, whose rows are also
-    # the recurrences' MOP vectors; the expansions come back from the cache
-    zs = [mpf(0), mpf(1), mpc(-1, 1)]
-    residuals = rh.verify_recurrences(ws, idx, zs, also=[(ws_sw, idx_sw)]).values()
-    exp, exp_sw, *exp_shifted = rh.assemble_rh_expansions(
-        [(ws, idx), (ws_sw, idx_sw)] + [(ws, idx.shift_n(k).shift_m(l)) for k, l in shifts]
+    # every expansion the checks read, in one batch: those of the
+    # recurrences, whose rows are also their MOP vectors, and the swapped
+    # system's
+    *exps, exp_sw = rh.assemble_rh_expansions(
+        rh.recurrence_pairs(ws, idx) + [rh.swapped_system(ws, idx)]
     )
+    exp, *exp_shifted = exps
+    residuals = rh.verify_recurrences(exps, [mpf(0), mpf(1), mpc(-1, 1)]).values()
     tol = mpf(10) ** ns.tol_exponent
     checks = []
 
@@ -349,6 +349,11 @@ def cmd_scaling(cfg: BrownianConfig, ns, out: Path) -> int:
     t = _parse_t(ns)
     n_list = _int_list("--n-list", ns.n_list)
     rep = classify_separation(cfg)
+    if ns.L is not None and rep.regime is not Regime.CRITICAL:
+        raise WrongRegime(
+            f"--L sets the double-scaling constant, which needs critical separation; "
+            f"the config is in the {rep.regime.value} regime"
+        )
     least = {Regime.SMALL: 4, Regime.LARGE: 2}.get(rep.regime, 1)  # points the fit needs
     if min(n_list) < 2 or len(set(n_list)) < max(len(n_list), least):
         raise UsageError(

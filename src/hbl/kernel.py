@@ -37,7 +37,6 @@ from .model import (
 from .mop import (
     MultiIndexPair,
     WeightSystem,
-    _cached_map,
     _map_cores,
     bimoment_inverse,
     escalate,
@@ -190,6 +189,23 @@ _KERNEL_FORMS: dict = {}
 _KERNEL_FORMS_MAX = 64
 
 
+def _kernel_forms(ws: WeightSystem, idx: MultiIndexPair, bits: int) -> tuple:
+    """The kernel forms at ``bits`` and ``2 bits`` through _KERNEL_FORMS:
+    the ones it misses are factored once each, concurrently (see
+    mop._map_cores), and the cache is then cut to _KERNEL_FORMS_MAX."""
+    keys = [(ws, idx, bits), (ws, idx, 2 * bits)]
+    missing = [key for key in keys if key not in _KERNEL_FORMS]
+    factored = _map_cores(lambda key: _kernel_form_uncached(*key), missing)
+    _KERNEL_FORMS.update(zip(missing, factored))
+    forms = []
+    for key in keys:
+        forms.append(_KERNEL_FORMS.pop(key))
+        _KERNEL_FORMS[key] = forms[-1]
+    while len(_KERNEL_FORMS) > _KERNEL_FORMS_MAX:
+        del _KERNEL_FORMS[next(iter(_KERNEL_FORMS))]
+    return tuple(forms)
+
+
 def _kernel_sum(ws: WeightSystem, form: tuple, x, y, confluent: bool):
     """The Eynard-Mehta sum from one kernel form, at the bits it was factored at;
     each polynomial value is that of mp.polyval (see numerics._horner)."""
@@ -238,12 +254,7 @@ def correlation_kernel(ws: WeightSystem, idx: MultiIndexPair, x, y=None):
     tol = mpf(2) ** (-(mp.prec // 4))
 
     def attempt(bits):
-        low, high = _cached_map(
-            _KERNEL_FORMS,
-            _KERNEL_FORMS_MAX,
-            lambda key: _kernel_form_uncached(*key),
-            [(ws, idx, bits), (ws, idx, 2 * bits)],
-        )
+        low, high = _kernel_forms(ws, idx, bits)
         if not (low and high):
             raise SingularMatrix(
                 f"kernel at ({x}, {y}): G(n, m) is numerically singular at "

@@ -17,7 +17,6 @@ import math
 import os
 import threading
 from collections import namedtuple
-from functools import partial
 from typing import NamedTuple
 
 from mpmath import mp, mpc, mpf, matrix
@@ -40,7 +39,7 @@ class WeightSystem(namedtuple("WeightSystem", "a b t N")):
             raise ValueError("time t must lie in (0, 1)")
         if self.N <= 0:
             raise ValueError("scale N must be positive")
-        # a cache key of the kernel forms and moment tables: hashed once
+        # a cache key of the kernel forms: hashed once
         self._hash = tuple.__hash__(self)
         return self
 
@@ -95,39 +94,11 @@ def gaussian_moments(gamma, mu, log_scale, jmax: int) -> list:
     The e^{log_scale} factor rides on the mpf exponent, which is unbounded,
     so no separate log-scale bookkeeping is needed."""
     m0 = mp.sqrt(mp.pi / gamma) * mp.exp(log_scale)
-    return _lengthen([m0, mu * m0], gamma, mu, jmax)[: jmax + 1]
-
-
-def _lengthen(moments: list, gamma, mu, jmax: int) -> list:
-    """``moments``, M_0.. of gamma and mu with at least M_0 and M_1, carried
-    on in place to M_jmax by the recursion of gaussian_moments."""
+    moments = [m0, mu * m0]
     inv2g = 1 / (2 * gamma)
-    for j in range(len(moments), jmax + 1):
+    for j in range(2, jmax + 1):
         moments.append(mu * moments[j - 1] + (j - 1) * inv2g * moments[j - 2])
-    return moments
-
-
-# (ws, k, l, prec) -> [M_0, M_1, ...], least recently used first
-_TABLES: dict = {}
-_TABLES_MAX = 256
-
-
-def _moment_table(ws: WeightSystem, k: int, l: int, jmax: int, prec: int) -> tuple:
-    """Moments M_j = int x^j w_{1,k} w_{2,l} dx for j = 0..jmax at ``prec``
-    bits (see gaussian_moments).  One table per (ws, k, l, prec) is kept
-    and carried on when a longer one is asked for: the recursion runs
-    forward, so every entry is that of a table built to jmax at once."""
-    key = (ws, k, l, prec)
-    table = _TABLES.pop(key, None)
-    with mp.workprec(prec):
-        if table is None:
-            table = gaussian_moments(ws.gamma, ws.mu(k, l), ws.log_scale(k, l), max(jmax, 1))
-        elif len(table) <= jmax:
-            _lengthen(table, ws.gamma, ws.mu(k, l), jmax)
-    _TABLES[key] = table
-    if len(_TABLES) > _TABLES_MAX:
-        del _TABLES[next(iter(_TABLES))]
-    return tuple(table[: jmax + 1])
+    return moments[: jmax + 1]
 
 
 # ---------------------------------------------------------------------------
@@ -211,11 +182,15 @@ def _flat_offsets(idx: MultiIndexPair) -> list:
 
 
 def moment_tables(ws: WeightSystem, idx: MultiIndexPair) -> dict:
-    """{(k, l): M^{kl}_0..M^{kl}_jmax} at working precision, jmax covering
-    every entry that a solve at this pair, and the Y1/Y2 built from it, read."""
+    """{(k, l): M^{kl}_0..M^{kl}_jmax} of the product weights w_{1,k} w_{2,l}
+    at working precision (see gaussian_moments), jmax covering every entry
+    that a solve at this pair, and the Y1/Y2 built from it, read."""
     jmax = max(idx.n) + max(idx.m, default=0) + 2
-    pairs = [(k, l) for k in range(ws.p) for l in range(ws.q)]
-    return {kl: _moment_table(ws, *kl, jmax, mp.prec) for kl in pairs}
+    return {
+        (k, l): gaussian_moments(ws.gamma, ws.mu(k, l), ws.log_scale(k, l), jmax)
+        for k in range(ws.p)
+        for l in range(ws.q)
+    }
 
 
 def _check_shape(ws: WeightSystem, idx: MultiIndexPair) -> None:
@@ -251,9 +226,9 @@ def escalate(attempt) -> tuple:
         bits *= 2
 
 
-def _factor_and_solve(ws: WeightSystem, idx: MultiIndexPair, tags: list) -> list:
+def _factor_and_solve(tables: dict, idx: MultiIndexPair, tags: list) -> list:
     """The solutions for ``tags`` from one LU of G(n, m) at working
-    precision.
+    precision, its entries read from ``tables`` (moment_tables at idx).
 
     G has rows (l, j), j < m_l, and columns (k, i), i < n_k, with entries
     M^{kl}_{i+j}.  Tag ("II", k) gives the type (II,k) solution at
@@ -269,15 +244,15 @@ def _factor_and_solve(ws: WeightSystem, idx: MultiIndexPair, tags: list) -> list
     row's largest entry in [1/2, 1): the scaling is exact, and the unit
     right-hand side of a row is (1, -s).
     """
+    p, q = len(idx.n), len(idx.m)
     offsets = _flat_offsets(idx)
-    tables = {kl: [nu._pair(v._mpf_) for v in col]
-              for kl, col in moment_tables(ws, idx).items()}
+    tables = {kl: [nu._pair(v._mpf_) for v in col] for kl, col in tables.items()}
     # the exponent just above each moment's top bit; zero is below them all
     tops = {kl: [e + m.bit_length() if m else -math.inf for m, e in col]
             for kl, col in tables.items()}
-    ks = [k for k in range(ws.p) if idx.n[k]]
+    ks = [k for k in range(p) if idx.n[k]]
     rows, shifts, row_keys = [], [], []
-    for l in range(ws.q):
+    for l in range(q):
         for j in range(idx.m[l]):
             s = max((max(tops[k, l][j : j + idx.n[k]]) for k in ks), default=-math.inf)
             if s == -math.inf:
@@ -301,7 +276,7 @@ def _factor_and_solve(ws: WeightSystem, idx: MultiIndexPair, tags: list) -> list
     for (kind, pos), raws in zip(tags, xs):
         x = [mp.make_mpf(v) for v in raws]
         coeffs = [
-            tuple(x[offsets[k] + i] for i in range(idx.n[k])) for k in range(ws.p)
+            tuple(x[offsets[k] + i] for i in range(idx.n[k])) for k in range(p)
         ]
         if kind == "G^-1":
             sols.append(tuple(coeffs))
@@ -483,26 +458,6 @@ def _map_cores(fn, jobs) -> list:
     return out
 
 
-def _cached_map(cache: dict, limit: int, fn, keys, first=()) -> list:
-    """[job() for job in first] + [fn(key) for key in keys], the keys
-    through ``cache``, a dict in least recently used order: keys it misses
-    are computed once each, in their order, after the ``first`` jobs
-    (functions of no argument) in one _map_cores call, and the cache is
-    then cut to ``limit`` entries."""
-    keys, first = list(keys), list(first)
-    missing = [key for key in dict.fromkeys(keys) if key not in cache]
-    jobs = first + [partial(fn, key) for key in missing]
-    done = _map_cores(lambda job: job(), jobs) if jobs else []
-    out = done[: len(first)]
-    cache.update(zip(missing, done[len(first) :]))
-    for key in keys:
-        out.append(cache.pop(key))
-        cache[key] = out[-1]
-    while len(cache) > limit:
-        del cache[next(iter(cache))]
-    return out
-
-
 def q_moment(sol: MopSolution, tables: dict, l: int, j: int) -> mpf:
     """int Q(x) x^j w_{2,l}(x) dx from ``tables`` (see moment_tables)."""
     terms = (
@@ -534,22 +489,23 @@ def renormalized(sol: MopSolution, tables: dict, norm: NormTag) -> MopSolution:
     return sol._replace(norm=norm, coeffs=coeffs)
 
 
-def shifted_solutions(ws: WeightSystem, idx: MultiIndexPair) -> list:
+def shifted_solutions(ws: WeightSystem, idx: MultiIndexPair, tables: dict) -> list:
     """The p + q solution rows of the RH matrix at |n| = |m|, from one
-    factorization of G(n, m) at working precision (see _factor_and_solve).
+    factorization of G(n, m) at working precision, its entries read from
+    ``tables``, moment_tables(ws, idx) (see _factor_and_solve).
 
     Row k (k < p):  type (II,k) at (n + e_k, m).
     Row p + l:      type (I,l)  at (n, m - e_l), or None when m_l = 0
                     (that row of Y degenerates to the unit row e_{p+l}).
     SingularMatrix propagates; the caller escalates (see
-    rh._expansion_uncached).
+    rh.assemble_rh_expansion).
     """
     _check_shape(ws, idx)
     if idx.size_n != idx.size_m:
         raise InvalidIndex("RH rows need |n| = |m|")
     tags = [("II", k) for k in range(ws.p)]
     tags += [("I", l) for l in range(ws.q) if idx.m[l] > 0]
-    by_tag = dict(zip(tags, _factor_and_solve(ws, idx, tags)))
+    by_tag = dict(zip(tags, _factor_and_solve(tables, idx, tags)))
     rows = [by_tag.get(("II", k)) for k in range(ws.p)]
     return rows + [by_tag.get(("I", l)) for l in range(ws.q)]
 
@@ -567,7 +523,8 @@ def bimoment_inverse(ws: WeightSystem, idx: MultiIndexPair) -> dict:
     if idx.size_n != idx.size_m:
         raise InvalidIndex("G(n, m) is square only at |n| = |m|")
     keys = [(l, j) for l in range(ws.q) for j in range(idx.m[l])]
-    cols = dict(zip(keys, _factor_and_solve(ws, idx, [("G^-1", key) for key in keys])))
+    tags = [("G^-1", key) for key in keys]
+    cols = dict(zip(keys, _factor_and_solve(moment_tables(ws, idx), idx, tags)))
     return {
         (k, l): tuple(
             tuple(cols[l, j][k][i] for j in range(idx.m[l])) for i in range(idx.n[k])

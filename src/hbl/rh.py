@@ -14,6 +14,7 @@ from typing import NamedTuple, Optional, Sequence
 
 from mpmath import mp, mpf, mpc, matrix
 
+from . import mop
 from . import numerics as nu
 from .errors import (
     BranchCollision,
@@ -27,7 +28,6 @@ from .mop import (
     MopSolution,
     MultiIndexPair,
     WeightSystem,
-    _cached_map,
     escalate,
     moment_tables,
     q_moment,
@@ -38,7 +38,7 @@ from .mop import (
 
 class RhExpansion(NamedTuple):
     """Y1 and Y2 of the large-z expansion, with block views, and the p+q
-    shifted MOP rows they were built from (see _expansion_uncached)."""
+    shifted MOP rows they were built from (see assemble_rh_expansion)."""
 
     ws: WeightSystem
     idx: MultiIndexPair
@@ -75,10 +75,11 @@ class RhExpansion(NamedTuple):
         return (self.Y1[i - 1, j - 1] * self.Y1[j - 1, i - 1]).real
 
 
-def _expansion_uncached(ws: WeightSystem, idx: MultiIndexPair) -> RhExpansion:
+def assemble_rh_expansion(ws: WeightSystem, idx: MultiIndexPair) -> RhExpansion:
     """Y1 and Y2 at idx: one factorization of G(n, m) and the sums from its
-    rows make one attempt on the ladder of mop.escalate, and each entry is
-    then rounded once to working precision; the rows keep their bits.
+    rows make one attempt on the ladder of mop.escalate, both read from the
+    one set of moment tables the attempt builds, and each entry is then
+    rounded once to working precision; the rows keep their bits.
 
     An attempt is certified before it is returned: the largest residual of
     the scalar-product relations (and, at p = q = 2 and n = m, of the four
@@ -94,8 +95,8 @@ def _expansion_uncached(ws: WeightSystem, idx: MultiIndexPair) -> RhExpansion:
         y1 = matrix(size, size)
         y2 = matrix(size, size)
         with mp.workprec(bits):
-            rows = shifted_solutions(ws, idx)
             tables = moment_tables(ws, idx)
+            rows = shifted_solutions(ws, idx, tables)
             for i, sol in enumerate(rows):
                 if sol is None:
                     continue  # degenerate unit row: zero contribution to Y1, Y2
@@ -123,29 +124,10 @@ def _expansion_uncached(ws: WeightSystem, idx: MultiIndexPair) -> RhExpansion:
     return exp._replace(Y1=exp.Y1.apply(lambda v: +v), Y2=exp.Y2.apply(lambda v: +v))
 
 
-# (ws, idx, precision) -> RhExpansion, least recently used first
-_EXPANSIONS: dict = {}
-_EXPANSIONS_MAX = 256
-
-
-def assemble_rh_expansions(pairs, first=()) -> list:
-    """[Y1 and Y2 at idx for (ws, idx) in pairs]: each from the p+q shifted
-    MOP rows of one factorization, cached per precision.  The missing
-    expansions are assembled concurrently, in the order of ``pairs``,
-    after the ``first`` jobs, whose results lead the list (see
-    mop._cached_map)."""
-    return _cached_map(
-        _EXPANSIONS,
-        _EXPANSIONS_MAX,
-        lambda key: _expansion_uncached(key[0], key[1]),
-        [(ws, idx, mp.prec) for ws, idx in pairs],
-        first=first,
-    )
-
-
-def assemble_rh_expansion(ws: WeightSystem, idx: MultiIndexPair) -> RhExpansion:
-    """Y1 and Y2 at idx: the one-pair case of assemble_rh_expansions."""
-    return assemble_rh_expansions([(ws, idx)])[0]
+def assemble_rh_expansions(pairs) -> list:
+    """[assemble_rh_expansion(ws, idx) for (ws, idx) in pairs], assembled
+    concurrently in the order of ``pairs`` (see mop._map_cores)."""
+    return mop._map_cores(lambda pair: assemble_rh_expansion(*pair), pairs)
 
 
 def recurrence_matrix_H(exp: RhExpansion) -> matrix:
@@ -299,46 +281,54 @@ def _recurrence_residual(lhs_at, main_at, shift, terms, zs) -> mpf:
     return worst
 
 
-def verify_recurrences(
-    ws: WeightSystem, idx: MultiIndexPair, zs: Sequence, also=()
-) -> dict:
-    """{(k, l): (forward, backward)} residuals of every recurrence at idx
-    and the points zs: the forward p+q+1 term recurrence in the type (II,k)
-    normalization, the backward one in the type (I,l) normalization.
-
-    The expansions at idx and idx + e_k + e_l, and those of the ``also``
-    pairs (ws, idx), come from one batch and are cached for the caller.
-    Their rows hold every vector a recurrence reads, each in some
-    normalization, and mop.renormalized rescales it to the one asked for;
-    a recurrence so relates the LUs at idx and idx + e_k + e_l.  The
-    recurrences shift n - e_k and m - e_l, so every component of idx must
-    be at least 1; otherwise InvalidIndex is raised.
-    """
+def recurrence_pairs(ws: WeightSystem, idx: MultiIndexPair) -> list:
+    """[(ws, idx)] and (ws, idx + e_k + e_l) for each (k, l), k major: the
+    expansions verify_recurrences reads, in its order.  The recurrences
+    shift n - e_k and m - e_l, so every component of idx must be at least
+    1; otherwise InvalidIndex is raised here, before any factorization."""
     if min(idx.n + idx.m) < 1:
         raise InvalidIndex(f"every n_k and m_l must be at least 1, got {idx}")
-    p = ws.p
+    shifts = [(k, l) for k in range(ws.p) for l in range(ws.q)]
+    return [(ws, idx)] + [(ws, idx.shift_n(k).shift_m(l)) for k, l in shifts]
+
+
+def verify_recurrences(exps: Sequence, zs: Sequence) -> dict:
+    """{(k, l): (forward, backward)} residuals of every recurrence at idx,
+    the index of exps[0], and the points zs: the forward p+q+1 term
+    recurrence in the type (II,k) normalization, the backward one in the
+    type (I,l) normalization.
+
+    ``exps`` are the expansions at the pairs of recurrence_pairs, in its
+    order; any other list raises ValueError.  Their rows hold every vector
+    a recurrence reads, each in some normalization, and mop.renormalized
+    rescales it to the one asked for, reading the one set of moment tables
+    at idx: those reach M_{n_k + m_l + 2}, the deepest entry a rescale
+    reads.  A recurrence so relates the LUs at idx and idx + e_k + e_l.
+    """
+    exp, *exp_shifted = exps
+    ws, idx, p = exp.ws, exp.idx, exp.p
+    if [(e.ws, e.idx) for e in exps] != recurrence_pairs(ws, idx):
+        raise ValueError("verify_recurrences needs the expansions of recurrence_pairs")
     pairs = [(k, l) for k in range(p) for l in range(ws.q)]
     specs = {
         (k, l): (_forward_requests(ws, idx, k, l), _backward_requests(ws, idx, k, l))
         for k, l in pairs
     }
-    bases = [idx] + [idx.shift_n(k).shift_m(l) for k, l in pairs]
-    done = assemble_rh_expansions([(ws, base) for base in bases] + list(also))
-    exp, *exp_shifted = done[: len(bases)]
     shifted = dict(zip(pairs, exp_shifted))
     # every row by (index, tag), and by index the first row that holds it
     by_tag, by_idx = {}, {}
-    for e in (exp, *exp_shifted):
+    for e in exps:
         for sol in filter(None, e.rows):
             by_tag[sol.idx, sol.norm] = sol
             by_idx.setdefault(sol.idx, sol)
+    tables = moment_tables(ws, idx)
     values = {}  # request -> its vector's values at zs, each evaluated once
 
     def at(req):
         if req not in values:
             vec_idx, tag = req
             sol = by_tag.get(req) or by_idx[vec_idx]
-            sol = renormalized(sol, moment_tables(ws, vec_idx), tag)
+            sol = renormalized(sol, tables, tag)
             values[req] = _vector_values(sol, zs)
         return values[req]
 

@@ -10,16 +10,17 @@ T_n = cfg.temperature(n), as every other command reads it.
 
 from __future__ import annotations
 
+from functools import partial
 from typing import NamedTuple, Sequence
 
 from mpmath import mp, mpf
 
+from . import mop, rh
 from . import numerics as nu
 from .errors import DegenerateData, WrongRegime
 from .model import BrownianConfig, Regime, classify_separation, scaling_constants
 from .mop import MultiIndexPair, WeightSystem
 from .painleve import solve_hastings_mcleod
-from .rh import assemble_rh_expansions, relation_residuals
 
 DEFAULT_N_LIST = (8, 12, 16, 24, 32, 48, 64)
 
@@ -31,19 +32,17 @@ def split_count(p1, n: int) -> tuple[int, int]:
     return n1, n - n1
 
 
-def _study_rows(cfg, t, n_list, first=()) -> tuple:
-    """(the results of the ``first`` jobs, one RH expansion per n of n_list
-    in ascending order, at n1 + n2 = n and N = n / T_n with T_n =
-    cfg.temperature(n)).  The expansions come from one batch after those
-    jobs, largest n first, so the longest jobs start first (see
-    rh.assemble_rh_expansions).  Each study turns every expansion into
-    one row with _study_row, after the batch has returned."""
+def _study_systems(cfg, t, n_list) -> list:
+    """(ws, idx) of the RH expansion per n of n_list, largest n first, so
+    a batch starts its longest jobs first: n1 + n2 = n and N = n / T_n
+    with T_n = cfg.temperature(n).  Each study assembles them in one batch
+    and turns every expansion into one row with _study_row, in ascending
+    n, after the batch has returned."""
     systems = []
     for n in sorted(n_list, reverse=True):
         split = split_count(cfg.p1, n)
         systems.append((WeightSystem.from_config(cfg, t, n), MultiIndexPair(split, split)))
-    done = assemble_rh_expansions(systems, first)
-    return done[: len(first)], done[len(first) :][::-1]
+    return systems
 
 
 def _study_row(cfg, exp, predictions: dict) -> dict:
@@ -61,7 +60,7 @@ def _study_row(cfg, exp, predictions: dict) -> dict:
         for d in (3, 4):
             row[f"c{a}{b}c{b}{d}_c{a}{d}"] = (c(a, b) * c(b, d) / c(a, d)).real
     row.update(("pred_" + key, val) for key, val in predictions.items())
-    for i, val in enumerate(relation_residuals(exp), 1):
+    for i, val in enumerate(rh.relation_residuals(exp), 1):
         row[f"relation_residual_{i}"] = val
     return row
 
@@ -86,10 +85,10 @@ def double_scaling_study(
     of ``cfg`` with that rule in place of its own.  The predictions hold
     for 0 < t < t_crit only; any other t raises WrongRegime.
 
-    The Hastings-McLeod solve is the first job of the expansion batch,
-    ahead of the largest n, so one worker takes it while the others take
-    the expansions; the job returns q(s) alone, and its error comes before
-    any expansion's, as if it ran first.
+    The Hastings-McLeod solve is queued in one batch with the expansions
+    (see mop._map_cores), ahead of the largest n, so one worker takes it
+    while the others take the expansions; the job returns q(s) alone, and
+    its error comes before any expansion's, as if it ran first.
     """
     cfg = BrownianConfig(cfg.a1, cfg.a2, cfg.b1, cfg.b2, cfg.p1, cfg.p2, L=L)
     rep = classify_separation(cfg)
@@ -120,8 +119,10 @@ def double_scaling_study(
     def solve():
         return solve_hastings_mcleod().evaluate(consts.s, nder=0)[0]
 
-    (qs,), exps = _study_rows(cfg, t, n_list, [solve])
-    rows = tuple(_study_row(cfg, exp, predictions(exp.idx.size_n, qs)) for exp in exps)
+    expand = [partial(rh.assemble_rh_expansion, *system)
+              for system in _study_systems(cfg, t, n_list)]
+    qs, *exps = mop._map_cores(lambda job: job(), [solve] + expand)
+    rows = tuple(_study_row(cfg, exp, predictions(exp.idx.size_n, qs)) for exp in exps[::-1])
     return DoubleScalingStudy(rows=rows, K=consts.K, s=consts.s, q_of_s=qs, t=t)
 
 
@@ -153,7 +154,8 @@ def small_separation_study(
     lim12 = -(t**2 / (16 * da**2)) * (4 - da**2 * db**2)
     lim14 = t * (1 - t) / 8 * (2 - da * db)
     preds = {"c12c21": lim12, "c14c41": lim14}
-    rows = tuple(_study_row(cfg, exp, preds) for exp in _study_rows(cfg, t, n_list)[1])
+    exps = rh.assemble_rh_expansions(_study_systems(cfg, t, n_list))[::-1]
+    rows = tuple(_study_row(cfg, exp, preds) for exp in exps)
     ns = [r["n"] for r in rows]
     return SmallSeparationStudy(
         rows=rows,
@@ -192,7 +194,8 @@ def large_separation_decay(
         raise WrongRegime("decay study requires the large regime")
     t = nu.to_ext(t)
     with mp.workprec(max(512, mp.prec)):
-        rows = tuple(_study_row(cfg, exp, {}) for exp in _study_rows(cfg, t, n_list)[1])
+        exps = rh.assemble_rh_expansions(_study_systems(cfg, t, n_list))[::-1]
+        rows = tuple(_study_row(cfg, exp, {}) for exp in exps)
 
     def fit(values):
         ns = [r["n"] for r in rows]

@@ -7,7 +7,7 @@ import tempfile
 import weakref
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cmp_to_key
+from functools import cmp_to_key, partial
 
 import pytest
 from mpmath import mp, mpf, mpc
@@ -16,7 +16,7 @@ from mpmath.libmp import (
     fzero, mpf_abs, mpf_cmp, mpf_div, mpf_mul, mpf_neg, mpf_pos, mpf_sum, round_nearest,
 )
 
-from hbl import mop, numerics as nu
+from hbl import mop, numerics as nu, rh
 from hbl.errors import NormalizationImpossible, SingularMatrix
 from hbl.kernel import YEvaluator, _gauss_cauchy, _second_kind
 from hbl.model import BrownianConfig
@@ -104,10 +104,8 @@ def mpf_to_fraction(x) -> Fraction:
 
 def gaussian_moment(ws, k, l, j):
     """int x^j w_{1,k}(x) w_{2,l}(x) dx, 0-based k, l, read from the moment
-    table the solves use (test oracle helper)."""
-    from hbl.mop import _moment_table
-
-    return _moment_table(ws, k, l, j, mp.prec)[j]
+    tables the solves use (test oracle helper)."""
+    return mop.moment_tables(ws, mop.MultiIndexPair((j,), (j,)))[k, l][j]
 
 
 def orthogonality_residual(sol, tables):
@@ -164,7 +162,7 @@ def base_pair_job(ws, base, tags):
     of mop.escalate (test oracle helper)."""
     def attempt(bits):
         with mp.workprec(bits):
-            return mop._factor_and_solve(ws, base, tags)
+            return mop._factor_and_solve(mop.moment_tables(ws, base), base, tags)
 
     return mop.escalate(attempt)[0]
 
@@ -256,10 +254,10 @@ def cauchy_transform(pg, z):
     return mp.polyval(pg.coeffs[::-1], z) * cw + rest / (2j * mp.pi)
 
 
-def assemble_Y(ws, idx, z, boundary="above"):
-    """The (p+q) x (p+q) RH matrix Y(z), from the rows of the cached
-    expansion (see kernel.YEvaluator)."""
-    return YEvaluator(assemble_rh_expansion(ws, idx)).value(z, boundary=boundary)
+def recurrence_residuals(ws, idx, zs) -> dict:
+    """rh.verify_recurrences at idx and zs, on the expansions of
+    rh.recurrence_pairs assembled in one batch (test helper)."""
+    return rh.verify_recurrences(rh.assemble_rh_expansions(rh.recurrence_pairs(ws, idx)), zs)
 
 
 def jump_matrix(ws, x):
@@ -399,22 +397,30 @@ def count_solves(monkeypatch) -> list:
     return calls
 
 
-def rh_kernel_oracle(ws, idx, x, y=None, extra_bits=64):
-    """K(x, y) from the RH matrix (test oracle): the sum over k, l of
+def rh_kernel_oracle(ws, idx, extra_bits=64):
+    """K(x, y=None) from the RH matrix (test oracle): the sum over k, l of
     w_{1,k}(x) [Y_+^{-1}(y) Y_+(x)]_{p+l,k} w_{2,l}(y) / (2 pi i (x - y)),
     and for y = x its confluent limit with Y_+^{-1}(x) Y_+'(x).
 
     Y_+' is exact: YEvaluator.jet differentiates the polynomial columns and
     the integrands of the Cauchy columns, on the Faddeeva values of Y_+.
-    Everything runs with ``extra_bits`` guard bits; the result is rounded to
-    working precision and keeps its (rounding-size) imaginary part.
+    The expansion is assembled once, here.  Everything runs with
+    ``extra_bits`` guard bits; each value is rounded to the working
+    precision of its call and keeps its (rounding-size) imaginary part.
     """
+    with mp.workprec(mp.prec + extra_bits):
+        ev = YEvaluator(assemble_rh_expansion(ws, idx))
+    return partial(_rh_kernel, ev, extra_bits)
+
+
+def _rh_kernel(ev, extra_bits, x, y=None):
+    """One value of rh_kernel_oracle from the evaluator ``ev``."""
+    ws = ev.ws
     p, q = ws.p, ws.q
     x = nu.to_ext(x)
     confluent = y is None or y == x
     y = x if y is None else nu.to_ext(y)
     with mp.workprec(mp.prec + extra_bits):
-        ev = YEvaluator(assemble_rh_expansion(ws, idx))
         if confluent:
             Y, dY = ev.jet(x)
             core = mp.inverse(Y) * dY

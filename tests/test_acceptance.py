@@ -19,7 +19,9 @@ from hbl import scaling as sc
 from hbl.model import BrownianConfig
 from hbl.mop import MultiIndexPair, WeightSystem
 
-from conftest import PolyGaussian, assemble_Y, cauchy_transform, jump_matrix
+from conftest import (
+    PolyGaussian, cauchy_transform, jump_matrix, recurrence_residuals,
+)
 
 
 #: collected criterion lines, re-printed by the terminal-summary hook
@@ -72,7 +74,7 @@ def test_criterion_02_five_term_recurrences():
         idx = MultiIndexPair(comps, comps)
         ws = WeightSystem.from_config(cfg, mpf(1) / 3, idx.size_n)
         exp = rh.assemble_rh_expansion(ws, idx)
-        res = rh.verify_recurrences(ws, idx, zs)
+        res = recurrence_residuals(ws, idx, zs)
         for k in range(2):
             for l in range(2):
                 worst_rec = max(worst_rec, res[k, l][0])
@@ -337,16 +339,17 @@ def test_criterion_11_kernel_plumbing():
     cfg = BrownianConfig("1", "-1", "0.7", "-0.7")
     idx = MultiIndexPair((2, 2), (2, 2))
     ws = WeightSystem.from_config(cfg, mpf(1) / 2, idx.size_n)
+    Y_at = kn.YEvaluator(rh.assemble_rh_expansion(ws, idx)).value
     worst_jump = mpf(0)
     for x in ("-1.2", "0", "0.9"):
         x = mpf(x)
-        Yp = assemble_Y(ws, idx, x, boundary="above")
-        Ym = assemble_Y(ws, idx, x, boundary="below")
+        Yp = Y_at(x, boundary="above")
+        Ym = Y_at(x, boundary="below")
         J = jump_matrix(ws, x)
         worst_jump = max(
             worst_jump, nu.max_abs(Yp * mp.inverse(J) * mp.inverse(Ym) - mp.eye(4))
         )
-    det_err = abs(mp.det(assemble_Y(ws, idx, mpc(1, 1))) - 1)
+    det_err = abs(mp.det(Y_at(mpc(1, 1))) - 1)
     ok = worst_ct <= mpf("1e-18") and worst_jump <= mpf("1e-15") and det_err <= mpf("1e-18")
     _report(11, ok, f"cauchy vs quadrature {mp.nstr(worst_ct, 3)} (1e-18), "
                     f"jump {mp.nstr(worst_jump, 3)} (1e-15), "

@@ -300,6 +300,18 @@ def test_scaling_past_the_critical_time_exits_wrong_regime(tmp_path, capsys):
     assert not (tmp_path / "scaling.csv").exists()
 
 
+@pytest.mark.parametrize("config", ["large", "small"])
+def test_scaling_L_outside_critical_separation_exits_wrong_regime(config, tmp_path, capsys):
+    # --L sets the double-scaling constant; a study of another regime would
+    # run at the config's own T and drop it from the artifact
+    argv = ["--out", str(tmp_path), "scaling", "--config", str(DATA / f"{config}_config.json")]
+    assert main(argv + ["--t", "0.5", "--n-list", "8,16,24,32", "--L", "0.5"]) == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "wrong-regime"
+    assert f"{config} regime" in err["message"] and "--L" in err["message"]
+    assert not (tmp_path / "scaling.csv").exists()
+
+
 @pytest.mark.parametrize(
     "global_opts, density_opts, code, error",
     [
@@ -405,9 +417,8 @@ def test_identities_factors_each_expansion_once(
 ):
     # the expansion at n, the four at n + e_k, m + e_l, whose rows hold
     # every recurrence vector, and the swapped system's: 6 LUs in one batch
-    from hbl import mop, rh
+    from hbl import mop
 
-    rh._EXPANSIONS.clear()
     calls = count_solves(monkeypatch)
     batches = []
     map_cores = mop._map_cores

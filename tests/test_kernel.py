@@ -17,7 +17,6 @@ from hbl.mop import MultiIndexPair, WeightSystem
 
 from conftest import (
     PolyGaussian,
-    assemble_Y,
     cauchy_transform,
     count_solves,
     jump_matrix,
@@ -39,6 +38,12 @@ def ws4(cfg_large):
 @pytest.fixture(scope="module")
 def idx22():
     return MultiIndexPair((2, 2), (2, 2))
+
+
+@pytest.fixture(scope="module")
+def Y4(ws4, idx22):
+    """Y(z, boundary="above") at ws4 and idx22, from one expansion."""
+    return kn.YEvaluator(rh.assemble_rh_expansion(ws4, idx22)).value
 
 
 # ---------------------------------------------------------------------------
@@ -90,7 +95,7 @@ def test_cauchy_schwarz_reflection():
 
 
 # ---------------------------------------------------------------------------
-# assemble_Y
+# the RH matrix Y(z)
 # ---------------------------------------------------------------------------
 
 @pytest.mark.parametrize(
@@ -135,29 +140,29 @@ def test_y_jet_derivative_is_derivative(ws4, idx22, z):
             assert abs(dY[i, j] - ref) <= mpf(2) ** (-(mp.prec // 2)) * abs(ref), (i, j)
 
 
-def test_jump_relation_at_origin(ws4, idx22):
-    Yp = assemble_Y(ws4, idx22, mpf(0), boundary="above")
-    Ym = assemble_Y(ws4, idx22, mpf(0), boundary="below")
+def test_jump_relation_at_origin(ws4, Y4):
+    Yp = Y4(mpf(0), boundary="above")
+    Ym = Y4(mpf(0), boundary="below")
     J = jump_matrix(ws4, mpf(0))
     resid = Yp * mp.inverse(J) * mp.inverse(Ym) - mp.eye(4)
     assert nu.max_abs(resid) < mpf("1e-15")
 
 
-def test_jump_relation_five_real_points(ws4, idx22):
+def test_jump_relation_five_real_points(ws4, Y4):
     for x in ("-1.5", "-0.4", "0.1", "0.8", "1.6"):
         x = mpf(x)
-        Yp = assemble_Y(ws4, idx22, x, boundary="above")
-        Ym = assemble_Y(ws4, idx22, x, boundary="below")
+        Yp = Y4(x, boundary="above")
+        Ym = Y4(x, boundary="below")
         J = jump_matrix(ws4, x)
         resid = Yp * mp.inverse(J) * mp.inverse(Ym) - mp.eye(4)
         assert nu.max_abs(resid) < mpf("1e-15")
 
 
-def test_det_y_is_one(ws4, idx22):
+def test_det_y_is_one(Y4):
     rng = random.Random(13)
     for _ in range(10):
         z = mpc(rng.uniform(-2, 2), rng.choice([-1, 1]) * rng.uniform(0.2, 2))
-        d = mp.det(assemble_Y(ws4, idx22, z))
+        d = mp.det(Y4(z))
         assert abs(d - 1) < mpf("1e-20")
 
 
@@ -171,9 +176,9 @@ def test_det_y_cross_checked_at_doubled_precision(ws4, idx22):
     assert abs(d512 - 1) < mpf(2) ** (-320)
 
 
-def test_y_asymptotic_normalization(ws4, idx22):
+def test_y_asymptotic_normalization(Y4):
     z = mpc("1e6", "1e6")
-    Y = assemble_Y(ws4, idx22, z)
+    Y = Y4(z)
     scaled = mp.matrix(4, 4)
     powers = [-2, -2, 2, 2]
     for i in range(4):
@@ -199,13 +204,14 @@ def test_kernel_matches_rh_oracle(case, cfg_large):
         idx = MultiIndexPair((3, 1), (2, 2))
         xs = ("0.63", "-0.2", "1.4", "-1.1", "0.2")
         pairs = (("0.63", "0.5"), ("-0.2", "0.1"), ("1.4", "1.0"))
+    oracle = rh_kernel_oracle(ws, idx)
     for x in xs:
         got = kn.correlation_kernel(ws, idx, mpf(x))
-        ref = rh_kernel_oracle(ws, idx, mpf(x))
+        ref = oracle(mpf(x))
         assert abs(got - ref) <= mpf("1e-50") * abs(ref), x
     for x, y in pairs:
         got = kn.correlation_kernel(ws, idx, mpf(x), mpf(y))
-        ref = rh_kernel_oracle(ws, idx, mpf(x), mpf(y))
+        ref = oracle(mpf(x), mpf(y))
         assert abs(got - ref) <= mpf("1e-50") * abs(ref), (x, y)
 
 

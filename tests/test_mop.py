@@ -94,20 +94,6 @@ def test_moment_vs_quadrature_random_configs():
         assert abs(rec - quad) <= mpf("1e-20") * abs(rec)
 
 
-def test_lengthened_moment_table_matches_a_fresh_one(ws, monkeypatch):
-    # a table asked for at jmax 5 and then at 40 is carried on, not rebuilt:
-    # the same _mpf_ values as one built to 40 at once, and its prefixes
-    monkeypatch.setattr(mop, "_TABLES", {})
-    short = mop._moment_table(ws, 1, 0, 5, 256)
-    longer = mop._moment_table(ws, 1, 0, 40, 256)
-    with mp.workprec(256):
-        fresh = mop.gaussian_moments(ws.gamma, ws.mu(1, 0), ws.log_scale(1, 0), 40)
-    assert [v._mpf_ for v in longer] == [v._mpf_ for v in fresh]
-    assert [v._mpf_ for v in short] == [v._mpf_ for v in fresh[:6]]
-    assert mop._moment_table(ws, 1, 0, 12, 256) == longer[:13]
-    assert list(mop._TABLES) == [(ws, 1, 0, 256)]
-
-
 # ---------------------------------------------------------------------------
 # solves
 # ---------------------------------------------------------------------------
@@ -124,7 +110,7 @@ def test_bimoment_rows_are_table_pairs_scaled_by_powers_of_two(monkeypatch):
     ws = WeightSystem(a=("1", "-1"), b=("0.7", "-0.7"), t="0.4", N=14)
     idx = MultiIndexPair((4, 3), (2, 5))
     tags = [("II", 0), ("II", 1), ("I", 0), ("I", 1), ("G^-1", (1, 2))]
-    mop._factor_and_solve(ws, idx, tags)
+    mop._factor_and_solve(mop.moment_tables(ws, idx), idx, tags)
     ((rows, cols),) = seen
     tables = {kl: [nu._pair(v._mpf_) for v in col]
               for kl, col in mop.moment_tables(ws, idx).items()}
@@ -275,7 +261,7 @@ def test_index_length_must_match_weights(ws):
     wide, short = MultiIndexPair((2, 2, 2), (2, 2, 2)), MultiIndexPair((4,), (4,))
     for idx in (wide, short):
         with pytest.raises(InvalidIndex):
-            mop.shifted_solutions(ws, idx)
+            mop.shifted_solutions(ws, idx, mop.moment_tables(ws, idx))
         with pytest.raises(InvalidIndex):
             mop.bimoment_inverse(ws, idx)
 
@@ -364,14 +350,15 @@ def test_escalate_passes_other_errors_through():
 
 def test_shifted_solutions_factor_once(ws, monkeypatch):
     calls = count_solves(monkeypatch)
-    rows = mop.shifted_solutions(ws, MultiIndexPair((8, 8), (8, 8)))
+    idx = MultiIndexPair((8, 8), (8, 8))
+    rows = mop.shifted_solutions(ws, idx, mop.moment_tables(ws, idx))
     assert calls == [(16, mp.prec)]
     assert all(sol is not None for sol in rows)
 
 
 def test_shifted_solutions_against_exact_rational_oracle(ws):
     idx = MultiIndexPair((2, 1), (1, 2))
-    rows = mop.shifted_solutions(ws, idx)
+    rows = mop.shifted_solutions(ws, idx, mop.moment_tables(ws, idx))
     expected = [(idx.shift_n(k), ("II", k)) for k in range(2)]
     expected += [(idx.shift_m(l, -1), ("I", l)) for l in range(2)]
     for sol, (sol_idx, norm) in zip(rows, expected):
@@ -396,7 +383,7 @@ def test_shifted_solutions_escalate_together(ws, monkeypatch):
 
     def attempt(bits):
         with mp.workprec(bits):
-            return mop.shifted_solutions(ws, idx)
+            return mop.shifted_solutions(ws, idx, mop.moment_tables(ws, idx))
 
     calls = count_solves(monkeypatch)
     idx = MultiIndexPair((24, 24), (24, 24))
@@ -469,7 +456,7 @@ def test_solve_batch_matches_in_process_groups(ws, monkeypatch):
     sols = solve_batch(ws, [r for base in bases for r in _rows_requests(base)])
     for base in bases:
         tags = [norm for _, norm in _rows_requests(base)]
-        want = mop._factor_and_solve(ws, base, tags)
+        want = mop._factor_and_solve(mop.moment_tables(ws, base), base, tags)
         assert _bits(sols[s.idx, s.norm] for s in want) == _bits(want)
 
 

@@ -160,7 +160,8 @@ def _bimoment_system(monkeypatch):
     monkeypatch.setattr(nu, "solve_pairs", lambda a, b: seen.append((a, b)) or solve(a, b))
     ws = mop.WeightSystem(a=("1", "-1"), b=("0.7", "-0.7"), t="0.4", N=32)
     idx = mop.MultiIndexPair((16, 16), (16, 16))
-    mop._factor_and_solve(ws, idx, [("II", 0), ("II", 1), ("I", 0), ("I", 1)])
+    tags = [("II", 0), ("II", 1), ("I", 0), ("I", 1)]
+    mop._factor_and_solve(mop.moment_tables(ws, idx), idx, tags)
     ((rows, cols),) = seen
     assert len(rows) == 32 and len(cols) == 4
     return rows, cols, solve

@@ -16,11 +16,11 @@ from hbl.model import BrownianConfig
 from hbl.mop import MultiIndexPair, WeightSystem
 
 from conftest import (
-    assemble_Y,
     count_solves,
     moment_system,
     mpf_to_fraction,
     orthogonality_residual,
+    recurrence_residuals,
     solve_batch,
     transition_number,
 )
@@ -96,11 +96,11 @@ def test_y1_summed_at_the_bits_the_rows_settled_at(critical_config, monkeypatch)
     calls = count_solves(monkeypatch)
     with mp.workprec(128):
         ws = WeightSystem.from_config(critical_config, mpf(1) / 3, 40)
-        exp = rh._expansion_uncached(ws, idx)
+        exp = rh.assemble_rh_expansion(ws, idx)
         assert all(+v == v for row in exp.Y1.tolist() for v in row)  # rounded to 128 bits
     assert calls == [(40, 128), (40, 256)]
     with mp.workprec(640):
-        ref = rh._expansion_uncached(ws, idx)
+        ref = rh.assemble_rh_expansion(ws, idx)
         for i, j in ((1, 3), (1, 4)):
             want = ref.product(i, j)
             assert abs(exp.product(i, j) - want) <= mpf(2) ** -100 * abs(want)
@@ -121,11 +121,11 @@ def test_a_miss_after_the_factorization_redoes_it(ws, idx22, monkeypatch):
     monkeypatch.setattr(rh, "q_moment", miss_once)
     calls = count_solves(monkeypatch)
     with mp.workprec(256):
-        exp = rh._expansion_uncached(ws, idx22)
+        exp = rh.assemble_rh_expansion(ws, idx22)
     assert calls == [(4, 256), (4, 512)]
     monkeypatch.undo()
     with mp.workprec(512):
-        fresh = rh._expansion_uncached(ws, idx22)
+        fresh = rh.assemble_rh_expansion(ws, idx22)
     with mp.workprec(256):
         want = fresh.Y1.apply(lambda v: +v)
 
@@ -160,7 +160,7 @@ def test_orthogonality_residual_blind_to_the_n80_defect(critical_config):
     # keeps that residual at rounding level, so it certifies nothing
     ws, idx = _critical_n80(critical_config)
     tables = mop.moment_tables(ws, idx)
-    for sol in mop.shifted_solutions(ws, idx):
+    for sol in mop.shifted_solutions(ws, idx, tables):
         assert orthogonality_residual(sol, tables) <= mpf(2) ** -(mp.prec // 4)
 
 
@@ -214,36 +214,42 @@ def test_expansion_certified_or_raises_at_default_flags(critical_config, critica
         assert abs(got[ij] - ref[ij]) <= mpf(2) ** -(mp.prec // 8) * abs(ref[ij])
 
 
-def test_identities_batch_builds_one_moment_table_per_weight_pair(monkeypatch):
-    # the checks of `hbl identities` at n = m = (6, 6): its 5 expansions
-    # and the rescales of their rows ask for moment tables of 4 lengths,
-    # and the swapped system for one more.  Each of the 4 weight pairs of
-    # either system gets one table, carried on when a longer one is asked
-    # for (a table per length made 20)
+def _count_tables(monkeypatch) -> list:
+    """The jmax of every table mop.gaussian_moments builds from now on."""
     built = []
     moments = mop.gaussian_moments
     monkeypatch.setattr(mop, "gaussian_moments", lambda *a: built.append(a[-1]) or moments(*a))
-    monkeypatch.setattr(mop, "_TABLES", {})
-    monkeypatch.setattr(rh, "_EXPANSIONS", {})
+    return built
+
+
+def test_expansion_builds_one_table_per_weight_pair(monkeypatch):
+    # one expansion at n = m = (6, 6), on one CPU, makes one attempt: its LU
+    # and its Y1/Y2 sums read the same p q = 4 tables, each built once
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
-    cfg = BrownianConfig("1", "-1", "0.7", "-0.7")
-    ws = WeightSystem.from_config(cfg, mpf("0.4"), 12)
-    idx = MultiIndexPair((6, 6), (6, 6))
-    swapped = rh.swapped_system(ws, idx)
-    rh.verify_recurrences(ws, idx, [mpf(0), mpc(-1, 1)], also=[swapped])
-    assert len(built) == 8
-    pairs = [(k, l, 256) for k in (0, 1) for l in (0, 1)]
-    assert sorted(mop._TABLES, key=lambda key: (key[0] is ws, key[1:])) == (
-        [(swapped[0], *kl) for kl in pairs] + [(ws, *kl) for kl in pairs])
+    ws = WeightSystem.from_config(BrownianConfig("1", "-1", "0.7", "-0.7"), mpf("0.4"), 12)
+    calls = count_solves(monkeypatch)
+    built = _count_tables(monkeypatch)
+    rh.assemble_rh_expansion(ws, MultiIndexPair((6, 6), (6, 6)))
+    assert calls == [(12, 256)]
+    assert built == [14] * 4
+
+
+def test_recurrences_build_one_table_set(monkeypatch):
+    # the rescales of every recurrence vector at n = m = (6, 6) read one set
+    # of p q tables at n, to M_14: none per vector index
+    ws = WeightSystem.from_config(BrownianConfig("1", "-1", "0.7", "-0.7"), mpf("0.4"), 12)
+    exps = rh.assemble_rh_expansions(rh.recurrence_pairs(ws, MultiIndexPair((6, 6), (6, 6))))
+    built = _count_tables(monkeypatch)
+    rh.verify_recurrences(exps, [mpf(0), mpc(-1, 1)])
+    assert built == [14] * 4
 
 
 def test_boundary_other_than_above_or_below_is_rejected(ws, idx22, exp22):
     # a misspelt boundary used to give the value from above
+    ev = kn.YEvaluator(exp22)
     with pytest.raises(ValueError, match="'lower'"):
-        assemble_Y(ws, idx22, 0, boundary="lower")
-    with pytest.raises(ValueError, match="'lower'"):
-        kn.YEvaluator(exp22).value(0, boundary="lower")
-    above, below = (assemble_Y(ws, idx22, 0, boundary=b) for b in ("above", "below"))
+        ev.value(0, boundary="lower")
+    above, below = (ev.value(0, boundary=b) for b in ("above", "below"))
     assert nu.max_abs(above - below) > mpf("0.1")
 
 
@@ -343,12 +349,13 @@ def test_transfer_maps_y_to_shifted_y(ws, idx22, exp22):
     # oracle: both sides via the full Y assembly from Cauchy transforms
     sh = idx22.shift_n(1).shift_m(0)
     exp_sh = rh.assemble_rh_expansion(ws, sh)
+    Y_at, Ysh_at = (kn.YEvaluator(exp).value for exp in (exp22, exp_sh))
     rng = random.Random(8)
     for _ in range(5):
         z = mpc(rng.uniform(-2, 2), rng.choice([-1, 1]) * rng.uniform(0.3, 2))
         U = rh.forward_transfer(exp22, exp_sh, 1, 0, z)
-        Y = assemble_Y(ws, idx22, z)
-        Ysh = assemble_Y(ws, sh, z)
+        Y = Y_at(z)
+        Ysh = Ysh_at(z)
         assert nu.max_abs(U * Y - Ysh) <= mpf("1e-20") * nu.max_abs(Ysh)
         Ub = rh.backward_transfer(exp22, exp_sh, 1, 0, z)
         assert nu.max_abs(Ub * Ysh - Y) <= mpf("1e-20") * nu.max_abs(Ysh)
@@ -363,16 +370,25 @@ ZS = (mpf(0), mpf(1), mpc(-1, 1))
 
 @pytest.mark.parametrize("k,l", [(0, 0), (0, 1), (1, 0), (1, 1)])
 def test_five_term_recurrence(ws, idx22, k, l):
-    assert rh.verify_recurrences(ws, idx22, ZS)[k, l][0] < mpf("1e-20")
+    assert recurrence_residuals(ws, idx22, ZS)[k, l][0] < mpf("1e-20")
 
 
 def test_five_term_degenerate_base_refused(ws):
     with pytest.raises(InvalidIndex):
-        rh.verify_recurrences(ws, MultiIndexPair((1, 0), (1, 0)), ZS)
+        rh.recurrence_pairs(ws, MultiIndexPair((1, 0), (1, 0)))
+
+
+def test_recurrences_refuse_expansions_out_of_order(ws, idx22):
+    # the rows of the expansion at n + e_1 + e_2 must not stand in for
+    # those at n + e_2 + e_1
+    exps = rh.assemble_rh_expansions(rh.recurrence_pairs(ws, idx22))
+    exps[2], exps[3] = exps[3], exps[2]
+    with pytest.raises(ValueError, match="recurrence_pairs"):
+        rh.verify_recurrences(exps, ZS)
 
 
 def test_backward_recurrence(ws, idx22):
-    res = rh.verify_recurrences(ws, idx22, ZS)
+    res = recurrence_residuals(ws, idx22, ZS)
     assert res[0, 0][1] < mpf("1e-20")
     assert res[1, 1][1] < mpf("1e-20")
 
@@ -390,7 +406,7 @@ def _recurrences_on_both_routes(ws, idx, monkeypatch):
         return read[sol.idx, norm]
 
     monkeypatch.setattr(rh, "renormalized", recording)
-    batch = rh.verify_recurrences(ws, idx, ZS)
+    batch = recurrence_residuals(ws, idx, ZS)
     own = solve_batch(ws, list(read))
     tol = mpf(2) ** -(mp.prec // 2)
     for key, sol in read.items():
@@ -400,7 +416,7 @@ def _recurrences_on_both_routes(ws, idx, monkeypatch):
         assert [len(cs) for cs in sol.coeffs] == [len(cs) for cs in own[key].coeffs]
         assert all(abs(g - w) <= tol * abs(w) for g, w in zip(got, want))
     monkeypatch.setattr(rh, "renormalized", lambda sol, tables, norm: own[sol.idx, norm])
-    independent = rh.verify_recurrences(ws, idx, ZS)
+    independent = recurrence_residuals(ws, idx, ZS)
     pairs = [(k, l) for k in range(ws.p) for l in range(ws.q)]
     for residuals in (batch, independent):
         assert sorted(residuals) == pairs
@@ -551,33 +567,29 @@ def _entry_bits(a) -> list:
 
 def test_expansion_batch_matches_in_process(ws, monkeypatch):
     # expansions assembled by a worker are bit for bit the in-process ones,
-    # rows included, and the batch leaves them in the one cache
+    # rows included
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
-    rh._EXPANSIONS.clear()
     pairs = [(ws, MultiIndexPair(n, n)) for n in ((4, 4), (4, 3), (3, 4), (3, 3))]
     got = rh.assemble_rh_expansions(pairs)
     for (w, idx), exp in zip(pairs, got):
-        want = rh._expansion_uncached(w, idx)
+        want = rh.assemble_rh_expansion(w, idx)
         assert exp.idx == idx
         assert _entry_bits(exp.Y1) == _entry_bits(want.Y1)
         assert _entry_bits(exp.Y2) == _entry_bits(want.Y2)
         assert [[c._mpf_ for block in s.coeffs for c in block] for s in exp.rows] == [
             [c._mpf_ for block in s.coeffs for c in block] for s in want.rows
         ]
-        assert rh.assemble_rh_expansion(w, idx) is exp
 
 
 def test_lax_ode_factors_once(monkeypatch):
     # Y(z) and Y'(z) read their rows from the expansion: one LU of G(4, 4),
-    # none for the evaluator, and the residual is bit for bit the one from a
-    # freshly assembled, uncached expansion
+    # none for the evaluator, and the residual is bit for bit that of a
+    # second check, which assembles the expansion afresh
     ws = WeightSystem(a=("1", "-1"), b=("0.7", "-0.7"), t=mpf(1) / 2, N=8)
     idx = MultiIndexPair((4, 4), (4, 4))
-    rh._EXPANSIONS.clear()
     calls = count_solves(monkeypatch)
     res, _ = rh.verify_lax_ode(ws, idx, mpc(0, 1))
     assert calls == [(8, 256)]
-    monkeypatch.setattr(rh, "assemble_rh_expansion", rh._expansion_uncached)
     fresh, _ = rh.verify_lax_ode(ws, idx, mpc(0, 1))
     assert res._mpf_ == fresh._mpf_
 
@@ -700,11 +712,11 @@ def test_scalar_products_residual_scales_with_precision(ws_asym):
     idx = MultiIndexPair((3, 2), (3, 2))
     with mp.workprec(256):
         r256 = rh.scalar_product_report(
-            rh._expansion_uncached(ws_asym, idx)
+            rh.assemble_rh_expansion(ws_asym, idx)
         ).max_residual
     with mp.workprec(512):
         r512 = rh.scalar_product_report(
-            rh._expansion_uncached(ws_asym, idx)
+            rh.assemble_rh_expansion(ws_asym, idx)
         ).max_residual
     assert r512 < r256 * mpf("1e-40")
 
@@ -822,15 +834,16 @@ def test_involution_block_form(ws, idx22, exp22):
             assert abs(exp_sw.C11()[i, j] + c22t[j, i]) < mpf("1e-50")
 
 
-def test_involution_full_matrix_identity(ws, idx22):
+def test_involution_full_matrix_identity(ws, idx22, exp22):
     # the swapped RH matrix satisfies Y_sw(z) = J Y(z)^{-T} J^{-1} pointwise,
     # not only at the level of the expansion coefficients
-    ws_sw, idx_sw = rh.swapped_system(ws, idx22)
+    exp_sw = rh.assemble_rh_expansion(*rh.swapped_system(ws, idx22))
+    Y_at, Ysw_at = (kn.YEvaluator(exp).value for exp in (exp22, exp_sw))
     J = rh.involution_matrix(2, 2)
     Jinv = J.T
     for z in (mpc("0.7", "1.1"), mpc("-1.2", "0.6")):
-        Y = assemble_Y(ws, idx22, z)
-        Ysw = assemble_Y(ws_sw, idx_sw, z)
+        Y = Y_at(z)
+        Ysw = Ysw_at(z)
         Yinv = mp.inverse(Y)
         YinvT = mp.matrix(4, 4)
         for i in range(4):
@@ -888,11 +901,11 @@ def test_general_pq_transfer_and_recurrence(ws_32):
     U = rh.forward_transfer(exp, exp_sh, 2, 0, z)
     Ub = rh.backward_transfer(exp, exp_sh, 2, 0, z)
     assert nu.max_abs(U * Ub - mp.eye(5)) < mpf("1e-20")
-    Y = assemble_Y(ws_32, idx, z)
-    Ysh = assemble_Y(ws_32, sh, z)
+    Y = kn.YEvaluator(exp).value(z)
+    Ysh = kn.YEvaluator(exp_sh).value(z)
     assert nu.max_abs(U * Y - Ysh) <= mpf("1e-20") * nu.max_abs(Ysh)
     # the six-term (p+q+1) recurrence
-    assert rh.verify_recurrences(ws_32, idx, ZS)[0, 1][0] < mpf("1e-20")
+    assert recurrence_residuals(ws_32, idx, ZS)[0, 1][0] < mpf("1e-20")
 
 
 def test_general_pq_recurrence_matches_independent_route(ws_32, monkeypatch):

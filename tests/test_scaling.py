@@ -209,7 +209,7 @@ def test_scaling_batch_queues_the_solve_first(critical_config, monkeypatch):
     # jobs the workers start; every job runs once
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
     log = SolveLog()  # (n, pid): n = 0 for the solve
-    solve, expand = sc.solve_hastings_mcleod, rh._expansion_uncached
+    solve, expand = sc.solve_hastings_mcleod, rh.assemble_rh_expansion
 
     def recorded_solve():
         log.record(0, os.getpid())
@@ -220,8 +220,7 @@ def test_scaling_batch_queues_the_solve_first(critical_config, monkeypatch):
         return expand(ws, idx)
 
     monkeypatch.setattr(sc, "solve_hastings_mcleod", recorded_solve)
-    monkeypatch.setattr(rh, "_expansion_uncached", recorded_expand)
-    rh._EXPANSIONS.clear()
+    monkeypatch.setattr(rh, "assemble_rh_expansion", recorded_expand)
     sc.double_scaling_study(critical_config, L=0, t=mpf(1) / 3)
     started = [n for n, _ in log]
     assert sorted(started) == [0, 8, 12, 16, 24, 32, 48, 64]
@@ -230,13 +229,23 @@ def test_scaling_batch_queues_the_solve_first(critical_config, monkeypatch):
         os.waitpid(-1, os.WNOHANG)
 
 
-def test_fourth_relation_has_one_formula(critical_config, shared_solve):
-    # the study's fourth residual is the one in the scalar-product report
+def test_fourth_relation_has_one_formula(critical_config, shared_solve, monkeypatch):
+    # the study's fourth residual is the one in the scalar-product report of
+    # the expansion its row was built from, recorded on one CPU
     t = mpf(1) / 3
+    built, assemble = {}, rh.assemble_rh_expansion
+
+    def recorded(ws, idx):
+        built[idx.size_n] = assemble(ws, idx)
+        return built[idx.size_n]
+
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+    monkeypatch.setattr(rh, "assemble_rh_expansion", recorded)
     for row in sc.double_scaling_study(critical_config, L=0, t=t).rows:
         split = (row["n1"], row["n2"])
-        ws = WeightSystem.from_config(critical_config, t, row["n"])
-        exp = rh.assemble_rh_expansion(ws, MultiIndexPair(split, split))
+        exp = built[row["n"]]
+        assert (exp.ws, exp.idx) == (
+            WeightSystem.from_config(critical_config, t, row["n"]), MultiIndexPair(split, split))
         assert row["relation_residual_4"]._mpf_ == rh.scalar_product_report(exp).fourth_relation._mpf_
 
 
@@ -327,7 +336,6 @@ def test_scaling_batch_artifacts_match_the_loop(argv, tmp_path, monkeypatch):
             monkeypatch.setattr(mop, "_map_cores", map_cores)
         if cpus == {0}:
             monkeypatch.setattr(os, "fork", fork)
-        rh._EXPANSIONS.clear()
         out = tmp_path / name
         assert main(["--out", str(out)] + argv) == 0
         runs.append([(out / f).read_bytes() for f in ("scaling.csv", "scaling.json")])
