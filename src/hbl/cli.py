@@ -298,7 +298,7 @@ def cmd_identities(cfg: BrownianConfig, ns, out: Path) -> int:
 def cmd_density(cfg: BrownianConfig, ns, out: Path) -> int:
     ws, idx, payload = _indexed(cfg, ns)
     grid = kernel.default_grid(cfg, ws.t, points=ns.points)
-    prof = kernel.density_profile(ws, idx, cfg, ws.t, grid=grid)
+    prof = kernel.density_profile(ws, idx, cfg, grid)
     columns = (prof.xs, prof.values, prof.semicircle_1, prof.semicircle_2,
                prof.interval_flags)
     rows = [tuple(map(_fmt, row)) for row in zip(*columns)]

@@ -21,12 +21,13 @@ phi(x)^T G^{-1} psi(y) with the inverse of the bimoment matrix G(n, m).
 
 from __future__ import annotations
 
-from typing import NamedTuple, Optional, Sequence
+import functools
+from typing import NamedTuple, Sequence
 
 from mpmath import mp, mpf, mpc, matrix
 
 from . import numerics as nu
-from .errors import NoConvergence, SingularMatrix, WrongRegime
+from .errors import InvalidIndex, NoConvergence, SingularMatrix, WrongRegime
 from .model import (
     BrownianConfig,
     Regime,
@@ -163,11 +164,13 @@ def _descending(coeffs) -> tuple:
     return tuple(nu._pair(v._mpf_) for v in reversed(coeffs))
 
 
-def _kernel_form_uncached(ws: WeightSystem, idx: MultiIndexPair, bits: int):
-    """G(n, m)^{-1} factored at ``bits``, or None where G is numerically
-    singular there: the bits, its blocks B^{kl} and, for the diagonal, each
-    block collapsed to P_kl(x) = sum_{i+j=d} B^{kl}[i][j] x^d.  Blocks and
-    diagonals are stored as pairs in descending powers (see _descending)."""
+@functools.lru_cache(maxsize=64)
+def _kernel_form(ws: WeightSystem, idx: MultiIndexPair, bits: int):
+    """G(n, m)^{-1} factored at ``bits`` in the process that asks, or None
+    where G is numerically singular there: the bits, its blocks B^{kl} and,
+    for the diagonal, each block collapsed to
+    P_kl(x) = sum_{i+j=d} B^{kl}[i][j] x^d.  Blocks and diagonals are stored
+    as pairs in descending powers (see _descending)."""
     with mp.workprec(bits):
         try:
             blocks = bimoment_inverse(ws, idx)
@@ -182,28 +185,6 @@ def _kernel_form_uncached(ws: WeightSystem, idx: MultiIndexPair, bits: int):
             diagonal[(k, l)] = _descending(coeffs)
     blocks = {kl: tuple(_descending(row) for row in block[::-1]) for kl, block in blocks.items()}
     return bits, blocks, diagonal
-
-
-# (ws, idx, bits) -> kernel form or None, least recently used first
-_KERNEL_FORMS: dict = {}
-_KERNEL_FORMS_MAX = 64
-
-
-def _kernel_forms(ws: WeightSystem, idx: MultiIndexPair, bits: int) -> tuple:
-    """The kernel forms at ``bits`` and ``2 bits`` through _KERNEL_FORMS:
-    the ones it misses are factored once each, concurrently (see
-    mop._map_cores), and the cache is then cut to _KERNEL_FORMS_MAX."""
-    keys = [(ws, idx, bits), (ws, idx, 2 * bits)]
-    missing = [key for key in keys if key not in _KERNEL_FORMS]
-    factored = _map_cores(lambda key: _kernel_form_uncached(*key), missing)
-    _KERNEL_FORMS.update(zip(missing, factored))
-    forms = []
-    for key in keys:
-        forms.append(_KERNEL_FORMS.pop(key))
-        _KERNEL_FORMS[key] = forms[-1]
-    while len(_KERNEL_FORMS) > _KERNEL_FORMS_MAX:
-        del _KERNEL_FORMS[next(iter(_KERNEL_FORMS))]
-    return tuple(forms)
 
 
 def _kernel_sum(ws: WeightSystem, form: tuple, x, y, confluent: bool):
@@ -230,16 +211,17 @@ def correlation_kernel(ws: WeightSystem, idx: MultiIndexPair, x, y=None):
         K(x, y) = sum_{k,l} w_{1,k}(x) w_{2,l}(y) sum_{i,j} x^i B^{kl}[i][j] y^j
 
     with B^{kl}[i][j] = (G^{-1})[(k, i), (l, j)] for the bimoment matrix
-    G(n, m) (|n| = |m|).  G^{-1} is cached per (ws, idx, bits); a point
-    then costs real polynomial evaluations and exponentials.
+    G(n, m) (|n| = |m|).  G^{-1} is cached per (ws, idx, bits) by
+    _kernel_form; a point then costs real polynomial evaluations and
+    exponentials.
 
     The sum cancels about as many bits as the solve loses, and how many
     depends on the point (at n = m = (20, 20) on the large-separation
     config at t = 1/2, about 40 bits more inside the right group than in
     the left one).  So each value is checked against the same sum from a
     G^{-1} factored at twice the bits: at each rung b of mop.escalate the
-    two factorizations at b and 2b (concurrently, when neither is cached)
-    must both exist, G not being numerically singular at either
+    factorizations at b and then 2b, each made in this process unless it
+    is cached, must both exist, G not being numerically singular at either
     (SingularMatrix otherwise), and their sums must agree to 2^-(prec/4)
     relative (NoConvergence otherwise).  Each miss names the point, and
     the sums at working precision.  The value returned is the sum at the
@@ -254,7 +236,8 @@ def correlation_kernel(ws: WeightSystem, idx: MultiIndexPair, x, y=None):
     tol = mpf(2) ** (-(mp.prec // 4))
 
     def attempt(bits):
-        low, high = _kernel_forms(ws, idx, bits)
+        low = _kernel_form(ws, idx, bits)
+        high = _kernel_form(ws, idx, 2 * bits)
         if not (low and high):
             raise SingularMatrix(
                 f"kernel at ({x}, {y}): G(n, m) is numerically singular at "
@@ -289,7 +272,7 @@ class KernelGrid(NamedTuple):
 INTERIOR_FRACTION = mpf("0.8")
 
 
-def default_grid(cfg: BrownianConfig, t, points: int = 400) -> list:
+def default_grid(cfg: BrownianConfig, t, points: int) -> list:
     al2, _ = ellipse_endpoints(cfg, t, 2)
     _, be1 = ellipse_endpoints(cfg, t, 1)
     lo = al2 - mpf(1) / 2
@@ -299,24 +282,27 @@ def default_grid(cfg: BrownianConfig, t, points: int = 400) -> list:
 
 
 def density_profile(
-    ws: WeightSystem,
-    idx: MultiIndexPair,
-    cfg: BrownianConfig,
-    t,
-    grid: Optional[Sequence] = None,
+    ws: WeightSystem, idx: MultiIndexPair, cfg: BrownianConfig, grid: Sequence
 ) -> KernelGrid:
-    """(1/n) K_n(x, x) on a grid plus sup-distance to the two semicircle
-    laws over the middle INTERIOR_FRACTION of each support interval (edges
-    carry Airy-size transients and are excluded)."""
+    """(1/n) K_n(x, x) at time ws.t on ``grid`` plus sup-distance to the two
+    semicircle laws over the middle INTERIOR_FRACTION of each support
+    interval (edges carry Airy-size transients and are excluded).
+
+    The semicircles take their group sizes from the fractions p of ``cfg``
+    and the kernel from ``idx``, so the two must agree: n = m and
+    |n_1 - p_1 |n|| < 1, InvalidIndex otherwise, before any factorization."""
     rep = classify_separation(cfg)
-    t = nu.to_ext(t)
+    t = ws.t
     if rep.regime is Regime.SMALL:
         raise WrongRegime("density comparison needs large or critical separation")
     if rep.regime is Regime.CRITICAL and abs(t - rep.t_crit) < mpf("1e-12"):
         raise WrongRegime("critical separation at the critical time is out of scope")
     n = idx.size_n
-    if grid is None:
-        grid = default_grid(cfg, t)
+    if idx.n != idx.m or not abs(idx.n[0] - cfg.p1 * n) < 1:
+        raise InvalidIndex(
+            f"density at p = ({cfg.p1}, {cfg.p2}) needs n = m with "
+            f"|n_1 - p_1 |n|| < 1, got n = {list(idx.n)}, m = {list(idx.m)}"
+        )
     supports = [ellipse_endpoints(cfg, t, j) for j in (1, 2)]
     margin = (1 - INTERIOR_FRACTION) / 2
     # The first point factors, in this process, the forms it settles at;

@@ -301,7 +301,7 @@ def test_criterion_10_large_separation():
     for n in (8, 16, 24):
         ws = WeightSystem.from_config(cfg, t, n)
         idx = MultiIndexPair((n // 2, n // 2), (n // 2, n // 2))
-        prof = kn.density_profile(ws, idx, cfg, t, grid=grid)
+        prof = kn.density_profile(ws, idx, cfg, grid)
         sups[n] = (prof.sup_distance_1, prof.sup_distance_2)
     dens_ok = all(
         sups[8][i] > sups[16][i] > sups[24][i] for i in range(2)

@@ -338,6 +338,39 @@ def test_odd_density_inputs_exit_cleanly(
 
 
 @pytest.mark.parametrize(
+    "p, n, m, code",
+    [
+        ("0.25", "1,3", "1,3", 0),
+        ("0.25", "3,1", "1,3", 2),
+        ("0.25", "3,1", "3,1", 2),
+        ("0.25", "2,2", "2,2", 2),
+        ("0.5", "2,3", "2,3", 0),
+        ("0.5", "3,2", "3,2", 0),
+        ("0.5", "2,3", "3,2", 2),
+    ],
+)
+def test_density_index_must_match_the_fractions(tmp_path, capsys, p, n, m, code):
+    # the semicircles take their group sizes from p, the kernel from --n
+    # and --m: those must be equal and split |n| as p does, to within one
+    # particle, so both splits of an odd |n| pass at p_1 = 1/2
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(
+        {"schema": "hbl-config/1", "a": ["1", "-1"], "b": ["0.7", "-0.7"],
+         "p": [p, str(1 - mpf(p))], "T": "1"}
+    ))
+    out = tmp_path / "art"
+    argv = ["--out", str(out), "density", "--config", str(config)]
+    argv += ["--n", n, "--m", m, "--t", "0.5", "--points", "8"]
+    assert main(argv) == code
+    if code:
+        error = json.loads(capsys.readouterr().err)
+        assert error["error"] == "invalid-index"
+        assert f"p = ({p}, " in error["message"]
+        assert f"n = [{n.replace(',', ', ')}], m = [{m.replace(',', ', ')}]" in error["message"]
+        assert not (out / "density.csv").exists()
+
+
+@pytest.mark.parametrize(
     "argv",
     [
         ["geometry", "--config", "large", "--t", "0.4", "--samples", "1"],

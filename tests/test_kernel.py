@@ -220,14 +220,13 @@ def test_kernel_factors_once(cfg_large, monkeypatch):
     # and its doubled-precision check
     ws = WeightSystem.from_config(cfg_large, mpf(3) / 7, 16)
     idx = MultiIndexPair((8, 8), (8, 8))
-    kn._KERNEL_FORMS.clear()
+    kn._kernel_form.cache_clear()
     calls = count_solves(monkeypatch)
     grid = kn.default_grid(cfg_large, mpf(3) / 7, points=50)
     for x in grid:
         kn.correlation_kernel(ws, idx, x)
         kn.correlation_kernel(ws, idx, x, x / 2)
-    # the two are factored concurrently, in either order
-    assert sorted(calls) == [(16, mp.prec), (16, 2 * mp.prec)]
+    assert calls == [(16, mp.prec), (16, 2 * mp.prec)]
 
 
 @pytest.mark.parametrize(
@@ -269,7 +268,7 @@ def test_kernel_escalates_with_its_factorization(cfg_large, monkeypatch):
     ws = WeightSystem.from_config(cfg_large, mpf(1) / 2, 48)
     idx = MultiIndexPair((24, 24), (24, 24))
     xs = (mpf("-0.9"), mpf("0.1"), mpf("0.8"))
-    kn._KERNEL_FORMS.clear()
+    kn._kernel_form.cache_clear()
     calls = count_solves(monkeypatch)
     with mp.workprec(128):
         got = [kn.correlation_kernel(ws, idx, x) for x in xs]
@@ -331,7 +330,7 @@ def test_kernel_miss_above_the_start_prints_at_working_precision(cfg_large, monk
         x = mpf("1.03")
         with pytest.raises(NormalizationImpossible) as err:
             kn.correlation_kernel(ws, idx, x)
-        value, ref = (kn._kernel_sum(ws, kn._KERNEL_FORMS[ws, idx, b], x, x, True)
+        value, ref = (kn._kernel_sum(ws, kn._kernel_form(ws, idx, b), x, x, True)
                       for b in (256, 512))
         want = (
             f"kernel at ({x}, {x}): {value} at 256 bits against {ref} at 512 bits; "
@@ -349,7 +348,7 @@ def test_kernel_rejects_a_point_that_is_not_finite(cfg_large, monkeypatch, x, y)
     # step; the point is refused before G^{-1} is factored at all
     ws = WeightSystem.from_config(cfg_large, mpf(1) / 2, 8)
     idx = MultiIndexPair((4, 4), (4, 4))
-    kn._KERNEL_FORMS.clear()
+    kn._kernel_form.cache_clear()
     calls = count_solves(monkeypatch)
     with pytest.raises(ValueError, match="not finite"):
         kn.correlation_kernel(ws, idx, mpf(x), None if y is None else mpf(y))
@@ -415,7 +414,7 @@ def test_density_profile_self_convergence(cfg_large):
     for n in (8, 16):
         ws = WeightSystem.from_config(cfg_large, t, n)
         idx = MultiIndexPair((n // 2, n // 2), (n // 2, n // 2))
-        prof = kn.density_profile(ws, idx, cfg_large, t, grid=grid)
+        prof = kn.density_profile(ws, idx, cfg_large, grid)
         sup[n] = max(prof.sup_distance_1, prof.sup_distance_2)
     assert sup[16] < sup[8]
 
@@ -430,15 +429,15 @@ def test_density_profile_matches_the_point_loop(cfg_large, monkeypatch):
     ws = WeightSystem.from_config(cfg_large, t, 16)
     idx = MultiIndexPair((8, 8), (8, 8))
     grid = kn.default_grid(cfg_large, t, points=21)
-    kn._KERNEL_FORMS.clear()
+    kn._kernel_form.cache_clear()
     want = [(kn.correlation_kernel(ws, idx, x) / 16)._mpf_ for x in grid]
     runs = []
     for cpus in ({0, 1}, {0}):
-        kn._KERNEL_FORMS.clear()
+        kn._kernel_form.cache_clear()
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus)
         if cpus == {0}:
             monkeypatch.setattr(os, "fork", fork)
-        prof = kn.density_profile(ws, idx, cfg_large, t, grid=grid)
+        prof = kn.density_profile(ws, idx, cfg_large, grid)
         runs.append([v._mpf_ for v in prof.values])
     assert runs == [want, want]
 
@@ -458,12 +457,27 @@ def test_density_factors_each_form_once(cfg_large, monkeypatch, n_k, bits, lus):
     t = mpf(1) / 2
     ws = WeightSystem.from_config(cfg_large, t, 2 * n_k)
     idx = MultiIndexPair((n_k, n_k), (n_k, n_k))
-    kn._KERNEL_FORMS.clear()
+    kn._kernel_form.cache_clear()
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
     calls = count_solves(monkeypatch)
     with mp.workprec(bits):
-        kn.density_profile(ws, idx, cfg_large, t, grid=kn.default_grid(cfg_large, t, points=8))
+        kn.density_profile(ws, idx, cfg_large, kn.default_grid(cfg_large, t, points=8))
     assert sorted(calls) == lus
+
+
+def test_density_forks_one_round(cfg_large, monkeypatch):
+    # the first point factors both forms in this process, so the only fork
+    # round is that of the grid points: one worker per CPU
+    t = mpf(1) / 2
+    ws = WeightSystem.from_config(cfg_large, t, 24)
+    idx = MultiIndexPair((12, 12), (12, 12))
+    grid = kn.default_grid(cfg_large, t, points=8)
+    kn._kernel_form.cache_clear()
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    forks, fork = [], os.fork
+    monkeypatch.setattr(os, "fork", lambda: forks.append(1) or fork())
+    kn.density_profile(ws, idx, cfg_large, grid)
+    assert len(forks) == min(2, len(grid) - 1)
 
 
 def test_density_point_that_misses_in_a_worker(cfg_large, monkeypatch):
@@ -482,7 +496,7 @@ def test_density_point_that_misses_in_a_worker(cfg_large, monkeypatch):
             kn.correlation_kernel(ws, idx, grid[1])
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
         with pytest.raises(NormalizationImpossible) as got:
-            kn.density_profile(ws, idx, cfg_large, t, grid=grid)
+            kn.density_profile(ws, idx, cfg_large, grid)
     assert str(got.value) == str(want.value)
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
@@ -506,7 +520,7 @@ def test_density_total_mass(cfg_large):
     ws = WeightSystem.from_config(cfg_large, t, n)
     idx = MultiIndexPair((4, 4), (4, 4))
     grid = kn.default_grid(cfg_large, t, points=400)
-    prof = kn.density_profile(ws, idx, cfg_large, t, grid=grid)
+    prof = kn.density_profile(ws, idx, cfg_large, grid)
     h = grid[1] - grid[0]
     mass = sum(prof.values) * h - (prof.values[0] + prof.values[-1]) * h / 2
     assert abs(mass - 1) < mpf("1e-3")
@@ -519,7 +533,7 @@ def test_density_critical_config_off_critical_time(critical_config):
     ws = WeightSystem.from_config(critical_config, t, n)
     idx = MultiIndexPair((4, 4), (4, 4))
     grid = kn.default_grid(critical_config, t, points=40)
-    prof = kn.density_profile(ws, idx, critical_config, t, grid=grid)
+    prof = kn.density_profile(ws, idx, critical_config, grid)
     assert prof.sup_distance_1 > 0 and prof.sup_distance_2 > 0
     assert max(prof.values) > mpf("0.1")
 
@@ -527,4 +541,4 @@ def test_density_critical_config_off_critical_time(critical_config):
 def test_density_wrong_regime(small_sep_config):
     ws = WeightSystem.from_config(small_sep_config, mpf(1) / 2, 4)
     with pytest.raises(WrongRegime):
-        kn.density_profile(ws, MultiIndexPair((2, 2), (2, 2)), small_sep_config, mpf(1) / 2)
+        kn.density_profile(ws, MultiIndexPair((2, 2), (2, 2)), small_sep_config, [mpf(0)])
