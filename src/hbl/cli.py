@@ -349,10 +349,11 @@ def cmd_scaling(cfg: BrownianConfig, ns, out: Path) -> int:
     t = _parse_t(ns)
     n_list = _int_list("--n-list", ns.n_list)
     rep = classify_separation(cfg)
-    if ns.L is not None and rep.regime is not Regime.CRITICAL:
+    if ns.L is not None and (rep.regime is not Regime.CRITICAL or cfg.temperature() != 1):
         raise WrongRegime(
-            f"--L sets the double-scaling constant, which needs critical separation; "
-            f"the config is in the {rep.regime.value} regime"
+            f"--L sets the double-scaling constant, which needs critical separation "
+            f"at T = 1; the config is in the {rep.regime.value} regime at "
+            f"T = {_fmt(cfg.temperature())}"
         )
     least = {Regime.SMALL: 4, Regime.LARGE: 2}.get(rep.regime, 1)  # points the fit needs
     if min(n_list) < 2 or len(set(n_list)) < max(len(n_list), least):
@@ -360,30 +361,17 @@ def cmd_scaling(cfg: BrownianConfig, ns, out: Path) -> int:
             f"--n-list must be {least} or more distinct integers, each at least 2, "
             f"got {ns.n_list!r}"
         )
-    meta = _metadata(cfg)
-    meta["t"] = _fmt(t)
-    meta["regime"] = rep.regime.value
-    if rep.regime is Regime.CRITICAL:
-        L = _decimal("--L", ns.L) if ns.L is not None else nu.to_ext(cfg.L or 0)
-        study = scaling.double_scaling_study(cfg, L, t, n_list)
-        meta.update({"L": _fmt(L), "K": _fmt(study.K), "s": _fmt(study.s),
-                     "q_of_s": _fmt(study.q_of_s)})
-    elif rep.regime is Regime.SMALL:
-        study = scaling.small_separation_study(cfg, t, n_list)
-        meta.update(
-            {
-                "limit_c12c21": _fmt(study.limit_c12c21),
-                "limit_c14c41": _fmt(study.limit_c14c41),
-                "order_c12c21": _fmt(study.order_c12c21),
-                "order_c14c41": _fmt(study.order_c14c41),
-            }
-        )
-    else:
-        study = scaling.large_separation_decay(cfg, t, n_list)
-        for name, fit in (("c12c21", study.fit_c12c21), ("c14c41", study.fit_c14c41)):
-            meta["slope_" + name] = _fmt(fit.slope)
-            meta["r_squared_" + name] = _fmt(fit.r_squared)
-    rows = [{key: _fmt(val) for key, val in r.items()} for r in study.rows]
+    meta = {**_metadata(cfg), "t": _fmt(t), "regime": rep.regime.value}
+    if ns.L is not None:
+        cfg = cfg._replace(T=None, L=_decimal("--L", ns.L))
+    study = {
+        Regime.CRITICAL: scaling.double_scaling_study,
+        Regime.SMALL: scaling.small_separation_study,
+        Regime.LARGE: scaling.large_separation_decay,
+    }[rep.regime]
+    rows, extra = study(cfg, t, n_list)
+    meta.update((k, _fmt(v)) for k, v in extra.items())
+    rows = [{key: _fmt(val) for key, val in r.items()} for r in rows]
     header = list(rows[0].keys())
     write_csv(out / "scaling.csv", header, ([r[h] for h in header] for r in rows), meta)
     write_json(out / "scaling.json", {**meta, "rows": rows})

@@ -27,7 +27,7 @@ from typing import NamedTuple, Sequence
 from mpmath import mp, mpf, mpc, matrix
 
 from . import numerics as nu
-from .errors import InvalidIndex, NoConvergence, SingularMatrix, WrongRegime
+from .errors import DegenerateData, InvalidIndex, NoConvergence, SingularMatrix, WrongRegime
 from .model import (
     BrownianConfig,
     Regime,
@@ -290,7 +290,9 @@ def density_profile(
 
     The semicircles take their group sizes from the fractions p of ``cfg``
     and the kernel from ``idx``, so the two must agree: n = m and
-    |n_1 - p_1 |n|| < 1, InvalidIndex otherwise, before any factorization."""
+    |n_1 - p_1 |n|| < 1, InvalidIndex otherwise, before any factorization.
+    A grid with no point in the middle of either support compares nothing:
+    DegenerateData, also before any factorization."""
     rep = classify_separation(cfg)
     t = ws.t
     if rep.regime is Regime.SMALL:
@@ -303,12 +305,21 @@ def density_profile(
             f"density at p = ({cfg.p1}, {cfg.p2}) needs n = m with "
             f"|n_1 - p_1 |n|| < 1, got n = {list(idx.n)}, m = {list(idx.m)}"
         )
-    supports = [ellipse_endpoints(cfg, t, j) for j in (1, 2)]
+    grid = list(grid)
     margin = (1 - INTERIOR_FRACTION) / 2
+    windows = []
+    for j in (1, 2):
+        alpha, beta = ellipse_endpoints(cfg, t, j)
+        lo, hi = alpha + margin * (beta - alpha), beta - margin * (beta - alpha)
+        if not any(lo <= x <= hi for x in grid):
+            raise DegenerateData(
+                f"no point of the {len(grid)}-point grid lies in the middle of "
+                f"group {j}'s support, [{mp.nstr(lo, 15)}, {mp.nstr(hi, 15)}]"
+            )
+        windows.append((alpha, beta, lo, hi))
     # The first point factors, in this process, the forms it settles at;
     # the forked points inherit them, so a worker factors only for a point
     # that escalates further.
-    grid = list(grid)
     diag = [correlation_kernel(ws, idx, x) for x in grid[:1]]
     diag += _map_cores(lambda x: correlation_kernel(ws, idx, x), grid[1:])
     values, flags, semi = [], [], ([], [])
@@ -317,13 +328,12 @@ def density_profile(
         val = k / n
         values.append(val)
         flag = 0
-        for j, (alpha, beta) in enumerate(supports):
+        for j, (alpha, beta, lo, hi) in enumerate(windows):
             s = mpf(0)
             if not flag and alpha <= x <= beta:  # the first support wins
                 flag = j + 1
                 s = semicircle_density(cfg, t, flag, x)
-                width = beta - alpha
-                if alpha + margin * width <= x <= beta - margin * width:
+                if lo <= x <= hi:
                     sup[j] = max(sup[j], abs(val - s))
             semi[j].append(s)
         flags.append(flag)

@@ -11,13 +11,13 @@ T_n = cfg.temperature(n), as every other command reads it.
 from __future__ import annotations
 
 from functools import partial
-from typing import NamedTuple, Sequence
+from typing import Sequence
 
 from mpmath import mp, mpf
 
 from . import mop, rh
 from . import numerics as nu
-from .errors import DegenerateData, WrongRegime
+from .errors import DegenerateData, UnsupportedFractions, WrongRegime
 from .model import BrownianConfig, Regime, classify_separation, scaling_constants
 from .mop import MultiIndexPair, WeightSystem
 from .painleve import solve_hastings_mcleod
@@ -65,43 +65,33 @@ def _study_row(cfg, exp, predictions: dict) -> dict:
     return row
 
 
-class DoubleScalingStudy(NamedTuple):
-    rows: tuple
-    K: mpf
-    s: mpf
-    q_of_s: mpf
-    t: mpf
-
-
-def double_scaling_study(
-    cfg: BrownianConfig,
-    L,
-    t,
-    n_list: Sequence[int] = DEFAULT_N_LIST,
-) -> DoubleScalingStudy:
+def double_scaling_study(cfg: BrownianConfig, t, n_list: Sequence[int]) -> tuple:
     """Sample the recurrence coefficients along T_n = 1 + L n^{-2/3} at a
     critical-separation configuration and tabulate the Painleve II
-    predictions next to them.  The rows take the endpoints and fractions
-    of ``cfg`` with that rule in place of its own.  The predictions hold
-    for 0 < t < t_crit only; any other t raises WrongRegime.
+    predictions next to them.  L is the config's; a fixed T = 1 counts as
+    L = 0, and any other fixed T raises WrongRegime.  The predictions hold
+    for 0 < t < t_crit only; any other t raises WrongRegime.  Returns the
+    rows and the metadata L, K, s and q_of_s.
 
     The Hastings-McLeod solve is queued in one batch with the expansions
     (see mop._map_cores), ahead of the largest n, so one worker takes it
     while the others take the expansions; the job returns q(s) alone, and
     its error comes before any expansion's, as if it ran first.
     """
-    cfg = BrownianConfig(cfg.a1, cfg.a2, cfg.b1, cfg.b2, cfg.p1, cfg.p2, L=L)
     rep = classify_separation(cfg)
-    if rep.regime is not Regime.CRITICAL:
+    if rep.regime is not Regime.CRITICAL or cfg.temperature() != 1:
         raise WrongRegime(
-            "double scaling requires (a1-a2)(b1-b2) = (sqrt p1 + sqrt p2)^2"
+            f"double scaling needs critical separation at T = 1, "
+            f"(a1-a2)(b1-b2) = (sqrt p1 + sqrt p2)^2; the config is in the "
+            f"{rep.regime.value} regime at T = {cfg.temperature()}"
         )
     t = nu.to_ext(t)
     if abs(t - rep.t_crit) < mpf("1e-9"):
         raise WrongRegime("the multi-critical time t = t_crit is out of scope")
     if not 0 < t < rep.t_crit:
         raise WrongRegime("need 0 < t < t_crit")
-    consts = scaling_constants(cfg, cfg.L)
+    L = mpf(0) if cfg.L is None else cfg.L
+    consts = scaling_constants(cfg, L)
     da, db = cfg.a1 - cfg.a2, cfg.b1 - cfg.b2
 
     def predictions(n: int, qs) -> dict:
@@ -122,67 +112,45 @@ def double_scaling_study(
     expand = [partial(rh.assemble_rh_expansion, *system)
               for system in _study_systems(cfg, t, n_list)]
     qs, *exps = mop._map_cores(lambda job: job(), [solve] + expand)
-    rows = tuple(_study_row(cfg, exp, predictions(exp.idx.size_n, qs)) for exp in exps[::-1])
-    return DoubleScalingStudy(rows=rows, K=consts.K, s=consts.s, q_of_s=qs, t=t)
+    rows = [_study_row(cfg, exp, predictions(exp.idx.size_n, qs)) for exp in exps[::-1]]
+    return rows, {"L": L, "K": consts.K, "s": consts.s, "q_of_s": qs}
 
 
-class SmallSeparationStudy(NamedTuple):
-    rows: tuple
-    limit_c12c21: mpf
-    limit_c14c41: mpf
-    order_c12c21: float
-    order_c14c41: float
-
-
-def small_separation_study(
-    cfg: BrownianConfig,
-    t,
-    n_list: Sequence[int] = (8, 16, 32, 64),
-) -> SmallSeparationStudy:
-    """Deviations from the small-separation limits (p1 = p2 = 1/2 only):
+def small_separation_study(cfg: BrownianConfig, t, n_list: Sequence[int]) -> tuple:
+    """Deviations from the small-separation limits (p1 = p2 = 1/2 only,
+    UnsupportedFractions otherwise):
 
     c12c21 -> -(t^2/(16 da^2)) (4 - da^2 db^2),
     c14c41 -> (t(1-t)/8) (2 - da db).
+
+    Returns the rows and the metadata: each limit and the fitted order of
+    convergence to it.
     """
     rep = classify_separation(cfg)
     if rep.regime is not Regime.SMALL:
         raise WrongRegime("small-separation study requires the small regime")
     if abs(cfg.p1 - mpf(1) / 2) > mpf("1e-30"):
-        raise WrongRegime("small-separation expansions assume p1 = p2 = 1/2")
+        raise UnsupportedFractions("small-separation expansions assume p1 = p2 = 1/2")
     t = nu.to_ext(t)
     da, db = cfg.a1 - cfg.a2, cfg.b1 - cfg.b2
-    lim12 = -(t**2 / (16 * da**2)) * (4 - da**2 * db**2)
-    lim14 = t * (1 - t) / 8 * (2 - da * db)
-    preds = {"c12c21": lim12, "c14c41": lim14}
+    limits = {
+        "c12c21": -(t**2 / (16 * da**2)) * (4 - da**2 * db**2),
+        "c14c41": t * (1 - t) / 8 * (2 - da * db),
+    }
     exps = rh.assemble_rh_expansions(_study_systems(cfg, t, n_list))[::-1]
-    rows = tuple(_study_row(cfg, exp, preds) for exp in exps)
+    rows = [_study_row(cfg, exp, limits) for exp in exps]
     ns = [r["n"] for r in rows]
-    return SmallSeparationStudy(
-        rows=rows,
-        limit_c12c21=lim12,
-        limit_c14c41=lim14,
-        order_c12c21=convergence_rate_fit([r["c12c21"] for r in rows], ns, lim12),
-        order_c14c41=convergence_rate_fit([r["c14c41"] for r in rows], ns, lim14),
-    )
+    meta = {}
+    for name, lim in limits.items():
+        meta["limit_" + name] = lim
+        meta["order_" + name] = convergence_rate_fit([r[name] for r in rows], ns, lim)
+    return rows, meta
 
 
-class DecayFit(NamedTuple):
-    slope: float
-    r_squared: float
-
-
-class LargeSeparationStudy(NamedTuple):
-    rows: tuple
-    fit_c12c21: DecayFit
-    fit_c14c41: DecayFit
-
-
-def large_separation_decay(
-    cfg: BrownianConfig,
-    t,
-    n_list: Sequence[int] = (8, 16, 24, 32, 40),
-) -> LargeSeparationStudy:
+def large_separation_decay(cfg: BrownianConfig, t, n_list: Sequence[int]) -> tuple:
     """Fit log |c12 c21| and log |c14 c41| against n in the large regime.
+    Returns the rows and the metadata: the slope and R^2 of each fit, as
+    floats.
 
     The coefficients decay exponentially, so the default precision is
     raised to at least 512 bits: the values themselves are fine at 256
@@ -195,23 +163,18 @@ def large_separation_decay(
     t = nu.to_ext(t)
     with mp.workprec(max(512, mp.prec)):
         exps = rh.assemble_rh_expansions(_study_systems(cfg, t, n_list))[::-1]
-        rows = tuple(_study_row(cfg, exp, {}) for exp in exps)
-
-    def fit(values):
-        ns = [r["n"] for r in rows]
-        logs = [mp.log(abs(v)) for v in values]
+        rows = [_study_row(cfg, exp, {}) for exp in exps]
+    ns = [r["n"] for r in rows]
+    meta = {}
+    for name in ("c12c21", "c14c41"):
+        logs = [mp.log(abs(r[name])) for r in rows]
         slope, intercept = _line_fit(ns, logs)
         mean = mp.fsum(logs) / len(logs)
         ss_res = mp.fsum((y - slope * x - intercept) ** 2 for x, y in zip(ns, logs))
         ss_tot = mp.fsum((y - mean) ** 2 for y in logs)
-        r2 = 1 - ss_res / ss_tot if ss_tot > 0 else 1
-        return DecayFit(slope=float(slope), r_squared=float(r2))
-
-    return LargeSeparationStudy(
-        rows=rows,
-        fit_c12c21=fit([r["c12c21"] for r in rows]),
-        fit_c14c41=fit([r["c14c41"] for r in rows]),
-    )
+        meta["slope_" + name] = float(slope)
+        meta["r_squared_" + name] = float(1 - ss_res / ss_tot if ss_tot > 0 else 1)
+    return rows, meta
 
 
 def _line_fit(xs, ys) -> tuple:

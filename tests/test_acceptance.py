@@ -226,24 +226,24 @@ def test_criterion_08_double_scaling(hml_solution, monkeypatch):
     cfg = BrownianConfig("1", "-1", "0.5", "-0.5", L="0")
     monkeypatch.setattr(sc, "solve_hastings_mcleod", lambda: hml_solution)
     with mp.workprec(512):
-        study = sc.double_scaling_study(
-            cfg, L=0, t=mpf(1) / 3, n_list=(8, 12, 16, 24, 32, 48, 64)
+        rows, meta = sc.double_scaling_study(
+            cfg, t=mpf(1) / 3, n_list=(8, 12, 16, 24, 32, 48, 64)
         )
-    signs_ok = all(r["c12c21"] < 0 < r["c14c41"] for r in study.rows)
+    signs_ok = all(r["c12c21"] < 0 < r["c14c41"] for r in rows)
     da, db = cfg.a1 - cfg.a2, cfg.b1 - cfg.b2
-    t = study.t
-    limit = study.K**2 * t * (1 - t) * da * db * study.q_of_s**2
+    t = mpf(1) / 3
+    limit = meta["K"]**2 * t * (1 - t) * da * db * meta["q_of_s"]**2
     devs = {
         r["n"]: abs(mpf(r["n"]) ** (mpf(2) / 3) * r["c14c41"] - limit) / limit
-        for r in study.rows
+        for r in rows
     }
     tail = [devs[n] for n in (16, 24, 32, 48, 64)]
     dev_ok = all(a > b for a, b in zip(tail, tail[1:]))
-    rel_ok = all(r[f"relation_residual_{i}"] <= mpf("1e-18") for r in study.rows for i in range(1, 5))
+    rel_ok = all(r[f"relation_residual_{i}"] <= mpf("1e-18") for r in rows for i in range(1, 5))
     ratio_limit = -t * mp.sqrt(cfg.p2 * db / da)
     order = sc.convergence_rate_fit(
-        [r["c12c24_c14"] for r in study.rows],
-        [r["n"] for r in study.rows],
+        [r["c12c24_c14"] for r in rows],
+        [r["n"] for r in rows],
         ratio_limit,
     )
     order_ok = mpf("0.15") <= mpf(repr(order)) <= mpf("0.6")
@@ -264,17 +264,17 @@ def test_criterion_08_double_scaling(hml_solution, monkeypatch):
 
 def test_criterion_09_small_separation():
     cfg = BrownianConfig("0.4", "-0.4", "0.3", "-0.3")
-    study = sc.small_separation_study(cfg, t=mpf(1) / 2, n_list=(8, 16, 32, 64))
-    d12 = [abs(r["c12c21"] - study.limit_c12c21) for r in study.rows]
-    d14 = [abs(r["c14c41"] - study.limit_c14c41) for r in study.rows]
+    rows, meta = sc.small_separation_study(cfg, t=mpf(1) / 2, n_list=(8, 16, 32, 64))
+    d12 = [abs(r["c12c21"] - meta["limit_c12c21"]) for r in rows]
+    d14 = [abs(r["c14c41"] - meta["limit_c14c41"]) for r in rows]
     mono_ok = all(a > b for a, b in zip(d12, d12[1:])) and all(
         a > b for a, b in zip(d14, d14[1:])
     )
-    orders = (study.order_c12c21, study.order_c14c41)
+    orders = (meta["order_c12c21"], meta["order_c14c41"])
     order_ok = all(o >= 0.7 for o in orders)
     # the O(1/n) bound without a fit: n*|dev| shrinks along the n-list
-    s12 = [r["n"] * d for r, d in zip(study.rows, d12)]
-    s14 = [r["n"] * d for r, d in zip(study.rows, d14)]
+    s12 = [r["n"] * d for r, d in zip(rows, d12)]
+    s14 = [r["n"] * d for r, d in zip(rows, d14)]
     bound_ok = all(a > b for a, b in zip(s12, s12[1:])) and all(
         a > b for a, b in zip(s14, s14[1:])
     )
@@ -294,8 +294,8 @@ def test_criterion_10_large_separation():
     t0 = time.monotonic()
     cfg = BrownianConfig("1", "-1", "0.7", "-0.7")
     t = mpf(1) / 2
-    study = sc.large_separation_decay(cfg, t, n_list=(8, 16, 24, 32, 40))
-    decay_ok = study.fit_c12c21.slope < 0 and study.fit_c12c21.r_squared >= 0.99
+    _, fit = sc.large_separation_decay(cfg, t, n_list=(8, 16, 24, 32, 40))
+    decay_ok = fit["slope_c12c21"] < 0 and fit["r_squared_c12c21"] >= 0.99
     grid = kn.default_grid(cfg, t, points=400)
     sups = {}
     for n in (8, 16, 24):
@@ -308,8 +308,8 @@ def test_criterion_10_large_separation():
     )
     elapsed = time.monotonic() - t0
     ok = decay_ok and dens_ok and elapsed <= 600
-    _report(10, ok, f"log-decay slope {study.fit_c12c21.slope:.3f} "
-                    f"R^2 {study.fit_c12c21.r_squared:.4f} (>=0.99) "
+    _report(10, ok, f"log-decay slope {fit['slope_c12c21']:.3f} "
+                    f"R^2 {fit['r_squared_c12c21']:.4f} (>=0.99) "
                     f"{'ok' if decay_ok else 'BAD'}, "
                     f"density sup-distance decreasing {'ok' if dens_ok else 'BAD'}, "
                     f"{elapsed:.0f}s (cap 600s)")

@@ -370,6 +370,67 @@ def test_density_index_must_match_the_fractions(tmp_path, capsys, p, n, m, code)
         assert not (out / "density.csv").exists()
 
 
+@pytest.mark.parametrize("points, code", [(2, 3), (3, 3), (4, 0)])
+def test_density_grid_must_reach_both_supports(tmp_path, capsys, monkeypatch, points, code):
+    # at t = 0.5 on the large config, two or three grid points all miss the
+    # middle INTERIOR_FRACTION of both supports, so the sup distances would
+    # compare nothing; the check comes before any kernel point
+    from hbl import kernel
+
+    if code:
+        monkeypatch.setattr(kernel, "correlation_kernel", None)
+    out = tmp_path / "art"
+    argv = ["--out", str(out), "density", "--config", str(DATA / "large_config.json")]
+    argv += ["--n", "4,4", "--m", "4,4", "--t", "0.5", "--points", str(points)]
+    assert main(argv) == code
+    if code:
+        error = json.loads(capsys.readouterr().err)
+        assert error["error"] == "degenerate-data"
+        assert f"{points}-point grid" in error["message"]
+        assert "group 1's support, [" in error["message"]
+        assert not (out / "density.csv").exists()
+
+
+def test_scaling_small_separation_needs_equal_fractions(tmp_path, capsys):
+    # classify calls this config small; the small-separation limits are
+    # known for p = (1/2, 1/2) only, as the phase boundary is
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(
+        {"schema": "hbl-config/1", "a": ["0.5", "-0.5"], "b": ["0.5", "-0.5"],
+         "p": ["0.36", "0.64"], "T": "1"}
+    ))
+    assert main(["classify", "--config", str(config)]) == 0
+    assert json.loads(capsys.readouterr().out)["regime"] == "small"
+    out = tmp_path / "art"
+    argv = ["--out", str(out), "scaling", "--config", str(config), "--t", "0.5"]
+    assert main(argv + ["--n-list", "8,16,32,64"]) == 2
+    assert json.loads(capsys.readouterr().err)["error"] == "unsupported-fractions"
+    assert not (out / "scaling.csv").exists()
+
+
+@pytest.mark.parametrize("L", [[], ["--L", "0"]], ids=["config-T", "L-flag"])
+def test_scaling_double_scaling_needs_T_1(tmp_path, capsys, monkeypatch, L):
+    # classify calls a = b = (1, -1) critical at T = 2, but the double-scaling
+    # rule T_n = 1 + L n^{-2/3} tends to 1, where this config is large
+    from hbl import rh
+
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(
+        {"schema": "hbl-config/1", "a": ["1", "-1"], "b": ["1", "-1"], "T": "2"}
+    ))
+    assert main(["classify", "--config", str(config)]) == 0
+    assert json.loads(capsys.readouterr().out)["regime"] == "critical"
+    monkeypatch.setattr(rh, "assemble_rh_expansion", None)
+    out = tmp_path / "art"
+    argv = ["--out", str(out), "scaling", "--config", str(config), "--t", "0.3"]
+    assert main(argv + ["--n-list", "8,16"] + L) == 2
+    error = json.loads(capsys.readouterr().err)
+    assert error["error"] == "wrong-regime"
+    assert "critical separation at T = 1" in error["message"]
+    assert "T = 2.0" in error["message"]
+    assert not (out / "scaling.csv").exists()
+
+
 @pytest.mark.parametrize(
     "argv",
     [

@@ -94,23 +94,26 @@ def shared_solve(hml_solution, monkeypatch):
 def ds_study(critical_config, hml_solution):
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(sc, "solve_hastings_mcleod", lambda: hml_solution)
-        return sc.double_scaling_study(critical_config, L=0, t=mpf(1) / 3, n_list=(8, 12, 16, 24))
+        return sc.double_scaling_study(critical_config, t=mpf(1) / 3, n_list=(8, 12, 16, 24))
 
 
 def test_double_scaling_sign_pattern(ds_study):
-    for row in ds_study.rows:
+    rows, _ = ds_study
+    for row in rows:
         assert row["c12c21"] < 0
         assert row["c14c41"] > 0
 
 
 def test_double_scaling_relations_hold_every_row(ds_study):
-    for row in ds_study.rows:
+    rows, _ = ds_study
+    for row in rows:
         assert max(row[f"relation_residual_{i}"] for i in range(1, 5)) < mpf("1e-20")
 
 
 def test_double_scaling_prediction_improves(ds_study):
+    rows, _ = ds_study
     devs = []
-    for row in ds_study.rows:
+    for row in rows:
         fac = mpf(row["n"]) ** (mpf(2) / 3)
         pred = row["pred_c14c41"] * fac
         devs.append(abs(fac * row["c14c41"] - pred) / pred)
@@ -119,33 +122,43 @@ def test_double_scaling_prediction_improves(ds_study):
 
 def test_double_scaling_diagonal_ratio_limit(ds_study, critical_config):
     # c12 c24 / c14 -> -t sqrt(p2 (b1-b2)/(a1-a2)), deviation shrinking
-    t = ds_study.t
+    rows, _ = ds_study
+    t = mpf(1) / 3
     limit = -t * mp.sqrt(critical_config.p2 * (critical_config.b1 - critical_config.b2) / (critical_config.a1 - critical_config.a2))
-    devs = [abs(row["c12c24_c14"] - limit) for row in ds_study.rows]
+    devs = [abs(row["c12c24_c14"] - limit) for row in rows]
     assert all(a > b for a, b in zip(devs, devs[1:]))
 
 
 def test_double_scaling_painleve_constants(ds_study):
-    assert abs(ds_study.K - mpf(1) / 2) < mpf("1e-60")
-    assert ds_study.s == 0
-    assert abs(ds_study.q_of_s - mpf("0.36706155154807")) < mpf("1e-11")
+    _, meta = ds_study
+    assert meta["L"] == 0 and isinstance(meta["L"], mpf)
+    assert abs(meta["K"] - mpf(1) / 2) < mpf("1e-60")
+    assert meta["s"] == 0
+    assert abs(meta["q_of_s"] - mpf("0.36706155154807")) < mpf("1e-11")
 
 
 def test_double_scaling_wrong_regime(large_sep_config):
     with pytest.raises(WrongRegime):
-        sc.double_scaling_study(large_sep_config, L=0, t=mpf(1) / 3, n_list=(8,))
+        sc.double_scaling_study(large_sep_config, t=mpf(1) / 3, n_list=(8,))
+
+
+def test_double_scaling_needs_T_1():
+    # critical at T = 2, but T_n = 1 + L n^{-2/3} tends to 1
+    cfg = BrownianConfig("1", "-1", "1", "-1", T=2)
+    with pytest.raises(WrongRegime, match=r"at T = 1, .* critical regime at T = 2\.0$"):
+        sc.double_scaling_study(cfg, t=mpf(1) / 3, n_list=(8,))
 
 
 def test_double_scaling_rejects_critical_time(critical_config):
     with pytest.raises(WrongRegime):
-        sc.double_scaling_study(critical_config, L=0, t=mpf(2) / 3, n_list=(8,))
+        sc.double_scaling_study(critical_config, t=mpf(2) / 3, n_list=(8,))
 
 
 def test_temperature_rule_is_exact(critical_config, shared_solve):
-    study = sc.double_scaling_study(
-        critical_config, L="0.5", t=mpf(1) / 3, n_list=(8, 12, 16, 24)
+    rows, _ = sc.double_scaling_study(
+        critical_config._replace(T=None, L="0.5"), t=mpf(1) / 3, n_list=(8, 12, 16, 24)
     )
-    for row in study.rows:
+    for row in rows:
         assert row["T_n"] == 1 + mpf("0.5") * mpf(row["n"]) ** (mpf(-2) / 3)
         assert row["N"] == mpf(row["n"]) / row["T_n"]
 
@@ -153,16 +166,16 @@ def test_temperature_rule_is_exact(critical_config, shared_solve):
 def test_double_scaling_nonzero_L(critical_config, shared_solve):
     # L = 1 maps to s = -1 for p = (1/2, 1/2); the same leading-order laws
     # must kick in with q(-1) in place of q(0)
-    study = sc.double_scaling_study(
-        critical_config, L=1, t=mpf(1) / 3, n_list=(8, 12, 16, 24, 32)
+    rows, meta = sc.double_scaling_study(
+        critical_config._replace(T=None, L=1), t=mpf(1) / 3, n_list=(8, 12, 16, 24, 32)
     )
-    assert abs(study.s + 1) < mpf("1e-60")
-    assert study.q_of_s > mpf("0.5")  # q grows toward the left
-    for row in study.rows:
+    assert abs(meta["s"] + 1) < mpf("1e-60")
+    assert meta["q_of_s"] > mpf("0.5")  # q grows toward the left
+    for row in rows:
         assert row["c12c21"] < 0 < row["c14c41"]
         assert max(row[f"relation_residual_{i}"] for i in range(1, 5)) < mpf("1e-20")
     devs = []
-    for row in study.rows:
+    for row in rows:
         fac = mpf(row["n"]) ** (mpf(2) / 3)
         pred = row["pred_c14c41"] * fac
         devs.append(abs(fac * row["c14c41"] - pred) / pred)
@@ -173,9 +186,9 @@ def test_double_scaling_nonzero_L(critical_config, shared_solve):
 
 def test_double_scaling_second_time(critical_config, shared_solve):
     # the prediction structure is uniform in t (a second non-critical time)
-    study = sc.double_scaling_study(critical_config, L=0, t=mpf(1) / 2, n_list=(8, 16, 32))
+    rows, _ = sc.double_scaling_study(critical_config, t=mpf(1) / 2, n_list=(8, 16, 32))
     devs = []
-    for row in study.rows:
+    for row in rows:
         assert row["c12c21"] < 0 < row["c14c41"]
         fac = mpf(row["n"]) ** (mpf(2) / 3)
         pred = row["pred_c14c41"] * fac
@@ -186,17 +199,18 @@ def test_double_scaling_second_time(critical_config, shared_solve):
 def test_double_scaling_extreme_L_smoke(critical_config, shared_solve):
     # |L| up to 8 stays inside the Hastings-McLeod sampling domain; the
     # finite-n identities remain exact even far from the asymptotic regime
-    study = sc.double_scaling_study(critical_config, L=8, t=mpf(1) / 3, n_list=(8, 12))
-    assert abs(study.s + 8) < mpf("1e-60")
-    for row in study.rows:
+    rows, meta = sc.double_scaling_study(
+        critical_config._replace(T=None, L=8), t=mpf(1) / 3, n_list=(8, 12))
+    assert abs(meta["s"] + 8) < mpf("1e-60")
+    for row in rows:
         assert max(row[f"relation_residual_{i}"] for i in range(1, 5)) < mpf("1e-20")
 
 
 def test_double_scaling_q_against_interpolant(critical_config, hml_solution, shared_solve):
-    study = sc.double_scaling_study(
-        critical_config, L="0.5", t=mpf(1) / 3, n_list=(8, 12, 16, 24)
+    _, meta = sc.double_scaling_study(
+        critical_config._replace(T=None, L="0.5"), t=mpf(1) / 3, n_list=(8, 12, 16, 24)
     )
-    assert abs(study.q_of_s - hml_solution.evaluate(study.s)[0]) == 0
+    assert abs(meta["q_of_s"] - hml_solution.evaluate(meta["s"])[0]) == 0
 
 
 # ---------------------------------------------------------------------------
@@ -221,7 +235,7 @@ def test_scaling_batch_queues_the_solve_first(critical_config, monkeypatch):
 
     monkeypatch.setattr(sc, "solve_hastings_mcleod", recorded_solve)
     monkeypatch.setattr(rh, "assemble_rh_expansion", recorded_expand)
-    sc.double_scaling_study(critical_config, L=0, t=mpf(1) / 3)
+    sc.double_scaling_study(critical_config, t=mpf(1) / 3, n_list=sc.DEFAULT_N_LIST)
     started = [n for n, _ in log]
     assert sorted(started) == [0, 8, 12, 16, 24, 32, 48, 64]
     assert set(started[:2]) == {0, 64}
@@ -241,7 +255,8 @@ def test_fourth_relation_has_one_formula(critical_config, shared_solve, monkeypa
 
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
     monkeypatch.setattr(rh, "assemble_rh_expansion", recorded)
-    for row in sc.double_scaling_study(critical_config, L=0, t=t).rows:
+    rows, _ = sc.double_scaling_study(critical_config, t=t, n_list=sc.DEFAULT_N_LIST)
+    for row in rows:
         split = (row["n1"], row["n2"])
         exp = built[row["n"]]
         assert (exp.ws, exp.idx) == (
@@ -253,27 +268,28 @@ def test_fourth_relation_has_one_formula(critical_config, shared_solve, monkeypa
 def test_every_study_reads_T_n_and_N_from_the_config(regime, request, shared_solve):
     # an "L" config in every regime: the rows sample T_n = 1 + L n^{-2/3}
     base = request.getfixturevalue(regime + ("_config" if regime == "critical" else "_sep_config"))
-    cfg = BrownianConfig(base.a1, base.a2, base.b1, base.b2, base.p1, base.p2, L="0.5")
+    cfg = base._replace(T=None, L="0.5")
     t = mpf(1) / 3
-    if regime == "critical":
-        study = sc.double_scaling_study(base, L="0.5", t=t, n_list=(8, 12, 16, 24))
-    elif regime == "small":
-        study = sc.small_separation_study(cfg, t, n_list=(8, 12, 16, 24))
-    else:
-        study = sc.large_separation_decay(cfg, t, n_list=(8, 16))
+    study = {
+        "critical": sc.double_scaling_study,
+        "small": sc.small_separation_study,
+        "large": sc.large_separation_decay,
+    }[regime]
+    rows, _ = study(cfg, t, n_list=(8, 16) if regime == "large" else (8, 12, 16, 24))
     with mp.workprec(512 if regime == "large" else mp.prec):  # the decay study's bits
-        for row in study.rows:
+        for row in rows:
             assert row["T_n"]._mpf_ == cfg.temperature(row["n"])._mpf_
             assert row["N"]._mpf_ == WeightSystem.from_config(cfg, t, row["n"]).N._mpf_
 
 
 def test_double_scaling_accepts_a_negative_L_past_its_bound(critical_config, shared_solve):
     # T_n = 1 - 4 n^{-2/3} vanishes at n = 8 and is positive beyond
-    study = sc.double_scaling_study(critical_config, L=-4, t=mpf(1) / 3, n_list=(16, 24))
-    assert [row["n"] for row in study.rows] == [16, 24]
-    assert all(0 < row["T_n"] < 1 for row in study.rows)
+    cfg = critical_config._replace(T=None, L=-4)
+    rows, _ = sc.double_scaling_study(cfg, t=mpf(1) / 3, n_list=(16, 24))
+    assert [row["n"] for row in rows] == [16, 24]
+    assert all(0 < row["T_n"] < 1 for row in rows)
     with pytest.raises(InvalidConfig):
-        sc.double_scaling_study(critical_config, L=-4, t=mpf(1) / 3, n_list=(8, 16))
+        sc.double_scaling_study(cfg, t=mpf(1) / 3, n_list=(8, 16))
 
 
 @pytest.mark.parametrize(
@@ -299,10 +315,10 @@ def test_scaling_batch_raises_the_solve_error(critical_config, hml_solution, mon
     monkeypatch.setattr(sc, "solve_hastings_mcleod", lambda: hml_solution)
     with mp.workprec(128):
         with pytest.raises(NormalizationImpossible):
-            sc.double_scaling_study(critical_config, L=0, t=mpf(1) / 3, n_list=n_list)
+            sc.double_scaling_study(critical_config, t=mpf(1) / 3, n_list=n_list)
         monkeypatch.setattr(sc, "solve_hastings_mcleod", failing_solve)
         with pytest.raises(NoConvergence, match="^Newton stalled$"):
-            sc.double_scaling_study(critical_config, L=0, t=mpf(1) / 3, n_list=n_list)
+            sc.double_scaling_study(critical_config, t=mpf(1) / 3, n_list=n_list)
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
 
@@ -356,13 +372,15 @@ def test_small_separation_limits_exact_arithmetic(small_study):
     t = mpf(1) / 2
     lim12 = -(t**2 / (16 * mpf("0.64"))) * (4 - mpf("0.64") * mpf("0.36"))
     lim14 = t * (1 - t) / 8 * (2 - mpf("0.48"))
-    assert abs(small_study.limit_c12c21 - lim12) < mpf("1e-70")
-    assert abs(small_study.limit_c14c41 - lim14) < mpf("1e-70")
+    _, meta = small_study
+    assert abs(meta["limit_c12c21"] - lim12) < mpf("1e-70")
+    assert abs(meta["limit_c14c41"] - lim14) < mpf("1e-70")
 
 
 def test_small_separation_monotone_decrease(small_study):
-    d12 = [abs(r["c12c21"] - small_study.limit_c12c21) for r in small_study.rows]
-    d14 = [abs(r["c14c41"] - small_study.limit_c14c41) for r in small_study.rows]
+    rows, meta = small_study
+    d12 = [abs(r["c12c21"] - meta["limit_c12c21"]) for r in rows]
+    d14 = [abs(r["c14c41"] - meta["limit_c14c41"]) for r in rows]
     assert all(a > b for a, b in zip(d12, d12[1:]))
     assert all(a > b for a, b in zip(d14, d14[1:]))
 
@@ -374,8 +392,9 @@ def test_small_separation_measured_order(small_study):
     # one.  The likely cause is the swap of the two groups, a symmetry when
     # p1 = p2, which cancels the first correction.  (Acceptance criterion 9
     # checks the O(1/n) bound itself.)
-    assert mpf("1.8") < small_study.order_c12c21 < mpf("2.2")
-    assert mpf("1.8") < small_study.order_c14c41 < mpf("2.2")
+    _, meta = small_study
+    assert mpf("1.8") < meta["order_c12c21"] < mpf("2.2")
+    assert mpf("1.8") < meta["order_c14c41"] < mpf("2.2")
 
 
 def test_small_separation_wrong_regime(large_sep_config):
@@ -393,19 +412,22 @@ def large_study(large_sep_config):
 
 
 def test_large_separation_negative_slope(large_study):
-    assert large_study.fit_c12c21.slope < 0
-    assert large_study.fit_c14c41.slope < 0
-    assert large_study.fit_c12c21.r_squared > 0.99
-    assert large_study.fit_c14c41.r_squared > 0.99
+    _, meta = large_study
+    assert meta["slope_c12c21"] < 0
+    assert meta["slope_c14c41"] < 0
+    assert meta["r_squared_c12c21"] > 0.99
+    assert meta["r_squared_c14c41"] > 0.99
 
 
 def test_large_separation_monotone(large_study):
-    by_n = {r["n"]: r for r in large_study.rows}
+    rows, _ = large_study
+    by_n = {r["n"]: r for r in rows}
     assert abs(by_n[32]["c12c21"]) < abs(by_n[16]["c12c21"])
 
 
 def test_large_separation_relations_regime_independent(large_study):
-    for row in large_study.rows:
+    rows, _ = large_study
+    for row in rows:
         assert max(row[f"relation_residual_{i}"] for i in range(1, 5)) < mpf("1e-20")
 
 
@@ -419,9 +441,9 @@ def test_large_separation_follows_higher_working_precision(large_sep_config):
     # it agrees with a 2048-bit study far beyond what 512 bits can resolve
     t, n_list = mpf(1) / 2, (8, 16)
     with mp.workprec(1024):
-        lo = sc.large_separation_decay(large_sep_config, t, n_list)
+        lo, _ = sc.large_separation_decay(large_sep_config, t, n_list)
     with mp.workprec(2048):
-        hi = sc.large_separation_decay(large_sep_config, t, n_list)
-    for a, b in zip(lo.rows, hi.rows):
+        hi, _ = sc.large_separation_decay(large_sep_config, t, n_list)
+    for a, b in zip(lo, hi):
         for key in ("c12c21", "c14c41"):
             assert abs(a[key] - b[key]) <= mpf(2) ** -900 * abs(b[key])
