@@ -245,7 +245,6 @@ def cmd_coefficients(cfg: BrownianConfig, ns, out: Path) -> int:
 
 def cmd_identities(cfg: BrownianConfig, ns, out: Path) -> int:
     ws, idx, payload = _indexed(cfg, ns)
-    shifts = [(k, l) for k in range(ws.p) for l in range(ws.q)]
     # every expansion the checks read, in one batch: those of the
     # recurrences, whose rows are also their MOP vectors, and the swapped
     # system's
@@ -253,7 +252,8 @@ def cmd_identities(cfg: BrownianConfig, ns, out: Path) -> int:
         rh.recurrence_pairs(ws, idx) + [rh.swapped_system(ws, idx)]
     )
     exp, *exp_shifted = exps
-    residuals = rh.verify_recurrences(exps, [mpf(0), mpf(1), mpc(-1, 1)]).values()
+    # {(k, l): (forward, backward)}, in the order of exp_shifted
+    residuals = rh.verify_recurrences(exps, [mpf(0), mpf(1), mpc(-1, 1)])
     tol = mpf(10) ** ns.tol_exponent
     checks = []
 
@@ -268,20 +268,17 @@ def cmd_identities(cfg: BrownianConfig, ns, out: Path) -> int:
 
     rep = rh.scalar_product_report(exp)
     record("scalar_products", rep.max_residual)
-    record("five_term_recurrence", max(fw for fw, _ in residuals))
-    record("backward_recurrence", max(bw for _, bw in residuals))
-    worst_inv = mpf(0)
+    record("five_term_recurrence", max(fw for fw, _ in residuals.values()))
+    record("backward_recurrence", max(bw for _, bw in residuals.values()))
+    worst_inv = worst_diag = mpf(0)
     z0 = mpc(2, 1)
-    for (k, l), exp_sh in zip(shifts, exp_shifted):
+    for (k, l), exp_sh in zip(residuals, exp_shifted):
         U = rh.forward_transfer(exp, exp_sh, k, l, z0)
         Ub = rh.backward_transfer(exp, exp_sh, k, l, z0)
         worst_inv = max(worst_inv, nu.max_abs(U * Ub - mp.eye(exp.p + exp.q)))
+        worst_diag = max(worst_diag, rh.diagonal_recurrence(exp, k, l).disagreement)
     record("transfer_inverse", worst_inv)
     record("involution", rh.involution_check(exp, exp_sw))
-    worst_diag = mpf(0)
-    for k in range(exp.p):
-        for l in range(exp.q):
-            worst_diag = max(worst_diag, rh.diagonal_recurrence(exp, k, l).disagreement)
     record("diagonal_coefficient_cross_check", worst_diag)
     payload.update(
         {
@@ -493,8 +490,10 @@ def _check_options(ns) -> None:
             f"--precision must be at least {nu.MIN_PRECISION_BITS} bits, "
             f"got {ns.precision}"
         )
+    # density's default_grid puts its end points outside both supports, and
+    # one interior point cannot lie in both: 4 points are the least
     for option, least in (
-        ("points", 2), ("samples", 2), ("raster", 2), ("stride", 1)
+        ("points", 4), ("samples", 2), ("raster", 2), ("stride", 1)
     ):
         value = getattr(ns, option, least)
         if value < least:

@@ -38,7 +38,6 @@ from .model import (
 from .mop import (
     MultiIndexPair,
     WeightSystem,
-    _map_cores,
     bimoment_inverse,
     escalate,
     moment_tables,
@@ -317,15 +316,10 @@ def density_profile(
                 f"group {j}'s support, [{mp.nstr(lo, 15)}, {mp.nstr(hi, 15)}]"
             )
         windows.append((alpha, beta, lo, hi))
-    # The first point factors, in this process, the forms it settles at;
-    # the forked points inherit them, so a worker factors only for a point
-    # that escalates further.
-    diag = [correlation_kernel(ws, idx, x) for x in grid[:1]]
-    diag += _map_cores(lambda x: correlation_kernel(ws, idx, x), grid[1:])
     values, flags, semi = [], [], ([], [])
     sup = [mpf(0), mpf(0)]
-    for x, k in zip(grid, diag):
-        val = k / n
+    for x in grid:
+        val = correlation_kernel(ws, idx, x) / n
         values.append(val)
         flag = 0
         for j, (alpha, beta, lo, hi) in enumerate(windows):

@@ -236,33 +236,6 @@ def _vector_values(sol: MopSolution, zs) -> list:
     return [[sol.eval_A(k, mpc(z)) for k in range(len(sol.coeffs))] for z in zs]
 
 
-def _forward_requests(ws: WeightSystem, idx: MultiIndexPair, k: int, l: int):
-    """MOP requests (index pair, tag) of the forward recurrence: left side,
-    main vector, and the off vectors keyed by the Y1 row of their
-    coefficient.  All use the type (II,k) normalization."""
-    p, q = ws.p, ws.q
-    tag = ("II", k)
-    n_lhs = tuple(v + 2 * (i == k) for i, v in enumerate(idx.n))
-    m_lhs = tuple(v + (i == l) for i, v in enumerate(idx.m))
-    lhs = (MultiIndexPair(n_lhs, m_lhs), tag)
-    main = (idx.shift_n(k), tag)
-    off = [(kk, (idx.shift_n(kk), tag)) for kk in range(p) if kk != k]
-    off += [(p + ll, (idx.shift_m(ll, -1), tag)) for ll in range(q)]
-    return lhs, main, off
-
-
-def _backward_requests(ws: WeightSystem, idx: MultiIndexPair, k: int, l: int):
-    """As _forward_requests for the backward recurrence, type (I,l)."""
-    p, q = ws.p, ws.q
-    tag = ("I", l)
-    shifted = idx.shift_n(k).shift_m(l)
-    lhs = (idx.shift_m(l, -1), tag)
-    main = (idx.shift_n(k), tag)
-    off = [(kk, (shifted.shift_n(kk), tag)) for kk in range(p)]
-    off += [(p + ll, (shifted.shift_m(ll, -1), tag)) for ll in range(q) if ll != l]
-    return lhs, main, off
-
-
 def _recurrence_residual(lhs_at, main_at, shift, terms, zs) -> mpf:
     """Max over zs and components of the relative residual of
     lhs(z) = (z + shift) main(z) - sum coef * vec(z) over (coef, vec) in terms,
@@ -299,58 +272,48 @@ def verify_recurrences(exps: Sequence, zs: Sequence) -> dict:
     type (I,l) normalization.
 
     ``exps`` are the expansions at the pairs of recurrence_pairs, in its
-    order; any other list raises ValueError.  Their rows hold every vector
-    a recurrence reads, each in some normalization, and mop.renormalized
-    rescales it to the one asked for, reading the one set of moment tables
-    at idx: those reach M_{n_k + m_l + 2}, the deepest entry a rescale
-    reads.  A recurrence so relates the LUs at idx and idx + e_k + e_l.
+    order; any other list raises ValueError.  The recurrence at (k, l)
+    relates Y at idx to Y at idx + e_k + e_l, so it reads rows of two
+    expansions by position, exp = exps[0] and exp_sh at idx + e_k + e_l:
+    forward, row k of exp_sh from row k of exp and the other rows of exp;
+    backward, row p+l of exp from row p+l of exp_sh and the other rows of
+    exp_sh.  mop.renormalized rescales each row to the normalization
+    asked for, reading the one set of moment tables at idx: those reach
+    M_{n_k + m_l + 2}, the deepest entry a rescale reads.
     """
     exp, *exp_shifted = exps
     ws, idx, p = exp.ws, exp.idx, exp.p
     if [(e.ws, e.idx) for e in exps] != recurrence_pairs(ws, idx):
         raise ValueError("verify_recurrences needs the expansions of recurrence_pairs")
-    pairs = [(k, l) for k in range(p) for l in range(ws.q)]
-    specs = {
-        (k, l): (_forward_requests(ws, idx, k, l), _backward_requests(ws, idx, k, l))
-        for k, l in pairs
-    }
-    shifted = dict(zip(pairs, exp_shifted))
-    # every row by (index, tag), and by index the first row that holds it
-    by_tag, by_idx = {}, {}
-    for e in exps:
-        for sol in filter(None, e.rows):
-            by_tag[sol.idx, sol.norm] = sol
-            by_idx.setdefault(sol.idx, sol)
     tables = moment_tables(ws, idx)
-    values = {}  # request -> its vector's values at zs, each evaluated once
 
-    def at(req):
-        if req not in values:
-            vec_idx, tag = req
-            sol = by_tag.get(req) or by_idx[vec_idx]
-            sol = renormalized(sol, tables, tag)
-            values[req] = _vector_values(sol, zs)
-        return values[req]
+    def at(sol, tag):
+        return _vector_values(renormalized(sol, tables, tag), zs)
 
+    size = p + ws.q
+    shifted = iter(exp_shifted)
     out = {}
-    for k, l in pairs:
-        (f_lhs, f_main, f_off), (b_lhs, b_main, b_off) = specs[k, l]
-        exp_sh = shifted[k, l]
-        forward = _recurrence_residual(
-            at(f_lhs),
-            at(f_main),
-            -diagonal_recurrence(exp, k, l).via_lax,
-            [(exp.product(k + 1, j + 1), at(r)) for j, r in f_off],
-            zs,
-        )
-        backward = _recurrence_residual(
-            at(b_lhs),
-            at(b_main),
-            exp.Y1[p + l, p + l] - exp_sh.Y1[p + l, p + l],
-            [(exp_sh.Y1[p + l, j] * exp_sh.Y1[j, p + l], at(r)) for j, r in b_off],
-            zs,
-        )
-        out[k, l] = (forward, backward)
+    for k in range(p):
+        tag = ("II", k)
+        rows = [at(sol, tag) for sol in exp.rows]  # read by every l
+        for l in range(ws.q):
+            exp_sh, i = next(shifted), p + l
+            forward = _recurrence_residual(
+                at(exp_sh.rows[k], tag),
+                rows[k],
+                -diagonal_recurrence(exp, k, l).via_lax,
+                [(exp.product(k + 1, j + 1), rows[j]) for j in range(size) if j != k],
+                zs,
+            )
+            sh_rows = [at(sol, ("I", l)) for sol in exp_sh.rows]
+            backward = _recurrence_residual(
+                at(exp.rows[i], ("I", l)),
+                sh_rows[i],
+                exp.Y1[i, i] - exp_sh.Y1[i, i],
+                [(exp_sh.Y1[i, j] * exp_sh.Y1[j, i], sh_rows[j]) for j in range(size) if j != i],
+                zs,
+            )
+            out[k, l] = (forward, backward)
     return out
 
 

@@ -370,11 +370,12 @@ def test_density_index_must_match_the_fractions(tmp_path, capsys, p, n, m, code)
         assert not (out / "density.csv").exists()
 
 
-@pytest.mark.parametrize("points, code", [(2, 3), (3, 3), (4, 0)])
+@pytest.mark.parametrize("points, code", [(2, 64), (3, 64), (4, 0)])
 def test_density_grid_must_reach_both_supports(tmp_path, capsys, monkeypatch, points, code):
-    # at t = 0.5 on the large config, two or three grid points all miss the
-    # middle INTERIOR_FRACTION of both supports, so the sup distances would
-    # compare nothing; the check comes before any kernel point
+    # the grid's two end points lie half a unit outside both supports, and
+    # one interior point cannot lie in both, so fewer than 4 points are a
+    # usage error, before any kernel point; at t = 0.5 on the large config
+    # 4 points reach the middle INTERIOR_FRACTION of both supports
     from hbl import kernel
 
     if code:
@@ -385,9 +386,7 @@ def test_density_grid_must_reach_both_supports(tmp_path, capsys, monkeypatch, po
     assert main(argv) == code
     if code:
         error = json.loads(capsys.readouterr().err)
-        assert error["error"] == "degenerate-data"
-        assert f"{points}-point grid" in error["message"]
-        assert "group 1's support, [" in error["message"]
+        assert error == {"error": "usage", "message": f"--points must be at least 4, got {points}"}
         assert not (out / "density.csv").exists()
 
 
@@ -651,8 +650,9 @@ def test_identities_match_golden(tmp_path):
     # 30-digit residuals move with any change in how the LU rounds, as they
     # did when each entry stopped being rounded once per step, and the two
     # recurrence residuals with any change in which LU a vector comes from,
-    # as they did when the vectors became rescaled expansion rows.  The
-    # config sits at a fixed path
+    # as they did when the vectors became rescaled expansion rows, and the
+    # backward one again when each recurrence read its vectors by position
+    # from its own two expansions.  The config sits at a fixed path
     out = tmp_path / "art"
     argv = ["--out", str(out), "identities", "--config", str(DATA / "large_config.json")]
     assert main(argv + ["--n", "6,6", "--m", "6,6", "--t", "0.4"]) == 0

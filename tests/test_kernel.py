@@ -11,7 +11,7 @@ from hbl import kernel as kn
 from hbl import mop
 from hbl import numerics as nu
 from hbl import rh
-from hbl.errors import NormalizationImpossible, WrongRegime
+from hbl.errors import DegenerateData, NormalizationImpossible, WrongRegime
 from hbl.model import BrownianConfig, ellipse_endpoints
 from hbl.mop import MultiIndexPair, WeightSystem
 
@@ -420,8 +420,8 @@ def test_density_profile_self_convergence(cfg_large):
 
 
 def test_density_profile_matches_the_point_loop(cfg_large, monkeypatch):
-    # over two CPUs a worker takes every other point; each value is bit for
-    # bit that of the in-process loop, and of a one-CPU run that cannot fork
+    # on two CPUs and on one that cannot fork, each value is bit for bit
+    # that of the point loop
     def fork():
         raise AssertionError("forked on one CPU")
 
@@ -447,13 +447,13 @@ def test_density_profile_matches_the_point_loop(cfg_large, monkeypatch):
     [
         (12, 256, [(24, 256), (24, 512)]),
         # G(24, 24) is singular at 128 bits: the first point moves on to
-        # the 256-bit form and its 512-bit check before the points fork
+        # the 256-bit form and its 512-bit check, which the others read
         (24, 128, [(48, 128), (48, 256), (48, 512)]),
     ],
 )
 def test_density_factors_each_form_once(cfg_large, monkeypatch, n_k, bits, lus):
     # the form at working precision and its check at twice the bits are one
-    # LU each, counted in the parent and in the worker; no point factors
+    # LU each, made for the first point; no other point factors
     t = mpf(1) / 2
     ws = WeightSystem.from_config(cfg_large, t, 2 * n_k)
     idx = MultiIndexPair((n_k, n_k), (n_k, n_k))
@@ -465,19 +465,19 @@ def test_density_factors_each_form_once(cfg_large, monkeypatch, n_k, bits, lus):
     assert sorted(calls) == lus
 
 
-def test_density_forks_one_round(cfg_large, monkeypatch):
-    # the first point factors both forms in this process, so the only fork
-    # round is that of the grid points: one worker per CPU
+def test_density_does_not_fork(cfg_large, monkeypatch):
+    # every grid point is evaluated in this process, on two CPUs too
+    def fork():
+        raise AssertionError("density forked")
+
     t = mpf(1) / 2
     ws = WeightSystem.from_config(cfg_large, t, 24)
     idx = MultiIndexPair((12, 12), (12, 12))
     grid = kn.default_grid(cfg_large, t, points=8)
     kn._kernel_form.cache_clear()
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
-    forks, fork = [], os.fork
-    monkeypatch.setattr(os, "fork", lambda: forks.append(1) or fork())
-    kn.density_profile(ws, idx, cfg_large, grid)
-    assert len(forks) == min(2, len(grid) - 1)
+    monkeypatch.setattr(os, "fork", fork)
+    assert len(kn.density_profile(ws, idx, cfg_large, grid).values) == len(grid)
 
 
 def test_density_point_that_misses_in_a_worker(cfg_large, monkeypatch):
@@ -485,7 +485,7 @@ def test_density_point_that_misses_in_a_worker(cfg_large, monkeypatch):
     # x = -1.03 and 0 (the left group and the gap) and misses at x = 1
     # (the right group; see test_kernel_escalates_where_the_sum_cancels).
     # At 160 all three pass; at 144 x = -1.03 misses too, at 136 all miss.
-    # The worker has x = 1, and the parent raises the in-process error.
+    # On two CPUs the profile raises the error of x = 1 and leaves no child.
     monkeypatch.setattr(mop, "MAX_ESCALATED_PRECISION", 152)
     t = mpf(1) / 2
     ws = WeightSystem.from_config(cfg_large, t, 40)
@@ -536,6 +536,18 @@ def test_density_critical_config_off_critical_time(critical_config):
     prof = kn.density_profile(ws, idx, critical_config, grid)
     assert prof.sup_distance_1 > 0 and prof.sup_distance_2 > 0
     assert max(prof.values) > mpf("0.1")
+
+
+def test_density_grid_that_misses_a_support_is_degenerate(cfg_large, monkeypatch):
+    # at t = 0.5 the 3-point grid's one interior point lies in neither
+    # middle INTERIOR_FRACTION, so the sup distances would compare nothing;
+    # the check comes before any kernel point
+    monkeypatch.setattr(kn, "correlation_kernel", None)
+    t = mpf(1) / 2
+    ws = WeightSystem.from_config(cfg_large, t, 8)
+    grid = kn.default_grid(cfg_large, t, points=3)
+    with pytest.raises(DegenerateData, match=r"3-point grid .* group 1's support, \["):
+        kn.density_profile(ws, MultiIndexPair((4, 4), (4, 4)), cfg_large, grid)
 
 
 def test_density_wrong_regime(small_sep_config):

@@ -366,11 +366,19 @@ def test_transfer_maps_y_to_shifted_y(ws, idx22, exp22):
 # ---------------------------------------------------------------------------
 
 ZS = (mpf(0), mpf(1), mpc(-1, 1))
+# an index with n != m, read besides idx22 by the recurrence tests
+IDX_ASYM = MultiIndexPair((3, 2), (2, 3))
+
+
+@pytest.fixture(scope="module")
+def recurrences(ws, idx22):
+    return [recurrence_residuals(ws, idx, ZS) for idx in (idx22, IDX_ASYM)]
 
 
 @pytest.mark.parametrize("k,l", [(0, 0), (0, 1), (1, 0), (1, 1)])
-def test_five_term_recurrence(ws, idx22, k, l):
-    assert recurrence_residuals(ws, idx22, ZS)[k, l][0] < mpf("1e-20")
+def test_five_term_recurrence(recurrences, k, l):
+    for res in recurrences:
+        assert res[k, l][0] < mpf("1e-20")
 
 
 def test_five_term_degenerate_base_refused(ws):
@@ -387,10 +395,30 @@ def test_recurrences_refuse_expansions_out_of_order(ws, idx22):
         rh.verify_recurrences(exps, ZS)
 
 
-def test_backward_recurrence(ws, idx22):
-    res = recurrence_residuals(ws, idx22, ZS)
-    assert res[0, 0][1] < mpf("1e-20")
-    assert res[1, 1][1] < mpf("1e-20")
+def test_backward_recurrence(recurrences):
+    for res in recurrences:
+        assert res[0, 0][1] < mpf("1e-20")
+        assert res[1, 1][1] < mpf("1e-20")
+
+
+def test_each_recurrence_reads_only_its_two_expansions(ws, idx22):
+    # scaling the rows of the expansion at idx + e_k + e_l by 1 + 2^-100
+    # moves both residuals of (k, l), whose left side or main vector it
+    # holds in their own normalization, and no residual of another pair
+    exps = rh.assemble_rh_expansions(rh.recurrence_pairs(ws, idx22))
+    base = rh.verify_recurrences(exps, ZS)
+    scale = 1 + mpf(2) ** -100
+    for pos, pair in enumerate(base, 1):
+        rows = tuple(
+            sol._replace(coeffs=tuple(tuple(c * scale for c in cs) for cs in sol.coeffs))
+            for sol in exps[pos].rows
+        )
+        perturbed = exps[:pos] + [exps[pos]._replace(rows=rows)] + exps[pos + 1 :]
+        got = rh.verify_recurrences(perturbed, ZS)
+        assert all(g != b for g, b in zip(got[pair], base[pair]))
+        assert {key: got[key] for key in got if key != pair} == {
+            key: base[key] for key in base if key != pair
+        }
 
 
 def _recurrences_on_both_routes(ws, idx, monkeypatch):
@@ -399,7 +427,7 @@ def _recurrences_on_both_routes(ws, idx, monkeypatch):
     # the test oracle it must agree coefficient by coefficient to
     # 2^-(prec/2) relative, and the recurrences must hold on either route
     read = {}
-    renormalized = rh.renormalized
+    renormalized = mop.renormalized
 
     def recording(sol, tables, norm):
         read[sol.idx, norm] = renormalized(sol, tables, norm)
@@ -424,7 +452,8 @@ def _recurrences_on_both_routes(ws, idx, monkeypatch):
 
 
 def test_recurrence_batch_matches_independent_route(ws, idx22, monkeypatch):
-    _recurrences_on_both_routes(ws, idx22, monkeypatch)
+    for idx in (idx22, IDX_ASYM):
+        _recurrences_on_both_routes(ws, idx, monkeypatch)
 
 
 def test_five_term_on_rational_oracle_solutions(ws, idx22, exp22):
