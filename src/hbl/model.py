@@ -66,11 +66,6 @@ class BrownianConfig(namedtuple("BrownianConfig", "a1 a2 b1 b2 p1 p2 T L")):
             raise InvalidConfig("fractions must satisfy p1 + p2 = 1")
         return self
 
-    def __reduce__(self):
-        # the fields as they are: __new__ would round them again at the
-        # loading side's precision
-        return tuple.__new__, (type(self), tuple(self))
-
     @classmethod
     def _make(cls, iterable):
         # _replace builds through here, so it converts and validates too

@@ -147,15 +147,10 @@ class MultiIndexPair(namedtuple("MultiIndexPair", "n m")):
         return MultiIndexPair(self.n, tuple(m))
 
 
-NormTag = tuple  # ("II", k) or ("I", l) with 0-based position index
-
-
 class MopSolution(NamedTuple):
-    """Coefficient arrays of A_1..A_p (ascending powers) plus its tag; the
-    coefficients keep the bits their solve settled at (see escalate)."""
+    """Coefficient arrays of A_1..A_p (ascending powers); the coefficients
+    keep the bits their solve settled at (see escalate)."""
 
-    idx: MultiIndexPair
-    norm: NormTag
     coeffs: tuple  # tuple over k of tuple of mpf, length n_k
 
     def eval_A(self, k: int, x):
@@ -283,10 +278,7 @@ def _factor_and_solve(tables: dict, idx: MultiIndexPair, tags: list) -> list:
             continue
         if kind == "II":
             coeffs[pos] += (mpf(1),)
-            sol_idx = idx.shift_n(pos)
-        else:
-            sol_idx = idx.shift_m(pos, -1)
-        sols.append(MopSolution(sol_idx, (kind, pos), tuple(coeffs)))
+        sols.append(MopSolution(tuple(coeffs)))
     return sols
 
 
@@ -464,29 +456,6 @@ def q_moment(sol: MopSolution, tables: dict, l: int, j: int) -> mpf:
         c * tables[k, l][i + j] for k, cs in enumerate(sol.coeffs) for i, c in enumerate(cs)
     )
     return sum(terms, mpf(0))
-
-
-def renormalized(sol: MopSolution, tables: dict, norm: NormTag) -> MopSolution:
-    """The MOP vector of sol, a vector at |n| = |m| + 1, in the
-    normalization ``norm``: every normalization at one index pair solves
-    the same orthogonality conditions, so each is a multiple of sol.  Type
-    (II,k) divides sol by its coefficient of x^(n_k - 1) in A_k, type (I,l)
-    by q_moment(sol, tables, l, m_l).  sol itself when it has ``norm``
-    already; a zero scale raises NormalizationImpossible."""
-    if norm == sol.norm:
-        return sol
-    kind, pos = norm
-    if kind == "II":
-        scale = sol.coefficient(pos, sol.idx.n[pos] - 1)
-    else:
-        scale = q_moment(sol, tables, pos, sol.idx.m[pos])
-    if not scale:
-        raise NormalizationImpossible(
-            f"the type ({kind},{pos + 1}) normalization of the MOP vector at "
-            f"{sol.idx} divides by zero"
-        )
-    coeffs = tuple(tuple(c / scale for c in cs) for cs in sol.coeffs)
-    return sol._replace(norm=norm, coeffs=coeffs)
 
 
 def shifted_solutions(ws: WeightSystem, idx: MultiIndexPair, tables: dict) -> list:

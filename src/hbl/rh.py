@@ -20,6 +20,7 @@ from .errors import (
     BranchCollision,
     InvalidIndex,
     NoConvergence,
+    NormalizationImpossible,
     OnContour,
     ZeroDenominator,
 )
@@ -31,7 +32,6 @@ from .mop import (
     escalate,
     moment_tables,
     q_moment,
-    renormalized,
     shifted_solutions,
 )
 
@@ -236,6 +236,34 @@ def _vector_values(sol: MopSolution, zs) -> list:
     return [[sol.eval_A(k, mpc(z)) for k in range(len(sol.coeffs))] for z in zs]
 
 
+def _row_values(exp: RhExpansion, i: int, col: int, zs) -> list:
+    """_vector_values of row i of exp in the normalization of column col,
+    type (II,k) for col = k < p and type (I,l) for col = p + l.
+
+    Row col is in that normalization already.  Any other row is divided by
+    its scale exp.Y1[i, col] D_col / D_i, with D = diag(I_p, -2 pi i I_q)
+    (see assemble_rh_expansion): its coefficient of x^(n_k - 1) in A_k, or
+    its q_moment against x^(m_l).  A zero scale raises
+    NormalizationImpossible.
+    """
+    values = _vector_values(exp.rows[i], zs)
+    if i == col:
+        return values
+    p, two_pi_i = exp.p, 2j * mp.pi
+    scale = exp.Y1[i, col]
+    if i < p <= col:
+        scale *= -two_pi_i
+    elif col < p <= i:
+        scale /= -two_pi_i
+    if not scale:
+        kind, pos = ("II", col + 1) if col < p else ("I", col - p + 1)
+        raise NormalizationImpossible(
+            f"the type ({kind},{pos}) normalization of row {i + 1} of the expansion "
+            f"at {exp.idx} divides by zero: its Y1 entry in column {col + 1} is 0"
+        )
+    return [[v / scale for v in at] for at in values]
+
+
 def _recurrence_residual(lhs_at, main_at, shift, terms, zs) -> mpf:
     """Max over zs and components of the relative residual of
     lhs(z) = (z + shift) main(z) - sum coef * vec(z) over (coef, vec) in terms,
@@ -277,37 +305,30 @@ def verify_recurrences(exps: Sequence, zs: Sequence) -> dict:
     expansions by position, exp = exps[0] and exp_sh at idx + e_k + e_l:
     forward, row k of exp_sh from row k of exp and the other rows of exp;
     backward, row p+l of exp from row p+l of exp_sh and the other rows of
-    exp_sh.  mop.renormalized rescales each row to the normalization
-    asked for, reading the one set of moment tables at idx: those reach
-    M_{n_k + m_l + 2}, the deepest entry a rescale reads.
+    exp_sh.  Each row is read in the normalization asked for by
+    _row_values, which scales it by an entry of its own expansion's Y1.
     """
     exp, *exp_shifted = exps
     ws, idx, p = exp.ws, exp.idx, exp.p
     if [(e.ws, e.idx) for e in exps] != recurrence_pairs(ws, idx):
         raise ValueError("verify_recurrences needs the expansions of recurrence_pairs")
-    tables = moment_tables(ws, idx)
-
-    def at(sol, tag):
-        return _vector_values(renormalized(sol, tables, tag), zs)
-
     size = p + ws.q
     shifted = iter(exp_shifted)
     out = {}
     for k in range(p):
-        tag = ("II", k)
-        rows = [at(sol, tag) for sol in exp.rows]  # read by every l
+        rows = [_row_values(exp, j, k, zs) for j in range(size)]  # read by every l
         for l in range(ws.q):
             exp_sh, i = next(shifted), p + l
             forward = _recurrence_residual(
-                at(exp_sh.rows[k], tag),
+                _row_values(exp_sh, k, k, zs),
                 rows[k],
                 -diagonal_recurrence(exp, k, l).via_lax,
                 [(exp.product(k + 1, j + 1), rows[j]) for j in range(size) if j != k],
                 zs,
             )
-            sh_rows = [at(sol, ("I", l)) for sol in exp_sh.rows]
+            sh_rows = [_row_values(exp_sh, j, i, zs) for j in range(size)]
             backward = _recurrence_residual(
-                at(exp.rows[i], ("I", l)),
+                _row_values(exp, i, i, zs),
                 sh_rows[i],
                 exp.Y1[i, i] - exp_sh.Y1[i, i],
                 [(exp_sh.Y1[i, j] * exp_sh.Y1[j, i], sh_rows[j]) for j in range(size) if j != i],

@@ -108,14 +108,14 @@ def gaussian_moment(ws, k, l, j):
     return mop.moment_tables(ws, mop.MultiIndexPair((j,), (j,)))[k, l][j]
 
 
-def orthogonality_residual(sol, tables):
+def orthogonality_residual(sol, idx, tables):
     """Max relative residual |sum of terms| / max |term| of the
-    vanishing-moment conditions of a MopSolution (0 if none), the terms
-    c * M^{kl}_{i+j} of mop.q_moment read from ``tables`` (test oracle).
-    The terms, their sum and their max are exact; the ratio is rounded
-    once to working precision."""
+    vanishing-moment conditions of a MopSolution at the index pair idx (0
+    if none), the terms c * M^{kl}_{i+j} of mop.q_moment read from
+    ``tables`` (test oracle).  The terms, their sum and their max are
+    exact; the ratio is rounded once to working precision."""
     worst, by_value = mpf(0), cmp_to_key(mpf_cmp)
-    for l, ml in enumerate(sol.idx.m):
+    for l, ml in enumerate(idx.m):
         for j in range(ml):
             terms = [
                 mpf_mul(c._mpf_, tables[k, l][i + j]._mpf_)
@@ -174,14 +174,14 @@ def solve_batch(ws, requests) -> dict:
     one LU per group (see base_pair_job), the groups run concurrently by
     mop._map_cores.  Every base pair is made before any solve."""
     groups = {}
-    for idx, norm in requests:
-        kind, pos = norm
+    for idx, (kind, pos) in requests:
         base = idx.shift_n(pos, -1) if kind == "II" else idx.shift_m(pos)
-        groups.setdefault(base, {})[norm] = None
+        groups.setdefault(base, {})[idx, (kind, pos)] = None
     solved = mop._map_cores(
-        lambda job: base_pair_job(ws, *job), [(base, list(tags)) for base, tags in groups.items()]
+        lambda job: base_pair_job(ws, *job),
+        [(base, [norm for _, norm in keys]) for base, keys in groups.items()],
     )
-    return {(sol.idx, sol.norm): sol for sols in solved for sol in sols}
+    return {key: sol for keys, sols in zip(groups.values(), solved) for key, sol in zip(keys, sols)}
 
 
 def transition_number(ws, idx, frm, to):

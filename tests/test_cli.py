@@ -526,6 +526,40 @@ def test_identities_factors_each_expansion_once(
     assert len(batches) == 1
 
 
+def _critical_identities(tmp_path, n, precision=()):
+    """(exit code, {check name: residual}) of hbl identities on the
+    critical config at t = 0.3333333333 and n = m."""
+    out = tmp_path / "art"
+    argv = ["--out", str(out), *precision, "identities"]
+    argv += ["--config", str(DATA / "critical_config.json")]
+    argv += ["--n", n, "--m", n, "--t", "0.3333333333"]
+    code = main(argv)
+    if code:
+        return code, {}
+    checks = json.loads((out / "identities.json").read_text())["checks"]
+    return code, {c["name"]: mpf(c["residual"]) for c in checks}
+
+
+def test_identities_of_an_expansion_settled_above_working_precision(tmp_path):
+    # at 128 bits the expansions at n = m = (20, 20) settle at 256 bits;
+    # scales summed again from 128-bit moment tables left the backward
+    # recurrence at 5.6e-8, the Y1 entries of each row's own expansion
+    # leave it at 8e-21
+    code, residuals = _critical_identities(tmp_path, "20,20", ["--precision", "128"])
+    assert code == 0
+    assert residuals["backward_recurrence"] <= mpf("1e-18")
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="ROADMAP item 1: the n = 36 expansion settles at 256 bits with "
+    "certificate 3.2e-13 but c14c41 off by 1.4e-13, so the diagonal routes "
+    "disagree by 1.9e-13 and identities raises NoConvergence (exit 3)",
+)
+def test_identities_at_n36_pass_by_default(tmp_path):
+    assert _critical_identities(tmp_path, "36,36")[0] == 0
+
+
 def test_scaling_dispatches_by_regime(critical_config_file, tmp_path):
     out = tmp_path / "art"
     code = main(
@@ -650,9 +684,11 @@ def test_identities_match_golden(tmp_path):
     # 30-digit residuals move with any change in how the LU rounds, as they
     # did when each entry stopped being rounded once per step, and the two
     # recurrence residuals with any change in which LU a vector comes from,
-    # as they did when the vectors became rescaled expansion rows, and the
+    # as they did when the vectors became rescaled expansion rows, the
     # backward one again when each recurrence read its vectors by position
-    # from its own two expansions.  The config sits at a fixed path
+    # from its own two expansions, and the forward one when each vector
+    # took its scale from its own expansion's Y1 in place of moment tables
+    # rebuilt at working precision.  The config sits at a fixed path
     out = tmp_path / "art"
     argv = ["--out", str(out), "identities", "--config", str(DATA / "large_config.json")]
     assert main(argv + ["--n", "6,6", "--m", "6,6", "--t", "0.4"]) == 0

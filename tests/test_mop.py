@@ -134,7 +134,7 @@ def test_trivial_index_pair(ws):
     idx = MultiIndexPair((1, 0), (0, 0))
     sol = solve_batch(ws, [(idx, ("II", 0))])[idx, ("II", 0)]
     assert sol.coeffs == ((mpf(1),), ())
-    assert orthogonality_residual(sol, mop.moment_tables(ws, sol.idx)) == 0
+    assert orthogonality_residual(sol, idx, mop.moment_tables(ws, idx)) == 0
 
 
 def _fraction_solve(rows, rhs):
@@ -203,7 +203,7 @@ def test_reflection_symmetry_of_symmetric_system(ws_symmetric):
 def test_solve_orthogonality_residual(ws):
     idx = MultiIndexPair((3, 2), (2, 2))
     sol = solve_batch(ws, [(idx, ("II", 0))])[idx, ("II", 0)]
-    resid = orthogonality_residual(sol, mop.moment_tables(ws, idx))
+    resid = orthogonality_residual(sol, idx, mop.moment_tables(ws, idx))
     assert resid <= mpf(2) ** (-(mp.prec // 4))
     assert sol.coeffs[0][-1] == 1  # monic normalization is exact
 
@@ -213,42 +213,6 @@ def test_type1_normalization_exact(ws):
     sol = solve_batch(ws, [(idx, ("I", 1))])[idx, ("I", 1)]
     moment = mop.q_moment(sol, mop.moment_tables(ws, idx), 1, idx.m[1])
     assert abs(moment - 1) < mpf("1e-60")
-
-
-def test_normalization_impossible_for_empty_polynomial(ws):
-    # A_2 of the vector at n = (1, 0) is empty: no leading coefficient
-    idx = MultiIndexPair((1, 0), (0, 0))
-    sol = solve_batch(ws, [(idx, ("II", 0))])[idx, ("II", 0)]
-    with pytest.raises(NormalizationImpossible, match=r"type \(II,2\)"):
-        mop.renormalized(sol, mop.moment_tables(ws, idx), ("II", 1))
-
-
-def test_renormalized_zero_scale_raises(ws):
-    # a zero coefficient of x^(n_k - 1) in A_k, or a zero moment, is a zero
-    # scale: NormalizationImpossible naming the index and the tag, never a
-    # ZeroDivisionError or an inf or nan vector
-    idx = MultiIndexPair((2, 2), (2, 1))
-    tables = mop.moment_tables(ws, idx)
-    sol = mop.MopSolution(idx, ("I", 0), ((mpf(3), mpf(0)), (mpf(-1), mpf(2))))
-    with pytest.raises(NormalizationImpossible) as err:
-        mop.renormalized(sol, tables, ("II", 0))
-    assert str(err.value) == (
-        f"the type (II,1) normalization of the MOP vector at {idx} divides by zero"
-    )
-    assert err.value.exit_code == 3
-    zero = sol._replace(coeffs=((mpf(0), mpf(0)), (mpf(0), mpf(0))))
-    with pytest.raises(NormalizationImpossible, match=r"type \(I,2\)"):
-        mop.renormalized(zero, tables, ("I", 1))
-    # the other scales are nonzero and divide exactly here
-    got = mop.renormalized(sol, tables, ("II", 1))
-    assert got.idx == idx and got.norm == ("II", 1)
-    assert got.coeffs == ((mpf(3) / 2, mpf(0)), (mpf(-1) / 2, mpf(1)))
-
-
-def test_renormalized_keeps_a_vector_of_its_own_tag(ws):
-    idx = MultiIndexPair((2, 2), (2, 1))
-    sol = solve_batch(ws, [(idx, ("I", 1))])[idx, ("I", 1)]
-    assert mop.renormalized(sol, mop.moment_tables(ws, idx), ("I", 1)) is sol
 
 
 def test_negative_shift_rejected():
@@ -275,7 +239,7 @@ def test_precision_escalation_recovers_conditioning(ws):
     nu.set_precision(128)
     try:
         sol = solve_batch(ws, [(idx, ("II", 0))])[idx, ("II", 0)]
-        resid = orthogonality_residual(sol, mop.moment_tables(ws, idx))
+        resid = orthogonality_residual(sol, idx, mop.moment_tables(ws, idx))
     finally:
         nu.set_precision(nu.DEFAULT_PRECISION_BITS)
     assert resid <= mpf(2) ** (-32)
@@ -362,7 +326,6 @@ def test_shifted_solutions_against_exact_rational_oracle(ws):
     expected = [(idx.shift_n(k), ("II", k)) for k in range(2)]
     expected += [(idx.shift_m(l, -1), ("I", l)) for l in range(2)]
     for sol, (sol_idx, norm) in zip(rows, expected):
-        assert (sol.idx, sol.norm) == (sol_idx, norm)
         A, rhs = moment_system(ws, sol_idx, norm)
         oracle = _fraction_solve(
             [[mpf_to_fraction(v) for v in row] for row in A],
@@ -392,7 +355,8 @@ def test_shifted_solutions_escalate_together(ws, monkeypatch):
         rows, bits = mop.escalate(attempt)
         with mp.workprec(bits):
             tables = mop.moment_tables(ws, idx)
-            resids = [orthogonality_residual(sol, tables) for sol in rows]
+            row_idx = [idx.shift_n(k) for k in range(2)] + [idx.shift_m(l, -1) for l in range(2)]
+            resids = [orthogonality_residual(sol, i, tables) for sol, i in zip(rows, row_idx)]
     finally:
         nu.set_precision(nu.DEFAULT_PRECISION_BITS)
     assert len(calls) > 1 and calls[0] == (48, 128)
@@ -425,20 +389,19 @@ def test_solve_batch_one_lu_per_base_pair(ws, monkeypatch):
     try:
         sols = solve_batch(ws, requests + requests[:1])
         resids = [
-            orthogonality_residual(sol, mop.moment_tables(ws, sol.idx))
-            for sol in sols.values()
+            orthogonality_residual(sol, idx, mop.moment_tables(ws, idx))
+            for (idx, _), sol in sols.items()
         ]
     finally:
         nu.set_precision(nu.DEFAULT_PRECISION_BITS)
     assert set(sols) == set(requests)
-    assert all((sol.idx, sol.norm) == key for key, sol in sols.items())
     assert calls.count((48, 128)) == 1
     assert [c for c in calls if c[0] == 4] == [(4, 128), (4, 256)]
     assert all(resid <= mpf(2) ** (-32) for resid in resids)
 
 
 def _bits(sols) -> list:
-    return [(s.idx, s.norm, [c._mpf_ for block in s.coeffs for c in block]) for s in sols]
+    return [[c._mpf_ for block in s.coeffs for c in block] for s in sols]
 
 
 def _rows_requests(base):
@@ -455,9 +418,9 @@ def test_solve_batch_matches_in_process_groups(ws, monkeypatch):
              MultiIndexPair((5, 6), (6, 5)), MultiIndexPair((5, 5), (5, 5))]
     sols = solve_batch(ws, [r for base in bases for r in _rows_requests(base)])
     for base in bases:
-        tags = [norm for _, norm in _rows_requests(base)]
-        want = mop._factor_and_solve(mop.moment_tables(ws, base), base, tags)
-        assert _bits(sols[s.idx, s.norm] for s in want) == _bits(want)
+        requests = _rows_requests(base)
+        want = mop._factor_and_solve(mop.moment_tables(ws, base), base, [n for _, n in requests])
+        assert _bits(sols[r] for r in requests) == _bits(want)
 
 
 def _no_child_left():
@@ -662,7 +625,7 @@ def test_outcome_pickle_loads_raw_values_back(ws):
     assert (taken, failed) == ([0, 1], None)
 
     def raw(sol):
-        return sol.idx, sol.norm, [[c._mpf_ for c in cs] for cs in sol.coeffs]
+        return [[c._mpf_ for c in cs] for cs in sol.coeffs]
 
     def entries(y):
         return [(type(v), getattr(v, "_mpc_", None) or v._mpf_) for v in y]
@@ -677,11 +640,8 @@ def test_outcome_pickle_loads_raw_values_back(ws):
     # records whose constructor rounds its fields come back with the bits
     # sent, not rounded again at the loading side's precision: a weight
     # system made at 512 bits and loaded at 256 is equal, with one hash
-    from hbl.model import BrownianConfig
-
     with mp.workprec(512):
         sent = [WeightSystem(a=("1", "-1"), b=("0.5", "-0.5"), t=mpf(1) / 3, N="6.1"),
-                BrownianConfig("1", "-1", "0.5", "-0.5", L="0.37"),
                 MultiIndexPair((3, 2), (2, 2))]
         sink = io.BytesIO()
         mop._send_outcome(sink, ([0], {0: sent}, None))
@@ -691,7 +651,7 @@ def test_outcome_pickle_loads_raw_values_back(ws):
     def bits(v):
         return tuple(map(bits, v)) if isinstance(v, tuple) else getattr(v, "_mpf_", v)
 
-    names = [("a", "b", "t", "N"), ("a1", "a2", "b1", "b2", "p1", "p2", "T", "L"), ("n", "m")]
+    names = [("a", "b", "t", "N"), ("n", "m")]
     for g, s, fields in zip(got, sent, names):
         assert type(g) is type(s)
         assert [bits(getattr(g, f)) for f in fields] == [bits(getattr(s, f)) for f in fields]
@@ -767,8 +727,8 @@ def test_orthogonality_perturbation_sensitivity(ws):
     sol = solve_batch(ws, [(idx, ("II", 0))])[idx, ("II", 0)]
     bad_coeffs = list(list(c) for c in sol.coeffs)
     bad_coeffs[0][0] += mpf("1e-3")
-    bad = mop.MopSolution(idx=idx, norm=sol.norm, coeffs=tuple(tuple(c) for c in bad_coeffs))
-    assert orthogonality_residual(bad, mop.moment_tables(ws, idx)) > mpf("1e-6")
+    bad = mop.MopSolution(coeffs=tuple(tuple(c) for c in bad_coeffs))
+    assert orthogonality_residual(bad, idx, mop.moment_tables(ws, idx)) > mpf("1e-6")
 
 
 # ---------------------------------------------------------------------------

@@ -11,7 +11,9 @@ from hbl import kernel as kn
 from hbl import mop
 from hbl import numerics as nu
 from hbl import rh
-from hbl.errors import BranchCollision, HblError, InvalidIndex, NoConvergence
+from hbl.errors import (
+    BranchCollision, HblError, InvalidIndex, NoConvergence, NormalizationImpossible
+)
 from hbl.model import BrownianConfig
 from hbl.mop import MultiIndexPair, WeightSystem
 
@@ -160,8 +162,9 @@ def test_orthogonality_residual_blind_to_the_n80_defect(critical_config):
     # keeps that residual at rounding level, so it certifies nothing
     ws, idx = _critical_n80(critical_config)
     tables = mop.moment_tables(ws, idx)
-    for sol in mop.shifted_solutions(ws, idx, tables):
-        assert orthogonality_residual(sol, tables) <= mpf(2) ** -(mp.prec // 4)
+    row_idx = [idx.shift_n(k) for k in range(2)] + [idx.shift_m(l, -1) for l in range(2)]
+    for sol, i in zip(mop.shifted_solutions(ws, idx, tables), row_idx):
+        assert orthogonality_residual(sol, i, tables) <= mpf(2) ** -(mp.prec // 4)
 
 
 PRODUCTS = ((1, 2), (1, 3), (1, 4), (2, 3), (2, 4), (3, 4))
@@ -234,14 +237,14 @@ def test_expansion_builds_one_table_per_weight_pair(monkeypatch):
     assert built == [14] * 4
 
 
-def test_recurrences_build_one_table_set(monkeypatch):
-    # the rescales of every recurrence vector at n = m = (6, 6) read one set
-    # of p q tables at n, to M_14: none per vector index
+def test_recurrences_build_no_table(monkeypatch):
+    # every recurrence vector at n = m = (6, 6) takes its scale from its own
+    # expansion's Y1: no moment table is built again
     ws = WeightSystem.from_config(BrownianConfig("1", "-1", "0.7", "-0.7"), mpf("0.4"), 12)
     exps = rh.assemble_rh_expansions(rh.recurrence_pairs(ws, MultiIndexPair((6, 6), (6, 6))))
     built = _count_tables(monkeypatch)
     rh.verify_recurrences(exps, [mpf(0), mpc(-1, 1)])
-    assert built == [14] * 4
+    assert built == []
 
 
 def test_boundary_other_than_above_or_below_is_rejected(ws, idx22, exp22):
@@ -421,29 +424,54 @@ def test_each_recurrence_reads_only_its_two_expansions(ws, idx22):
         }
 
 
+def test_recurrence_zero_scale_raises(ws, idx22):
+    # a zero Y1 entry is a zero scale: NormalizationImpossible naming the
+    # index pair and the column, never a ZeroDivisionError or an inf or nan;
+    # row 3 of the expansion at (n, m) scales into (II,1), row 1 of the one
+    # at (n + e_1, m + e_1) into (I,1)
+    exps = rh.assemble_rh_expansions(rh.recurrence_pairs(ws, idx22))
+    for pos, i, col, kind in ((0, 2, 0, "II,1"), (1, 0, 2, "I,1")):
+        y1 = exps[pos].Y1.copy()
+        y1[i, col] = 0
+        zero = exps[:pos] + [exps[pos]._replace(Y1=y1)] + exps[pos + 1 :]
+        with pytest.raises(NormalizationImpossible) as err:
+            rh.verify_recurrences(zero, ZS)
+        assert str(err.value) == (
+            f"the type ({kind}) normalization of row {i + 1} of the expansion at "
+            f"{exps[pos].idx} divides by zero: its Y1 entry in column {col + 1} is 0"
+        )
+        assert err.value.exit_code == 3
+
+
 def _recurrences_on_both_routes(ws, idx, monkeypatch):
-    # every vector the recurrences read is an expansion row, rescaled by
-    # mop.renormalized to the tag asked for; against its own LU solve from
-    # the test oracle it must agree coefficient by coefficient to
+    # every vector the recurrences read is an expansion row, scaled by an
+    # entry of its own Y1 to the normalization asked for; its values at ZS
+    # must agree with those of its own LU solve from the test oracle to
     # 2^-(prec/2) relative, and the recurrences must hold on either route
+    def key(exp, i, col):
+        p = exp.p
+        vec = exp.idx.shift_n(i) if i < p else exp.idx.shift_m(i - p, -1)
+        return vec, ("II", col) if col < p else ("I", col - p)
+
     read = {}
-    renormalized = mop.renormalized
+    row_values = rh._row_values
 
-    def recording(sol, tables, norm):
-        read[sol.idx, norm] = renormalized(sol, tables, norm)
-        return read[sol.idx, norm]
+    def recording(exp, i, col, zs):
+        read[key(exp, i, col)] = row_values(exp, i, col, zs)
+        return read[key(exp, i, col)]
 
-    monkeypatch.setattr(rh, "renormalized", recording)
+    monkeypatch.setattr(rh, "_row_values", recording)
     batch = recurrence_residuals(ws, idx, ZS)
     own = solve_batch(ws, list(read))
     tol = mpf(2) ** -(mp.prec // 2)
-    for key, sol in read.items():
-        assert (sol.idx, sol.norm) == key
-        got = [c for cs in sol.coeffs for c in cs]
-        want = [c for cs in own[key].coeffs for c in cs]
-        assert [len(cs) for cs in sol.coeffs] == [len(cs) for cs in own[key].coeffs]
-        assert all(abs(g - w) <= tol * abs(w) for g, w in zip(got, want))
-    monkeypatch.setattr(rh, "renormalized", lambda sol, tables, norm: own[sol.idx, norm])
+    assert read
+    for vec, values in read.items():
+        for got, want in zip(values, rh._vector_values(own[vec], ZS), strict=True):
+            scale = max(abs(w) for w in want)
+            assert all(abs(g - w) <= tol * scale for g, w in zip(got, want, strict=True))
+    monkeypatch.setattr(
+        rh, "_row_values", lambda exp, i, col, zs: rh._vector_values(own[key(exp, i, col)], zs)
+    )
     independent = recurrence_residuals(ws, idx, ZS)
     pairs = [(k, l) for k in range(ws.p) for l in range(ws.q)]
     for residuals in (batch, independent):
@@ -453,7 +481,8 @@ def _recurrences_on_both_routes(ws, idx, monkeypatch):
 
 def test_recurrence_batch_matches_independent_route(ws, idx22, monkeypatch):
     for idx in (idx22, IDX_ASYM):
-        _recurrences_on_both_routes(ws, idx, monkeypatch)
+        with monkeypatch.context() as patch:
+            _recurrences_on_both_routes(ws, idx, patch)
 
 
 def test_five_term_on_rational_oracle_solutions(ws, idx22, exp22):
